@@ -27,6 +27,7 @@ from .csiszar_bounds import (
     g_eval,
     global_extrema,
     mm_closed,
+    mm_exact,
     mm_numeric,
 )
 from .estimators import EstimatorId, all_estimators, estimate
@@ -65,6 +66,7 @@ __all__ = [
     "g_eval",
     "mm_numeric",
     "mm_closed",
+    "mm_exact",
     "global_extrema",
     "e_cf",
     "a_cf",

@@ -18,7 +18,7 @@ import sys
 from . import __version__
 from .csiszar_bounds import CLOSED_FORM_REGIONS, bound_interval, global_extrema_table
 from .errors import DivBoundsError, UnknownMeasure
-from .generators import CATALOG_IDS
+from .generators import CATALOG_IDS, catalog
 from .measures import MEASURE_IDS, divergence, phi_s
 from .simplex import Distribution, normalize, ratio_range, smooth
 from .type_s_bounds import a_phi_s, b_phi_s, e_phi_s
@@ -168,32 +168,18 @@ def cmd_verify(args) -> int:
     return 0 if total_violations == 0 else 1
 
 
-_FORMULAS = {
-    "D1": ("(x-1)*ln((x+1)/2)", "(x+3)/(x+1)^2"),
-    "D2": ("(1-x)*ln((x+1)/(2x))", "(3x+1)/(x^2*(x+1)^2)"),
-    "F1": ("(1-x)/2 - x*ln((x+1)/(2x))", "1/(x*(x+1)^2)"),
-    "F2": ("(x-1)/2 - ln((x+1)/2)", "1/(x+1)^2"),
-    "G1": ("(x-1)/2 + ((x+1)/2)*ln((x+1)/(2x))", "1/(2*x^2*(x+1))"),
-    "G2": ("(1-x)/2 + ((x+1)/2)*ln((x+1)/2)", "1/(2*(x+1))"),
-    "J": ("(x-1)*ln(x)", "(x+1)/x^2"),
-    "I": ("(x/2)*ln(x) - ((x+1)/2)*ln((x+1)/2)", "1/(2*x*(x+1))"),
-    "T": ("((x+1)/2)*ln((x+1)/(2*sqrt(x)))", "(x^2+1)/(4*(x^3+x^2))"),
-}
-
-
 def cmd_catalog(args) -> int:
     extrema = {}
     for (mid, s), ext in global_extrema_table().items():
         extrema.setdefault(mid, []).append({"s": s, "kind": ext.kind, "value": ext.value, "x": ext.x})
     entries = []
-    for mid in CATALOG_IDS:
-        f_text, fpp_text = _FORMULAS[mid]
+    for mid, gen in catalog().items():
         lo, hi = CLOSED_FORM_REGIONS[mid]
         entries.append(
             {
                 "id": mid,
-                "f": f_text,
-                "f_second": fpp_text,
+                "f": gen.f_text,
+                "f_second": gen.f_second_text,
                 "closed_form_region": f"s <= {lo:g} or s >= {hi:g}",
                 "global_extrema": sorted(extrema.get(mid, []), key=lambda e: e["s"]),
             }

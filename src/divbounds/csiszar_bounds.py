@@ -2,10 +2,18 @@
 
 The key object is g(x) = x^(2-s) * f''(x).  If m <= g <= M on the ratio
 range [r, R] of a pair (P, Q), then C_f(P||Q) is sandwiched between
-m * phi_s(P||Q) and M * phi_s(P||Q).  For the nine catalog measures g is
-monotone outside a measure-specific gap in s, giving closed-form endpoint
-extrema; everywhere else an independent numeric optimizer (log-spaced scan
-plus golden-section refinement) supplies (m, M).
+m * phi_s(P||Q) and M * phi_s(P||Q).  Every catalog f'' is a rational
+function N/D, so on x > 0 the sign of g' is the sign of the stationarity
+polynomial
+
+    S_s(x) = (2-s) N D + x (N'D - N D'),
+
+of degree at most 3 once the factors x and x+1 are divided out.  (m, M)
+are therefore exact for every s: the extremes of g over r, R and the roots
+of S_s inside (r, R).  In the paper's monotone regions of s the endpoints
+alone suffice.  An independent numeric optimizer (log-spaced scan plus
+golden-section refinement) is kept as the test oracle and for generators
+outside the catalog.
 """
 
 from __future__ import annotations
@@ -16,8 +24,8 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import InvalidRange, NonPositiveX, NotTabulated, UnknownMeasure
-from .generators import Generator, PhiS, eval_csiszar, get_generator
+from .errors import InvalidRange, LengthMismatch, NonPositiveX, NotTabulated, UnknownMeasure
+from .generators import Generator, PhiS, catalog, eval_csiszar, get_generator, horner
 from .measures import phi_s
 from .simplex import Distribution, RatioRange, ratio_range
 from .type_s_bounds import a_phi_s, b_phi_s, e_phi_s
@@ -27,7 +35,15 @@ _INV_PHI2 = _INV_PHI**2
 
 
 def g_eval(gen: Generator, s: float, x):
-    """x^(2-s) * f''(x); accepts a positive scalar or array."""
+    """x^(2-s) * f''(x); accepts a positive scalar or array.
+
+    A float argument is evaluated in plain Python, without numpy overhead
+    (so an overflowing power raises OverflowError instead of giving inf).
+    """
+    if isinstance(x, float):
+        if not x > 0.0:
+            raise NonPositiveX(f"x must be > 0, got {x}")
+        return float(x ** (2.0 - s) * gen.f_second(x))
     arr = np.asarray(x, dtype=np.float64)
     if not np.all(arr > 0.0):
         raise NonPositiveX(f"x must be > 0, got {x}")
@@ -35,7 +51,7 @@ def g_eval(gen: Generator, s: float, x):
     return float(out) if np.isscalar(x) or arr.ndim == 0 else out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MMBounds:
     """Extrema of g on [r, R], with provenance of how they were obtained."""
 
@@ -74,9 +90,10 @@ def mm_numeric(gen: Generator, s: float, rng: RatioRange, points: int = 4096) ->
     """Independent oracle for (m, M): scan + golden-section refinement.
 
     Evaluates g on a log-spaced grid over [r, R], then refines every
-    bracketed interior extremum (sign change of the discrete slope).
-    Every catalog g has at most two stationary points, so the default
-    resolution cannot miss one.
+    bracketed interior extremum (a sample at least as extreme as both
+    neighbours) and, unconditionally, the first and last grid cells, where
+    an extremum has only one sampled neighbour and shows no such sample.
+    Two stationary points inside one grid cell can still hide each other.
     """
     r, R = rng.r, rng.R
     if not 0.0 < r <= R:
@@ -99,16 +116,17 @@ def mm_numeric(gen: Generator, s: float, rng: RatioRange, points: int = 4096) ->
     interior = gs[1:-1]
     min_idx = np.nonzero((interior <= gs[:-2]) & (interior <= gs[2:]))[0]
     max_idx = np.nonzero((interior >= gs[:-2]) & (interior >= gs[2:]))[0]
+    end_cells = ((float(xs[0]), float(xs[1])), (float(xs[-2]), float(xs[-1])))
 
     def refine(indices, sign, best):
         """sign=+1 lowers `best` toward minima, sign=-1 raises it toward maxima."""
+        brackets = list(end_cells)
         prev = -2
         for j in indices:
-            if j == prev + 1:  # same plateau / extremum, already bracketed
-                prev = j
-                continue
+            if j != prev + 1:  # a run of indices is one plateau / extremum
+                brackets.append((float(xs[j]), float(xs[min(j + 3, points - 1)])))
             prev = j
-            a, b = float(xs[j]), float(xs[min(j + 3, points - 1)])
+        for a, b in brackets:
             v = sign * _golden_min(lambda x: sign * g_eval(gen, s, x), a, b)
             best = min(best, v) if sign > 0 else max(best, v)
         return best
@@ -118,26 +136,125 @@ def mm_numeric(gen: Generator, s: float, rng: RatioRange, points: int = 4096) ->
     return MMBounds(lo, hi, "numeric", s, rng)
 
 
-# Monotone regions and endpoint coefficients, one row per catalog measure:
-# g is increasing on [r, R] for s <= lo and decreasing for s >= hi.  The
-# coefficient functions are transcriptions of the endpoint closed forms,
-# with two corrections adopted after checking against mm_numeric: the
-# J-divergence supremum is (1+x)/x^s at the appropriate endpoint, and the
-# G1 upper coefficient is 1/(2 x^s (x+1)).
-_CLOSED = {
-    "D1": (0.75, 2.0, lambda x, s: x ** (2.0 - s) * (x + 3.0) / (x + 1.0) ** 2),
-    "D2": (-1.0, 0.25, lambda x, s: x ** (-s) * (3.0 * x + 1.0) / (x + 1.0) ** 2),
-    "F1": (-1.0, 1.0, lambda x, s: x ** (1.0 - s) / (x + 1.0) ** 2),
-    "F2": (0.0, 2.0, lambda x, s: x ** (2.0 - s) / (x + 1.0) ** 2),
-    "G1": (-1.0, 0.0, lambda x, s: x ** (-s) / (2.0 * (x + 1.0))),
-    "G2": (1.0, 2.0, lambda x, s: x ** (2.0 - s) / (2.0 * (x + 1.0))),
-    "J": (0.0, 1.0, lambda x, s: (1.0 + x) / x**s),
-    "I": (0.0, 1.0, lambda x, s: x ** (1.0 - s) / (2.0 * (1.0 + x))),
-    "T": (-1.0, 2.0, lambda x, s: x ** (-s) * (1.0 + x**2) / (4.0 * (1.0 + x))),
+#: The paper's monotone regions (s_low, s_high) per catalog measure: g is
+#: increasing on (0, inf) for s <= s_low and decreasing for s >= s_high.
+CLOSED_FORM_REGIONS = {
+    "D1": (0.75, 2.0),
+    "D2": (-1.0, 0.25),
+    "F1": (-1.0, 1.0),
+    "F2": (0.0, 2.0),
+    "G1": (-1.0, 0.0),
+    "G2": (1.0, 2.0),
+    "J": (0.0, 1.0),
+    "I": (0.0, 1.0),
+    "T": (-1.0, 2.0),
 }
 
-#: Validity regions (s_low, s_high) of the closed-form extrema per measure.
-CLOSED_FORM_REGIONS = {k: (v[0], v[1]) for k, v in _CLOSED.items()}
+
+def _pmul(a: tuple, b: tuple) -> tuple:
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return tuple(out)
+
+
+def _padd(a: tuple, b: tuple, sign: int = 1) -> tuple:
+    n = max(len(a), len(b))
+    a, b = (0,) * (n - len(a)) + a, (0,) * (n - len(b)) + b
+    return tuple(x + sign * y for x, y in zip(a, b))
+
+
+def _pderiv(a: tuple) -> tuple:
+    n = len(a) - 1
+    return tuple((n - i) * c for i, c in enumerate(a[:-1])) or (0,)
+
+
+def _div_x_plus_1(a: tuple) -> tuple:
+    """Quotient of a by x + 1 (synthetic division; the remainder must be 0)."""
+    out, acc = [], 0
+    for c in a:
+        acc = c - acc
+        out.append(acc)
+    return tuple(out[:-1])
+
+
+def _stationarity(f_second) -> tuple:
+    """(A, B), integer tuples of equal length, with S_s = A + s*B.
+
+    The powers of x and of x + 1 that A and B share are divided out: every
+    catalog denominator is a product of 2, x and x + 1, and both divisors
+    are positive on x > 0, so the sign of S_s (and of g') is kept.
+    """
+    n, d = f_second.num, f_second.den
+    nd = _pmul(n, d)
+    a = _padd(_padd(nd, nd), _padd(_pmul(_pderiv(n), d), _pmul(n, _pderiv(d)), -1) + (0,))
+    b = _padd((0,) * len(a), nd, -1)  # -N D, as long as A
+    while a[-1] == b[-1] == 0:
+        a, b = a[:-1], b[:-1]
+    while horner(a, -1) == horner(b, -1) == 0:
+        a, b = _div_x_plus_1(a), _div_x_plus_1(b)
+    return a, b
+
+
+_STATIONARY = {mid: _stationarity(gen.f_second) for mid, gen in catalog().items()}
+
+
+def _bracketed_root(c: list, a: float, b: float, neg_a: bool) -> float:
+    """Root of the polynomial c in (a, b), where c is monotone and changes
+    sign (neg_a: c(a) < 0).
+
+    Safeguarded Newton: a step is taken when it stays inside the shrinking
+    bracket and at least halves the step before it, else the bracket is
+    bisected geometrically (0 < a, and [a, b] may span many decades).
+    """
+    x = math.sqrt(a) * math.sqrt(b)
+    step = math.inf
+    for _ in range(200):
+        p = dp = 0.0
+        for k in c:
+            dp = dp * x + p
+            p = p * x + k
+        if p == 0.0:
+            return x
+        if (p < 0.0) == neg_a:
+            a = x
+        else:
+            b = x
+        nxt = x - p / dp if dp != 0.0 else a
+        if not (a < nxt < b and abs(nxt - x) < 0.5 * step):
+            nxt = math.sqrt(a) * math.sqrt(b)
+        step = abs(nxt - x)
+        if step <= 4e-16 * x:
+            return nxt
+        x = nxt
+    return x
+
+
+def _real_roots(c: list, lo: float, hi: float) -> list:
+    """Real roots inside (lo, hi), 0 < lo, of the polynomial c (highest power first)."""
+    while c and c[0] == 0.0:
+        c = c[1:]
+    n = len(c) - 1
+    if n <= 0:
+        return []
+    if n == 1:
+        roots = [-c[1] / c[0]]
+    elif n == 2:
+        c2, c1, c0 = c
+        disc = c1 * c1 - 4.0 * c2 * c0
+        if disc < 0.0:
+            return []
+        q = -0.5 * (c1 + math.copysign(math.sqrt(disc), c1))  # no cancellation
+        roots = [q / c2, c0 / q] if q != 0.0 else []
+    else:
+        # c is monotone between consecutive roots of c', so each sign change
+        # between them brackets exactly one root.
+        dc = [(n - i) * k for i, k in enumerate(c[:-1])]
+        knots = [lo, *sorted(_real_roots(dc, lo, hi)), hi]
+        signs = [horner(c, x) < 0.0 for x in knots]
+        roots = [_bracketed_root(c, a, b, sa) for a, b, sa, sb in zip(knots, knots[1:], signs, signs[1:]) if sa != sb]
+    return [x for x in roots if lo < x < hi]
 
 
 def mm_closed(measure, s: float, rng: RatioRange) -> Optional[MMBounds]:
@@ -157,14 +274,29 @@ def mm_closed(measure, s: float, rng: RatioRange) -> Optional[MMBounds]:
         m, M = (lo_v, hi_v) if e > 0 else (hi_v, lo_v)
         return MMBounds(m, M, "closed_form", s, rng)
     try:
-        s_lo, s_hi, coeff = _CLOSED[measure]
+        s_lo, s_hi = CLOSED_FORM_REGIONS[measure]
     except KeyError:
         raise UnknownMeasure(f"unknown measure {measure!r}") from None
+    gen = get_generator(measure)
     if s <= s_lo:  # g increasing
-        return MMBounds(coeff(r, s), coeff(R, s), "closed_form", s, rng)
+        return MMBounds(g_eval(gen, s, r), g_eval(gen, s, R), "closed_form", s, rng)
     if s >= s_hi:  # g decreasing
-        return MMBounds(coeff(R, s), coeff(r, s), "closed_form", s, rng)
+        return MMBounds(g_eval(gen, s, R), g_eval(gen, s, r), "closed_form", s, rng)
     return None
+
+
+def mm_exact(measure, s: float, rng: RatioRange) -> MMBounds:
+    """Exact (m, M) for every s: :func:`mm_closed` in the monotone regions,
+    else the extremes of g over r, R and the roots of S_s inside (r, R)."""
+    mm = mm_closed(measure, s, rng)
+    if mm is not None:
+        return mm
+    gen = get_generator(measure)
+    a, b = _STATIONARY[measure]
+    r, R = rng.r, rng.R
+    roots = _real_roots([x + s * y for x, y in zip(a, b)], r, R)
+    gs = [g_eval(gen, s, x) for x in (r, R, *roots)]
+    return MMBounds(min(gs), max(gs), "closed_form", s, rng)
 
 
 @dataclass(frozen=True)
@@ -209,7 +341,7 @@ def e_cf(gen: Generator, P: Distribution, Q: Distribution) -> float:
     """Data-dependent bound functional sum (p_i - q_i) f'(p_i/q_i)."""
     p, q = P.probs, Q.probs
     if p.size != q.size:
-        raise InvalidRange(f"lengths differ: {p.size} vs {q.size}")
+        raise LengthMismatch(f"lengths differ: {p.size} vs {q.size}")
     return float(np.sum((p - q) * gen.f_prime(p / q)))
 
 
@@ -231,7 +363,7 @@ def b_cf(gen: Generator, rng: RatioRange) -> float:
     return ((R - 1.0) * float(gen.f(r)) + (1.0 - r) * float(gen.f(R))) / (R - r)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BoundReport:
     """A certified sandwich lower <= value <= upper for one measure."""
 
@@ -252,18 +384,14 @@ class BoundReport:
 def bound_interval(measure, s: float, P: Distribution, Q: Distribution, method: str = "auto") -> BoundReport:
     """Sandwich m * phi_s <= C_f <= M * phi_s for a catalog or PhiS measure.
 
-    method "auto" and "closed" prefer the closed form and fall back to the
-    numeric optimizer inside the gap region; "numeric" forces the oracle.
+    method "auto" and "closed" both take the exact (m, M) of
+    :func:`mm_exact`; "numeric" forces the oracle.
     """
     if method not in ("auto", "closed", "numeric"):
         raise ValueError(f"unknown method {method!r}")
     rng = ratio_range(P, Q)
     gen = get_generator(measure)
-    mm = None
-    if method in ("auto", "closed"):
-        mm = mm_closed(measure, s, rng)
-    if mm is None:
-        mm = mm_numeric(gen, s, rng)
+    mm = mm_numeric(gen, s, rng) if method == "numeric" else mm_exact(measure, s, rng)
     phi = phi_s(s, P, Q)
     value = eval_csiszar(gen, P, Q)
     lower = mm.m * phi

@@ -42,8 +42,14 @@ def _ratio(num: float, den: float) -> float:
     return num / den
 
 
+def _sqrt(v: float) -> float:
+    if v < 0.0:
+        raise DegeneratePair(f"divergence {v!r} rounded below zero: the pair is too close to P = Q")
+    return math.sqrt(v)
+
+
 def _xi(t: int, d) -> float:
-    sqrt = math.sqrt
+    sqrt = _sqrt
     if t == 1:
         return _ratio(sqrt(2 * d("F1")), sqrt(d("CHI2_ADJ")) - sqrt(2 * d("F1")))
     if t == 2:
@@ -72,7 +78,11 @@ def _zeta(t: int, d) -> float:
 
 
 def estimate(est: EstimatorId, P: Distribution, Q: Distribution) -> float:
-    """Evaluate one estimator; raises on a coordinatewise-equal pair."""
+    """Evaluate one estimator.
+
+    Raises DegeneratePair on a coordinatewise-equal pair, and on a pair so
+    close to it that a divergence under a square root rounds below zero.
+    """
     if len(P) == len(Q) and np.all(np.abs(P.probs - Q.probs) <= 1e-14):
         raise DegeneratePair("estimators are 0/0 at P = Q")
 

@@ -39,14 +39,44 @@ class PhiS:
         return f"PHI_S({self.s:g})"
 
 
+def horner(coeffs, x):
+    """Polynomial with coefficients highest power first (numpy.polyval order)
+    at x; scalar or array x."""
+    acc = 0
+    for c in coeffs:
+        acc = acc * x + c
+    return acc
+
+
+@dataclass(frozen=True)
+class Rational:
+    """num(x) / den(x), integer coefficient tuples highest power first.
+
+    Callable on a scalar or an array.  On a plain float it stays in plain
+    Python, which keeps scalar g evaluations cheap.
+    """
+
+    num: tuple
+    den: tuple
+
+    def __call__(self, x):
+        return horner(self.num, x) / horner(self.den, x)
+
+
 @dataclass(frozen=True)
 class Generator:
-    """A divergence's generating triple on (0, inf), with f(1) = 0."""
+    """A divergence's generating triple on (0, inf), with f(1) = 0.
+
+    Catalog generators carry f'' as a :class:`Rational` and the formula
+    text of f and f'' that the catalog command prints.
+    """
 
     id: str
     f: Callable
     f_prime: Callable
     f_second: Callable
+    f_text: str = ""
+    f_second_text: str = ""
 
 
 def _make_catalog() -> dict:
@@ -56,55 +86,73 @@ def _make_catalog() -> dict:
             "D1",
             f=lambda x: (x - 1) * log((x + 1) / 2),
             f_prime=lambda x: (x - 1) / (x + 1) + log((x + 1) / 2),
-            f_second=lambda x: (x + 3) / (x + 1) ** 2,
+            f_second=Rational((1, 3), (1, 2, 1)),
+            f_text="(x-1)*ln((x+1)/2)",
+            f_second_text="(x+3)/(x+1)^2",
         ),
         Generator(
             "D2",
             f=lambda x: (1 - x) * log((x + 1) / (2 * x)),
             f_prime=lambda x: (x - 1) / (x * (x + 1)) - log((x + 1) / (2 * x)),
-            f_second=lambda x: (3 * x + 1) / (x**2 * (x + 1) ** 2),
+            f_second=Rational((3, 1), (1, 2, 1, 0, 0)),
+            f_text="(1-x)*ln((x+1)/(2x))",
+            f_second_text="(3x+1)/(x^2*(x+1)^2)",
         ),
         Generator(
             "F1",
             f=lambda x: (1 - x) / 2 - x * log((x + 1) / (2 * x)),
             f_prime=lambda x: (1 - x) / (2 * (x + 1)) - log((x + 1) / (2 * x)),
-            f_second=lambda x: 1 / (x * (x + 1) ** 2),
+            f_second=Rational((1,), (1, 2, 1, 0)),
+            f_text="(1-x)/2 - x*ln((x+1)/(2x))",
+            f_second_text="1/(x*(x+1)^2)",
         ),
         Generator(
             "F2",
             f=lambda x: (x - 1) / 2 - log((x + 1) / 2),
             f_prime=lambda x: (x - 1) / (2 * (x + 1)),
-            f_second=lambda x: 1 / (x + 1) ** 2,
+            f_second=Rational((1,), (1, 2, 1)),
+            f_text="(x-1)/2 - ln((x+1)/2)",
+            f_second_text="1/(x+1)^2",
         ),
         Generator(
             "G1",
             f=lambda x: (x - 1) / 2 + (x + 1) / 2 * log((x + 1) / (2 * x)),
             f_prime=lambda x: 0.5 * ((x - 1) / x + log((x + 1) / (2 * x))),
-            f_second=lambda x: 1 / (2 * x**2 * (x + 1)),
+            f_second=Rational((1,), (2, 2, 0, 0)),
+            f_text="(x-1)/2 + ((x+1)/2)*ln((x+1)/(2x))",
+            f_second_text="1/(2*x^2*(x+1))",
         ),
         Generator(
             "G2",
             f=lambda x: (1 - x) / 2 + (x + 1) / 2 * log((x + 1) / 2),
             f_prime=lambda x: 0.5 * log((x + 1) / 2),
-            f_second=lambda x: 1 / (2 * (x + 1)),
+            f_second=Rational((1,), (2, 2)),
+            f_text="(1-x)/2 + ((x+1)/2)*ln((x+1)/2)",
+            f_second_text="1/(2*(x+1))",
         ),
         Generator(
             "J",
             f=lambda x: (x - 1) * log(x),
             f_prime=lambda x: 1 - 1 / x + log(x),
-            f_second=lambda x: (x + 1) / x**2,
+            f_second=Rational((1, 1), (1, 0, 0)),
+            f_text="(x-1)*ln(x)",
+            f_second_text="(x+1)/x^2",
         ),
         Generator(
             "I",
             f=lambda x: x / 2 * log(x) - (x + 1) / 2 * log((x + 1) / 2),
             f_prime=lambda x: -0.5 * log((x + 1) / (2 * x)),
-            f_second=lambda x: 1 / (2 * x * (x + 1)),
+            f_second=Rational((1,), (2, 2, 0)),
+            f_text="(x/2)*ln(x) - ((x+1)/2)*ln((x+1)/2)",
+            f_second_text="1/(2*x*(x+1))",
         ),
         Generator(
             "T",
             f=lambda x: (x + 1) / 2 * log((x + 1) / (2 * sqrt(x))),
             f_prime=lambda x: 0.25 * (1 - 1 / x + 2 * log((x + 1) / (2 * sqrt(x)))),
-            f_second=lambda x: 0.25 * (x**2 + 1) / (x**3 + x**2),
+            f_second=Rational((1, 0, 1), (4, 4, 0, 0)),
+            f_text="((x+1)/2)*ln((x+1)/(2*sqrt(x)))",
+            f_second_text="(x^2+1)/(4*(x^3+x^2))",
         ),
     ]
     return {g.id: g for g in gens}

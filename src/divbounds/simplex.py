@@ -55,7 +55,7 @@ class Distribution:
         return iter(self.probs)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RatioRange:
     """Attained extremes (r, R) of the coordinate ratios p_i / q_i.
 

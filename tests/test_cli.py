@@ -112,11 +112,11 @@ class TestBounds:
         assert report["holds"] is True
         assert report["method"] == "closed_form"
 
-    def test_gap_reports_numeric_fallback(self, golden_json, capsys):
+    def test_gap_reports_closed_form(self, golden_json, capsys):
         code = main(["bounds", "--input", golden_json, "--p", "a", "--q", "b", "--measure", "D1", "--s", "1", "--method", "closed"])
         out = capsys.readouterr().out
         assert code == 0
-        assert "method numeric" in out
+        assert "method closed_form" in out
         assert "holds" in out
 
     def test_equal_pair_all_zero(self, golden_json, capsys):

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 import divbounds as db
+import divbounds.csiszar_bounds as cb
 from divbounds.csiszar_bounds import CLOSED_FORM_REGIONS, global_extrema_table
-from divbounds.errors import InvalidRange, NonPositiveX, NotTabulated, UnknownMeasure
+from divbounds.errors import InvalidRange, LengthMismatch, NonPositiveX, NotTabulated, UnknownMeasure
 
 from conftest import make_pairs
 
@@ -67,6 +68,14 @@ class TestMMNumeric:
     def test_invalid_range(self):
         with pytest.raises(InvalidRange):
             db.mm_numeric(db.catalog()["J"], 1, db.RatioRange(0.0, 1.0))
+
+    def test_extremum_in_end_cell(self):
+        # g has its minimum at x = 0.1, inside the first grid cell, where no
+        # sample is flanked by two neighbours.
+        gen = db.catalog()["J"]
+        mm = db.mm_numeric(gen, 1 / 11, db.RatioRange(0.09994969015355741, 166.19274411843972))
+        assert mm.m <= db.g_eval(gen, 1 / 11, 0.1)
+        assert mm.m == pytest.approx(1.3561314133862725, rel=1e-15)
 
     def test_brackets_g_on_interval(self):
         for mid in db.CATALOG_IDS:
@@ -133,6 +142,44 @@ class TestMMClosed:
                 assert float(diffs.min()) >= -1e-12, (mid, s)
 
 
+class TestMMExact:
+    # (r, R) from nearly 1 out to 1e-6..1e6, plus a degenerate range.
+    RANGES = [(1.0, 1.0)] + [(r, R) for r in (1e-6, 1e-3, 0.1, 0.6, 0.97) for R in (1.02, 1.8, 12.0, 1e3, 1e6)]
+
+    def test_matches_numeric_oracle_in_gap(self):
+        cat = db.catalog()
+        worst = 0.0
+        for mid, (lo, hi) in CLOSED_FORM_REGIONS.items():
+            for s in np.linspace(lo, hi, 13)[1:-1]:
+                for r, R in self.RANGES:
+                    rng = db.RatioRange(r, R)
+                    exact = db.mm_exact(mid, float(s), rng)
+                    assert exact.method == "closed_form"
+                    oracle = db.mm_numeric(cat[mid], float(s), rng)
+                    worst = max(worst, abs(exact.m - oracle.m) / oracle.m, abs(exact.M - oracle.M) / oracle.M)
+        assert worst <= 1e-12
+
+    def test_interior_extremum_is_attained(self):
+        # D1 at s = 1 peaks at x = 3 with g = 9/8; T at s = 0.5 bottoms out at x = 1 with g = 1/4.
+        assert db.mm_exact("D1", 1.0, db.RatioRange(0.5, 8.0)).M == pytest.approx(9 / 8, rel=1e-15)
+        assert db.mm_exact("T", 0.5, db.RatioRange(0.5, 8.0)).m == pytest.approx(0.25, rel=1e-15)
+
+    def test_monotone_regions_have_no_stationary_point(self):
+        # Inside each CLOSED_FORM_REGIONS side S_s has no root in (0, inf),
+        # so g is monotone there and the endpoints are its extrema.
+        for mid, (lo, hi) in CLOSED_FORM_REGIONS.items():
+            a, b = cb._STATIONARY[mid]
+            for s in np.concatenate([np.linspace(lo - 6.0, lo, 25), np.linspace(hi, hi + 6.0, 25)]):
+                c = np.trim_zeros(np.array(a) + s * np.array(b), "f")
+                roots = np.roots(c) if c.size > 1 else np.array([])
+                real = roots[np.abs(roots.imag) <= 1e-9 * np.abs(roots)].real
+                assert not np.any(real > 0.0), (mid, s, real)
+
+    def test_unknown_measure(self):
+        with pytest.raises(UnknownMeasure):
+            db.mm_exact("NOPE", 1, db.RatioRange(0.5, 2.0))
+
+
 class TestGlobalExtrema:
     def test_d1(self):
         ext = db.global_extrema("D1", 1)
@@ -176,6 +223,10 @@ class TestGenericFunctionals:
         d = db.normalize([1, 3])
         assert db.e_cf(db.catalog()["J"], d, d) == pytest.approx(0.0, abs=1e-15)
 
+    def test_e_cf_length_mismatch(self):
+        with pytest.raises(LengthMismatch):
+            db.e_cf(db.catalog()["J"], db.normalize([1, 3]), db.normalize([1, 2, 3]))
+
     def test_a_cf_specialization(self):
         rng = db.RatioRange(1 / 3, 3.0)
         assert db.a_cf(db.phi_generator(2), rng) == pytest.approx(16 / 9, rel=1e-12)
@@ -216,11 +267,27 @@ class TestBoundInterval:
         assert rep.value == pytest.approx(LN3, rel=1e-12)
         assert rep.holds
 
-    def test_gap_falls_back_to_numeric(self, golden_pair):
+    def test_gap_uses_exact_extrema(self, golden_pair):
         P, Q = golden_pair
         rep = db.bound_interval("D1", 1, P, Q, method="closed")
-        assert rep.mm.method == "numeric"
+        assert rep.mm.method == "closed_form"
+        oracle = db.mm_numeric(db.catalog()["D1"], 1, rep.mm.range)
+        assert rep.mm.m == pytest.approx(oracle.m, rel=1e-12)
+        assert rep.mm.M == pytest.approx(oracle.M, rel=1e-12)
         assert rep.holds
+
+    def test_auto_and_closed_never_call_numeric(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("mm_numeric called")
+
+        monkeypatch.setattr(cb, "mm_numeric", forbidden)
+        for P, Q in make_pairs(5, seed=17):
+            for mid in db.CATALOG_IDS:
+                for s in db.TrialConfig().s_samples:
+                    for method in ("auto", "closed"):
+                        rep = db.bound_interval(mid, s, P, Q, method=method)
+                        assert rep.mm.method == "closed_form"
+                        assert rep.holds, (mid, s)
 
     def test_numeric_method_forced(self, golden_pair):
         P, Q = golden_pair
@@ -272,3 +339,10 @@ class TestDifferenceBounds:
             s = (-1.0, 0.5, 1.0, 2.0)[(i // 9) % 4]
             rep = db.difference_bounds(db.catalog()[mid], s, P, Q)
             assert rep.holds, (mid, s)
+
+
+def test_result_types_are_slotted(golden_pair):
+    P, Q = golden_pair
+    rep = db.bound_interval("I", 1, P, Q)
+    for obj in (rep, rep.mm, rep.mm.range):
+        assert not hasattr(obj, "__dict__"), type(obj).__name__

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 import divbounds as db
@@ -66,3 +67,21 @@ class TestEstimate:
         chi2_adj = db.divergence("CHI2_ADJ", P, Q)
         expected = 4 * g1 / (chi2_adj - 4 * g1)
         assert db.estimate(db.EstimatorId("XI", 5), P, Q) == pytest.approx(expected, rel=1e-14)
+
+    def test_near_equal_pairs_raise_only_degenerate_pair(self):
+        # p = q * (1 + 1e-8 z): several divergences round below zero, which
+        # must surface as DegeneratePair, never as a raw math domain error.
+        rng = np.random.default_rng(7)
+        degenerate = 0
+        for _ in range(50):
+            n = int(rng.integers(2, 65))
+            q = rng.uniform(0.5, 1.5, n)
+            q /= q.sum()
+            p = q * (1.0 + 1e-8 * rng.standard_normal(n))
+            P, Q = db.Distribution(p / p.sum()), db.Distribution(q)
+            for est in db.all_estimators():
+                try:
+                    db.estimate(est, P, Q)
+                except DegeneratePair:
+                    degenerate += 1
+        assert degenerate > 0
