@@ -24,7 +24,15 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import InvalidRange, LengthMismatch, NonPositiveX, NotTabulated, UnknownMeasure
+from .errors import (
+    InvalidArgument,
+    InvalidRange,
+    LengthMismatch,
+    NonPositiveX,
+    NotTabulated,
+    NumericOverflow,
+    UnknownMeasure,
+)
 from .generators import Generator, PhiS, catalog, eval_csiszar, get_generator, horner
 from .measures import phi_s
 from .simplex import Distribution, RatioRange, ratio_range
@@ -37,13 +45,20 @@ _INV_PHI2 = _INV_PHI**2
 def g_eval(gen: Generator, s: float, x):
     """x^(2-s) * f''(x); accepts a positive scalar or array.
 
-    A float argument is evaluated in plain Python, without numpy overhead
-    (so an overflowing power raises OverflowError instead of giving inf).
+    A float argument is evaluated in plain Python, without numpy overhead,
+    and raises NumericOverflow when a factor or the product leaves the
+    float range (an infinite g would turn m * phi_s into nan).
     """
     if isinstance(x, float):
         if not x > 0.0:
             raise NonPositiveX(f"x must be > 0, got {x}")
-        return float(x ** (2.0 - s) * gen.f_second(x))
+        try:
+            v = float(x ** (2.0 - s) * gen.f_second(x))
+        except (OverflowError, ZeroDivisionError):
+            v = math.inf
+        if not math.isfinite(v):
+            raise NumericOverflow(f"g(x) = x^(2-s) f''(x) overflows at x={x!r}, s={s!r}")
+        return v
     arr = np.asarray(x, dtype=np.float64)
     if not np.all(arr > 0.0):
         raise NonPositiveX(f"x must be > 0, got {x}")
@@ -270,7 +285,12 @@ def mm_closed(measure, s: float, rng: RatioRange) -> Optional[MMBounds]:
         e = measure.s - s
         if e == 0.0:
             return MMBounds(1.0, 1.0, "closed_form", s, rng)
-        lo_v, hi_v = r**e, R**e
+        try:
+            lo_v, hi_v = float(r**e), float(R**e)
+        except OverflowError:
+            lo_v = hi_v = math.inf
+        if max(lo_v, hi_v) == math.inf:
+            raise NumericOverflow(f"x^{e!r} overflows on [{r!r}, {R!r}]")
         m, M = (lo_v, hi_v) if e > 0 else (hi_v, lo_v)
         return MMBounds(m, M, "closed_form", s, rng)
     try:
@@ -388,7 +408,7 @@ def bound_interval(measure, s: float, P: Distribution, Q: Distribution, method: 
     :func:`mm_exact`; "numeric" forces the oracle.
     """
     if method not in ("auto", "closed", "numeric"):
-        raise ValueError(f"unknown method {method!r}")
+        raise InvalidArgument(f"unknown method {method!r}")
     rng = ratio_range(P, Q)
     gen = get_generator(measure)
     mm = mm_numeric(gen, s, rng) if method == "numeric" else mm_exact(measure, s, rng)
@@ -433,11 +453,12 @@ def difference_bounds(
     """Check the three difference sandwiches for an arbitrary generator.
 
     (m, M) must bound g on the whole ratio range; if not supplied they are
-    obtained from the numeric optimizer.
+    exact for a catalog generator and come from the numeric optimizer for
+    any other.
     """
     rng = ratio_range(P, Q)
     if mm is None:
-        mm = mm_numeric(gen, s, rng)
+        mm = mm_exact(gen.id, s, rng) if catalog().get(gen.id) is gen else mm_numeric(gen, s, rng)
     cf = eval_csiszar(gen, P, Q)
     phi = phi_s(s, P, Q)
     checks = {}

@@ -59,3 +59,12 @@ class VanishingDenominator(DivBoundsError):
 
 class UnknownSuite(DivBoundsError):
     """Verification suite identifier not recognized."""
+
+
+class InvalidArgument(DivBoundsError, ValueError):
+    """An argument lies outside its allowed values (a config field, a
+    method name, an estimator family or index)."""
+
+
+class NumericOverflow(DivBoundsError, OverflowError):
+    """A float result overflowed where a finite value is required."""

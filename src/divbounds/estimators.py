@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegeneratePair, VanishingDenominator
+from .errors import DegeneratePair, InvalidArgument, VanishingDenominator
 from .measures import divergence
 from .simplex import Distribution
 
@@ -28,9 +28,9 @@ class EstimatorId:
     def __post_init__(self):
         limits = {"XI": 8, "ZETA": 4}
         if self.family not in limits:
-            raise ValueError(f"unknown family {self.family!r}")
+            raise InvalidArgument(f"unknown family {self.family!r}")
         if not 1 <= self.t <= limits[self.family]:
-            raise ValueError(f"{self.family} index must be in 1..{limits[self.family]}")
+            raise InvalidArgument(f"{self.family} index must be in 1..{limits[self.family]}")
 
     def __str__(self) -> str:
         return f"{self.family.lower()}{self.t}"

@@ -5,18 +5,26 @@ in the library has a suite here.  Suites are fully deterministic: pairs are
 generated by a counter-based construction (seed and trial index hashed
 through a 64-bit mixing function), so identical configs yield byte-identical
 reports on any platform.
+
+A pair depends only on the trial index and on the config's pair-generating
+key (seed, n_min, n_max, concentration), not on the suite, so
+:func:`random_pair` memoizes the pairs of the latest key: each is built
+once and every suite shares it (a :class:`Distribution` is immutable).  The
+memo holds at most :data:`PAIR_MEMO_BUDGET` probability entries; pairs past
+the budget are built afresh on every call.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
 from .csiszar_bounds import CLOSED_FORM_REGIONS, bound_interval, difference_bounds
-from .errors import UnknownSuite
+from .errors import InvalidArgument, UnknownSuite
 from .estimators import EstimatorId, estimate
 from .generators import CATALOG_IDS, catalog
 from .measures import divergence, phi_s
@@ -65,11 +73,30 @@ class TrialConfig:
 
     def __post_init__(self):
         if self.trials < 1:
-            raise ValueError("trials must be >= 1")
+            raise InvalidArgument("trials must be >= 1")
         if not 2 <= self.n_min <= self.n_max <= 10**6:
-            raise ValueError("need 2 <= n_min <= n_max <= 1e6")
-        if self.concentration <= 0:
-            raise ValueError("concentration must be positive")
+            raise InvalidArgument("need 2 <= n_min <= n_max <= 1e6")
+        if not self.concentration > 0:
+            raise InvalidArgument("concentration must be positive")
+
+
+#: Most probability entries (8 bytes each) the pair memo holds, about 8 MB.
+PAIR_MEMO_BUDGET = 1 << 20
+
+
+class _PairMemo:
+    """Pairs already built for one pair-generating key, by trial index."""
+
+    __slots__ = ("key", "pairs", "entries")
+
+    def __init__(self, key):
+        self.key = key
+        self.pairs = {}
+        self.entries = 0
+
+
+_memo = _PairMemo(None)
+_memo_lock = threading.Lock()
 
 
 def random_pair(config: TrialConfig, trial_index: int):
@@ -77,7 +104,27 @@ def random_pair(config: TrialConfig, trial_index: int):
 
     Support size is drawn uniformly from [n_min, n_max]; coordinates are
     exponentiated uniforms scaled by the concentration, floored at 1e-12.
+    Repeated calls with the same pair-generating key return the same
+    objects while the memo's budget lasts.
     """
+    global _memo
+    key = (config.seed, config.n_min, config.n_max, config.concentration)
+    memo = _memo
+    if memo.key != key:
+        memo = _memo = _PairMemo(key)
+    pair = memo.pairs.get(trial_index)
+    if pair is None:
+        pair = _build_pair(config, trial_index)
+        size = 2 * len(pair[0])
+        with _memo_lock:  # keeps `entries` equal to the entries held
+            if trial_index not in memo.pairs and memo.entries + size <= PAIR_MEMO_BUDGET:
+                memo.pairs[trial_index] = pair
+                memo.entries += size
+    return pair
+
+
+def _build_pair(config: TrialConfig, trial_index: int):
+    """Build the pair of :func:`random_pair` from scratch."""
     key = _mix((config.seed ^ _mix(trial_index * _GOLDEN)) & _MASK)
     u = _uniforms(key, 1 + 2 * config.n_max)
     n = config.n_min + int(u[0] * (config.n_max - config.n_min + 1))

@@ -131,6 +131,16 @@ class TestBounds:
         assert code == 2
 
 
+    def test_overflow_is_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps({"distributions": {"a": [1, 1e6], "b": [1e6, 1]}}))
+        code = main(["bounds", "--input", str(path), "--p", "a", "--q", "b", "--measure", "D1", "--s", "100"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith("error: ")
+        assert captured.out == ""
+
+
 class TestVerify:
     def test_small_suite(self, capsys):
         code = main(["verify", "--suite", "eq194", "--trials", "10"])

@@ -6,7 +6,16 @@ import pytest
 import divbounds as db
 import divbounds.csiszar_bounds as cb
 from divbounds.csiszar_bounds import CLOSED_FORM_REGIONS, global_extrema_table
-from divbounds.errors import InvalidRange, LengthMismatch, NonPositiveX, NotTabulated, UnknownMeasure
+from divbounds.errors import (
+    DivBoundsError,
+    InvalidArgument,
+    InvalidRange,
+    LengthMismatch,
+    NonPositiveX,
+    NotTabulated,
+    NumericOverflow,
+    UnknownMeasure,
+)
 
 from conftest import make_pairs
 
@@ -48,6 +57,16 @@ class TestGEval:
             db.g_eval(db.catalog()["J"], 1, 0.0)
         with pytest.raises(NonPositiveX):
             db.g_eval(db.catalog()["J"], 1, np.array([1.0, -2.0]))
+
+    def test_float_overflow_is_typed(self):
+        gen = db.catalog()["D1"]
+        with pytest.raises(NumericOverflow):
+            db.g_eval(gen, 100.0, 1e-6)  # x^(2-s) = 1e588
+        with pytest.raises(NumericOverflow):
+            db.g_eval(db.catalog()["F1"], 3.0, 1e-160)  # finite factors, infinite product
+        with pytest.raises(NumericOverflow):
+            db.g_eval(db.catalog()["J"], 0.5, 1e-200)  # f'' denominator underflows to 0
+        assert issubclass(NumericOverflow, DivBoundsError)
 
 
 class TestMMNumeric:
@@ -115,6 +134,12 @@ class TestMMClosed:
         mm = db.mm_closed(db.PhiS(0.0), 1.0, rng)
         assert mm.m == pytest.approx(0.25, rel=1e-14)
         assert mm.M == pytest.approx(2.0, rel=1e-14)
+
+    def test_phi_s_power_overflow_is_typed(self):
+        with pytest.raises(NumericOverflow):
+            db.mm_closed(db.PhiS(300.0), -10.0, db.RatioRange(1e-30, 1e30))
+        with pytest.raises(NumericOverflow):
+            db.mm_closed(db.PhiS(-300.0), 10.0, db.RatioRange(1e-30, 1e30))
 
     def test_unknown_measure(self):
         with pytest.raises(UnknownMeasure):
@@ -300,6 +325,17 @@ class TestBoundInterval:
         with pytest.raises(ValueError):
             db.bound_interval("I", 1, P, Q, method="exact")
 
+    def test_bad_method_is_typed(self, golden_pair):
+        P, Q = golden_pair
+        with pytest.raises(InvalidArgument) as info:
+            db.bound_interval("I", 1, P, Q, method="exact")
+        assert isinstance(info.value, DivBoundsError)
+
+    def test_overflowing_g_is_typed(self):
+        P, Q = db.normalize([1, 1e6]), db.normalize([1e6, 1])
+        with pytest.raises(NumericOverflow):
+            db.bound_interval("D1", 100.0, P, Q)
+
     def test_holds_across_measures_and_s(self):
         for P, Q in make_pairs(20, seed=99):
             for mid in db.CATALOG_IDS:
@@ -339,6 +375,35 @@ class TestDifferenceBounds:
             s = (-1.0, 0.5, 1.0, 2.0)[(i // 9) % 4]
             rep = db.difference_bounds(db.catalog()[mid], s, P, Q)
             assert rep.holds, (mid, s)
+
+
+    def test_catalog_default_matches_numeric_oracle(self, pairs_100):
+        for i, (P, Q) in enumerate(pairs_100[:45]):
+            mid = db.CATALOG_IDS[i % 9]
+            gen = db.catalog()[mid]
+            lo, hi = CLOSED_FORM_REGIONS[mid]
+            for s in (lo - 0.5, 0.5 * (lo + hi), 0.25 * lo + 0.75 * hi, hi + 0.5):
+                rep = db.difference_bounds(gen, s, P, Q)
+                oracle = db.mm_numeric(gen, s, rep.range)
+                assert rep.mm.method == "closed_form"
+                assert rep.mm.m == pytest.approx(oracle.m, rel=1e-12, abs=0.0), (mid, s)
+                assert rep.mm.M == pytest.approx(oracle.M, rel=1e-12, abs=0.0), (mid, s)
+                assert rep.holds, (mid, s)
+
+    def test_catalog_default_never_calls_numeric(self, monkeypatch, pairs_100):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("mm_numeric called")
+
+        monkeypatch.setattr(cb, "mm_numeric", forbidden)
+        for P, Q in pairs_100[:5]:
+            for mid in db.CATALOG_IDS:
+                for s in db.TrialConfig().s_samples:
+                    assert db.difference_bounds(db.catalog()[mid], s, P, Q).holds, (mid, s)
+
+    def test_non_catalog_default_uses_numeric(self, golden_pair):
+        P, Q = golden_pair
+        rep = db.difference_bounds(db.phi_generator(0.5), 1.0, P, Q)
+        assert rep.mm.method == "numeric"
 
 
 def test_result_types_are_slotted(golden_pair):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import divbounds as db
-from divbounds.errors import DegeneratePair
+from divbounds.errors import DegeneratePair, DivBoundsError, InvalidArgument
 
 LN3 = math.log(3.0)
 
@@ -21,6 +21,12 @@ class TestEstimatorId:
             db.EstimatorId("ZETA", 0)
         with pytest.raises(ValueError):
             db.EstimatorId("NU", 1)
+
+    @pytest.mark.parametrize("family, t", [("XI", 9), ("ZETA", 0), ("NU", 1)])
+    def test_validation_error_is_typed(self, family, t):
+        with pytest.raises(InvalidArgument) as info:
+            db.EstimatorId(family, t)
+        assert isinstance(info.value, DivBoundsError)
 
     def test_all_estimators(self):
         ests = db.all_estimators()

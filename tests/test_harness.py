@@ -1,8 +1,13 @@
+import math
+import sys
+import threading
+
 import numpy as np
 import pytest
 
 import divbounds as db
-from divbounds.errors import UnknownSuite
+import divbounds.harness as harness
+from divbounds.errors import DivBoundsError, InvalidArgument, UnknownSuite
 
 #: Frozen output of random_pair(TrialConfig(seed=1, n_min=2, n_max=2), 0),
 #: recorded once so any change to the generator construction is caught.
@@ -26,15 +31,25 @@ class TestTrialConfig:
         with pytest.raises(ValueError):
             db.TrialConfig(concentration=0.0)
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [{"trials": 0}, {"n_min": 1}, {"n_min": 8, "n_max": 4}, {"n_max": 10**6 + 1}, {"concentration": 0.0}, {"concentration": math.nan}],
+    )
+    def test_validation_error_is_typed(self, kwargs):
+        with pytest.raises(InvalidArgument) as info:
+            db.TrialConfig(**kwargs)
+        assert isinstance(info.value, DivBoundsError)
+
 
 class TestRandomPair:
     def test_deterministic(self):
         cfg = db.TrialConfig(seed=7)
         for i in (0, 1, 99):
-            P1, Q1 = db.random_pair(cfg, i)
-            P2, Q2 = db.random_pair(cfg, i)
-            assert np.array_equal(P1.probs, P2.probs)
-            assert np.array_equal(Q1.probs, Q2.probs)
+            for _ in range(2):
+                P1, Q1 = db.random_pair(cfg, i)
+                P2, Q2 = harness._build_pair(cfg, i)
+                assert np.array_equal(P1.probs, P2.probs)
+                assert np.array_equal(Q1.probs, Q2.probs)
 
     def test_golden_fixture(self):
         P, Q = db.random_pair(db.TrialConfig(seed=1, n_min=2, n_max=2), 0)
@@ -64,6 +79,107 @@ class TestRandomPair:
         cfg = db.TrialConfig(seed=11, concentration=1e-4, n_min=8, n_max=8)
         P, _ = db.random_pair(cfg, 0)
         assert float(np.max(np.abs(P.probs - 0.125))) <= 1e-4
+
+
+def _memo_key(cfg):
+    return (cfg.seed, cfg.n_min, cfg.n_max, cfg.concentration)
+
+
+class TestPairMemo:
+    def test_cached_pair_is_bit_identical_to_a_fresh_build(self):
+        cfg = db.TrialConfig(seed=21, concentration=6.0)
+        for i in range(20):
+            first = db.random_pair(cfg, i)
+            cached = db.random_pair(cfg, i)
+            fresh = harness._build_pair(cfg, i)
+            assert cached[0] is first[0] and cached[1] is first[1]
+            for a, b in zip(cached, fresh):
+                assert a.probs.tobytes() == b.probs.tobytes()
+
+    def test_run_suite_calls_share_pairs(self, monkeypatch):
+        seen = []
+        original = harness.random_pair
+
+        def recording(config, trial_index):
+            pair = original(config, trial_index)
+            seen.append(pair)
+            return pair
+
+        monkeypatch.setattr(harness, "random_pair", recording)
+        cfg = db.TrialConfig(seed=22, trials=5)
+        db.run_suite("eq3", cfg)
+        db.run_suite("prop51", cfg)
+        assert len(seen) == 10
+        for a, b in zip(seen[:5], seen[5:]):
+            assert a[0] is b[0] and a[1] is b[1]
+
+    def test_trials_and_s_samples_do_not_split_the_memo(self):
+        base = db.TrialConfig(seed=23, trials=10)
+        other = db.TrialConfig(seed=23, trials=3, s_samples=(0.5,))
+        for i in range(3):
+            a, b = db.random_pair(base, i), db.random_pair(other, i)
+            assert a[0] is b[0] and a[1] is b[1]
+        assert harness._memo.key == _memo_key(base)
+
+    @pytest.mark.parametrize("change", [{"seed": 25}, {"n_max": 32}, {"n_min": 3}, {"concentration": 3.0}])
+    def test_new_key_replaces_the_memo(self, change):
+        cfg = db.TrialConfig(seed=24)
+        first = db.random_pair(cfg, 0)
+        other = db.TrialConfig(**{"seed": 24, **change})
+        db.random_pair(other, 0)
+        assert harness._memo.key == _memo_key(other)
+        assert list(harness._memo.pairs) == [0]
+        again = db.random_pair(cfg, 0)
+        assert again[0] is not first[0]
+        assert np.array_equal(again[0].probs, first[0].probs)
+
+    def test_memo_stops_growing_at_the_budget(self):
+        n = 200_000  # 2n entries a pair: two pairs fit in 1 << 20, a third does not
+        cfg = db.TrialConfig(seed=26, trials=4, n_min=n, n_max=n)
+        pairs = [db.random_pair(cfg, i) for i in range(4)]
+        assert harness._memo.entries == 4 * n <= harness.PAIR_MEMO_BUDGET
+        assert sorted(harness._memo.pairs) == [0, 1]
+        assert db.random_pair(cfg, 1)[0] is pairs[1][0]
+        past = db.random_pair(cfg, 3)
+        assert past[0] is not pairs[3][0]
+        assert np.array_equal(past[0].probs, pairs[3][0].probs)
+        assert harness._memo.entries == 4 * n
+
+    def test_threads_share_the_memo_safely(self):
+        configs = [db.TrialConfig(seed=28, n_max=16), db.TrialConfig(seed=28, n_max=16, trials=7)]
+        expected = [harness._build_pair(configs[0], i) for i in range(40)]
+        errors = []
+
+        def work(offset):
+            try:
+                for k in range(200):
+                    i = (k * 7 + offset) % 40
+                    P, Q = db.random_pair(configs[k % 2], i)
+                    if P.probs.tobytes() != expected[i][0].probs.tobytes():
+                        errors.append(i)
+            except Exception as exc:  # reported by the assertion below
+                errors.append(exc)
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(t,)) for t in range(6)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        memo = harness._memo
+        assert sorted(memo.pairs) == list(range(40))
+        assert memo.entries == sum(2 * len(P) for P, _ in memo.pairs.values())
+
+    def test_shared_pairs_are_read_only(self):
+        P, _ = db.random_pair(db.TrialConfig(seed=27), 0)
+        with pytest.raises(ValueError):
+            P.probs[0] = 0.5
 
 
 class TestRunSuite:
