@@ -31,7 +31,7 @@ from .csiszar_bounds import (
     mm_numeric,
 )
 from .estimators import EstimatorId, all_estimators, estimate
-from .harness import SuiteReport, TrialConfig, random_pair, run_all, run_suite, suite_ids
+from .harness import PairTable, SuiteReport, TrialConfig, random_pair, run_all, run_suite, suite_ids
 from . import errors
 
 __version__ = "0.1.0"
@@ -77,6 +77,7 @@ __all__ = [
     "estimate",
     "all_estimators",
     "TrialConfig",
+    "PairTable",
     "SuiteReport",
     "random_pair",
     "run_suite",

@@ -22,7 +22,7 @@ from .generators import CATALOG_IDS, catalog
 from .measures import MEASURE_IDS, divergence, phi_s
 from .simplex import Distribution, normalize, ratio_range, smooth
 from .type_s_bounds import a_phi_s, b_phi_s, e_phi_s
-from .harness import TrialConfig, run_suite, suite_ids
+from .harness import PairTable, TrialConfig, run_suite, suite_ids
 
 LN2 = math.log(2.0)
 
@@ -153,7 +153,8 @@ def cmd_verify(args) -> int:
     if not requested:
         raise DivBoundsError("pass --suite <id> (repeatable) or --all")
     config = TrialConfig(seed=args.seed, trials=args.trials)
-    reports = [run_suite(sid, config) for sid in requested]
+    table = PairTable(config)
+    reports = [run_suite(sid, config, table) for sid in requested]
     total_violations = sum(r.violations for r in reports)
     if args.json:
         print(json.dumps({"seed": args.seed, "trials": args.trials, "suites": [r.to_dict() for r in reports], "violations": total_violations}, indent=2))

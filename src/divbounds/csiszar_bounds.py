@@ -32,8 +32,9 @@ from .errors import (
     NotTabulated,
     NumericOverflow,
     UnknownMeasure,
+    require_finite,
 )
-from .generators import Generator, PhiS, catalog, eval_csiszar, get_generator, horner
+from .generators import Generator, PhiS, Rational, catalog, eval_csiszar, get_generator, horner
 from .measures import phi_s
 from .simplex import Distribution, RatioRange, ratio_range
 from .type_s_bounds import a_phi_s, b_phi_s, e_phi_s
@@ -46,8 +47,8 @@ def g_eval(gen: Generator, s: float, x):
     """x^(2-s) * f''(x); accepts a positive scalar or array.
 
     A float argument is evaluated in plain Python, without numpy overhead,
-    and raises NumericOverflow when a factor or the product leaves the
-    float range (an infinite g would turn m * phi_s into nan).
+    and raises NumericOverflow when g leaves the float range (an infinite
+    g would turn m * phi_s into nan).
     """
     if isinstance(x, float):
         if not x > 0.0:
@@ -57,13 +58,45 @@ def g_eval(gen: Generator, s: float, x):
         except (OverflowError, ZeroDivisionError):
             v = math.inf
         if not math.isfinite(v):
-            raise NumericOverflow(f"g(x) = x^(2-s) f''(x) overflows at x={x!r}, s={s!r}")
+            v = _g_rescaled(gen.f_second, s, x)
+            if not math.isfinite(v):
+                raise NumericOverflow(f"g(x) = x^(2-s) f''(x) overflows at x={x!r}, s={s!r}")
         return v
     arr = np.asarray(x, dtype=np.float64)
     if not np.all(arr > 0.0):
         raise NonPositiveX(f"x must be > 0, got {x}")
     out = arr ** (2.0 - s) * gen.f_second(arr)
     return float(out) if np.isscalar(x) or arr.ndim == 0 else out
+
+
+def _g_rescaled(f_second, s: float, x: float) -> float:
+    """g(x) for a Rational f'' = N/D, with every power of x that N and D
+    carry (a factor x^t, and for x > 1 also x^degree) moved into one power
+    of x: N, D and x^(2-s) then cannot under- or overflow on their own
+    where g is finite.  inf where g overflows or f'' is not a Rational.
+
+    Only called where the direct product x^(2-s) * N/D failed, so no value
+    that the direct product gives changes.
+    """
+    if not isinstance(f_second, Rational):
+        return math.inf
+    e = 2.0 - s
+    ratio = 1.0
+    for coeffs, sign in ((f_second.num, 1), (f_second.den, -1)):
+        c = list(coeffs)
+        while c[-1] == 0:  # c(x) = x^t c'(x)
+            c.pop()
+            e += sign
+        if x > 1.0:  # c'(x) = x^deg c'_reversed(1/x)
+            e += sign * (len(c) - 1)
+            v = horner(c[::-1], 1.0 / x)
+        else:
+            v = horner(c, x)
+        ratio = ratio * v if sign > 0 else ratio / v
+    try:
+        return x**e * ratio
+    except OverflowError:
+        return math.inf
 
 
 @dataclass(frozen=True, slots=True)
@@ -281,42 +314,54 @@ def mm_closed(measure, s: float, rng: RatioRange) -> Optional[MMBounds]:
     r, R = rng.r, rng.R
     if not 0.0 < r <= R:
         raise InvalidRange(f"need 0 < r <= R, got {rng}")
+    mm = _closed_values(measure, s, r, R)
+    return None if mm is None else MMBounds(*mm, "closed_form", s, rng)
+
+
+def _closed_values(measure, s: float, r: float, R: float) -> Optional[tuple]:
+    """(m, M) of :func:`mm_closed`, or None in the gap."""
     if isinstance(measure, PhiS):
         e = measure.s - s
         if e == 0.0:
-            return MMBounds(1.0, 1.0, "closed_form", s, rng)
+            return 1.0, 1.0
         try:
             lo_v, hi_v = float(r**e), float(R**e)
         except OverflowError:
             lo_v = hi_v = math.inf
         if max(lo_v, hi_v) == math.inf:
             raise NumericOverflow(f"x^{e!r} overflows on [{r!r}, {R!r}]")
-        m, M = (lo_v, hi_v) if e > 0 else (hi_v, lo_v)
-        return MMBounds(m, M, "closed_form", s, rng)
+        return (lo_v, hi_v) if e > 0 else (hi_v, lo_v)
     try:
         s_lo, s_hi = CLOSED_FORM_REGIONS[measure]
     except KeyError:
         raise UnknownMeasure(f"unknown measure {measure!r}") from None
     gen = get_generator(measure)
     if s <= s_lo:  # g increasing
-        return MMBounds(g_eval(gen, s, r), g_eval(gen, s, R), "closed_form", s, rng)
+        return g_eval(gen, s, r), g_eval(gen, s, R)
     if s >= s_hi:  # g decreasing
-        return MMBounds(g_eval(gen, s, R), g_eval(gen, s, r), "closed_form", s, rng)
+        return g_eval(gen, s, R), g_eval(gen, s, r)
     return None
 
 
 def mm_exact(measure, s: float, rng: RatioRange) -> MMBounds:
     """Exact (m, M) for every s: :func:`mm_closed` in the monotone regions,
     else the extremes of g over r, R and the roots of S_s inside (r, R)."""
-    mm = mm_closed(measure, s, rng)
+    r, R = rng.r, rng.R
+    if not 0.0 < r <= R:
+        raise InvalidRange(f"need 0 < r <= R, got {rng}")
+    return MMBounds(*mm_exact_values(measure, s, r, R), "closed_form", s, rng)
+
+
+def mm_exact_values(measure, s: float, r: float, R: float) -> tuple:
+    """(m, M) of :func:`mm_exact` on [r, R], 0 < r <= R, as plain floats."""
+    mm = _closed_values(measure, s, r, R)
     if mm is not None:
         return mm
     gen = get_generator(measure)
     a, b = _STATIONARY[measure]
-    r, R = rng.r, rng.R
     roots = _real_roots([x + s * y for x, y in zip(a, b)], r, R)
     gs = [g_eval(gen, s, x) for x in (r, R, *roots)]
-    return MMBounds(min(gs), max(gs), "closed_form", s, rng)
+    return min(gs), max(gs)
 
 
 @dataclass(frozen=True)
@@ -362,7 +407,12 @@ def e_cf(gen: Generator, P: Distribution, Q: Distribution) -> float:
     p, q = P.probs, Q.probs
     if p.size != q.size:
         raise LengthMismatch(f"lengths differ: {p.size} vs {q.size}")
-    return float(np.sum((p - q) * gen.f_prime(p / q)))
+    return float(e_cf_sums(gen, p, q))
+
+
+def e_cf_sums(gen: Generator, p, q):
+    """e_cf on probability vectors p, q, or row by row on (k, n) blocks."""
+    return np.sum((p - q) * gen.f_prime(p / q), axis=-1)
 
 
 def a_cf(gen: Generator, rng: RatioRange) -> float:
@@ -405,17 +455,20 @@ def bound_interval(measure, s: float, P: Distribution, Q: Distribution, method: 
     """Sandwich m * phi_s <= C_f <= M * phi_s for a catalog or PhiS measure.
 
     method "auto" and "closed" both take the exact (m, M) of
-    :func:`mm_exact`; "numeric" forces the oracle.
+    :func:`mm_exact`; "numeric" forces the oracle.  Raises NumericOverflow
+    where g, phi_s or a bound leaves the float range.
     """
     if method not in ("auto", "closed", "numeric"):
         raise InvalidArgument(f"unknown method {method!r}")
     rng = ratio_range(P, Q)
     gen = get_generator(measure)
     mm = mm_numeric(gen, s, rng) if method == "numeric" else mm_exact(measure, s, rng)
-    phi = phi_s(s, P, Q)
-    value = eval_csiszar(gen, P, Q)
-    lower = mm.m * phi
-    upper = mm.M * phi
+    return bound_interval_from(measure, s, mm, phi_s(s, P, Q), eval_csiszar(gen, P, Q))
+
+
+def bound_interval_from(measure, s: float, mm: MMBounds, phi: float, value: float) -> BoundReport:
+    """:func:`bound_interval` from (m, M), phi_s and C_f of the pair."""
+    lower, upper, lower_slack, upper_slack = sandwich(mm.m, mm.M, phi, value)
     return BoundReport(
         measure=measure,
         s=s,
@@ -423,9 +476,17 @@ def bound_interval(measure, s: float, P: Distribution, Q: Distribution, method: 
         value=value,
         upper=upper,
         mm=mm,
-        lower_slack=value - lower,
-        upper_slack=upper - value,
+        lower_slack=lower_slack,
+        upper_slack=upper_slack,
     )
+
+
+def sandwich(m, M, phi, value) -> tuple:
+    """(lower, upper, lower slack, upper slack) of m * phi_s <= C_f <= M * phi_s,
+    on floats or elementwise on arrays of trials."""
+    lower = require_finite(m * phi, "m * phi_s")
+    upper = require_finite(M * phi, "M * phi_s")
+    return lower, upper, value - lower, upper - value
 
 
 @dataclass(frozen=True)
@@ -459,18 +520,24 @@ def difference_bounds(
     rng = ratio_range(P, Q)
     if mm is None:
         mm = mm_exact(gen.id, s, rng) if catalog().get(gen.id) is gen else mm_numeric(gen, s, rng)
-    cf = eval_csiszar(gen, P, Q)
-    phi = phi_s(s, P, Q)
+    return difference_bounds_from(gen, s, rng, mm, eval_csiszar(gen, P, Q), phi_s(s, P, Q), e_phi_s(s, P, Q), e_cf(gen, P, Q))
+
+
+def difference_bounds_from(
+    gen: Generator, s: float, rng: RatioRange, mm: MMBounds, cf: float, phi: float, e_phi: float, e_cf_value: float
+) -> DifferenceReport:
+    """:func:`difference_bounds` from the pair's ratio range, (m, M), C_f,
+    phi_s, e_phi_s and e_cf."""
     checks = {}
 
-    def sandwich(tag, phi_form, cf_form):
+    def form(tag, phi_form, cf_form):
         d_phi = phi_form - phi
         d_cf = cf_form - cf
         checks[f"{tag}_lower"] = d_cf - mm.m * d_phi
         checks[f"{tag}_upper"] = mm.M * d_phi - d_cf
 
-    sandwich("e", e_phi_s(s, P, Q), e_cf(gen, P, Q))
-    sandwich("a", a_phi_s(s, rng), a_cf(gen, rng))
+    form("e", e_phi, e_cf_value)
+    form("a", a_phi_s(s, rng), a_cf(gen, rng))
     if not rng.degenerate:
-        sandwich("b", b_phi_s(s, rng), b_cf(gen, rng))
+        form("b", b_phi_s(s, rng), b_cf(gen, rng))
     return DifferenceReport(s=s, range=rng, mm=mm, checks=checks)

@@ -1,5 +1,9 @@
 """Exception hierarchy shared by all divbounds modules."""
 
+import math
+
+import numpy as np
+
 
 class DivBoundsError(Exception):
     """Base class for all errors raised by this package."""
@@ -68,3 +72,12 @@ class InvalidArgument(DivBoundsError, ValueError):
 
 class NumericOverflow(DivBoundsError, OverflowError):
     """A float result overflowed where a finite value is required."""
+
+
+def require_finite(value, what: str):
+    """`value` (a float or an array) unchanged, or NumericOverflow when any
+    entry is inf or nan: a bound built on it would compare as nan."""
+    ok = math.isfinite(value) if isinstance(value, float) else bool(np.isfinite(value).all())
+    if not ok:
+        raise NumericOverflow(f"{what} leaves the float range")
+    return value

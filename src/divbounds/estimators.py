@@ -83,7 +83,7 @@ def estimate(est: EstimatorId, P: Distribution, Q: Distribution) -> float:
     Raises DegeneratePair on a coordinatewise-equal pair, and on a pair so
     close to it that a divergence under a square root rounds below zero.
     """
-    if len(P) == len(Q) and np.all(np.abs(P.probs - Q.probs) <= 1e-14):
+    if len(P) == len(Q) and coincide(P.probs, Q.probs):
         raise DegeneratePair("estimators are 0/0 at P = Q")
 
     cache = {}
@@ -93,6 +93,18 @@ def estimate(est: EstimatorId, P: Distribution, Q: Distribution) -> float:
             cache[measure] = divergence(measure, P, Q)
         return cache[measure]
 
+    return estimate_from(est, d)
+
+
+def coincide(p, q):
+    """Whether p and q agree coordinatewise to 1e-14 (estimators are 0/0
+    there); on (k, n) blocks, row by row."""
+    return np.all(np.abs(p - q) <= 1e-14, axis=-1)
+
+
+def estimate_from(est: EstimatorId, d) -> float:
+    """:func:`estimate` of a pair that does not coincide, from d(measure),
+    the pair's divergence values."""
     if est.family == "XI":
         return _xi(est.t, d)
     return _zeta(est.t, d)

@@ -212,8 +212,12 @@ def eval_csiszar(gen: Generator, P: Distribution, Q: Distribution) -> float:
     """The Csiszar sum sum_i q_i f(p_i/q_i); nonnegative for normalized convex f."""
     if len(P) != len(Q):
         raise LengthMismatch(f"lengths differ: {len(P)} vs {len(Q)}")
-    q = Q.probs
-    return float(np.sum(q * gen.f(P.probs / q)))
+    return float(csiszar_sums(gen, P.probs, Q.probs))
+
+
+def csiszar_sums(gen: Generator, p, q):
+    """C_f on probability vectors p, q, or row by row on (k, n) blocks."""
+    return np.sum(q * gen.f(p / q), axis=-1)
 
 
 @dataclass(frozen=True)

@@ -12,6 +12,17 @@ key (seed, n_min, n_max, concentration), not on the suite, so
 once and every suite shares it (a :class:`Distribution` is immutable).  The
 memo holds at most :data:`PAIR_MEMO_BUDGET` probability entries; pairs past
 the budget are built afresh on every call.
+
+The suites of one run also share a :class:`PairTable`, which computes every
+pair-dependent sum they check once per trial, batched: the run's trials are
+grouped by support size n into C-contiguous (k, n) blocks, and a quantity
+(r and R, a measure, phi_s or e_phi_s at one s, C_f or e_cf of one catalog
+generator) is one numpy row sum per block, kept as a float64 array indexed
+by trial.  A row of a block is summed in the same order as the pair alone,
+so the table holds the bits the public functions return.  The scalar parts
+((m, M), the a/b functionals, the estimator formulas) run in plain Python,
+once per trial and distinct (measure, s), through the same cores as the
+public functions.  A table is made for one run and dropped with it.
 """
 
 from __future__ import annotations
@@ -23,13 +34,21 @@ from typing import Callable
 
 import numpy as np
 
-from .csiszar_bounds import CLOSED_FORM_REGIONS, bound_interval, difference_bounds
-from .errors import InvalidArgument, UnknownSuite
-from .estimators import EstimatorId, estimate
-from .generators import CATALOG_IDS, catalog
-from .measures import divergence, phi_s
-from .simplex import Distribution, ratio_range
-from .type_s_bounds import bound_set
+from .csiszar_bounds import (
+    CLOSED_FORM_REGIONS,
+    bound_interval_from,
+    difference_bounds_from,
+    e_cf_sums,
+    mm_exact,
+    mm_exact_values,
+    sandwich,
+)
+from .errors import DegeneratePair, InvalidArgument, UnknownSuite, require_finite
+from .estimators import EstimatorId, coincide, estimate_from
+from .generators import CATALOG_IDS, csiszar_sums, get_generator
+from .measures import divergence_sums, phi_sums
+from .simplex import Distribution, RatioRange, ratio_extremes
+from .type_s_bounds import bound_set_from, e_phi_sums
 
 #: A violation is any slack below this (separates genuine failures from
 #: accumulated rounding in 64-entry sums; all quantities are O(1)-O(100)).
@@ -78,9 +97,14 @@ class TrialConfig:
             raise InvalidArgument("need 2 <= n_min <= n_max <= 1e6")
         if not self.concentration > 0:
             raise InvalidArgument("concentration must be positive")
+        if len(self.s_samples) == 0:
+            raise InvalidArgument("s_samples must not be empty")
+        if not all(math.isfinite(s) for s in self.s_samples):
+            raise InvalidArgument("s_samples must be finite")
 
 
-#: Most probability entries (8 bytes each) the pair memo holds, about 8 MB.
+#: Most probability entries (8 bytes each) the pair memo holds, about 8 MB;
+#: also the most a :class:`PairTable` stacks at once.
 PAIR_MEMO_BUDGET = 1 << 20
 
 
@@ -107,6 +131,12 @@ def random_pair(config: TrialConfig, trial_index: int):
     Repeated calls with the same pair-generating key return the same
     objects while the memo's budget lasts.
     """
+    return _memo_pair(config, trial_index)
+
+
+def _memo_pair(config: TrialConfig, trial_index: int):
+    """The body of :func:`random_pair`.  The pair table reads pairs here,
+    so that only :func:`run_suite` calls random_pair, once per trial."""
     global _memo
     key = (config.seed, config.n_min, config.n_max, config.concentration)
     memo = _memo
@@ -123,11 +153,19 @@ def random_pair(config: TrialConfig, trial_index: int):
     return pair
 
 
+def _pair_key(config: TrialConfig, trial_index: int) -> int:
+    return _mix((config.seed ^ _mix(trial_index * _GOLDEN)) & _MASK)
+
+
+def _support_size(config: TrialConfig, u0: float) -> int:
+    """The pair's n from its first uniform."""
+    return config.n_min + int(u0 * (config.n_max - config.n_min + 1))
+
+
 def _build_pair(config: TrialConfig, trial_index: int):
     """Build the pair of :func:`random_pair` from scratch."""
-    key = _mix((config.seed ^ _mix(trial_index * _GOLDEN)) & _MASK)
-    u = _uniforms(key, 1 + 2 * config.n_max)
-    n = config.n_min + int(u[0] * (config.n_max - config.n_min + 1))
+    u = _uniforms(_pair_key(config, trial_index), 1 + 2 * config.n_max)
+    n = _support_size(config, u[0])
 
     def build(block: np.ndarray) -> Distribution:
         raw = np.exp(config.concentration * (2.0 * block - 1.0))
@@ -140,6 +178,98 @@ def _build_pair(config: TrialConfig, trial_index: int):
         return Distribution(np.maximum(probs, 1e-12))
 
     return build(u[1 : 1 + n]), build(u[1 + config.n_max : 1 + config.n_max + n])
+
+
+def _stack(config: TrialConfig, trials) -> tuple:
+    """(P block, Q block) of the trials' pairs, all of one support size; a
+    single trial's vectors are viewed as one-row blocks, not copied."""
+    pairs = [_memo_pair(config, i) for i in trials]
+    if len(pairs) == 1:
+        return pairs[0][0].probs[None], pairs[0][1].probs[None]
+    return np.stack([P.probs for P, _ in pairs]), np.stack([Q.probs for _, Q in pairs])
+
+
+class PairTable:
+    """The pair-dependent quantities of one run's trials, each computed
+    once, when a suite first asks for it.
+
+    Trials are grouped by support size into chunks of at most
+    PAIR_MEMO_BUDGET stacked probability entries.  The stacked blocks are
+    held for the run when all of them fit in that budget; otherwise each
+    quantity stacks the chunks again, one at a time.
+    """
+
+    def __init__(self, config: TrialConfig):
+        self.config = config
+        by_size = {}
+        for i in range(config.trials):
+            n = _support_size(config, _uniforms(_pair_key(config, i), 1)[0])
+            by_size.setdefault(n, []).append(i)
+        self._chunks = []
+        for n, trials in sorted(by_size.items()):
+            k = max(1, PAIR_MEMO_BUDGET // (2 * n))
+            self._chunks += [trials[j : j + k] for j in range(0, len(trials), k)]
+        entries = sum(2 * n * len(trials) for n, trials in by_size.items())
+        self._held = [_stack(config, t) for t in self._chunks] if entries <= PAIR_MEMO_BUDGET else None
+        self._values = {}
+        self._ranges = None
+
+    def _block(self, j: int) -> tuple:
+        # Stacked anew only as the statement that uses it runs, so one
+        # chunk at a time is alive when the blocks are not held.
+        return self._held[j] if self._held is not None else _stack(self.config, self._chunks[j])
+
+    def _batch(self, key, sums, dtype=np.float64) -> np.ndarray:
+        """sums(p, q) of every trial, row sums of each block."""
+        values = self._values.get(key)
+        if values is None:
+            values = np.empty(self.config.trials, dtype=dtype)
+            for j, trials in enumerate(self._chunks):
+                values[trials] = sums(*self._block(j))
+            self._values[key] = values
+        return values
+
+    def d(self, measure: str) -> np.ndarray:
+        """The named measure (:func:`divergence`) of every trial."""
+        return self._batch(("d", measure), lambda p, q: divergence_sums(measure, p, q))
+
+    def phi(self, s: float) -> np.ndarray:
+        return require_finite(self._batch(("phi", s), lambda p, q: phi_sums(s, p, q)), f"phi_s at s={s!r}")
+
+    def e_phi(self, s: float) -> np.ndarray:
+        return require_finite(self._batch(("e_phi", s), lambda p, q: e_phi_sums(s, p, q)), f"e_phi_s at s={s!r}")
+
+    def cf(self, measure: str) -> np.ndarray:
+        """C_f (:func:`eval_csiszar`) of a catalog generator, every trial."""
+        gen = get_generator(measure)
+        return self._batch(("cf", measure), lambda p, q: csiszar_sums(gen, p, q))
+
+    def e_cf(self, measure: str) -> np.ndarray:
+        gen = get_generator(measure)
+        return self._batch(("e_cf", measure), lambda p, q: e_cf_sums(gen, p, q))
+
+    def coincide(self) -> np.ndarray:
+        """Whether each trial's P and Q coincide (estimators are 0/0)."""
+        return self._batch(("coincide",), coincide, dtype=bool)
+
+    def ranges(self) -> list:
+        """The RatioRange of every trial."""
+        if self._ranges is None:
+            r = self._batch(("r",), lambda p, q: ratio_extremes(p, q)[0])
+            R = self._batch(("R",), lambda p, q: ratio_extremes(p, q)[1])
+            self._ranges = [RatioRange(lo, hi) for lo, hi in zip(r.tolist(), R.tolist())]
+        return self._ranges
+
+    def sandwich(self, measure: str, s: float) -> tuple:
+        """(lower, upper) slacks of m * phi_s <= C_f <= M * phi_s, every
+        trial, with the exact (m, M) of each trial's ratio range."""
+        key = ("sandwich", measure, s)
+        slacks = self._values.get(key)
+        if slacks is None:
+            mm = [mm_exact_values(measure, s, rng.r, rng.R) for rng in self.ranges()]
+            m, M = np.array(mm).T
+            slacks = self._values[key] = sandwich(m, M, self.phi(s), self.cf(measure))[2:]
+        return slacks
 
 
 @dataclass
@@ -155,7 +285,8 @@ class SuiteReport:
 
     def record(self, trial: int, name: str, slack: float, P: Distribution, Q: Distribution):
         self.checks += 1
-        self.worst_slack = min(self.worst_slack, slack)
+        if slack < self.worst_slack:  # min(), without the call
+            self.worst_slack = slack
         if slack < VIOLATION_TOL:
             self.violations += 1
             if len(self.examples) < 3:
@@ -168,8 +299,8 @@ class SuiteReport:
                         "q": [float(v) for v in Q.probs],
                     }
                 )
-        else:
-            self.tightest_slack = min(self.tightest_slack, slack)
+        elif slack < self.tightest_slack:
+            self.tightest_slack = slack
 
     def to_dict(self) -> dict:
         return {
@@ -185,60 +316,69 @@ class SuiteReport:
 
 
 # ---------------------------------------------------------------------------
-# Per-trial checkers.  Each returns {check_name: slack}; identities report
-# slack = -|lhs - rhs| so the shared violation threshold applies uniformly.
+# Suites.  A suite's check takes the run's PairTable and returns rows(i), the
+# (check name, slack) pairs of trial i.  Identities report slack =
+# -|lhs - rhs| so the shared violation threshold applies uniformly.  Checks
+# are collected in a dict by name, so a repeated name (a repeated s, say) is
+# checked once.
 
 
-def _identity(diff: float) -> float:
-    return -abs(diff)
+def _identity(diff):
+    return -np.abs(diff)
 
 
-def _check_eq3(P, Q, cfg, idx):
-    j = divergence("J", P, Q)
-    return {"J=D1+D2": _identity(j - divergence("D1", P, Q) - divergence("D2", P, Q))}
+def _rows(columns: dict):
+    """rows(i) of checks given as {name: slack of every trial}."""
+    names = list(columns)
+    by_trial = list(zip(*(np.asarray(v).tolist() for v in columns.values())))
+    return lambda i: zip(names, by_trial[i])
 
 
-def _check_eq12(P, Q, cfg, idx):
-    j = divergence("J", P, Q)
-    return {"J=4(I+T)": _identity(j - 4.0 * (divergence("I", P, Q) + divergence("T", P, Q)))}
+def _columns(checks):
+    """checks: (name, fn(table) -> slack of every trial) tuples."""
+
+    def check(table):
+        return _rows({name: fn(table) for name, fn in checks})
+
+    return check
 
 
-def _check_eq13(P, Q, cfg, idx):
-    d1 = divergence("D1", P, Q)
-    return {"D1=2(F2+G2)": _identity(d1 - 2.0 * (divergence("F2", P, Q) + divergence("G2", P, Q)))}
+def _check_thm31(table):
+    rngs = table.ranges()
+    per_s = [(s, f"s={s:g}:", table.phi(s).tolist(), table.e_phi(s).tolist()) for s in table.config.s_samples]
+
+    def rows(i):
+        out = {}
+        for s, prefix, phi, e in per_s:
+            for name, slack in bound_set_from(s, rngs[i], phi[i], e[i]).checks.items():
+                out[prefix + name] = slack
+        return out.items()
+
+    return rows
 
 
-def _check_phi_cases(P, Q, cfg, idx):
-    return {
-        "phi(-1)=chi2_adj/2": _identity(phi_s(-1.0, P, Q) - 0.5 * divergence("CHI2_ADJ", P, Q)),
-        "phi(0)=KL_adj": _identity(phi_s(0.0, P, Q) - divergence("KL_ADJ", P, Q)),
-        "phi(1/2)=4h": _identity(phi_s(0.5, P, Q) - 4.0 * divergence("HELLINGER", P, Q)),
-        "phi(1)=KL": _identity(phi_s(1.0, P, Q) - divergence("KL", P, Q)),
-        "phi(2)=chi2/2": _identity(phi_s(2.0, P, Q) - 0.5 * divergence("CHI2", P, Q)),
-    }
+def _check_thm32(table):
+    cfg = table.config
+    rngs = table.ranges()
 
+    def rows(i):
+        measure = CATALOG_IDS[i % len(CATALOG_IDS)]
+        s = cfg.s_samples[(i // len(CATALOG_IDS)) % len(cfg.s_samples)]
+        rng = rngs[i]
+        mm = mm_exact(measure, s, rng)
+        phi, cf = float(table.phi(s)[i]), float(table.cf(measure)[i])
+        rep = bound_interval_from(measure, s, mm, phi, cf)
+        out = {
+            f"{measure},s={s:g}:lower": rep.lower_slack,
+            f"{measure},s={s:g}:upper": rep.upper_slack,
+        }
+        e_phi, e_cf = float(table.e_phi(s)[i]), float(table.e_cf(measure)[i])
+        diff = difference_bounds_from(get_generator(measure), s, rng, mm, cf, phi, e_phi, e_cf)
+        for name, slack in diff.checks.items():
+            out[f"{measure},s={s:g}:{name}"] = slack
+        return out.items()
 
-def _check_thm31(P, Q, cfg, idx):
-    out = {}
-    for s in cfg.s_samples:
-        bs = bound_set(s, P, Q)
-        for name, slack in bs.checks.items():
-            out[f"s={s:g}:{name}"] = slack
-    return out
-
-
-def _check_thm32(P, Q, cfg, idx):
-    measure = CATALOG_IDS[idx % len(CATALOG_IDS)]
-    s = cfg.s_samples[(idx // len(CATALOG_IDS)) % len(cfg.s_samples)]
-    rep = bound_interval(measure, s, P, Q)
-    out = {
-        f"{measure},s={s:g}:lower": rep.lower_slack,
-        f"{measure},s={s:g}:upper": rep.upper_slack,
-    }
-    diff = difference_bounds(catalog()[measure], s, P, Q, mm=rep.mm)
-    for name, slack in diff.checks.items():
-        out[f"{measure},s={s:g}:{name}"] = slack
-    return out
+    return rows
 
 
 def _sandwich_suite(measure: str, s_values, restrict: bool = False):
@@ -249,77 +389,99 @@ def _sandwich_suite(measure: str, s_values, restrict: bool = False):
     when the filter leaves nothing).
     """
 
-    def check(P, Q, cfg, idx):
+    def check(table):
         values = s_values
         if restrict:
             lo, hi = CLOSED_FORM_REGIONS[measure]
-            values = tuple(s for s in cfg.s_samples if s <= lo or s >= hi) or s_values
-        out = {}
+            values = tuple(s for s in table.config.s_samples if s <= lo or s >= hi) or s_values
+        columns = {}
         for s in values:
-            rep = bound_interval(measure, s, P, Q, method="closed")
-            out[f"s={s:g}:lower"] = rep.lower_slack
-            out[f"s={s:g}:upper"] = rep.upper_slack
-        return out
-
-    return check
-
-
-def _prop_suite(pairs):
-    """pairs: (name, fn(P, Q) -> slack) tuples."""
-
-    def check(P, Q, cfg, idx):
-        return {name: fn(P, Q) for name, fn in pairs}
+            columns[f"s={s:g}:lower"], columns[f"s={s:g}:upper"] = table.sandwich(measure, s)
+        return _rows(columns)
 
     return check
 
 
 def _containment_suite(estimator_ids):
-    def check(P, Q, cfg, idx):
-        rng = ratio_range(P, Q)
-        out = {}
-        for est in estimator_ids:
-            v = estimate(est, P, Q)
-            out[f"{est}>=r"] = v - rng.r
-            out[f"{est}<=R"] = rng.R - v
-        return out
+    names = [(est, f"{est}>=r", f"{est}<=R") for est in estimator_ids]
+
+    def check(table):
+        rngs = table.ranges()
+        coincides = table.coincide().tolist()
+        columns = {}
+
+        def rows(i):
+            if coincides[i]:
+                raise DegeneratePair("estimators are 0/0 at P = Q")
+
+            def d(measure):
+                if measure not in columns:
+                    columns[measure] = table.d(measure).tolist()
+                return columns[measure][i]
+
+            rng = rngs[i]
+            out = {}
+            for est, lower, upper in names:
+                v = estimate_from(est, d)
+                out[lower] = v - rng.r
+                out[upper] = rng.R - v
+            return out.items()
+
+        return rows
 
     return check
-
-
-def _d(measure):
-    return lambda P, Q: divergence(measure, P, Q)
 
 
 _SQRT2 = math.sqrt(2.0)
 _C34 = 3.0 * math.sqrt(3.0) / 4.0
 
 _SUITES: "dict[str, tuple[str, Callable]]" = {
-    "eq3": ("J-divergence splits into its two relative halves", _check_eq3),
-    "eq12": ("J equals four times the sum of the JS and AG divergences", _check_eq12),
-    "eq13": ("relative J equals twice the sum of the adjoint JS/AG halves", _check_eq13),
-    "phi_cases": ("power-family special cases hit chi-square, KL and Hellinger", _check_phi_cases),
+    "eq3": (
+        "J-divergence splits into its two relative halves",
+        _columns([("J=D1+D2", lambda t: _identity(t.d("J") - t.d("D1") - t.d("D2")))]),
+    ),
+    "eq12": (
+        "J equals four times the sum of the JS and AG divergences",
+        _columns([("J=4(I+T)", lambda t: _identity(t.d("J") - 4.0 * (t.d("I") + t.d("T"))))]),
+    ),
+    "eq13": (
+        "relative J equals twice the sum of the adjoint JS/AG halves",
+        _columns([("D1=2(F2+G2)", lambda t: _identity(t.d("D1") - 2.0 * (t.d("F2") + t.d("G2"))))]),
+    ),
+    "phi_cases": (
+        "power-family special cases hit chi-square, KL and Hellinger",
+        _columns(
+            [
+                ("phi(-1)=chi2_adj/2", lambda t: _identity(t.phi(-1.0) - 0.5 * t.d("CHI2_ADJ"))),
+                ("phi(0)=KL_adj", lambda t: _identity(t.phi(0.0) - t.d("KL_ADJ"))),
+                ("phi(1/2)=4h", lambda t: _identity(t.phi(0.5) - 4.0 * t.d("HELLINGER"))),
+                ("phi(1)=KL", lambda t: _identity(t.phi(1.0) - t.d("KL"))),
+                ("phi(2)=chi2/2", lambda t: _identity(t.phi(2.0) - 0.5 * t.d("CHI2"))),
+            ]
+        ),
+    ),
     "thm31": ("phi_s bound chain: 0 <= phi <= E <= A, phi <= B <= A, B-phi <= A", _check_thm31),
     "thm32": ("generic sandwich m*phi_s <= C_f <= M*phi_s plus difference forms", _check_thm32),
     "thm41": ("closed-form sandwich for relative J-divergence", _sandwich_suite("D1", (-2.0, -1.0, 0.0, 0.5, 0.75, 2.0, 3.0), restrict=True)),
     "cor41": ("relative J vs chi-square/KL/Hellinger special cases", _sandwich_suite("D1", (-1.0, 0.0, 0.5, 2.0))),
     "prop41": (
         "relative J bounded by 9/8 of KL",
-        _prop_suite([("D1<=9/8*KL", lambda P, Q: 1.125 * divergence("KL", P, Q) - divergence("D1", P, Q))]),
+        _columns([("D1<=9/8*KL", lambda t: 1.125 * t.d("KL") - t.d("D1"))]),
     ),
     "thm42": ("closed-form sandwich for the adjoint relative J-divergence", _sandwich_suite("D2", (-2.0, -1.0, 0.25, 1.0, 2.0), restrict=True)),
     "cor42": ("adjoint relative J special cases", _sandwich_suite("D2", (-1.0, 0.5, 1.0, 2.0))),
     "prop42": (
         "adjoint relative J bounded by 9/8 of adjoint KL",
-        _prop_suite([("D2<=9/8*KL_adj", lambda P, Q: 1.125 * divergence("KL_ADJ", P, Q) - divergence("D2", P, Q))]),
+        _columns([("D2<=9/8*KL_adj", lambda t: 1.125 * t.d("KL_ADJ") - t.d("D2"))]),
     ),
     "thm43": ("closed-form sandwich for relative JS-divergence", _sandwich_suite("F1", (-2.0, -1.0, 1.0, 1.5, 2.0), restrict=True)),
     "cor43": ("relative JS special cases", _sandwich_suite("F1", (-1.0, 1.0, 2.0))),
     "prop43": (
         "relative JS bounded by KL_adj/4 and (3*sqrt3/4)*Hellinger",
-        _prop_suite(
+        _columns(
             [
-                ("F1<=KL_adj/4", lambda P, Q: 0.25 * divergence("KL_ADJ", P, Q) - divergence("F1", P, Q)),
-                ("F1<=c*h", lambda P, Q: _C34 * divergence("HELLINGER", P, Q) - divergence("F1", P, Q)),
+                ("F1<=KL_adj/4", lambda t: 0.25 * t.d("KL_ADJ") - t.d("F1")),
+                ("F1<=c*h", lambda t: _C34 * t.d("HELLINGER") - t.d("F1")),
             ]
         ),
     ),
@@ -327,10 +489,10 @@ _SUITES: "dict[str, tuple[str, Callable]]" = {
     "cor44": ("adjoint relative JS special cases", _sandwich_suite("F2", (-1.0, 0.0, 2.0))),
     "prop44": (
         "adjoint relative JS bounded by (3*sqrt3/4)*Hellinger and KL/4",
-        _prop_suite(
+        _columns(
             [
-                ("F2<=c*h", lambda P, Q: _C34 * divergence("HELLINGER", P, Q) - divergence("F2", P, Q)),
-                ("F2<=KL/4", lambda P, Q: 0.25 * divergence("KL", P, Q) - divergence("F2", P, Q)),
+                ("F2<=c*h", lambda t: _C34 * t.d("HELLINGER") - t.d("F2")),
+                ("F2<=KL/4", lambda t: 0.25 * t.d("KL") - t.d("F2")),
             ]
         ),
     ),
@@ -342,23 +504,23 @@ _SUITES: "dict[str, tuple[str, Callable]]" = {
     "cor51": ("J-divergence special cases", _sandwich_suite("J", (-1.0, 0.0, 1.0, 2.0))),
     "prop51": (
         "Hellinger bounded by J/8",
-        _prop_suite([("h<=J/8", lambda P, Q: divergence("J", P, Q) / 8.0 - divergence("HELLINGER", P, Q))]),
+        _columns([("h<=J/8", lambda t: t.d("J") / 8.0 - t.d("HELLINGER"))]),
     ),
     "thm52": ("closed-form sandwich for JS-divergence", _sandwich_suite("I", (-1.0, 0.0, 1.0, 2.0), restrict=True)),
     "cor52": ("JS-divergence special cases", _sandwich_suite("I", (-1.0, 0.0, 1.0, 2.0))),
     "prop52": (
         "JS bounded by Hellinger",
-        _prop_suite([("I<=h", lambda P, Q: divergence("HELLINGER", P, Q) - divergence("I", P, Q))]),
+        _columns([("I<=h", lambda t: t.d("HELLINGER") - t.d("I"))]),
     ),
     "thm53": ("closed-form sandwich for AG-divergence", _sandwich_suite("T", (-2.0, -1.0, 2.0, 3.0), restrict=True)),
     "cor53": ("AG-divergence special cases", _sandwich_suite("T", (-1.0, 2.0))),
     "prop53": (
         "AG dominates Hellinger and (sqrt2-1)/2 of both KL directions",
-        _prop_suite(
+        _columns(
             [
-                ("c*KL_adj<=T", lambda P, Q: divergence("T", P, Q) - 0.5 * (_SQRT2 - 1.0) * divergence("KL_ADJ", P, Q)),
-                ("c*KL<=T", lambda P, Q: divergence("T", P, Q) - 0.5 * (_SQRT2 - 1.0) * divergence("KL", P, Q)),
-                ("h<=T", lambda P, Q: divergence("T", P, Q) - divergence("HELLINGER", P, Q)),
+                ("c*KL_adj<=T", lambda t: t.d("T") - 0.5 * (_SQRT2 - 1.0) * t.d("KL_ADJ")),
+                ("c*KL<=T", lambda t: t.d("T") - 0.5 * (_SQRT2 - 1.0) * t.d("KL")),
+                ("h<=T", lambda t: t.d("T") - t.d("HELLINGER")),
             ]
         ),
     ),
@@ -366,11 +528,11 @@ _SUITES: "dict[str, tuple[str, Callable]]" = {
     "rem51": ("zeta estimators stay inside the ratio range", _containment_suite([EstimatorId("ZETA", t) for t in range(1, 5)])),
     "eq194": (
         "chain: JS <= Hellinger <= min(AG, J/8)",
-        _prop_suite(
+        _columns(
             [
-                ("I<=h", lambda P, Q: divergence("HELLINGER", P, Q) - divergence("I", P, Q)),
-                ("h<=T", lambda P, Q: divergence("T", P, Q) - divergence("HELLINGER", P, Q)),
-                ("h<=J/8", lambda P, Q: divergence("J", P, Q) / 8.0 - divergence("HELLINGER", P, Q)),
+                ("I<=h", lambda t: t.d("HELLINGER") - t.d("I")),
+                ("h<=T", lambda t: t.d("T") - t.d("HELLINGER")),
+                ("h<=J/8", lambda t: t.d("J") / 8.0 - t.d("HELLINGER")),
             ]
         ),
     ),
@@ -381,20 +543,30 @@ def suite_ids() -> tuple:
     return tuple(_SUITES)
 
 
-def run_suite(suite_id: str, config: TrialConfig) -> SuiteReport:
-    """Run one suite over `config.trials` deterministic pairs."""
+def run_suite(suite_id: str, config: TrialConfig, table: "PairTable | None" = None) -> SuiteReport:
+    """Run one suite over `config.trials` deterministic pairs.
+
+    `table` is the :class:`PairTable` of the run the suite belongs to, made
+    for the same config; without one the suite makes its own.
+    """
     try:
         description, check = _SUITES[suite_id]
     except KeyError:
         raise UnknownSuite(f"unknown suite {suite_id!r}") from None
+    if table is None:
+        table = PairTable(config)
+    elif table.config != config:
+        raise InvalidArgument("the pair table was made for another config")
     report = SuiteReport(suite=suite_id, description=description, trials=config.trials)
+    rows = check(table)
     for i in range(config.trials):
         P, Q = random_pair(config, i)
-        for name, slack in check(P, Q, config, i).items():
+        for name, slack in rows(i):
             report.record(i, name, slack, P, Q)
     return report
 
 
 def run_all(config: TrialConfig) -> list:
-    """Run every suite, in registry order."""
-    return [run_suite(sid, config) for sid in _SUITES]
+    """Run every suite, in registry order, sharing one pair table."""
+    table = PairTable(config)
+    return [run_suite(sid, config, table) for sid in _SUITES]

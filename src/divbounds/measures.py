@@ -3,58 +3,62 @@
 All values are in nats.  The "adjoint" of a measure is the same formula with
 the arguments swapped; adjoints are separate named entries (D1/D2, F1/F2,
 G1/G2) because the bound tables are indexed by these names.
+
+Each formula sums over the last axis, so it takes one pair of probability
+vectors or a (k, n) block of k pairs (one value per row); the public
+functions here and the harness's batched pair table share it.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import LengthMismatch, NonFinite, UnknownMeasure
+from .errors import LengthMismatch, NonFinite, UnknownMeasure, require_finite
 from .generators import S_POLE_TOL
 from .simplex import Distribution
 
 
 def _kl(p, q):
-    return float(np.sum(p * np.log(p / q)))
+    return np.sum(p * np.log(p / q), axis=-1)
 
 
 def _j(p, q):
-    return float(np.sum((p - q) * np.log(p / q)))
+    return np.sum((p - q) * np.log(p / q), axis=-1)
 
 
 def _d1(p, q):
-    return float(np.sum((p - q) * np.log((p + q) / (2 * q))))
+    return np.sum((p - q) * np.log((p + q) / (2 * q)), axis=-1)
 
 
 def _f1(p, q):
-    return float(np.sum(p * np.log(2 * p / (p + q))))
+    return np.sum(p * np.log(2 * p / (p + q)), axis=-1)
 
 
 def _g1(p, q):
     m = (p + q) / 2
-    return float(np.sum(m * np.log(m / p)))
+    return np.sum(m * np.log(m / p), axis=-1)
 
 
 def _i(p, q):
     m = (p + q) / 2
-    return float(np.sum(p * np.log(p / m) + q * np.log(q / m)) / 2)
+    return np.sum(p * np.log(p / m) + q * np.log(q / m), axis=-1) / 2
 
 
 def _t(p, q):
     m = (p + q) / 2
-    return float(np.sum(m * np.log(m / np.sqrt(p * q))))
+    return np.sum(m * np.log(m / np.sqrt(p * q)), axis=-1)
 
 
 def _b(p, q):
-    return float(np.sum(np.sqrt(p * q)))
+    return np.sum(np.sqrt(p * q), axis=-1)
 
 
 def _h(p, q):
-    return float(np.sum((np.sqrt(p) - np.sqrt(q)) ** 2) / 2)
+    return np.sum((np.sqrt(p) - np.sqrt(q)) ** 2, axis=-1) / 2
 
 
 def _chi2(p, q):
-    return float(np.sum((p - q) ** 2 / q))
+    return np.sum((p - q) ** 2 / q, axis=-1)
 
 
 _DISPATCH = {
@@ -82,15 +86,30 @@ MEASURE_IDS = tuple(_DISPATCH)
 SYMMETRIC_IDS = ("J", "I", "T", "HELLINGER", "BHATTACHARYYA")
 
 
-def divergence(measure: str, P: Distribution, Q: Distribution) -> float:
-    """Closed-form value of a named measure, in nats."""
-    if len(P) != len(Q):
-        raise LengthMismatch(f"lengths differ: {len(P)} vs {len(Q)}")
+def divergence_sums(measure: str, p, q):
+    """A named measure on probability vectors p, q, or row by row on
+    (k, n) blocks (an array of k values)."""
     try:
         fn = _DISPATCH[measure]
     except KeyError:
         raise UnknownMeasure(f"unknown measure {measure!r}") from None
-    return fn(P.probs, Q.probs)
+    return fn(p, q)
+
+
+def divergence(measure: str, P: Distribution, Q: Distribution) -> float:
+    """Closed-form value of a named measure, in nats."""
+    if len(P) != len(Q):
+        raise LengthMismatch(f"lengths differ: {len(P)} vs {len(Q)}")
+    return float(divergence_sums(measure, P.probs, Q.probs))
+
+
+def phi_sums(s: float, p, q):
+    """phi_s on probability vectors p, q, or row by row on (k, n) blocks."""
+    if abs(s) <= S_POLE_TOL:
+        return _kl(q, p)
+    if abs(s - 1.0) <= S_POLE_TOL:
+        return _kl(p, q)
+    return (np.sum(p**s * q ** (1.0 - s), axis=-1) - 1.0) / (s * (s - 1.0))
 
 
 def phi_s(s: float, P: Distribution, Q: Distribution) -> float:
@@ -98,14 +117,11 @@ def phi_s(s: float, P: Distribution, Q: Distribution) -> float:
 
     The s = 0 and s = 1 poles dispatch to KL(Q||P) and KL(P||Q); the
     threshold matches the generator-level dispatch so both routes agree.
+    Raises NumericOverflow when a power leaves the float range (an extreme
+    ratio at a large |s|), where the sum would be inf or nan.
     """
     if not np.isfinite(s):
         raise NonFinite(f"s must be finite, got {s}")
     if len(P) != len(Q):
         raise LengthMismatch(f"lengths differ: {len(P)} vs {len(Q)}")
-    p, q = P.probs, Q.probs
-    if abs(s) <= S_POLE_TOL:
-        return _kl(q, p)
-    if abs(s - 1.0) <= S_POLE_TOL:
-        return _kl(p, q)
-    return float((np.sum(p**s * q ** (1.0 - s)) - 1.0) / (s * (s - 1.0)))
+    return require_finite(float(phi_sums(s, P.probs, Q.probs)), f"phi_s at s={s!r}")

@@ -118,5 +118,12 @@ def ratio_range(P: Distribution, Q: Distribution) -> RatioRange:
     """Tight, attained bounds r = min p_i/q_i and R = max p_i/q_i."""
     if len(P) != len(Q):
         raise LengthMismatch(f"lengths differ: {len(P)} vs {len(Q)}")
-    ratios = P.probs / Q.probs
-    return RatioRange(float(ratios.min()), float(ratios.max()))
+    r, R = ratio_extremes(P.probs, Q.probs)
+    return RatioRange(float(r), float(R))
+
+
+def ratio_extremes(p, q) -> tuple:
+    """(min, max) of p_i / q_i for probability vectors p, q, or row by row
+    on (k, n) blocks."""
+    ratios = p / q
+    return ratios.min(axis=-1), ratios.max(axis=-1)

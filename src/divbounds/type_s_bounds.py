@@ -7,7 +7,9 @@ They satisfy the chain
     0 <= phi_s <= e_phi_s <= a_phi_s,     phi_s <= b_phi_s <= a_phi_s,
     b_phi_s - phi_s <= a_phi_s,
 
-with b_phi_s defined only under r <= 1 <= R, r != R.
+with b_phi_s defined only under r <= 1 <= R, r != R.  Every functional
+raises NumericOverflow where a power leaves the float range, instead of
+returning a bound that compares as inf or nan.
 """
 
 from __future__ import annotations
@@ -18,21 +20,25 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import InvalidRange, LengthMismatch
+from .errors import InvalidRange, LengthMismatch, require_finite
 from .generators import S_POLE_TOL
 from .measures import phi_s
 from .simplex import Distribution, RatioRange, ratio_range
+
+
+def e_phi_sums(s: float, p, q):
+    """e_phi_s on probability vectors p, q, or row by row on (k, n) blocks."""
+    x = p / q
+    if abs(s - 1.0) <= S_POLE_TOL:
+        return np.sum((p - q) * np.log(x), axis=-1)
+    return np.sum((p - q) * x ** (s - 1.0), axis=-1) / (s - 1.0)
 
 
 def e_phi_s(s: float, P: Distribution, Q: Distribution) -> float:
     """Data-dependent bound (s-1)^-1 sum (p_i - q_i)(p_i/q_i)^(s-1)."""
     if len(P) != len(Q):
         raise LengthMismatch(f"lengths differ: {len(P)} vs {len(Q)}")
-    p, q = P.probs, Q.probs
-    x = p / q
-    if abs(s - 1.0) <= S_POLE_TOL:
-        return float(np.sum((p - q) * np.log(x)))
-    return float(np.sum((p - q) * x ** (s - 1.0)) / (s - 1.0))
+    return require_finite(float(e_phi_sums(s, P.probs, Q.probs)), f"e_phi_s at s={s!r}")
 
 
 def a_phi_s(s: float, rng: RatioRange) -> float:
@@ -42,11 +48,15 @@ def a_phi_s(s: float, rng: RatioRange) -> float:
         raise InvalidRange(f"need 0 < r <= R, got {rng}")
     if r == R:
         return 0.0
-    if abs(s - 1.0) <= S_POLE_TOL:
-        factor = (math.log(R) - math.log(r)) / (R - r)
-    else:
-        factor = (R ** (s - 1.0) - r ** (s - 1.0)) / ((R - r) * (s - 1.0))
-    return 0.25 * (R - r) ** 2 * factor
+    try:
+        if abs(s - 1.0) <= S_POLE_TOL:
+            factor = (math.log(R) - math.log(r)) / (R - r)
+        else:
+            factor = (R ** (s - 1.0) - r ** (s - 1.0)) / ((R - r) * (s - 1.0))
+        value = 0.25 * (R - r) ** 2 * factor
+    except OverflowError:
+        value = math.inf
+    return require_finite(value, f"a_phi_s at s={s!r}")
 
 
 def b_phi_s(s: float, rng: RatioRange) -> float:
@@ -57,14 +67,19 @@ def b_phi_s(s: float, rng: RatioRange) -> float:
     r, R = rng.r, rng.R
     if not (0.0 < r <= 1.0 <= R) or r == R:
         raise InvalidRange(f"need 0 < r <= 1 <= R with r != R, got {rng}")
-    if abs(s) <= S_POLE_TOL:
-        num = (R - 1.0) * math.log(1.0 / r) + (1.0 - r) * math.log(1.0 / R)
-        return num / (R - r)
-    if abs(s - 1.0) <= S_POLE_TOL:
-        num = (R - 1.0) * r * math.log(r) + (1.0 - r) * R * math.log(R)
-        return num / (R - r)
-    num = (R - 1.0) * (r**s - 1.0) + (1.0 - r) * (R**s - 1.0)
-    return num / ((R - r) * s * (s - 1.0))
+    try:
+        if abs(s) <= S_POLE_TOL:
+            num = (R - 1.0) * math.log(1.0 / r) + (1.0 - r) * math.log(1.0 / R)
+            value = num / (R - r)
+        elif abs(s - 1.0) <= S_POLE_TOL:
+            num = (R - 1.0) * r * math.log(r) + (1.0 - r) * R * math.log(R)
+            value = num / (R - r)
+        else:
+            num = (R - 1.0) * (r**s - 1.0) + (1.0 - r) * (R**s - 1.0)
+            value = num / ((R - r) * s * (s - 1.0))
+    except OverflowError:
+        value = math.inf
+    return require_finite(value, f"b_phi_s at s={s!r}")
 
 
 @dataclass(frozen=True)
@@ -91,9 +106,11 @@ class TypeSBoundSet:
 
 def bound_set(s: float, P: Distribution, Q: Distribution) -> TypeSBoundSet:
     """Evaluate phi_s, e/a/b bounds, and the full inequality chain."""
-    rng = ratio_range(P, Q)
-    phi = phi_s(s, P, Q)
-    e = e_phi_s(s, P, Q)
+    return bound_set_from(s, ratio_range(P, Q), phi_s(s, P, Q), e_phi_s(s, P, Q))
+
+
+def bound_set_from(s: float, rng: RatioRange, phi: float, e: float) -> TypeSBoundSet:
+    """:func:`bound_set` from the pair's ratio range, phi_s and e_phi_s."""
     a = a_phi_s(s, rng)
     checks = {
         "phi_nonneg": phi,

@@ -141,6 +141,16 @@ class TestBounds:
         assert captured.out == ""
 
 
+    def test_overflowing_phi_s_is_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "extreme.json"
+        path.write_text(json.dumps({"distributions": {"a": [1e-300, 1], "u": [1, 1]}}))
+        code = main(["bounds", "--input", str(path), "--p", "a", "--q", "u", "--measure", "D1", "--s", "-2"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith("error: ")
+        assert captured.out == ""
+
+
 class TestVerify:
     def test_small_suite(self, capsys):
         code = main(["verify", "--suite", "eq194", "--trials", "10"])

@@ -65,8 +65,15 @@ class TestGEval:
         with pytest.raises(NumericOverflow):
             db.g_eval(db.catalog()["F1"], 3.0, 1e-160)  # finite factors, infinite product
         with pytest.raises(NumericOverflow):
-            db.g_eval(db.catalog()["J"], 0.5, 1e-200)  # f'' denominator underflows to 0
+            db.g_eval(db.catalog()["J"], 3.0, 1e-200)  # f'' denominator underflows to 0, g = 1e600
         assert issubclass(NumericOverflow, DivBoundsError)
+
+    def test_underflowing_denominator_with_finite_g(self):
+        # f'' = (x+1)/x^2 divides by x^2 = 0.0, but g = x^-0.5 + x^0.5 is 1e100.
+        assert db.g_eval(db.catalog()["J"], 0.5, 1e-200) == pytest.approx(1e100, rel=1e-15)
+        # D2 at a huge x: f''(x) = (3x+1)/(x^2 (x+1)^2) has D = inf, g = 3e200.
+        assert db.g_eval(db.catalog()["D2"], -2.0, 1e200) == pytest.approx(3e200, rel=1e-15)
+        assert db.g_eval(db.catalog()["T"], 0.5, 1e200) == pytest.approx(2.5e99, rel=1e-15)
 
 
 class TestMMNumeric:
@@ -335,6 +342,12 @@ class TestBoundInterval:
         P, Q = db.normalize([1, 1e6]), db.normalize([1e6, 1])
         with pytest.raises(NumericOverflow):
             db.bound_interval("D1", 100.0, P, Q)
+
+    @pytest.mark.parametrize("measure", db.CATALOG_IDS)
+    def test_overflowing_phi_s_is_typed(self, measure):
+        # phi_s = inf here used to give lower = nan and a false violation.
+        with pytest.raises(NumericOverflow):
+            db.bound_interval(measure, -2.0, db.normalize([1e-300, 1]), db.normalize([1, 1]))
 
     def test_holds_across_measures_and_s(self):
         for P, Q in make_pairs(20, seed=99):

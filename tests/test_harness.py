@@ -1,12 +1,14 @@
 import math
 import sys
 import threading
+import weakref
 
 import numpy as np
 import pytest
 
 import divbounds as db
 import divbounds.harness as harness
+from divbounds.cli import main
 from divbounds.errors import DivBoundsError, InvalidArgument, UnknownSuite
 
 #: Frozen output of random_pair(TrialConfig(seed=1, n_min=2, n_max=2), 0),
@@ -33,7 +35,16 @@ class TestTrialConfig:
 
     @pytest.mark.parametrize(
         "kwargs",
-        [{"trials": 0}, {"n_min": 1}, {"n_min": 8, "n_max": 4}, {"n_max": 10**6 + 1}, {"concentration": 0.0}, {"concentration": math.nan}],
+        [
+            {"trials": 0},
+            {"n_min": 1},
+            {"n_min": 8, "n_max": 4},
+            {"n_max": 10**6 + 1},
+            {"concentration": 0.0},
+            {"concentration": math.nan},
+            {"s_samples": ()},
+            {"s_samples": (0.5, math.nan)},
+        ],
     )
     def test_validation_error_is_typed(self, kwargs):
         with pytest.raises(InvalidArgument) as info:
@@ -180,6 +191,84 @@ class TestPairMemo:
         P, _ = db.random_pair(db.TrialConfig(seed=27), 0)
         with pytest.raises(ValueError):
             P.probs[0] = 0.5
+
+
+def _bits(x) -> bytes:
+    return np.float64(x).tobytes()
+
+
+class TestPairTable:
+    def test_quantities_equal_the_public_functions_bit_for_bit(self):
+        cfg = db.TrialConfig(seed=31, trials=300)
+        table = harness.PairTable(cfg)
+        s_values = sorted({*cfg.s_samples, 0.25, 0.75})  # every s a suite uses
+        sizes = set()
+        for i in range(cfg.trials):
+            P, Q = db.random_pair(cfg, i)
+            sizes.add(len(P))
+            rng = db.ratio_range(P, Q)
+            assert (_bits(table.ranges()[i].r), _bits(table.ranges()[i].R)) == (_bits(rng.r), _bits(rng.R))
+            assert not table.coincide()[i]
+            for m in db.MEASURE_IDS:
+                assert _bits(table.d(m)[i]) == _bits(db.divergence(m, P, Q)), (i, m)
+            for s in s_values:
+                assert _bits(table.phi(s)[i]) == _bits(db.phi_s(s, P, Q)), (i, s)
+                assert _bits(table.e_phi(s)[i]) == _bits(db.e_phi_s(s, P, Q)), (i, s)
+            for m, gen in db.catalog().items():
+                assert _bits(table.cf(m)[i]) == _bits(db.eval_csiszar(gen, P, Q)), (i, m)
+                assert _bits(table.e_cf(m)[i]) == _bits(db.e_cf(gen, P, Q)), (i, m)
+                for s in s_values:
+                    rep = db.bound_interval(m, s, P, Q)
+                    lower, upper = table.sandwich(m, s)
+                    assert (_bits(lower[i]), _bits(upper[i])) == (_bits(rep.lower_slack), _bits(rep.upper_slack)), (i, m, s)
+        assert min(sizes) <= 4 and max(sizes) >= 62
+
+    def test_each_run_recomputes(self, monkeypatch, capsys):
+        stacks, sums = [], []
+        stack, divergence_sums = harness._stack, harness.divergence_sums
+        monkeypatch.setattr(harness, "_stack", lambda config, trials: stacks.append(trials) or stack(config, trials))
+        monkeypatch.setattr(harness, "divergence_sums", lambda m, p, q: sums.append(m) or divergence_sums(m, p, q))
+        argv = ["verify", "--all", "--trials", "20", "--seed", "34"]
+        assert main(argv) == 0
+        first = (len(stacks), len(sums))
+        assert main(argv) == 0
+        assert first[0] > 0 and first[1] > 0
+        assert (len(stacks), len(sums)) == (2 * first[0], 2 * first[1])
+        out = capsys.readouterr().out
+        assert out[: len(out) // 2] == out[len(out) // 2 :]
+
+    def test_large_pairs_stack_within_the_budget(self, monkeypatch):
+        n = 200_000  # 2n entries a pair: two pairs fit in one stack, three do not
+        cfg = db.TrialConfig(seed=35, trials=5, n_min=n, n_max=n)
+        live, peak = [], [0]
+        stack = harness._stack
+
+        def tracking(config, trials):
+            blocks = stack(config, trials)
+            live[:] = [ref for ref in live if ref() is not None]
+            peak[0] = max(peak[0], sum(ref().size for ref in live) + sum(b.size for b in blocks))
+            live.extend(weakref.ref(b) for b in blocks)
+            return blocks
+
+        monkeypatch.setattr(harness, "_stack", tracking)
+        report = db.run_suite("eq3", cfg)
+        assert 0 < peak[0] <= harness.PAIR_MEMO_BUDGET
+        expected = min(
+            -abs(db.divergence("J", P, Q) - db.divergence("D1", P, Q) - db.divergence("D2", P, Q))
+            for P, Q in (db.random_pair(cfg, i) for i in range(cfg.trials))
+        )
+        assert report.checks == cfg.trials
+        assert _bits(report.worst_slack) == _bits(expected)
+
+    def test_standalone_suite_matches_the_run(self):
+        cfg = db.TrialConfig(seed=36, trials=60)
+        for report in db.run_all(cfg):
+            assert db.run_suite(report.suite, cfg).to_dict() == report.to_dict()
+
+    def test_table_of_another_config_is_rejected(self):
+        table = db.PairTable(db.TrialConfig(seed=37, trials=5))
+        with pytest.raises(InvalidArgument):
+            db.run_suite("eq3", db.TrialConfig(seed=38, trials=5), table)
 
 
 class TestRunSuite:

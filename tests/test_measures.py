@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import divbounds as db
-from divbounds.errors import LengthMismatch, NonFinite, UnknownMeasure
+from divbounds.errors import LengthMismatch, NonFinite, NumericOverflow, UnknownMeasure
 
 from conftest import make_pairs
 
@@ -138,3 +138,9 @@ class TestPhiS:
         for P, Q in pairs_100:
             for s in (-2.0, -0.5, 0.3, 1.5, 3.0):
                 assert db.phi_s(s, P, Q) >= -1e-12
+
+
+def test_phi_s_overflow_is_typed():
+    # p^s q^(1-s) = (1e-300)^-2 (1/2)^3 overflows to inf.
+    with pytest.raises(NumericOverflow):
+        db.phi_s(-2.0, db.normalize([1e-300, 1]), db.normalize([1, 1]))

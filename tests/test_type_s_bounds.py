@@ -3,7 +3,7 @@ import math
 import pytest
 
 import divbounds as db
-from divbounds.errors import InvalidRange, LengthMismatch
+from divbounds.errors import InvalidRange, LengthMismatch, NumericOverflow
 
 LN3 = math.log(3.0)
 S_GRID = (-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 1.5, 2.0, 3.0)
@@ -122,3 +122,27 @@ class TestGenericConsistency:
                 assert abs(db.a_phi_s(s, rng) - db.a_cf(gen, rng)) <= 1e-10
                 if not rng.degenerate:
                     assert abs(db.b_phi_s(s, rng) - db.b_cf(gen, rng)) <= 1e-10
+
+
+class TestOverflow:
+    """P = (1e-300, 1), Q = (1/2, 1/2) at s = -2: r = 2e-300, and every
+    power-family term overflows (r^-2, r^-3)."""
+
+    P = db.normalize([1e-300, 1])
+    Q = db.normalize([1, 1])
+
+    def test_e_phi_s(self):
+        with pytest.raises(NumericOverflow):
+            db.e_phi_s(-2.0, self.P, self.Q)
+
+    def test_a_phi_s(self):
+        with pytest.raises(NumericOverflow):
+            db.a_phi_s(-2.0, db.ratio_range(self.P, self.Q))
+
+    def test_b_phi_s(self):
+        with pytest.raises(NumericOverflow):
+            db.b_phi_s(-2.0, db.ratio_range(self.P, self.Q))
+
+    def test_bound_set(self):
+        with pytest.raises(NumericOverflow):
+            db.bound_set(-2.0, self.P, self.Q)
