@@ -48,7 +48,7 @@ def g_eval(gen: Generator, s: float, x):
 
     A float argument is evaluated in plain Python, without numpy overhead,
     and raises NumericOverflow when g leaves the float range (an infinite
-    g would turn m * phi_s into nan).
+    g would turn m * phi_s into nan, a zero g would certify m = 0 or M = 0).
     """
     if isinstance(x, float):
         if not x > 0.0:
@@ -57,10 +57,12 @@ def g_eval(gen: Generator, s: float, x):
             v = float(x ** (2.0 - s) * gen.f_second(x))
         except (OverflowError, ZeroDivisionError):
             v = math.inf
-        if not math.isfinite(v):
+        if not math.isfinite(v) or v == 0.0:
+            # Every f'' here is > 0 on x > 0, so a 0 is a factor that under-
+            # or overflowed on its own (N/D = 0 when only D overflows).
             v = _g_rescaled(gen.f_second, s, x)
-            if not math.isfinite(v):
-                raise NumericOverflow(f"g(x) = x^(2-s) f''(x) overflows at x={x!r}, s={s!r}")
+            if not math.isfinite(v) or v == 0.0:
+                raise NumericOverflow(f"g(x) = x^(2-s) f''(x) leaves the float range at x={x!r}, s={s!r}")
         return v
     arr = np.asarray(x, dtype=np.float64)
     if not np.all(arr > 0.0):
@@ -75,8 +77,8 @@ def _g_rescaled(f_second, s: float, x: float) -> float:
     of x: N, D and x^(2-s) then cannot under- or overflow on their own
     where g is finite.  inf where g overflows or f'' is not a Rational.
 
-    Only called where the direct product x^(2-s) * N/D failed, so no value
-    that the direct product gives changes.
+    Only called where the direct product x^(2-s) * N/D is not finite or is
+    0, so no value that the direct product gives changes.
     """
     if not isinstance(f_second, Rational):
         return math.inf
@@ -362,6 +364,63 @@ def mm_exact_values(measure, s: float, r: float, R: float) -> tuple:
     roots = _real_roots([x + s * y for x, y in zip(a, b)], r, R)
     gs = [g_eval(gen, s, x) for x in (r, R, *roots)]
     return min(gs), max(gs)
+
+
+def mm_exact_arrays(measure, s: float, r: np.ndarray, R: np.ndarray) -> tuple:
+    """(m, M) arrays of :func:`mm_exact_values` at every (r[i], R[i]), bit
+    for bit.
+
+    In a monotone region of a catalog measure g is evaluated at the
+    endpoints as arrays; every other cell, and a power-family measure, is
+    scalar, trial by trial.
+    """
+    try:
+        s_lo, s_hi = (-math.inf, math.inf) if isinstance(measure, PhiS) else CLOSED_FORM_REGIONS[measure]
+    except KeyError:
+        raise UnknownMeasure(f"unknown measure {measure!r}") from None
+    r, R = np.asarray(r, dtype=np.float64), np.asarray(R, dtype=np.float64)
+    if s <= s_lo:  # g increasing
+        lo_x, hi_x = r, R
+    elif s >= s_hi:  # g decreasing
+        lo_x, hi_x = R, r
+    else:
+        mm = [mm_exact_values(measure, s, a, b) for a, b in zip(r.tolist(), R.tolist())]
+        return tuple(np.array(mm, dtype=np.float64).reshape(-1, 2).T)
+    gen = get_generator(measure)
+    m, M = _g_direct(gen, s, lo_x), _g_direct(gen, s, hi_x)
+    # Where the direct product is not finite or is 0, g_eval takes over,
+    # in the order of the scalar calls, so the same call raises first.
+    redo_m, redo_M = ~np.isfinite(m) | (m == 0.0), ~np.isfinite(M) | (M == 0.0)
+    for i in np.flatnonzero(redo_m | redo_M).tolist():
+        if redo_m[i]:
+            m[i] = g_eval(gen, s, float(lo_x[i]))
+        if redo_M[i]:
+            M[i] = g_eval(gen, s, float(hi_x[i]))
+    return m, M
+
+
+def _g_direct(gen: Generator, s: float, x: np.ndarray) -> np.ndarray:
+    """The direct product x^(2-s) * f''(x) of the float path of
+    :func:`g_eval` at every x, inf where a factor raises there.
+
+    f'' is Horner's rule and a division, which numpy rounds as Python
+    does; numpy's array ``**`` does not always, so the power is Python's.
+    """
+    e = 2.0 - s
+    xs = x.tolist()
+    try:
+        power = [v**e for v in xs]
+    except OverflowError:
+        power = [_pow_or_inf(v, e) for v in xs]
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        return np.array(power, dtype=np.float64) * gen.f_second(x)
+
+
+def _pow_or_inf(v: float, e: float) -> float:
+    try:
+        return v**e
+    except OverflowError:
+        return math.inf
 
 
 @dataclass(frozen=True)

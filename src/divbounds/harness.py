@@ -19,10 +19,13 @@ grouped by support size n into C-contiguous (k, n) blocks, and a quantity
 (r and R, a measure, phi_s or e_phi_s at one s, C_f or e_cf of one catalog
 generator) is one numpy row sum per block, kept as a float64 array indexed
 by trial.  A row of a block is summed in the same order as the pair alone,
-so the table holds the bits the public functions return.  The scalar parts
-((m, M), the a/b functionals, the estimator formulas) run in plain Python,
-once per trial and distinct (measure, s), through the same cores as the
-public functions.  A table is made for one run and dropped with it.
+so the table holds the bits the public functions return.  The sandwich
+suites' exact (m, M) are arrays over the run's trials, one per distinct
+(measure, s), from :func:`mm_exact_arrays`, bit-identical to the scalar
+:func:`mm_exact_values` of each trial.  The other scalar parts (the (m, M)
+of thm32, the a/b functionals, the estimator formulas) run in plain Python,
+once per trial, through the same cores as the public functions.  A table
+is made for one run and dropped with it.
 """
 
 from __future__ import annotations
@@ -40,7 +43,7 @@ from .csiszar_bounds import (
     difference_bounds_from,
     e_cf_sums,
     mm_exact,
-    mm_exact_values,
+    mm_exact_arrays,
     sandwich,
 )
 from .errors import DegeneratePair, InvalidArgument, UnknownSuite, require_finite
@@ -252,11 +255,16 @@ class PairTable:
         """Whether each trial's P and Q coincide (estimators are 0/0)."""
         return self._batch(("coincide",), coincide, dtype=bool)
 
+    def extremes(self) -> tuple:
+        """(r, R), the ratio range of every trial as two arrays."""
+        r = self._batch(("r",), lambda p, q: ratio_extremes(p, q)[0])
+        R = self._batch(("R",), lambda p, q: ratio_extremes(p, q)[1])
+        return r, R
+
     def ranges(self) -> list:
         """The RatioRange of every trial."""
         if self._ranges is None:
-            r = self._batch(("r",), lambda p, q: ratio_extremes(p, q)[0])
-            R = self._batch(("R",), lambda p, q: ratio_extremes(p, q)[1])
+            r, R = self.extremes()
             self._ranges = [RatioRange(lo, hi) for lo, hi in zip(r.tolist(), R.tolist())]
         return self._ranges
 
@@ -266,8 +274,7 @@ class PairTable:
         key = ("sandwich", measure, s)
         slacks = self._values.get(key)
         if slacks is None:
-            mm = [mm_exact_values(measure, s, rng.r, rng.R) for rng in self.ranges()]
-            m, M = np.array(mm).T
+            m, M = mm_exact_arrays(measure, s, *self.extremes())
             slacks = self._values[key] = sandwich(m, M, self.phi(s), self.cf(measure))[2:]
         return slacks
 

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -74,6 +75,25 @@ class TestGEval:
         # D2 at a huge x: f''(x) = (3x+1)/(x^2 (x+1)^2) has D = inf, g = 3e200.
         assert db.g_eval(db.catalog()["D2"], -2.0, 1e200) == pytest.approx(3e200, rel=1e-15)
         assert db.g_eval(db.catalog()["T"], 0.5, 1e200) == pytest.approx(2.5e99, rel=1e-15)
+
+    def test_overflowing_denominator_gives_no_false_zero(self):
+        # D1's f'' = (x+3)/(x+1)^2 has D = inf at x = 1e200, so N/D = 0 is
+        # finite; g = x^1.5 (x+3)/(x+1)^2 is about 1e100.
+        x = 1e200
+        log_g = 1.5 * math.log(x) + math.log(x) + math.log1p(3.0 / x) - 2.0 * (math.log(x) + math.log1p(1.0 / x))
+        assert db.g_eval(db.catalog()["D1"], 0.5, x) == pytest.approx(math.exp(log_g), rel=1e-12)
+
+    def test_mm_exact_is_positive_or_overflows_on_wide_ranges(self):
+        mm = db.mm_exact("D1", 0.5, db.RatioRange(0.5, 1e200))
+        assert mm.m <= mm.M == pytest.approx(1e100, rel=1e-12)
+        for mid in db.CATALOG_IDS:
+            for s in db.TrialConfig().s_samples:
+                for rng in (db.RatioRange(0.5, 1e200), db.RatioRange(1e-200, 2.0)):
+                    try:
+                        mm = db.mm_exact(mid, s, rng)
+                    except NumericOverflow:
+                        continue
+                    assert 0.0 < mm.m <= mm.M, (mid, s, rng)
 
 
 class TestMMNumeric:
@@ -210,6 +230,106 @@ class TestMMExact:
     def test_unknown_measure(self):
         with pytest.raises(UnknownMeasure):
             db.mm_exact("NOPE", 1, db.RatioRange(0.5, 2.0))
+
+
+def _mm_per_trial(measure, s, r, R):
+    """The scalar reference: mm_exact_values once per trial, as arrays."""
+    mm = [cb.mm_exact_values(measure, s, a, b) for a, b in zip(r.tolist(), R.tolist())]
+    return tuple(np.array(mm, dtype=np.float64).reshape(-1, 2).T)
+
+
+def _g_direct_fails(gen, s, x: float) -> bool:
+    """Whether g_eval's direct product x^(2-s) f''(x) is not finite or 0."""
+    try:
+        v = x ** (2.0 - s) * gen.f_second(x)
+    except (OverflowError, ZeroDivisionError):
+        return True
+    return not math.isfinite(v) or v == 0.0
+
+
+class TestMMExactArrays:
+    # Every s a sandwich suite uses, the default grid, and one gap s per measure.
+    S_VALUES = sorted({*db.TrialConfig().s_samples, 0.25, 0.75, *((lo + hi) / 2 for lo, hi in CLOSED_FORM_REGIONS.values())})
+    # Ratio ranges out to 1e-300 and 1e200, where g_eval's direct product fails.
+    WIDE_R = np.array([1e-300, 1e-200, 1e-160, 1e-30, 1e-5, 0.5, 0.5, 0.9, 1.0, 1e-250])
+    WIDE_RR = np.array([1.0, 2.0, 3.0, 1e30, 1e100, 1e160, 1e200, 1e200, 1.0, 1e250])
+
+    def test_bit_identical_on_pair_table_ranges(self):
+        for cfg in (
+            db.TrialConfig(seed=42, trials=300),
+            db.TrialConfig(seed=42, trials=300, concentration=12.0),
+            db.TrialConfig(seed=42, trials=300, n_min=2, n_max=2),
+        ):
+            r, R = db.PairTable(cfg).extremes()
+            for mid in db.CATALOG_IDS:
+                for s in self.S_VALUES:
+                    m, M = cb.mm_exact_arrays(mid, s, r, R)
+                    ref_m, ref_M = _mm_per_trial(mid, s, r, R)
+                    assert (m.tobytes(), M.tobytes()) == (ref_m.tobytes(), ref_M.tobytes()), (cfg, mid, s)
+
+    def test_bit_identical_where_the_scalar_fallback_fires(self, monkeypatch):
+        calls, raised, g_eval = [], [], cb.g_eval
+        monkeypatch.setattr(cb, "g_eval", lambda gen, s, x: calls.append(x) or g_eval(gen, s, x))
+        r, R = self.WIDE_R, self.WIDE_RR
+        for mid in db.CATALOG_IDS:
+            for s in self.S_VALUES:
+                ok = []
+                for i in range(r.size):  # entries whose scalar (m, M) overflows raise alike
+                    try:
+                        cb.mm_exact_values(mid, s, r[i].item(), R[i].item())
+                        ok.append(i)
+                    except NumericOverflow as exc:
+                        raised.append((mid, s))
+                        with pytest.raises(NumericOverflow, match=re.escape(str(exc))):
+                            cb.mm_exact_arrays(mid, s, r[i : i + 1], R[i : i + 1])
+                m, M = cb.mm_exact_arrays(mid, s, r[ok], R[ok])
+                ref_m, ref_M = _mm_per_trial(mid, s, r[ok], R[ok])
+                assert (m.tobytes(), M.tobytes()) == (ref_m.tobytes(), ref_M.tobytes()), (mid, s)
+                try:  # all trials at once: the first scalar call that raises raises
+                    _mm_per_trial(mid, s, r, R)
+                except NumericOverflow as exc:
+                    with pytest.raises(NumericOverflow, match=re.escape(str(exc))):
+                        cb.mm_exact_arrays(mid, s, r, R)
+        assert calls and raised
+
+    def test_monotone_cells_call_g_eval_only_for_fallback_entries(self, monkeypatch):
+        calls, g_eval = [], cb.g_eval
+        monkeypatch.setattr(cb, "g_eval", lambda gen, s, x: calls.append(x) or g_eval(gen, s, x))
+        r, R = self.WIDE_R, self.WIDE_RR
+        cat = db.catalog()
+        fired = 0
+        for mid, (lo, hi) in CLOSED_FORM_REGIONS.items():
+            for s, (lo_x, hi_x) in ((lo, (r, R)), (lo - 1.0, (r, R)), (hi, (R, r)), (hi + 1.0, (R, r))):
+                expected = []
+                for a, b in zip(lo_x.tolist(), hi_x.tolist()):
+                    expected += [x for x in (a, b) if _g_direct_fails(cat[mid], s, x)]
+                calls.clear()
+                try:
+                    cb.mm_exact_arrays(mid, s, r, R)
+                except NumericOverflow:
+                    assert calls == expected[: len(calls)], (mid, s)
+                else:
+                    assert calls == expected, (mid, s)
+                fired += len(calls)
+        assert fired > 0
+        calls.clear()
+        r, R = db.PairTable(db.TrialConfig(seed=42)).extremes()
+        for mid, (lo, hi) in CLOSED_FORM_REGIONS.items():
+            cb.mm_exact_arrays(mid, lo, r, R)
+            cb.mm_exact_arrays(mid, hi, r, R)
+        assert calls == []
+
+    def test_power_measures_empty_arrays_and_unknown_measure(self):
+        r, R = self.WIDE_R[3:9], self.WIDE_RR[3:9]
+        for measure, s in ((db.PhiS(0.5), 1.0), (db.PhiS(2.0), 2.0), (db.PhiS(1.0), -0.5)):
+            m, M = cb.mm_exact_arrays(measure, s, r, R)
+            ref_m, ref_M = _mm_per_trial(measure, s, r, R)
+            assert (m.tobytes(), M.tobytes()) == (ref_m.tobytes(), ref_M.tobytes()), (measure, s)
+        for mid, s in (("J", 2.0), ("J", 0.5)):
+            m, M = cb.mm_exact_arrays(mid, s, np.empty(0), np.empty(0))
+            assert m.shape == M.shape == (0,)
+        with pytest.raises(UnknownMeasure):
+            cb.mm_exact_arrays("NOPE", 1.0, r, R)
 
 
 class TestGlobalExtrema:
