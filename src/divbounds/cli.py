@@ -21,7 +21,7 @@ from .errors import DivBoundsError, UnknownMeasure
 from .generators import CATALOG_IDS, catalog
 from .measures import MEASURE_IDS, divergence, phi_s
 from .simplex import Distribution, normalize, ratio_range, smooth
-from .type_s_bounds import a_phi_s, b_phi_s, e_phi_s
+from .type_s_bounds import bound_set
 from .harness import PairTable, TrialConfig, run_suite, suite_ids
 
 LN2 = math.log(2.0)
@@ -39,7 +39,7 @@ def load_distributions(path: str, fmt: str) -> dict:
         dists = doc.get("distributions")
         if not isinstance(dists, dict):
             raise DivBoundsError(f"{path}: expected a top-level 'distributions' object")
-        return {str(k): list(map(float, v)) for k, v in dists.items()}
+        return {str(k): _json_weights(str(k), v) for k, v in dists.items()}
     if fmt == "csv":
         out = {}
         with open(path, newline="", encoding="utf-8") as fh:
@@ -52,6 +52,19 @@ def load_distributions(path: str, fmt: str) -> dict:
                 out[name] = values
         return out
     raise DivBoundsError(f"unknown format {fmt!r}")
+
+
+def _json_weights(name: str, value) -> list:
+    """A JSON distribution's weights; anything but an array of numbers is an input error."""
+    if not isinstance(value, list):
+        raise DivBoundsError(f"distribution {name!r}: expected an array of numbers, got {json.dumps(value)}")
+    for i, w in enumerate(value):
+        if isinstance(w, bool) or not isinstance(w, (int, float)):
+            raise DivBoundsError(f"distribution {name!r}: entry {i} is {json.dumps(w)}, not a number")
+    try:
+        return [float(w) for w in value]
+    except OverflowError:  # an integer literal past the float range
+        raise DivBoundsError(f"distribution {name!r}: a weight exceeds the float range") from None
 
 
 def _resolve_format(args) -> str:
@@ -116,6 +129,7 @@ def cmd_bounds(args) -> int:
     if args.measure not in CATALOG_IDS:
         raise UnknownMeasure(f"bounds require one of {', '.join(CATALOG_IDS)}")
     rep = bound_interval(args.measure, args.s_value, P, Q, method=args.method)
+    chain = bound_set(args.s_value, P, Q)
     rng = rep.mm.range
     report = {
         "measure": args.measure,
@@ -131,9 +145,9 @@ def cmd_bounds(args) -> int:
         "lower_slack": rep.lower_slack,
         "upper_slack": rep.upper_slack,
         "holds": rep.holds,
-        "e_bound": e_phi_s(args.s_value, P, Q),
-        "a_bound": a_phi_s(args.s_value, rng),
-        "b_bound": None if rng.degenerate else b_phi_s(args.s_value, rng),
+        "e_bound": chain.e_bound,
+        "a_bound": chain.a_bound,
+        "b_bound": chain.b_bound,
     }
     if args.json:
         print(json.dumps(report, indent=2))

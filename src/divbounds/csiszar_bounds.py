@@ -13,7 +13,8 @@ are therefore exact for every s: the extremes of g over r, R and the roots
 of S_s inside (r, R).  In the paper's monotone regions of s the endpoints
 alone suffice.  An independent numeric optimizer (log-spaced scan plus
 golden-section refinement) is kept as the test oracle and for generators
-outside the catalog.
+outside the catalog.  g has one definition, the float path of g_eval; an
+array of x follows it entry by entry, bit for bit, raising where it raises.
 """
 
 from __future__ import annotations
@@ -42,13 +43,16 @@ from .type_s_bounds import a_phi_s, b_phi_s, e_phi_s
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 _INV_PHI2 = _INV_PHI**2
 
+NUMERIC_GRID_POINTS = 4096  # samples of the mm_numeric scan
+
 
 def g_eval(gen: Generator, s: float, x):
     """x^(2-s) * f''(x); accepts a positive scalar or array.
 
-    A float argument is evaluated in plain Python, without numpy overhead,
-    and raises NumericOverflow when g leaves the float range (an infinite
-    g would turn m * phi_s into nan, a zero g would certify m = 0 or M = 0).
+    The float path defines g: the direct product in plain Python, a
+    rescaled retry where it is not finite or is 0, then NumericOverflow (an
+    infinite g turns m * phi_s into nan, a zero g certifies m = 0 or M = 0).
+    An array of any shape follows it entry by entry (:func:`_g_array`).
     """
     if isinstance(x, float):
         if not x > 0.0:
@@ -67,8 +71,38 @@ def g_eval(gen: Generator, s: float, x):
     arr = np.asarray(x, dtype=np.float64)
     if not np.all(arr > 0.0):
         raise NonPositiveX(f"x must be > 0, got {x}")
-    out = arr ** (2.0 - s) * gen.f_second(arr)
+    out = _g_array(gen, s, arr)
     return float(out) if np.isscalar(x) or arr.ndim == 0 else out
+
+
+def _g_array(gen: Generator, s: float, x: np.ndarray) -> np.ndarray:
+    """:func:`g_eval`'s float path at every entry of x > 0, bit for bit: the
+    power is Python's (numpy's array ``**`` can differ in the last bit), a
+    Rational f'' rounds in numpy as in Python, and each entry whose direct
+    product is not finite or is 0, or whose f'' is not a Rational, takes the
+    float path, in array order."""
+    flat = x.ravel()
+    xs = flat.tolist()
+    if isinstance(gen.f_second, Rational):
+        e = 2.0 - s
+        try:
+            power = [v**e for v in xs]
+        except OverflowError:
+            power = [_pow_or_inf(v, e) for v in xs]
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            out = np.array(power, dtype=np.float64) * gen.f_second(flat)
+    else:
+        out = np.full(flat.size, math.nan)
+    for i in np.flatnonzero(~np.isfinite(out) | (out == 0.0)).tolist():
+        out[i] = g_eval(gen, s, xs[i])
+    return out.reshape(x.shape)
+
+
+def _pow_or_inf(v: float, e: float) -> float:
+    try:
+        return v**e
+    except OverflowError:
+        return math.inf
 
 
 def _g_rescaled(f_second, s: float, x: float) -> float:
@@ -136,7 +170,7 @@ def _golden_min(fn, a: float, b: float, rel_tol: float = 1e-12) -> float:
     return min(yc, yd)
 
 
-def mm_numeric(gen: Generator, s: float, rng: RatioRange, points: int = 4096) -> MMBounds:
+def mm_numeric(gen: Generator, s: float, rng: RatioRange) -> MMBounds:
     """Independent oracle for (m, M): scan + golden-section refinement.
 
     Evaluates g on a log-spaced grid over [r, R], then refines every
@@ -151,7 +185,7 @@ def mm_numeric(gen: Generator, s: float, rng: RatioRange, points: int = 4096) ->
     if r == R:
         v = g_eval(gen, s, r)
         return MMBounds(v, v, "numeric", s, rng)
-    xs = np.exp(np.linspace(math.log(r), math.log(R), points))
+    xs = np.exp(np.linspace(math.log(r), math.log(R), NUMERIC_GRID_POINTS))
     xs[0], xs[-1] = r, R
     gs = g_eval(gen, s, xs)
     lo = float(gs.min())
@@ -174,7 +208,7 @@ def mm_numeric(gen: Generator, s: float, rng: RatioRange, points: int = 4096) ->
         prev = -2
         for j in indices:
             if j != prev + 1:  # a run of indices is one plateau / extremum
-                brackets.append((float(xs[j]), float(xs[min(j + 3, points - 1)])))
+                brackets.append((float(xs[j]), float(xs[min(j + 3, NUMERIC_GRID_POINTS - 1)])))
             prev = j
         for a, b in brackets:
             v = sign * _golden_min(lambda x: sign * g_eval(gen, s, x), a, b)
@@ -333,15 +367,23 @@ def _closed_values(measure, s: float, r: float, R: float) -> Optional[tuple]:
         if max(lo_v, hi_v) == math.inf:
             raise NumericOverflow(f"x^{e!r} overflows on [{r!r}, {R!r}]")
         return (lo_v, hi_v) if e > 0 else (hi_v, lo_v)
+    ends = _monotone_ends(measure, s, r, R)
+    if ends is None:
+        return None
+    gen = get_generator(measure)
+    return g_eval(gen, s, ends[0]), g_eval(gen, s, ends[1])
+
+
+def _monotone_ends(measure, s: float, r, R) -> Optional[tuple]:
+    """(x of m, x of M) of a catalog measure's g in its monotone regions; None in the gap."""
     try:
         s_lo, s_hi = CLOSED_FORM_REGIONS[measure]
     except KeyError:
         raise UnknownMeasure(f"unknown measure {measure!r}") from None
-    gen = get_generator(measure)
     if s <= s_lo:  # g increasing
-        return g_eval(gen, s, r), g_eval(gen, s, R)
+        return r, R
     if s >= s_hi:  # g decreasing
-        return g_eval(gen, s, R), g_eval(gen, s, r)
+        return R, r
     return None
 
 
@@ -368,59 +410,16 @@ def mm_exact_values(measure, s: float, r: float, R: float) -> tuple:
 
 def mm_exact_arrays(measure, s: float, r: np.ndarray, R: np.ndarray) -> tuple:
     """(m, M) arrays of :func:`mm_exact_values` at every (r[i], R[i]), bit
-    for bit.
-
-    In a monotone region of a catalog measure g is evaluated at the
-    endpoints as arrays; every other cell, and a power-family measure, is
-    scalar, trial by trial.
-    """
-    try:
-        s_lo, s_hi = (-math.inf, math.inf) if isinstance(measure, PhiS) else CLOSED_FORM_REGIONS[measure]
-    except KeyError:
-        raise UnknownMeasure(f"unknown measure {measure!r}") from None
+    for bit.  In a monotone region of a catalog measure g takes one array,
+    the endpoints interleaved in the order of the scalar calls; every other
+    cell, and a power-family measure, is scalar, trial by trial."""
     r, R = np.asarray(r, dtype=np.float64), np.asarray(R, dtype=np.float64)
-    if s <= s_lo:  # g increasing
-        lo_x, hi_x = r, R
-    elif s >= s_hi:  # g decreasing
-        lo_x, hi_x = R, r
+    ends = None if isinstance(measure, PhiS) else _monotone_ends(measure, s, r, R)
+    if ends is None:
+        g = np.array([mm_exact_values(measure, s, a, b) for a, b in zip(r.tolist(), R.tolist())], dtype=np.float64)
     else:
-        mm = [mm_exact_values(measure, s, a, b) for a, b in zip(r.tolist(), R.tolist())]
-        return tuple(np.array(mm, dtype=np.float64).reshape(-1, 2).T)
-    gen = get_generator(measure)
-    m, M = _g_direct(gen, s, lo_x), _g_direct(gen, s, hi_x)
-    # Where the direct product is not finite or is 0, g_eval takes over,
-    # in the order of the scalar calls, so the same call raises first.
-    redo_m, redo_M = ~np.isfinite(m) | (m == 0.0), ~np.isfinite(M) | (M == 0.0)
-    for i in np.flatnonzero(redo_m | redo_M).tolist():
-        if redo_m[i]:
-            m[i] = g_eval(gen, s, float(lo_x[i]))
-        if redo_M[i]:
-            M[i] = g_eval(gen, s, float(hi_x[i]))
-    return m, M
-
-
-def _g_direct(gen: Generator, s: float, x: np.ndarray) -> np.ndarray:
-    """The direct product x^(2-s) * f''(x) of the float path of
-    :func:`g_eval` at every x, inf where a factor raises there.
-
-    f'' is Horner's rule and a division, which numpy rounds as Python
-    does; numpy's array ``**`` does not always, so the power is Python's.
-    """
-    e = 2.0 - s
-    xs = x.tolist()
-    try:
-        power = [v**e for v in xs]
-    except OverflowError:
-        power = [_pow_or_inf(v, e) for v in xs]
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        return np.array(power, dtype=np.float64) * gen.f_second(x)
-
-
-def _pow_or_inf(v: float, e: float) -> float:
-    try:
-        return v**e
-    except OverflowError:
-        return math.inf
+        g = _g_array(get_generator(measure), s, np.column_stack(ends).ravel())
+    return tuple(g.reshape(-1, 2).T)
 
 
 @dataclass(frozen=True)

@@ -31,6 +31,7 @@ is made for one run and dropped with it.
 from __future__ import annotations
 
 import math
+import numbers
 import threading
 from dataclasses import dataclass, field
 from typing import Callable
@@ -84,6 +85,11 @@ def _uniforms(key: int, count: int) -> np.ndarray:
     return (z >> np.uint64(11)).astype(np.float64) * 2.0**-53
 
 
+def _is_number(value, kind) -> bool:
+    """Whether value is an instance of the numbers ABC kind, and not a bool."""
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class TrialConfig:
     seed: int = 0
@@ -94,6 +100,13 @@ class TrialConfig:
     s_samples: tuple = (-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 1.5, 2.0, 3.0)
 
     def __post_init__(self):
+        for name in ("seed", "trials", "n_min", "n_max"):
+            if not _is_number(getattr(self, name), numbers.Integral):
+                raise InvalidArgument(f"{name} must be an integer, got {getattr(self, name)!r}")
+        if not _is_number(self.concentration, numbers.Real):
+            raise InvalidArgument(f"concentration must be a real number, got {self.concentration!r}")
+        if not isinstance(self.s_samples, (tuple, list)) or not all(_is_number(s, numbers.Real) for s in self.s_samples):
+            raise InvalidArgument(f"s_samples must be a tuple or list of real numbers, got {self.s_samples!r}")
         if self.trials < 1:
             raise InvalidArgument("trials must be >= 1")
         if not 2 <= self.n_min <= self.n_max <= 10**6:

@@ -30,6 +30,16 @@ class TestLoadDistributions:
         dists = load_distributions(golden_csv, "csv")
         assert dists == {"a": [3.0, 1.0], "b": [1.0, 3.0], "u": [1.0, 1.0]}
 
+    @pytest.mark.parametrize("weights", [3, [1, None], "12", [1, True], [1, 10**400]])
+    def test_json_weights_must_be_an_array_of_numbers(self, tmp_path, capsys, weights):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"distributions": {"a": weights, "b": [1, 3]}}))
+        code = main(["compute", "--input", str(path), "--p", "a", "--q", "b", "--measure", "J"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith("error: distribution 'a': ")
+        assert captured.out == ""
+
     def test_duplicate_csv_name(self, tmp_path):
         path = tmp_path / "dup.csv"
         path.write_text("a,1,2\na,2,1\n")
@@ -111,6 +121,8 @@ class TestBounds:
         assert report["upper"] == pytest.approx(0.2059898, abs=1e-6)
         assert report["holds"] is True
         assert report["method"] == "closed_form"
+        chain = db.bound_set(1.0, db.normalize([3, 1]), db.normalize([1, 3]))
+        assert (report["e_bound"], report["a_bound"], report["b_bound"]) == (chain.e_bound, chain.a_bound, chain.b_bound)
 
     def test_gap_reports_closed_form(self, golden_json, capsys):
         code = main(["bounds", "--input", golden_json, "--p", "a", "--q", "b", "--measure", "D1", "--s", "1", "--method", "closed"])
@@ -125,6 +137,8 @@ class TestBounds:
         assert code == 0
         assert report["lower"] == report["value"] == report["upper"] == 0.0
         assert report["b_bound"] is None
+        main(["bounds", "--input", golden_json, "--p", "u", "--q", "u", "--measure", "J", "--s", "1"])
+        assert "\nb_bound n/a\nholds\n" in capsys.readouterr().out
 
     def test_non_catalog_measure_rejected(self, golden_json, capsys):
         code = main(["bounds", "--input", golden_json, "--p", "a", "--q", "b", "--measure", "KL", "--s", "1"])

@@ -52,6 +52,9 @@ class TestGEval:
         out = db.g_eval(db.catalog()["F2"], 2, xs)
         assert out.shape == xs.shape
         assert out[1] == pytest.approx(0.25, abs=1e-15)
+        grid = db.g_eval(db.catalog()["F2"], 2, xs.reshape(3, 1))
+        assert grid.shape == (3, 1) and grid.tobytes() == out.tobytes()
+        assert db.g_eval(db.catalog()["F2"], 2, np.array(2.0)) == db.g_eval(db.catalog()["F2"], 2, 2.0)
 
     def test_nonpositive_x(self):
         with pytest.raises(NonPositiveX):
@@ -67,6 +70,12 @@ class TestGEval:
             db.g_eval(db.catalog()["F1"], 3.0, 1e-160)  # finite factors, infinite product
         with pytest.raises(NumericOverflow):
             db.g_eval(db.catalog()["J"], 3.0, 1e-200)  # f'' denominator underflows to 0, g = 1e600
+        # An array raises where the float path raises, at its first such entry,
+        # also for an f'' that is not a Rational.
+        with pytest.raises(NumericOverflow, match=re.escape("at x=1e-06, s=100.0")):
+            db.g_eval(gen, 100.0, np.array([1.0, 1e-6, 1e-7]))
+        with pytest.raises(NumericOverflow, match=re.escape("at x=10000000000.0, s=-300.0")):
+            db.g_eval(db.phi_generator(3.0), -300.0, np.array([2.0, 1e10, 1e11]))
         assert issubclass(NumericOverflow, DivBoundsError)
 
     def test_underflowing_denominator_with_finite_g(self):
@@ -82,10 +91,14 @@ class TestGEval:
         x = 1e200
         log_g = 1.5 * math.log(x) + math.log(x) + math.log1p(3.0 / x) - 2.0 * (math.log(x) + math.log1p(1.0 / x))
         assert db.g_eval(db.catalog()["D1"], 0.5, x) == pytest.approx(math.exp(log_g), rel=1e-12)
+        assert db.g_eval(db.catalog()["D1"], 0.5, np.array([x])).tolist() == [db.g_eval(db.catalog()["D1"], 0.5, x)]
 
     def test_mm_exact_is_positive_or_overflows_on_wide_ranges(self):
         mm = db.mm_exact("D1", 0.5, db.RatioRange(0.5, 1e200))
         assert mm.m <= mm.M == pytest.approx(1e100, rel=1e-12)
+        assert mm.m == pytest.approx(0.5499719409228704, rel=1e-12)
+        oracle = db.mm_numeric(db.catalog()["D1"], 0.5, db.RatioRange(0.5, 1e200))
+        assert (oracle.m, oracle.M) == pytest.approx((0.5499719409228704, mm.M), rel=1e-12)
         for mid in db.CATALOG_IDS:
             for s in db.TrialConfig().s_samples:
                 for rng in (db.RatioRange(0.5, 1e200), db.RatioRange(1e-200, 2.0)):
@@ -318,6 +331,36 @@ class TestMMExactArrays:
             cb.mm_exact_arrays(mid, lo, r, R)
             cb.mm_exact_arrays(mid, hi, r, R)
         assert calls == []
+
+    def test_array_g_eval_is_the_float_path_entry_by_entry(self):
+        # Every point, and each array of them as a whole (flat, 2-d and 0-d),
+        # against g_eval at each entry's float: equal bytes, or the error of
+        # the first entry that raises.  numpy's array ** differs from
+        # Python's in the last bit at a few percent of the log-spaced points.
+        xs = np.concatenate([self.WIDE_R, self.WIDE_RR, np.exp(np.linspace(math.log(1e-3), math.log(1e3), 60))])
+        gens = [*db.catalog().values(), db.phi_generator(0.5), db.phi_generator(3.0)]
+        raised = 0
+        for gen in gens:
+            for s in self.S_VALUES:
+                ref, first_error = [], None
+                for x in xs.tolist():
+                    try:
+                        ref.append(cb.g_eval(gen, s, x))
+                    except NumericOverflow as exc:
+                        first_error = first_error or str(exc)
+                        with pytest.raises(NumericOverflow, match=re.escape(str(exc))):
+                            cb.g_eval(gen, s, np.array(x))
+                        ref.append(math.nan)
+                    else:
+                        assert cb.g_eval(gen, s, np.array(x)) == ref[-1]
+                for arr in (xs, xs.reshape(8, 10)):
+                    if first_error is None:
+                        assert cb.g_eval(gen, s, arr).tobytes() == np.array(ref).reshape(arr.shape).tobytes(), (gen.id, s)
+                    else:
+                        raised += 1
+                        with pytest.raises(NumericOverflow, match=re.escape(first_error)):
+                            cb.g_eval(gen, s, arr)
+        assert raised
 
     def test_power_measures_empty_arrays_and_unknown_measure(self):
         r, R = self.WIDE_R[3:9], self.WIDE_RR[3:9]

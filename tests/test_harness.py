@@ -44,6 +44,13 @@ class TestTrialConfig:
             {"concentration": math.nan},
             {"s_samples": ()},
             {"s_samples": (0.5, math.nan)},
+            {"seed": 1.5},
+            {"trials": 2.5},
+            {"n_min": 2.5},
+            {"trials": "3"},
+            {"concentration": "2"},
+            {"s_samples": ("a",)},
+            {"s_samples": 0.5},
         ],
     )
     def test_validation_error_is_typed(self, kwargs):
