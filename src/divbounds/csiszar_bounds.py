@@ -20,6 +20,7 @@ array of x follows it entry by entry, bit for bit, raising where it raises.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Optional
 
@@ -35,7 +36,17 @@ from .errors import (
     UnknownMeasure,
     require_finite,
 )
-from .generators import Generator, PhiS, Rational, catalog, eval_csiszar, get_generator, horner
+from .generators import (
+    Generator,
+    PhiS,
+    Rational,
+    catalog,
+    eval_csiszar,
+    float_each,
+    float_pow,
+    get_generator,
+    horner,
+)
 from .measures import phi_s
 from .simplex import Distribution, RatioRange, ratio_range
 from .type_s_bounds import a_phi_s, b_phi_s, e_phi_s
@@ -50,21 +61,29 @@ def g_eval(gen: Generator, s: float, x):
     """x^(2-s) * f''(x); accepts a positive scalar or array.
 
     The float path defines g: the direct product in plain Python, a
-    rescaled retry where it is not finite or is 0, then NumericOverflow (an
+    rescaled retry where it is not finite or is 0, or where a factor
+    (x^(2-s), or N(x) or D(x) of a Rational f'' = N/D) is below the
+    smallest normal float and has lost digits, then NumericOverflow (an
     infinite g turns m * phi_s into nan, a zero g certifies m = 0 or M = 0).
     An array of any shape follows it entry by entry (:func:`_g_array`).
     """
     if isinstance(x, float):
         if not x > 0.0:
             raise NonPositiveX(f"x must be > 0, got {x}")
+        f2 = gen.f_second
         try:
-            v = float(x ** (2.0 - s) * gen.f_second(x))
+            power = x ** (2.0 - s)
+            if isinstance(f2, Rational):
+                n, d = horner(f2.num, x), horner(f2.den, x)
+                v = power * (n / d) if power >= _TINY and n >= _TINY and d >= _TINY else 0.0
+            else:
+                v = float(power * f2(x))
         except (OverflowError, ZeroDivisionError):
             v = math.inf
         if not math.isfinite(v) or v == 0.0:
             # Every f'' here is > 0 on x > 0, so a 0 is a factor that under-
             # or overflowed on its own (N/D = 0 when only D overflows).
-            v = _g_rescaled(gen.f_second, s, x)
+            v = _g_rescaled(f2, s, x)
             if not math.isfinite(v) or v == 0.0:
                 raise NumericOverflow(f"g(x) = x^(2-s) f''(x) leaves the float range at x={x!r}, s={s!r}")
         return v
@@ -75,34 +94,30 @@ def g_eval(gen: Generator, s: float, x):
     return float(out) if np.isscalar(x) or arr.ndim == 0 else out
 
 
+#: Smallest normal float: a factor of g below it has lost digits.
+_TINY = sys.float_info.min
+
+
 def _g_array(gen: Generator, s: float, x: np.ndarray) -> np.ndarray:
     """:func:`g_eval`'s float path at every entry of x > 0, bit for bit: the
-    power is Python's (numpy's array ``**`` can differ in the last bit), a
-    Rational f'' rounds in numpy as in Python, and each entry whose direct
-    product is not finite or is 0, or whose f'' is not a Rational, takes the
-    float path, in array order."""
+    power is Python's (:func:`float_pow`), a Rational f'' rounds in numpy as
+    in Python, and each entry that the float path would retry, or whose f''
+    is not a Rational, takes the float path, in array order."""
     flat = x.ravel()
-    xs = flat.tolist()
-    if isinstance(gen.f_second, Rational):
-        e = 2.0 - s
-        try:
-            power = [v**e for v in xs]
-        except OverflowError:
-            power = [_pow_or_inf(v, e) for v in xs]
+    f2 = gen.f_second
+    if isinstance(f2, Rational):
+        power = float_pow(flat, 2.0 - s)
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            out = np.array(power, dtype=np.float64) * gen.f_second(flat)
+            n, d = horner(f2.num, flat), horner(f2.den, flat)
+            out = power * (n / d)
+        retry = ~np.isfinite(out) | (out == 0.0) | (np.minimum(np.minimum(power, n), d) < _TINY)
     else:
         out = np.full(flat.size, math.nan)
-    for i in np.flatnonzero(~np.isfinite(out) | (out == 0.0)).tolist():
+        retry = np.ones(flat.size, dtype=bool)
+    xs = flat.tolist()
+    for i in np.flatnonzero(retry).tolist():
         out[i] = g_eval(gen, s, xs[i])
     return out.reshape(x.shape)
-
-
-def _pow_or_inf(v: float, e: float) -> float:
-    try:
-        return v**e
-    except OverflowError:
-        return math.inf
 
 
 def _g_rescaled(f_second, s: float, x: float) -> float:
@@ -129,10 +144,7 @@ def _g_rescaled(f_second, s: float, x: float) -> float:
         else:
             v = horner(c, x)
         ratio = ratio * v if sign > 0 else ratio / v
-    try:
-        return x**e * ratio
-    except OverflowError:
-        return math.inf
+    return float_pow(x, e) * ratio
 
 
 @dataclass(frozen=True, slots=True)
@@ -360,10 +372,7 @@ def _closed_values(measure, s: float, r: float, R: float) -> Optional[tuple]:
         e = measure.s - s
         if e == 0.0:
             return 1.0, 1.0
-        try:
-            lo_v, hi_v = float(r**e), float(R**e)
-        except OverflowError:
-            lo_v = hi_v = math.inf
+        lo_v, hi_v = float(float_pow(r, e)), float(float_pow(R, e))
         if max(lo_v, hi_v) == math.inf:
             raise NumericOverflow(f"x^{e!r} overflows on [{r!r}, {R!r}]")
         return (lo_v, hi_v) if e > 0 else (hi_v, lo_v)
@@ -480,7 +489,13 @@ def a_cf(gen: Generator, rng: RatioRange) -> float:
         raise InvalidRange(f"need 0 < r <= R, got {rng}")
     if r == R:
         return 0.0
-    return 0.25 * (R - r) * (float(gen.f_prime(R)) - float(gen.f_prime(r)))
+    return a_cf_values(gen, r, R)
+
+
+def a_cf_values(gen: Generator, r, R):
+    """a_cf on 0 < r < R: floats, or arrays of ranges, each entry bit for
+    bit its float value (f' is called on one float at a time)."""
+    return 0.25 * (R - r) * (float_each(gen.f_prime, R) - float_each(gen.f_prime, r))
 
 
 def b_cf(gen: Generator, rng: RatioRange) -> float:
@@ -488,7 +503,12 @@ def b_cf(gen: Generator, rng: RatioRange) -> float:
     r, R = rng.r, rng.R
     if not (0.0 < r <= 1.0 <= R) or r == R:
         raise InvalidRange(f"need 0 < r <= 1 <= R with r != R, got {rng}")
-    return ((R - 1.0) * float(gen.f(r)) + (1.0 - r) * float(gen.f(R))) / (R - r)
+    return b_cf_values(gen, r, R)
+
+
+def b_cf_values(gen: Generator, r, R):
+    """b_cf on 0 < r <= 1 <= R, r != R, as :func:`a_cf_values`."""
+    return ((R - 1.0) * float_each(gen.f, r) + (1.0 - r) * float_each(gen.f, R)) / (R - r)
 
 
 @dataclass(frozen=True, slots=True)
@@ -586,16 +606,19 @@ def difference_bounds_from(
 ) -> DifferenceReport:
     """:func:`difference_bounds` from the pair's ratio range, (m, M), C_f,
     phi_s, e_phi_s and e_cf."""
-    checks = {}
+    forms = [("e", e_phi, e_cf_value), ("a", a_phi_s(s, rng), a_cf(gen, rng))]
+    if not rng.degenerate:
+        forms.append(("b", b_phi_s(s, rng), b_cf(gen, rng)))
+    return DifferenceReport(s=s, range=rng, mm=mm, checks=difference_checks(mm.m, mm.M, phi, cf, forms))
 
-    def form(tag, phi_form, cf_form):
+
+def difference_checks(m, M, phi, cf, forms) -> dict:
+    """Slacks of m * (X_phi - phi_s) <= X_Cf - C_f <= M * (X_phi - phi_s)
+    for each (tag, X_phi, X_Cf) of forms; on floats or elementwise on arrays."""
+    checks = {}
+    for tag, phi_form, cf_form in forms:
         d_phi = phi_form - phi
         d_cf = cf_form - cf
-        checks[f"{tag}_lower"] = d_cf - mm.m * d_phi
-        checks[f"{tag}_upper"] = mm.M * d_phi - d_cf
-
-    form("e", e_phi, e_cf_value)
-    form("a", a_phi_s(s, rng), a_cf(gen, rng))
-    if not rng.degenerate:
-        form("b", b_phi_s(s, rng), b_cf(gen, rng))
-    return DifferenceReport(s=s, range=rng, mm=mm, checks=checks)
+        checks[f"{tag}_lower"] = d_cf - m * d_phi
+        checks[f"{tag}_upper"] = M * d_phi - d_cf
+    return checks

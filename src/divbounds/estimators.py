@@ -36,13 +36,22 @@ class EstimatorId:
         return f"{self.family.lower()}{self.t}"
 
 
-def _ratio(num: float, den: float) -> float:
+def _ratio(num, den):
+    """num / den; on arrays, nan where the scalar form raises."""
+    if isinstance(den, np.ndarray):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.where(np.abs(den) > _DENOM_FLOOR, num / den, np.nan)
     if abs(den) <= _DENOM_FLOOR:
         raise VanishingDenominator(f"denominator {den!r} underflowed")
     return num / den
 
 
-def _sqrt(v: float) -> float:
+def _sqrt(v):
+    """The square root of a divergence; on arrays, nan where the scalar form
+    raises (np.sqrt is correctly rounded, as math.sqrt is)."""
+    if isinstance(v, np.ndarray):
+        with np.errstate(invalid="ignore"):
+            return np.sqrt(v)
     if v < 0.0:
         raise DegeneratePair(f"divergence {v!r} rounded below zero: the pair is too close to P = Q")
     return math.sqrt(v)
@@ -102,9 +111,11 @@ def coincide(p, q):
     return np.all(np.abs(p - q) <= 1e-14, axis=-1)
 
 
-def estimate_from(est: EstimatorId, d) -> float:
+def estimate_from(est: EstimatorId, d):
     """:func:`estimate` of a pair that does not coincide, from d(measure),
-    the pair's divergence values."""
+    the pair's divergence values.  d may give arrays of pairs instead: the
+    estimates are then an array, each entry bit for bit its float value,
+    and nan where the float form raises."""
     if est.family == "XI":
         return _xi(est.t, d)
     return _zeta(est.t, d)

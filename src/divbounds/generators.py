@@ -11,6 +11,7 @@ differences are relegated to the test oracle.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -46,6 +47,37 @@ def horner(coeffs, x):
     for c in coeffs:
         acc = acc * x + c
     return acc
+
+
+# Python's float power and log, on a float or entry by entry on an array:
+# numpy's array ``**`` and ``log`` can differ from them in the last bit, and
+# the harness's columns must hold the bits of the scalar functions.
+
+
+def float_pow(x, e: float):
+    """x ** e in Python floats; inf where it overflows (Python raises)."""
+    if not isinstance(x, np.ndarray):
+        try:
+            return x**e
+        except OverflowError:
+            return math.inf
+    xs = x.tolist()
+    try:
+        return np.array([v**e for v in xs], dtype=np.float64)
+    except OverflowError:
+        return np.array([float_pow(v, e) for v in xs], dtype=np.float64)
+
+
+def float_each(fn, x):
+    """float(fn(x)) on a float, at every entry of an array one at a time."""
+    if not isinstance(x, np.ndarray):
+        return float(fn(x))
+    return np.array([float(fn(v)) for v in x.tolist()], dtype=np.float64)
+
+
+def float_log(x):
+    """math.log on a float or at every entry of an array."""
+    return float_each(math.log, x)
 
 
 @dataclass(frozen=True)

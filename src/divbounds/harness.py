@@ -22,10 +22,18 @@ by trial.  A row of a block is summed in the same order as the pair alone,
 so the table holds the bits the public functions return.  The sandwich
 suites' exact (m, M) are arrays over the run's trials, one per distinct
 (measure, s), from :func:`mm_exact_arrays`, bit-identical to the scalar
-:func:`mm_exact_values` of each trial.  The other scalar parts (the (m, M)
-of thm32, the a/b functionals, the estimator formulas) run in plain Python,
-once per trial, through the same cores as the public functions.  A table
-is made for one run and dropped with it.
+:func:`mm_exact_values` of each trial.  A table is made for one run and
+dropped with it.
+
+Every suite checks the run's trials as float64 columns.  thm31 and thm32
+take the A/B functionals on the arrays of r and R, thm32 its (m, M) once
+per (measure, s) cell, and rem41/rem51 the estimator formulas on the
+measure columns, through the cores that the public scalar functions call,
+bit for bit: numpy's + - * / and sqrt are correctly rounded, and ** and log
+are Python's, entry by entry.  Where a trial would make a public function
+raise, or a slack is not finite, such a suite checks trial by trial
+through the public functions instead, so that it raises the error of the
+first failing trial.
 """
 
 from __future__ import annotations
@@ -40,19 +48,22 @@ import numpy as np
 
 from .csiszar_bounds import (
     CLOSED_FORM_REGIONS,
+    a_cf_values,
+    b_cf_values,
     bound_interval_from,
     difference_bounds_from,
+    difference_checks,
     e_cf_sums,
     mm_exact,
     mm_exact_arrays,
     sandwich,
 )
-from .errors import DegeneratePair, InvalidArgument, UnknownSuite, require_finite
+from .errors import DegeneratePair, DivBoundsError, InvalidArgument, UnknownSuite, require_finite
 from .estimators import EstimatorId, coincide, estimate_from
 from .generators import CATALOG_IDS, csiszar_sums, get_generator
 from .measures import divergence_sums, phi_sums
 from .simplex import Distribution, RatioRange, ratio_extremes
-from .type_s_bounds import bound_set_from, e_phi_sums
+from .type_s_bounds import a_phi_values, b_phi_values, bound_set_from, chain_checks, e_phi_sums
 
 #: A violation is any slack below this (separates genuine failures from
 #: accumulated rounding in 64-entry sums; all quantities are O(1)-O(100)).
@@ -178,6 +189,12 @@ def _support_size(config: TrialConfig, u0: float) -> int:
     return config.n_min + int(u0 * (config.n_max - config.n_min + 1))
 
 
+def _first_uniform(key: int) -> float:
+    """``_uniforms(key, 1)[0]`` in plain Python: the same bits, without
+    numpy's per-call cost."""
+    return (_mix(key + _GOLDEN) >> 11) * 2.0**-53
+
+
 def _build_pair(config: TrialConfig, trial_index: int):
     """Build the pair of :func:`random_pair` from scratch."""
     u = _uniforms(_pair_key(config, trial_index), 1 + 2 * config.n_max)
@@ -219,7 +236,7 @@ class PairTable:
         self.config = config
         by_size = {}
         for i in range(config.trials):
-            n = _support_size(config, _uniforms(_pair_key(config, i), 1)[0])
+            n = _support_size(config, _first_uniform(_pair_key(config, i)))
             by_size.setdefault(n, []).append(i)
         self._chunks = []
         for n, trials in sorted(by_size.items()):
@@ -347,58 +364,144 @@ def _identity(diff):
     return -np.abs(diff)
 
 
-def _rows(columns: dict):
-    """rows(i) of checks given as {name: slack of every trial}."""
-    names = list(columns)
-    by_trial = list(zip(*(np.asarray(v).tolist() for v in columns.values())))
-    return lambda i: zip(names, by_trial[i])
+def _rows(groups):
+    """rows(i) of checks given in groups (trials, {name: slack of each of
+    those trials}); a trial's names are those of its group."""
+    by_trial = {}
+    for trials, columns in groups:
+        names = tuple(columns)
+        for i, values in zip(trials, zip(*(np.asarray(v).tolist() for v in columns.values()))):
+            by_trial[i] = (names, values)
+    return lambda i: zip(*by_trial[i])
 
 
 def _columns(checks):
     """checks: (name, fn(table) -> slack of every trial) tuples."""
 
     def check(table):
-        return _rows({name: fn(table) for name, fn in checks})
+        return _rows([(range(table.config.trials), {name: fn(table) for name, fn in checks})])
 
     return check
 
 
-def _check_thm31(table):
-    rngs = table.ranges()
-    per_s = [(s, f"s={s:g}:", table.phi(s).tolist(), table.e_phi(s).tolist()) for s in table.config.s_samples]
+def _column_suite(columns, trial):
+    """A suite checked as float64 columns over the run's trials.
 
-    def rows(i):
-        out = {}
-        for s, prefix, phi, e in per_s:
-            for name, slack in bound_set_from(s, rngs[i], phi[i], e[i]).checks.items():
-                out[prefix + name] = slack
-        return out.items()
+    columns(table) gives the checks in groups, as :func:`_rows` takes them,
+    or None where a trial fails a range precondition.  Where it gives None,
+    raises, or gives a slack that is not finite, the suite takes
+    trial(table, i) instead, the public scalar functions one trial at a
+    time: they raise the error of the first failing trial, in trial order,
+    or record the same non-finite slack.
+    """
 
-    return rows
+    def check(table):
+        try:
+            with np.errstate(all="ignore"):
+                groups = columns(table)
+        except DivBoundsError:
+            groups = None
+        if groups is not None and all(np.isfinite(v).all() for _, c in groups for v in c.values()):
+            return _rows(groups)
+        return lambda i: trial(table, i).items()
+
+    return check
 
 
-def _check_thm32(table):
-    cfg = table.config
-    rngs = table.ranges()
+def _split_ranges(table):
+    """(r, R, [(trials, degenerate)]): the run's trials split by whether
+    r == R (no B functionals there, and A is 0), or None when a range fails
+    a precondition of the A/B functionals."""
+    r, R = table.extremes()
+    degenerate = r == R
+    if not np.all((0.0 < r) & (r <= R) & (degenerate | ((r <= 1.0) & (1.0 <= R)))):
+        return None
+    parts = [(np.flatnonzero(degenerate == flag), flag) for flag in (False, True)]
+    return r, R, [(trials, flag) for trials, flag in parts if trials.size]
 
-    def rows(i):
-        measure = CATALOG_IDS[i % len(CATALOG_IDS)]
-        s = cfg.s_samples[(i // len(CATALOG_IDS)) % len(cfg.s_samples)]
-        rng = rngs[i]
-        mm = mm_exact(measure, s, rng)
-        phi, cf = float(table.phi(s)[i]), float(table.cf(measure)[i])
-        rep = bound_interval_from(measure, s, mm, phi, cf)
-        out = {
-            f"{measure},s={s:g}:lower": rep.lower_slack,
-            f"{measure},s={s:g}:upper": rep.upper_slack,
-        }
-        e_phi, e_cf = float(table.e_phi(s)[i]), float(table.e_cf(measure)[i])
-        diff = difference_bounds_from(get_generator(measure), s, rng, mm, cf, phi, e_phi, e_cf)
-        for name, slack in diff.checks.items():
-            out[f"{measure},s={s:g}:{name}"] = slack
-        return out.items()
 
-    return rows
+def _thm31_checks(table, chain) -> dict:
+    """thm31's checks, chain(s) giving the chain's {name: slack} at s."""
+    checks = {}
+    for s in table.config.s_samples:
+        for name, slack in chain(s).items():
+            checks[f"s={s:g}:{name}"] = slack
+    return checks
+
+
+def _thm31_columns(table):
+    split = _split_ranges(table)
+    if split is None:
+        return None
+    r, R, parts = split
+    groups = []
+    for trials, degenerate in parts:
+        rt, Rt = r[trials], R[trials]
+
+        def chain(s):
+            a, b = (0.0, None) if degenerate else (a_phi_values(s, rt, Rt), b_phi_values(s, rt, Rt))
+            return chain_checks(table.phi(s)[trials], table.e_phi(s)[trials], a, b)
+
+        groups.append((trials.tolist(), _thm31_checks(table, chain)))
+    return groups
+
+
+def _thm31_trial(table, i):
+    rng = table.ranges()[i]
+    return _thm31_checks(table, lambda s: bound_set_from(s, rng, float(table.phi(s)[i]), float(table.e_phi(s)[i])).checks)
+
+
+def _thm32_cell(config: TrialConfig, i) -> tuple:
+    """(measure, s) of trial i: thm32 cycles both by trial index."""
+    n = len(CATALOG_IDS)
+    return CATALOG_IDS[i % n], config.s_samples[(i // n) % len(config.s_samples)]
+
+
+def _thm32_checks(measure, s: float, lower, upper, differences: dict) -> dict:
+    prefix = f"{measure},s={s:g}:"
+    checks = {prefix + "lower": lower, prefix + "upper": upper}
+    for name, slack in differences.items():
+        checks[prefix + name] = slack
+    return checks
+
+
+def _thm32_columns(table):
+    split = _split_ranges(table)
+    if split is None:
+        return None
+    r, R, parts = split
+    groups = []
+    n_s = len(table.config.s_samples)
+    index = np.arange(table.config.trials)
+    cell = index % len(CATALOG_IDS) * n_s + index // len(CATALOG_IDS) % n_s
+    for trials, degenerate in parts:
+        cells = cell[trials]
+        for k in np.unique(cells).tolist():
+            at = trials[cells == k]
+            measure, s = _thm32_cell(table.config, int(at[0]))
+            gen, rt, Rt = get_generator(measure), r[at], R[at]
+            m, M = mm_exact_arrays(measure, s, rt, Rt)
+            phi, cf = table.phi(s)[at], table.cf(measure)[at]
+            lower, upper = sandwich(m, M, phi, cf)[2:]
+            forms = [("e", table.e_phi(s)[at], table.e_cf(measure)[at])]
+            if degenerate:
+                forms.append(("a", 0.0, 0.0))
+            else:
+                forms.append(("a", a_phi_values(s, rt, Rt), a_cf_values(gen, rt, Rt)))
+                forms.append(("b", b_phi_values(s, rt, Rt), b_cf_values(gen, rt, Rt)))
+            groups.append((at.tolist(), _thm32_checks(measure, s, lower, upper, difference_checks(m, M, phi, cf, forms))))
+    return groups
+
+
+def _thm32_trial(table, i):
+    measure, s = _thm32_cell(table.config, i)
+    rng = table.ranges()[i]
+    mm = mm_exact(measure, s, rng)
+    phi, cf = float(table.phi(s)[i]), float(table.cf(measure)[i])
+    rep = bound_interval_from(measure, s, mm, phi, cf)
+    e_phi, e_cf = float(table.e_phi(s)[i]), float(table.e_cf(measure)[i])
+    diff = difference_bounds_from(get_generator(measure), s, rng, mm, cf, phi, e_phi, e_cf)
+    return _thm32_checks(measure, s, rep.lower_slack, rep.upper_slack, diff.checks)
 
 
 def _sandwich_suite(measure: str, s_values, restrict: bool = False):
@@ -417,7 +520,7 @@ def _sandwich_suite(measure: str, s_values, restrict: bool = False):
         columns = {}
         for s in values:
             columns[f"s={s:g}:lower"], columns[f"s={s:g}:upper"] = table.sandwich(measure, s)
-        return _rows(columns)
+        return _rows([(range(table.config.trials), columns)])
 
     return check
 
@@ -425,31 +528,26 @@ def _sandwich_suite(measure: str, s_values, restrict: bool = False):
 def _containment_suite(estimator_ids):
     names = [(est, f"{est}>=r", f"{est}<=R") for est in estimator_ids]
 
-    def check(table):
-        rngs = table.ranges()
-        coincides = table.coincide().tolist()
-        columns = {}
+    def checks(r, R, d) -> dict:
+        out = {}
+        for est, lower, upper in names:
+            v = estimate_from(est, d)
+            out[lower] = v - r
+            out[upper] = R - v
+        return out
 
-        def rows(i):
-            if coincides[i]:
-                raise DegeneratePair("estimators are 0/0 at P = Q")
+    def columns(table):
+        if table.coincide().any():
+            return None
+        return [(range(table.config.trials), checks(*table.extremes(), table.d))]
 
-            def d(measure):
-                if measure not in columns:
-                    columns[measure] = table.d(measure).tolist()
-                return columns[measure][i]
+    def trial(table, i):
+        if table.coincide()[i]:
+            raise DegeneratePair("estimators are 0/0 at P = Q")
+        rng = table.ranges()[i]
+        return checks(rng.r, rng.R, lambda measure: float(table.d(measure)[i]))
 
-            rng = rngs[i]
-            out = {}
-            for est, lower, upper in names:
-                v = estimate_from(est, d)
-                out[lower] = v - rng.r
-                out[upper] = rng.R - v
-            return out.items()
-
-        return rows
-
-    return check
+    return _column_suite(columns, trial)
 
 
 _SQRT2 = math.sqrt(2.0)
@@ -480,8 +578,8 @@ _SUITES: "dict[str, tuple[str, Callable]]" = {
             ]
         ),
     ),
-    "thm31": ("phi_s bound chain: 0 <= phi <= E <= A, phi <= B <= A, B-phi <= A", _check_thm31),
-    "thm32": ("generic sandwich m*phi_s <= C_f <= M*phi_s plus difference forms", _check_thm32),
+    "thm31": ("phi_s bound chain: 0 <= phi <= E <= A, phi <= B <= A, B-phi <= A", _column_suite(_thm31_columns, _thm31_trial)),
+    "thm32": ("generic sandwich m*phi_s <= C_f <= M*phi_s plus difference forms", _column_suite(_thm32_columns, _thm32_trial)),
     "thm41": ("closed-form sandwich for relative J-divergence", _sandwich_suite("D1", (-2.0, -1.0, 0.0, 0.5, 0.75, 2.0, 3.0), restrict=True)),
     "cor41": ("relative J vs chi-square/KL/Hellinger special cases", _sandwich_suite("D1", (-1.0, 0.0, 0.5, 2.0))),
     "prop41": (

@@ -14,14 +14,13 @@ returning a bound that compares as inf or nan.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .errors import InvalidRange, LengthMismatch, require_finite
-from .generators import S_POLE_TOL
+from .generators import S_POLE_TOL, float_log, float_pow
 from .measures import phi_s
 from .simplex import Distribution, RatioRange, ratio_range
 
@@ -48,15 +47,17 @@ def a_phi_s(s: float, rng: RatioRange) -> float:
         raise InvalidRange(f"need 0 < r <= R, got {rng}")
     if r == R:
         return 0.0
-    try:
-        if abs(s - 1.0) <= S_POLE_TOL:
-            factor = (math.log(R) - math.log(r)) / (R - r)
-        else:
-            factor = (R ** (s - 1.0) - r ** (s - 1.0)) / ((R - r) * (s - 1.0))
-        value = 0.25 * (R - r) ** 2 * factor
-    except OverflowError:
-        value = math.inf
-    return require_finite(value, f"a_phi_s at s={s!r}")
+    return require_finite(a_phi_values(s, r, R), f"a_phi_s at s={s!r}")
+
+
+def a_phi_values(s: float, r, R):
+    """a_phi_s on 0 < r < R: floats, or arrays of ranges, each entry bit for
+    bit its float value; inf or nan where a power overflows."""
+    if abs(s - 1.0) <= S_POLE_TOL:
+        factor = (float_log(R) - float_log(r)) / (R - r)
+    else:
+        factor = (float_pow(R, s - 1.0) - float_pow(r, s - 1.0)) / ((R - r) * (s - 1.0))
+    return 0.25 * float_pow(R - r, 2.0) * factor
 
 
 def b_phi_s(s: float, rng: RatioRange) -> float:
@@ -67,19 +68,19 @@ def b_phi_s(s: float, rng: RatioRange) -> float:
     r, R = rng.r, rng.R
     if not (0.0 < r <= 1.0 <= R) or r == R:
         raise InvalidRange(f"need 0 < r <= 1 <= R with r != R, got {rng}")
-    try:
-        if abs(s) <= S_POLE_TOL:
-            num = (R - 1.0) * math.log(1.0 / r) + (1.0 - r) * math.log(1.0 / R)
-            value = num / (R - r)
-        elif abs(s - 1.0) <= S_POLE_TOL:
-            num = (R - 1.0) * r * math.log(r) + (1.0 - r) * R * math.log(R)
-            value = num / (R - r)
-        else:
-            num = (R - 1.0) * (r**s - 1.0) + (1.0 - r) * (R**s - 1.0)
-            value = num / ((R - r) * s * (s - 1.0))
-    except OverflowError:
-        value = math.inf
-    return require_finite(value, f"b_phi_s at s={s!r}")
+    return require_finite(b_phi_values(s, r, R), f"b_phi_s at s={s!r}")
+
+
+def b_phi_values(s: float, r, R):
+    """b_phi_s on 0 < r <= 1 <= R, r != R, as :func:`a_phi_values`."""
+    if abs(s) <= S_POLE_TOL:
+        num = (R - 1.0) * float_log(1.0 / r) + (1.0 - r) * float_log(1.0 / R)
+        return num / (R - r)
+    if abs(s - 1.0) <= S_POLE_TOL:
+        num = (R - 1.0) * r * float_log(r) + (1.0 - r) * R * float_log(R)
+        return num / (R - r)
+    num = (R - 1.0) * (float_pow(r, s) - 1.0) + (1.0 - r) * (float_pow(R, s) - 1.0)
+    return num / ((R - r) * s * (s - 1.0))
 
 
 @dataclass(frozen=True)
@@ -112,16 +113,21 @@ def bound_set(s: float, P: Distribution, Q: Distribution) -> TypeSBoundSet:
 def bound_set_from(s: float, rng: RatioRange, phi: float, e: float) -> TypeSBoundSet:
     """:func:`bound_set` from the pair's ratio range, phi_s and e_phi_s."""
     a = a_phi_s(s, rng)
+    b = None if rng.degenerate else b_phi_s(s, rng)
+    return TypeSBoundSet(s=s, range=rng, phi=phi, e_bound=e, a_bound=a, b_bound=b, checks=chain_checks(phi, e, a, b))
+
+
+def chain_checks(phi, e, a, b=None) -> dict:
+    """The chain's slacks from phi_s and its E, A and B bounds (b None on a
+    degenerate range: no B checks); on floats or elementwise on arrays."""
     checks = {
         "phi_nonneg": phi,
         "phi_le_e": e - phi,
         "phi_le_a": a - phi,
         "e_le_a": a - e,
     }
-    b = None
-    if not rng.degenerate:
-        b = b_phi_s(s, rng)
+    if b is not None:
         checks["phi_le_b"] = b - phi
         checks["b_le_a"] = a - b
         checks["b_minus_phi_le_a"] = a - (b - phi)
-    return TypeSBoundSet(s=s, range=rng, phi=phi, e_bound=e, a_bound=a, b_bound=b, checks=checks)
+    return checks

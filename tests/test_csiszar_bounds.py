@@ -1,5 +1,7 @@
 import math
 import re
+import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -92,6 +94,22 @@ class TestGEval:
         log_g = 1.5 * math.log(x) + math.log(x) + math.log1p(3.0 / x) - 2.0 * (math.log(x) + math.log1p(1.0 / x))
         assert db.g_eval(db.catalog()["D1"], 0.5, x) == pytest.approx(math.exp(log_g), rel=1e-12)
         assert db.g_eval(db.catalog()["D1"], 0.5, np.array([x])).tolist() == [db.g_eval(db.catalog()["D1"], 0.5, x)]
+
+    def test_subnormal_factor_takes_the_rescaled_path(self):
+        # F1 and I at s = 0: x^2 is subnormal below x = 1.5e-154, where the
+        # direct product lost up to 1.7e-4 relative; g = x/(x+1)^2 and x/(2x+2).
+        xs = np.exp(np.linspace(math.log(1e-300), math.log(1e-154), 400))
+        for mid in ("F1", "I"):
+            gen = db.catalog()[mid]
+            f2 = gen.f_second
+            array = db.g_eval(gen, 0.0, xs).tolist()
+            for x, a in zip(xs.tolist(), array):
+                fx = Fraction(x)
+                exact = float(fx**2 * cb.horner(f2.num, fx) / cb.horner(f2.den, fx))
+                v = db.g_eval(gen, 0.0, x)
+                assert abs(v - exact) <= 2 * math.ulp(exact), (mid, x)
+                assert np.float64(a).tobytes() == np.float64(v).tobytes(), (mid, x)
+        assert db.mm_exact("F1", 0.0, db.RatioRange(1e-158, 1.0)).m == pytest.approx(1e-158, rel=5e-16)
 
     def test_mm_exact_is_positive_or_overflows_on_wide_ranges(self):
         mm = db.mm_exact("D1", 0.5, db.RatioRange(0.5, 1e200))
@@ -252,12 +270,16 @@ def _mm_per_trial(measure, s, r, R):
 
 
 def _g_direct_fails(gen, s, x: float) -> bool:
-    """Whether g_eval's direct product x^(2-s) f''(x) is not finite or 0."""
+    """Whether g_eval retries its direct product x^(2-s) f''(x): it is not
+    finite or is 0, or x^(2-s), N(x) or D(x) of f'' = N/D is subnormal."""
+    f2 = gen.f_second
     try:
-        v = x ** (2.0 - s) * gen.f_second(x)
+        power = x ** (2.0 - s)
+        n, d = cb.horner(f2.num, x), cb.horner(f2.den, x)
+        v = power * (n / d)
     except (OverflowError, ZeroDivisionError):
         return True
-    return not math.isfinite(v) or v == 0.0
+    return not math.isfinite(v) or v == 0.0 or min(power, n, d) < sys.float_info.min
 
 
 class TestMMExactArrays:

@@ -9,7 +9,10 @@ import pytest
 import divbounds as db
 import divbounds.harness as harness
 from divbounds.cli import main
-from divbounds.errors import DivBoundsError, InvalidArgument, UnknownSuite
+from divbounds.csiszar_bounds import bound_interval_from, difference_bounds_from
+from divbounds.errors import DegeneratePair, DivBoundsError, InvalidArgument, NumericOverflow, UnknownSuite, VanishingDenominator
+from divbounds.estimators import estimate_from
+from divbounds.type_s_bounds import bound_set_from
 
 #: Frozen output of random_pair(TrialConfig(seed=1, n_min=2, n_max=2), 0),
 #: recorded once so any change to the generator construction is caught.
@@ -340,3 +343,181 @@ class TestRunAll:
         for r in reports:
             assert r.violations == 0, r.suite
             assert r.checks > 0, r.suite
+
+
+def _reference_rows(sid, cfg, i):
+    """The (name, slack) pairs of trial i of a column suite, from the public
+    per-pair functions alone."""
+    P, Q = db.random_pair(cfg, i)
+    out = {}
+    if sid == "thm31":
+        for s in cfg.s_samples:
+            for name, slack in db.bound_set(s, P, Q).checks.items():
+                out[f"s={s:g}:{name}"] = slack
+    elif sid == "thm32":
+        measure, s = db.CATALOG_IDS[i % 9], cfg.s_samples[(i // 9) % len(cfg.s_samples)]
+        rep = db.bound_interval(measure, s, P, Q)
+        out[f"{measure},s={s:g}:lower"] = rep.lower_slack
+        out[f"{measure},s={s:g}:upper"] = rep.upper_slack
+        for name, slack in db.difference_bounds(db.get_generator(measure), s, P, Q).checks.items():
+            out[f"{measure},s={s:g}:{name}"] = slack
+    else:
+        rng = db.ratio_range(P, Q)
+        family, count = ("XI", 8) if sid == "rem41" else ("ZETA", 4)
+        for t in range(1, count + 1):
+            est = db.EstimatorId(family, t)
+            v = db.estimate(est, P, Q)
+            out[f"{est}>=r"] = v - rng.r
+            out[f"{est}<=R"] = rng.R - v
+    return [(name, _bits(slack)) for name, slack in out.items()]
+
+
+COLUMN_SUITES = ("thm31", "thm32", "rem41", "rem51")
+
+
+@pytest.fixture
+def rows_spy(monkeypatch):
+    """The suites that built their rows from columns, in call order."""
+    built = []
+    rows = harness._rows
+
+    def spy(groups):
+        built.append(groups)
+        return rows(groups)
+
+    monkeypatch.setattr(harness, "_rows", spy)
+    return built
+
+
+def _suite_rows(sid, table) -> list:
+    rows = harness._SUITES[sid][1](table)
+    return [[(name, _bits(slack)) for name, slack in rows(i)] for i in range(table.config.trials)]
+
+
+class TestColumnSuites:
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            db.TrialConfig(seed=42),
+            db.TrialConfig(seed=43, trials=200, concentration=12.0),
+            db.TrialConfig(seed=44, trials=200, n_min=2, n_max=2),
+            db.TrialConfig(seed=45, trials=200, s_samples=(1e-11, 0.25, 0.75, 4.0, 0.25, -1.0)),
+        ],
+        ids=["seed42", "concentration12", "n2", "s_samples"],
+    )
+    def test_rows_equal_the_public_functions_bit_for_bit(self, cfg, rows_spy):
+        table = harness.PairTable(cfg)
+        for sid in COLUMN_SUITES:
+            before = len(rows_spy)
+            got = _suite_rows(sid, table)
+            assert len(rows_spy) == before + 1, sid  # built from columns, no fallback
+            for i in range(cfg.trials):
+                assert got[i] == _reference_rows(sid, cfg, i), (sid, i)
+
+    def _patch_d(self, monkeypatch, edit):
+        """PairTable.d with edit(table, measure, values) applied to a copy."""
+        d = harness.PairTable.d
+
+        def patched(table, measure):
+            values = d(table, measure).copy()
+            edit(table, measure, values)
+            return values
+
+        monkeypatch.setattr(harness.PairTable, "d", patched)
+
+    @pytest.mark.parametrize("vanishing, negative", [(3, 7), (7, 3), (3, None)])
+    def test_estimator_error_is_the_first_failing_trials(self, monkeypatch, vanishing, negative):
+        # G1 = 1e-305 at one trial makes xi6's denominator 2 G1 vanish (a
+        # finite quotient without the floor), and F1 = -1 at another puts a
+        # negative value under xi1's square root.
+
+        def edit(table, measure, values):
+            if measure == "G1":
+                values[vanishing] = 1e-305
+            if measure == "F1" and negative is not None:
+                values[negative] = -1.0
+
+        self._patch_d(monkeypatch, edit)
+        cfg = db.TrialConfig(seed=46, trials=20)
+        table = harness.PairTable(cfg)
+        with pytest.raises(DivBoundsError) as scalar:
+            for t in range(1, 9):
+                estimate_from(db.EstimatorId("XI", t), lambda m: float(table.d(m)[min(vanishing, negative or vanishing)]))
+        expected = VanishingDenominator if negative is None or vanishing < negative else DegeneratePair
+        assert type(scalar.value) is expected
+        with pytest.raises(expected) as info:
+            db.run_suite("rem41", cfg, table)
+        assert str(info.value) == str(scalar.value)
+
+    def _patch_extremes(self, monkeypatch, edits: dict):
+        """PairTable.extremes with trial -> (r, R) edits."""
+        extremes = harness.PairTable.extremes
+
+        def patched(table):
+            r, R = (v.copy() for v in extremes(table))
+            for i, (lo, hi) in edits.items():
+                r[i], R[i] = lo, hi
+            return r, R
+
+        monkeypatch.setattr(harness.PairTable, "extremes", patched)
+
+    def test_thm31_overflow_is_the_first_failing_trials(self, monkeypatch):
+        # Trial 2: A is finite at s = 3 (1.25e308) but B's R^3 overflows;
+        # trial 5: A's (R - r)^2 overflows at the first s.
+        self._patch_extremes(monkeypatch, {2: (0.5, 1e103), 5: (0.5, 1e200)})
+        cfg = db.TrialConfig(seed=47, trials=10)
+        table = harness.PairTable(cfg)
+
+        def scalar_error(i):
+            with pytest.raises(NumericOverflow) as info:
+                for s in cfg.s_samples:
+                    bound_set_from(s, table.ranges()[i], float(table.phi(s)[i]), float(table.e_phi(s)[i]))
+            return str(info.value)
+
+        assert scalar_error(2) == "b_phi_s at s=3.0 leaves the float range"
+        assert scalar_error(5) == "a_phi_s at s=-2.0 leaves the float range"
+        with pytest.raises(NumericOverflow) as info:
+            db.run_suite("thm31", cfg, table)
+        assert str(info.value) == scalar_error(2)
+
+    def test_degenerate_range_drops_only_its_own_b_checks(self, monkeypatch, rows_spy):
+        self._patch_extremes(monkeypatch, {4: (1.0, 1.0)})
+        cfg = db.TrialConfig(seed=48, trials=30)
+        table = harness.PairTable(cfg)
+        for sid in ("thm31", "thm32"):
+            before = len(rows_spy)
+            rows = _suite_rows(sid, table)
+            assert len(rows_spy) == before + 1, sid  # built from columns, no fallback
+            for i in range(cfg.trials):
+                names = [name for name, _ in rows[i]]
+                has_b = [name for name in names if ":phi_le_b" in name or ":b_" in name]
+                assert (i == 4) == (not has_b), (sid, i)
+            rng = table.ranges()[4]
+            assert (rng.r, rng.R) == (1.0, 1.0)
+            expected = {}
+            if sid == "thm31":
+                for s in cfg.s_samples:
+                    checks = bound_set_from(s, rng, float(table.phi(s)[4]), float(table.e_phi(s)[4])).checks
+                    expected.update((f"s={s:g}:{name}", slack) for name, slack in checks.items())
+            else:
+                measure, s = db.CATALOG_IDS[4], cfg.s_samples[0]
+                mm = db.mm_exact(measure, s, rng)
+                phi, cf = float(table.phi(s)[4]), float(table.cf(measure)[4])
+                rep = bound_interval_from(measure, s, mm, phi, cf)
+                expected[f"{measure},s={s:g}:lower"] = rep.lower_slack
+                expected[f"{measure},s={s:g}:upper"] = rep.upper_slack
+                diff = difference_bounds_from(
+                    db.get_generator(measure), s, rng, mm, cf, phi, float(table.e_phi(s)[4]), float(table.e_cf(measure)[4])
+                )
+                expected.update((f"{measure},s={s:g}:{name}", slack) for name, slack in diff.checks.items())
+            assert rows[4] == [(name, _bits(slack)) for name, slack in expected.items()], sid
+
+    def test_support_sizes_come_from_the_pairs_first_uniform(self):
+        keys = [
+            harness._pair_key(db.TrialConfig(seed=seed), i)
+            for seed in (0, 42, 2**63 + 5, 2**64 - 1, 2**64 - 2, -1)
+            for i in (0, 1, 999, 2**31, 10**15, 2**64 - 1)
+        ]
+        keys += [0, 2**64 - 1, 2**64 - harness._GOLDEN, 2**64 - harness._GOLDEN - 1]
+        for key in keys:
+            assert _bits(harness._first_uniform(key)) == _bits(harness._uniforms(key, 1)[0]), key
