@@ -37,6 +37,7 @@ from .errors import (
     require_finite,
 )
 from .generators import (
+    VIOLATION_TOL,
     Generator,
     PhiS,
     Rational,
@@ -526,7 +527,7 @@ class BoundReport:
 
     @property
     def holds(self) -> bool:
-        return self.lower_slack >= -1e-9 and self.upper_slack >= -1e-9
+        return self.lower_slack >= VIOLATION_TOL and self.upper_slack >= VIOLATION_TOL
 
 
 def bound_interval(measure, s: float, P: Distribution, Q: Distribution, method: str = "auto") -> BoundReport:
@@ -541,11 +542,7 @@ def bound_interval(measure, s: float, P: Distribution, Q: Distribution, method: 
     rng = ratio_range(P, Q)
     gen = get_generator(measure)
     mm = mm_numeric(gen, s, rng) if method == "numeric" else mm_exact(measure, s, rng)
-    return bound_interval_from(measure, s, mm, phi_s(s, P, Q), eval_csiszar(gen, P, Q))
-
-
-def bound_interval_from(measure, s: float, mm: MMBounds, phi: float, value: float) -> BoundReport:
-    """:func:`bound_interval` from (m, M), phi_s and C_f of the pair."""
+    phi, value = phi_s(s, P, Q), eval_csiszar(gen, P, Q)
     lower, upper, lower_slack, upper_slack = sandwich(mm.m, mm.M, phi, value)
     return BoundReport(
         measure=measure,
@@ -583,7 +580,7 @@ class DifferenceReport:
 
     @property
     def holds(self) -> bool:
-        return all(slack >= -1e-9 for slack in self.checks.values())
+        return all(slack >= VIOLATION_TOL for slack in self.checks.values())
 
 
 def difference_bounds(
@@ -598,15 +595,8 @@ def difference_bounds(
     rng = ratio_range(P, Q)
     if mm is None:
         mm = mm_exact(gen.id, s, rng) if catalog().get(gen.id) is gen else mm_numeric(gen, s, rng)
-    return difference_bounds_from(gen, s, rng, mm, eval_csiszar(gen, P, Q), phi_s(s, P, Q), e_phi_s(s, P, Q), e_cf(gen, P, Q))
-
-
-def difference_bounds_from(
-    gen: Generator, s: float, rng: RatioRange, mm: MMBounds, cf: float, phi: float, e_phi: float, e_cf_value: float
-) -> DifferenceReport:
-    """:func:`difference_bounds` from the pair's ratio range, (m, M), C_f,
-    phi_s, e_phi_s and e_cf."""
-    forms = [("e", e_phi, e_cf_value), ("a", a_phi_s(s, rng), a_cf(gen, rng))]
+    cf, phi = eval_csiszar(gen, P, Q), phi_s(s, P, Q)
+    forms = [("e", e_phi_s(s, P, Q), e_cf(gen, P, Q)), ("a", a_phi_s(s, rng), a_cf(gen, rng))]
     if not rng.degenerate:
         forms.append(("b", b_phi_s(s, rng), b_cf(gen, rng)))
     return DifferenceReport(s=s, range=rng, mm=mm, checks=difference_checks(mm.m, mm.M, phi, cf, forms))

@@ -29,6 +29,11 @@ CATALOG_IDS = ("D1", "D2", "F1", "F2", "G1", "G2", "J", "I", "T")
 #: forms below this distance keeps the error under 1e-9 at moderate ratios.
 S_POLE_TOL = 1e-10
 
+#: A check fails when its slack (bound minus bounded quantity) is below this:
+#: it separates genuine violations from accumulated rounding in sums of up
+#: to 64 entries, where every quantity checked is O(1)-O(100).
+VIOLATION_TOL = -1e-9
+
 
 @dataclass(frozen=True)
 class PhiS:

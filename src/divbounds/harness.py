@@ -32,8 +32,10 @@ measure columns, through the cores that the public scalar functions call,
 bit for bit: numpy's + - * / and sqrt are correctly rounded, and ** and log
 are Python's, entry by entry.  Where a trial would make a public function
 raise, or a slack is not finite, such a suite checks trial by trial
-through the public functions instead, so that it raises the error of the
-first failing trial.
+instead, through the public per-pair functions on each trial's own pair
+(:func:`bound_set`; :func:`bound_interval` and :func:`difference_bounds`;
+:func:`estimate` and :func:`ratio_range`), so that it raises the first
+failing trial's error, in trial order.
 """
 
 from __future__ import annotations
@@ -50,24 +52,19 @@ from .csiszar_bounds import (
     CLOSED_FORM_REGIONS,
     a_cf_values,
     b_cf_values,
-    bound_interval_from,
-    difference_bounds_from,
+    bound_interval,
+    difference_bounds,
     difference_checks,
     e_cf_sums,
-    mm_exact,
     mm_exact_arrays,
     sandwich,
 )
-from .errors import DegeneratePair, DivBoundsError, InvalidArgument, UnknownSuite, require_finite
-from .estimators import EstimatorId, coincide, estimate_from
-from .generators import CATALOG_IDS, csiszar_sums, get_generator
+from .errors import DivBoundsError, InvalidArgument, UnknownSuite, require_finite
+from .estimators import EstimatorId, coincide, estimate, estimate_from
+from .generators import CATALOG_IDS, VIOLATION_TOL, csiszar_sums, get_generator
 from .measures import divergence_sums, phi_sums
-from .simplex import Distribution, RatioRange, ratio_extremes
-from .type_s_bounds import a_phi_values, b_phi_values, bound_set_from, chain_checks, e_phi_sums
-
-#: A violation is any slack below this (separates genuine failures from
-#: accumulated rounding in 64-entry sums; all quantities are O(1)-O(100)).
-VIOLATION_TOL = -1e-9
+from .simplex import Distribution, ratio_extremes, ratio_range
+from .type_s_bounds import a_phi_values, b_phi_values, bound_set, chain_checks, e_phi_sums
 
 _MASK = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -84,10 +81,10 @@ def _mix(z: int) -> int:
     return z
 
 
-def _uniforms(key: int, count: int) -> np.ndarray:
-    """`count` uniforms in [0, 1) from counter-mode mixing of `key`."""
-    base = np.uint64(key) + np.arange(1, count + 1, dtype=np.uint64) * np.uint64(_GOLDEN)
-    z = base
+def _uniforms(key, count: int) -> np.ndarray:
+    """`count` uniforms in [0, 1) from counter-mode mixing of `key`, or one
+    row of them per key of a sequence of keys."""
+    z = np.asarray(key, dtype=np.uint64)[..., None] + np.arange(1, count + 1, dtype=np.uint64) * np.uint64(_GOLDEN)
     z = z ^ (z >> np.uint64(30))
     z = z * np.uint64(0xBF58476D1CE4E5B9)
     z = z ^ (z >> np.uint64(27))
@@ -162,8 +159,9 @@ def random_pair(config: TrialConfig, trial_index: int):
 
 
 def _memo_pair(config: TrialConfig, trial_index: int):
-    """The body of :func:`random_pair`.  The pair table reads pairs here,
-    so that only :func:`run_suite` calls random_pair, once per trial."""
+    """The body of :func:`random_pair`.  The pair table and the suites'
+    per-trial fallback read pairs here, so that only :func:`run_suite`
+    calls random_pair, once per trial."""
     global _memo
     key = (config.seed, config.n_min, config.n_max, config.concentration)
     memo = _memo
@@ -187,12 +185,6 @@ def _pair_key(config: TrialConfig, trial_index: int) -> int:
 def _support_size(config: TrialConfig, u0: float) -> int:
     """The pair's n from its first uniform."""
     return config.n_min + int(u0 * (config.n_max - config.n_min + 1))
-
-
-def _first_uniform(key: int) -> float:
-    """``_uniforms(key, 1)[0]`` in plain Python: the same bits, without
-    numpy's per-call cost."""
-    return (_mix(key + _GOLDEN) >> 11) * 2.0**-53
 
 
 def _build_pair(config: TrialConfig, trial_index: int):
@@ -235,9 +227,9 @@ class PairTable:
     def __init__(self, config: TrialConfig):
         self.config = config
         by_size = {}
-        for i in range(config.trials):
-            n = _support_size(config, _first_uniform(_pair_key(config, i)))
-            by_size.setdefault(n, []).append(i)
+        first = _uniforms([_pair_key(config, i) for i in range(config.trials)], 1)[:, 0]
+        for i, u0 in enumerate(first.tolist()):
+            by_size.setdefault(_support_size(config, u0), []).append(i)
         self._chunks = []
         for n, trials in sorted(by_size.items()):
             k = max(1, PAIR_MEMO_BUDGET // (2 * n))
@@ -245,7 +237,6 @@ class PairTable:
         entries = sum(2 * n * len(trials) for n, trials in by_size.items())
         self._held = [_stack(config, t) for t in self._chunks] if entries <= PAIR_MEMO_BUDGET else None
         self._values = {}
-        self._ranges = None
 
     def _block(self, j: int) -> tuple:
         # Stacked anew only as the statement that uses it runs, so one
@@ -290,13 +281,6 @@ class PairTable:
         r = self._batch(("r",), lambda p, q: ratio_extremes(p, q)[0])
         R = self._batch(("R",), lambda p, q: ratio_extremes(p, q)[1])
         return r, R
-
-    def ranges(self) -> list:
-        """The RatioRange of every trial."""
-        if self._ranges is None:
-            r, R = self.extremes()
-            self._ranges = [RatioRange(lo, hi) for lo, hi in zip(r.tolist(), R.tolist())]
-        return self._ranges
 
     def sandwich(self, measure: str, s: float) -> tuple:
         """(lower, upper) slacks of m * phi_s <= C_f <= M * phi_s, every
@@ -390,9 +374,9 @@ def _column_suite(columns, trial):
     columns(table) gives the checks in groups, as :func:`_rows` takes them,
     or None where a trial fails a range precondition.  Where it gives None,
     raises, or gives a slack that is not finite, the suite takes
-    trial(table, i) instead, the public scalar functions one trial at a
-    time: they raise the error of the first failing trial, in trial order,
-    or record the same non-finite slack.
+    trial(config, i) instead: the public per-pair functions on trial i's
+    own pair, one trial at a time.  They raise the first failing trial's
+    error, in trial order, or record the same non-finite slack.
     """
 
     def check(table):
@@ -403,7 +387,7 @@ def _column_suite(columns, trial):
             groups = None
         if groups is not None and all(np.isfinite(v).all() for _, c in groups for v in c.values()):
             return _rows(groups)
-        return lambda i: trial(table, i).items()
+        return lambda i: trial(table.config, i).items()
 
     return check
 
@@ -420,10 +404,10 @@ def _split_ranges(table):
     return r, R, [(trials, flag) for trials, flag in parts if trials.size]
 
 
-def _thm31_checks(table, chain) -> dict:
+def _thm31_checks(config: TrialConfig, chain) -> dict:
     """thm31's checks, chain(s) giving the chain's {name: slack} at s."""
     checks = {}
-    for s in table.config.s_samples:
+    for s in config.s_samples:
         for name, slack in chain(s).items():
             checks[f"s={s:g}:{name}"] = slack
     return checks
@@ -442,13 +426,13 @@ def _thm31_columns(table):
             a, b = (0.0, None) if degenerate else (a_phi_values(s, rt, Rt), b_phi_values(s, rt, Rt))
             return chain_checks(table.phi(s)[trials], table.e_phi(s)[trials], a, b)
 
-        groups.append((trials.tolist(), _thm31_checks(table, chain)))
+        groups.append((trials.tolist(), _thm31_checks(table.config, chain)))
     return groups
 
 
-def _thm31_trial(table, i):
-    rng = table.ranges()[i]
-    return _thm31_checks(table, lambda s: bound_set_from(s, rng, float(table.phi(s)[i]), float(table.e_phi(s)[i])).checks)
+def _thm31_trial(config: TrialConfig, i):
+    P, Q = _memo_pair(config, i)
+    return _thm31_checks(config, lambda s: bound_set(s, P, Q).checks)
 
 
 def _thm32_cell(config: TrialConfig, i) -> tuple:
@@ -471,14 +455,14 @@ def _thm32_columns(table):
         return None
     r, R, parts = split
     groups = []
-    n_s = len(table.config.s_samples)
-    index = np.arange(table.config.trials)
-    cell = index % len(CATALOG_IDS) * n_s + index // len(CATALOG_IDS) % n_s
     for trials, degenerate in parts:
-        cells = cell[trials]
-        for k in np.unique(cells).tolist():
-            at = trials[cells == k]
-            measure, s = _thm32_cell(table.config, int(at[0]))
+        cells = {}
+        for i in trials.tolist():
+            measure, s = _thm32_cell(table.config, i)
+            # -0.0 == 0.0, but its checks are named s=-0.
+            cells.setdefault((measure, s, math.copysign(1.0, s)), []).append(i)
+        for (measure, s, _), at in cells.items():
+            at = np.array(at)
             gen, rt, Rt = get_generator(measure), r[at], R[at]
             m, M = mm_exact_arrays(measure, s, rt, Rt)
             phi, cf = table.phi(s)[at], table.cf(measure)[at]
@@ -493,14 +477,11 @@ def _thm32_columns(table):
     return groups
 
 
-def _thm32_trial(table, i):
-    measure, s = _thm32_cell(table.config, i)
-    rng = table.ranges()[i]
-    mm = mm_exact(measure, s, rng)
-    phi, cf = float(table.phi(s)[i]), float(table.cf(measure)[i])
-    rep = bound_interval_from(measure, s, mm, phi, cf)
-    e_phi, e_cf = float(table.e_phi(s)[i]), float(table.e_cf(measure)[i])
-    diff = difference_bounds_from(get_generator(measure), s, rng, mm, cf, phi, e_phi, e_cf)
+def _thm32_trial(config: TrialConfig, i):
+    measure, s = _thm32_cell(config, i)
+    P, Q = _memo_pair(config, i)
+    rep = bound_interval(measure, s, P, Q)
+    diff = difference_bounds(get_generator(measure), s, P, Q, rep.mm)
     return _thm32_checks(measure, s, rep.lower_slack, rep.upper_slack, diff.checks)
 
 
@@ -528,10 +509,11 @@ def _sandwich_suite(measure: str, s_values, restrict: bool = False):
 def _containment_suite(estimator_ids):
     names = [(est, f"{est}>=r", f"{est}<=R") for est in estimator_ids]
 
-    def checks(r, R, d) -> dict:
+    def checks(r, R, value) -> dict:
+        """{name: slack} of every estimator, value(est) giving its estimate."""
         out = {}
         for est, lower, upper in names:
-            v = estimate_from(est, d)
+            v = value(est)
             out[lower] = v - r
             out[upper] = R - v
         return out
@@ -539,19 +521,23 @@ def _containment_suite(estimator_ids):
     def columns(table):
         if table.coincide().any():
             return None
-        return [(range(table.config.trials), checks(*table.extremes(), table.d))]
+        return [(range(table.config.trials), checks(*table.extremes(), lambda est: estimate_from(est, table.d)))]
 
-    def trial(table, i):
-        if table.coincide()[i]:
-            raise DegeneratePair("estimators are 0/0 at P = Q")
-        rng = table.ranges()[i]
-        return checks(rng.r, rng.R, lambda measure: float(table.d(measure)[i]))
+    def trial(config, i):
+        P, Q = _memo_pair(config, i)
+        rng = ratio_range(P, Q)
+        return checks(rng.r, rng.R, lambda est: estimate(est, P, Q))
 
     return _column_suite(columns, trial)
 
 
 _SQRT2 = math.sqrt(2.0)
 _C34 = 3.0 * math.sqrt(3.0) / 4.0
+
+# The checks of prop51-prop53 that eq194 chains.
+_H_LE_J8 = ("h<=J/8", lambda t: t.d("J") / 8.0 - t.d("HELLINGER"))
+_I_LE_H = ("I<=h", lambda t: t.d("HELLINGER") - t.d("I"))
+_H_LE_T = ("h<=T", lambda t: t.d("T") - t.d("HELLINGER"))
 
 _SUITES: "dict[str, tuple[str, Callable]]" = {
     "eq3": (
@@ -620,16 +606,10 @@ _SUITES: "dict[str, tuple[str, Callable]]" = {
     "cor46": ("adjoint relative AG special cases", _sandwich_suite("G2", (-1.0, 0.0, 0.5, 1.0, 2.0))),
     "thm51": ("closed-form sandwich for J-divergence", _sandwich_suite("J", (-1.0, 0.0, 1.0, 2.0), restrict=True)),
     "cor51": ("J-divergence special cases", _sandwich_suite("J", (-1.0, 0.0, 1.0, 2.0))),
-    "prop51": (
-        "Hellinger bounded by J/8",
-        _columns([("h<=J/8", lambda t: t.d("J") / 8.0 - t.d("HELLINGER"))]),
-    ),
+    "prop51": ("Hellinger bounded by J/8", _columns([_H_LE_J8])),
     "thm52": ("closed-form sandwich for JS-divergence", _sandwich_suite("I", (-1.0, 0.0, 1.0, 2.0), restrict=True)),
     "cor52": ("JS-divergence special cases", _sandwich_suite("I", (-1.0, 0.0, 1.0, 2.0))),
-    "prop52": (
-        "JS bounded by Hellinger",
-        _columns([("I<=h", lambda t: t.d("HELLINGER") - t.d("I"))]),
-    ),
+    "prop52": ("JS bounded by Hellinger", _columns([_I_LE_H])),
     "thm53": ("closed-form sandwich for AG-divergence", _sandwich_suite("T", (-2.0, -1.0, 2.0, 3.0), restrict=True)),
     "cor53": ("AG-divergence special cases", _sandwich_suite("T", (-1.0, 2.0))),
     "prop53": (
@@ -638,22 +618,13 @@ _SUITES: "dict[str, tuple[str, Callable]]" = {
             [
                 ("c*KL_adj<=T", lambda t: t.d("T") - 0.5 * (_SQRT2 - 1.0) * t.d("KL_ADJ")),
                 ("c*KL<=T", lambda t: t.d("T") - 0.5 * (_SQRT2 - 1.0) * t.d("KL")),
-                ("h<=T", lambda t: t.d("T") - t.d("HELLINGER")),
+                _H_LE_T,
             ]
         ),
     ),
     "rem41": ("xi estimators stay inside the ratio range", _containment_suite([EstimatorId("XI", t) for t in range(1, 9)])),
     "rem51": ("zeta estimators stay inside the ratio range", _containment_suite([EstimatorId("ZETA", t) for t in range(1, 5)])),
-    "eq194": (
-        "chain: JS <= Hellinger <= min(AG, J/8)",
-        _columns(
-            [
-                ("I<=h", lambda t: t.d("HELLINGER") - t.d("I")),
-                ("h<=T", lambda t: t.d("T") - t.d("HELLINGER")),
-                ("h<=J/8", lambda t: t.d("J") / 8.0 - t.d("HELLINGER")),
-            ]
-        ),
-    ),
+    "eq194": ("chain: JS <= Hellinger <= min(AG, J/8)", _columns([_I_LE_H, _H_LE_T, _H_LE_J8])),
 }
 
 

@@ -14,13 +14,14 @@ returning a bound that compares as inf or nan.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .errors import InvalidRange, LengthMismatch, require_finite
-from .generators import S_POLE_TOL, float_log, float_pow
+from .generators import S_POLE_TOL, VIOLATION_TOL, float_log, float_pow
 from .measures import phi_s
 from .simplex import Distribution, RatioRange, ratio_range
 
@@ -47,7 +48,11 @@ def a_phi_s(s: float, rng: RatioRange) -> float:
         raise InvalidRange(f"need 0 < r <= R, got {rng}")
     if r == R:
         return 0.0
-    return require_finite(a_phi_values(s, r, R), f"a_phi_s at s={s!r}")
+    try:
+        value = a_phi_values(s, r, R)
+    except ZeroDivisionError:  # (R - r)(s - 1) underflowed to 0
+        value = math.nan
+    return require_finite(value, f"a_phi_s at s={s!r}")
 
 
 def a_phi_values(s: float, r, R):
@@ -102,16 +107,13 @@ class TypeSBoundSet:
 
     @property
     def holds(self) -> bool:
-        return all(slack >= -1e-9 for slack in self.checks.values())
+        return all(slack >= VIOLATION_TOL for slack in self.checks.values())
 
 
 def bound_set(s: float, P: Distribution, Q: Distribution) -> TypeSBoundSet:
     """Evaluate phi_s, e/a/b bounds, and the full inequality chain."""
-    return bound_set_from(s, ratio_range(P, Q), phi_s(s, P, Q), e_phi_s(s, P, Q))
-
-
-def bound_set_from(s: float, rng: RatioRange, phi: float, e: float) -> TypeSBoundSet:
-    """:func:`bound_set` from the pair's ratio range, phi_s and e_phi_s."""
+    rng = ratio_range(P, Q)
+    phi, e = phi_s(s, P, Q), e_phi_s(s, P, Q)
     a = a_phi_s(s, rng)
     b = None if rng.degenerate else b_phi_s(s, rng)
     return TypeSBoundSet(s=s, range=rng, phi=phi, e_bound=e, a_bound=a, b_bound=b, checks=chain_checks(phi, e, a, b))

@@ -8,11 +8,10 @@ import pytest
 
 import divbounds as db
 import divbounds.harness as harness
+import divbounds.measures as measures
+import divbounds.simplex as simplex
 from divbounds.cli import main
-from divbounds.csiszar_bounds import bound_interval_from, difference_bounds_from
 from divbounds.errors import DegeneratePair, DivBoundsError, InvalidArgument, NumericOverflow, UnknownSuite, VanishingDenominator
-from divbounds.estimators import estimate_from
-from divbounds.type_s_bounds import bound_set_from
 
 #: Frozen output of random_pair(TrialConfig(seed=1, n_min=2, n_max=2), 0),
 #: recorded once so any change to the generator construction is caught.
@@ -217,7 +216,8 @@ class TestPairTable:
             P, Q = db.random_pair(cfg, i)
             sizes.add(len(P))
             rng = db.ratio_range(P, Q)
-            assert (_bits(table.ranges()[i].r), _bits(table.ranges()[i].R)) == (_bits(rng.r), _bits(rng.R))
+            r, R = table.extremes()
+            assert (_bits(r[i]), _bits(R[i])) == (_bits(rng.r), _bits(rng.R))
             assert not table.coincide()[i]
             for m in db.MEASURE_IDS:
                 assert _bits(table.d(m)[i]) == _bits(db.divergence(m, P, Q)), (i, m)
@@ -372,6 +372,55 @@ def _reference_rows(sid, cfg, i):
     return [(name, _bits(slack)) for name, slack in out.items()]
 
 
+def _first_error(sid, cfg):
+    """The error the public per-pair functions raise on the first failing
+    trial of a column suite, in trial order."""
+    for i in range(cfg.trials):
+        try:
+            _reference_rows(sid, cfg, i)
+        except DivBoundsError as exc:
+            return exc
+    raise AssertionError(f"no trial of {sid} fails")
+
+
+def _is_pair(cfg, i, p, q):
+    """Which rows of (p, q), one pair or a (k, n) block, are trial i's pair."""
+    P, Q = harness._memo_pair(cfg, i)
+    if p.shape[-1] != len(P):
+        return np.zeros(p.shape[:-1], dtype=bool)
+    return np.all(p == P.probs, axis=-1) & np.all(q == Q.probs, axis=-1)
+
+
+def _force_ranges(monkeypatch, cfg, ranges: dict):
+    """ratio_extremes, as both the public ratio_range and the pair table
+    call it, giving trial i the (r, R) of ranges[i] wherever p, q is its pair."""
+    extremes = simplex.ratio_extremes
+
+    def forced(p, q):
+        lo, hi = (np.array(v) for v in extremes(p, q))
+        for i, (r, R) in ranges.items():
+            at = _is_pair(cfg, i, p, q)
+            lo[at], hi[at] = r, R
+        return lo[()], hi[()]
+
+    monkeypatch.setattr(simplex, "ratio_extremes", forced)
+    monkeypatch.setattr(harness, "ratio_extremes", forced)
+
+
+def _force_divergence(monkeypatch, cfg, measure: str, values: dict):
+    """The named measure, for the public functions and the pair table
+    alike, with the value values[i] wherever p, q is trial i's pair."""
+    fn = measures._DISPATCH[measure]
+
+    def forced(p, q):
+        out = np.array(fn(p, q))
+        for i, v in values.items():
+            out[_is_pair(cfg, i, p, q)] = v
+        return out[()]
+
+    monkeypatch.setitem(measures._DISPATCH, measure, forced)
+
+
 COLUMN_SUITES = ("thm31", "thm32", "rem41", "rem51")
 
 
@@ -402,8 +451,9 @@ class TestColumnSuites:
             db.TrialConfig(seed=43, trials=200, concentration=12.0),
             db.TrialConfig(seed=44, trials=200, n_min=2, n_max=2),
             db.TrialConfig(seed=45, trials=200, s_samples=(1e-11, 0.25, 0.75, 4.0, 0.25, -1.0)),
+            db.TrialConfig(seed=49, trials=200, s_samples=(0.0, -0.0)),
         ],
-        ids=["seed42", "concentration12", "n2", "s_samples"],
+        ids=["seed42", "concentration12", "n2", "s_samples", "signed_zero"],
     )
     def test_rows_equal_the_public_functions_bit_for_bit(self, cfg, rows_spy):
         table = harness.PairTable(cfg)
@@ -414,76 +464,57 @@ class TestColumnSuites:
             for i in range(cfg.trials):
                 assert got[i] == _reference_rows(sid, cfg, i), (sid, i)
 
-    def _patch_d(self, monkeypatch, edit):
-        """PairTable.d with edit(table, measure, values) applied to a copy."""
-        d = harness.PairTable.d
-
-        def patched(table, measure):
-            values = d(table, measure).copy()
-            edit(table, measure, values)
-            return values
-
-        monkeypatch.setattr(harness.PairTable, "d", patched)
-
     @pytest.mark.parametrize("vanishing, negative", [(3, 7), (7, 3), (3, None)])
     def test_estimator_error_is_the_first_failing_trials(self, monkeypatch, vanishing, negative):
         # G1 = 1e-305 at one trial makes xi6's denominator 2 G1 vanish (a
         # finite quotient without the floor), and F1 = -1 at another puts a
         # negative value under xi1's square root.
-
-        def edit(table, measure, values):
-            if measure == "G1":
-                values[vanishing] = 1e-305
-            if measure == "F1" and negative is not None:
-                values[negative] = -1.0
-
-        self._patch_d(monkeypatch, edit)
         cfg = db.TrialConfig(seed=46, trials=20)
-        table = harness.PairTable(cfg)
-        with pytest.raises(DivBoundsError) as scalar:
-            for t in range(1, 9):
-                estimate_from(db.EstimatorId("XI", t), lambda m: float(table.d(m)[min(vanishing, negative or vanishing)]))
+        _force_divergence(monkeypatch, cfg, "G1", {vanishing: 1e-305})
+        if negative is not None:
+            _force_divergence(monkeypatch, cfg, "F1", {negative: -1.0})
+        scalar = _first_error("rem41", cfg)
         expected = VanishingDenominator if negative is None or vanishing < negative else DegeneratePair
-        assert type(scalar.value) is expected
+        assert type(scalar) is expected
         with pytest.raises(expected) as info:
-            db.run_suite("rem41", cfg, table)
-        assert str(info.value) == str(scalar.value)
-
-    def _patch_extremes(self, monkeypatch, edits: dict):
-        """PairTable.extremes with trial -> (r, R) edits."""
-        extremes = harness.PairTable.extremes
-
-        def patched(table):
-            r, R = (v.copy() for v in extremes(table))
-            for i, (lo, hi) in edits.items():
-                r[i], R[i] = lo, hi
-            return r, R
-
-        monkeypatch.setattr(harness.PairTable, "extremes", patched)
+            db.run_suite("rem41", cfg)
+        assert str(info.value) == str(scalar)
 
     def test_thm31_overflow_is_the_first_failing_trials(self, monkeypatch):
         # Trial 2: A is finite at s = 3 (1.25e308) but B's R^3 overflows;
         # trial 5: A's (R - r)^2 overflows at the first s.
-        self._patch_extremes(monkeypatch, {2: (0.5, 1e103), 5: (0.5, 1e200)})
         cfg = db.TrialConfig(seed=47, trials=10)
-        table = harness.PairTable(cfg)
+        _force_ranges(monkeypatch, cfg, {2: (0.5, 1e103), 5: (0.5, 1e200)})
 
         def scalar_error(i):
             with pytest.raises(NumericOverflow) as info:
-                for s in cfg.s_samples:
-                    bound_set_from(s, table.ranges()[i], float(table.phi(s)[i]), float(table.e_phi(s)[i]))
+                _reference_rows("thm31", cfg, i)
             return str(info.value)
 
         assert scalar_error(2) == "b_phi_s at s=3.0 leaves the float range"
         assert scalar_error(5) == "a_phi_s at s=-2.0 leaves the float range"
+        assert str(_first_error("thm31", cfg)) == scalar_error(2)
         with pytest.raises(NumericOverflow) as info:
-            db.run_suite("thm31", cfg, table)
+            db.run_suite("thm31", cfg)
         assert str(info.value) == scalar_error(2)
 
+    def test_a_later_trials_phi_overflow_does_not_preempt_the_first_error(self, monkeypatch):
+        # Trial 1's A overflows at s = -2; phi_s of a later trial (2)
+        # overflows at s = 120, and the column path stops there first.
+        cfg = db.TrialConfig(seed=61, trials=12, s_samples=(-2.0, 120.0))
+        _force_ranges(monkeypatch, cfg, {1: (0.5, 1e200)})
+        scalar = _first_error("thm31", cfg)
+        assert str(scalar) == "a_phi_s at s=-2.0 leaves the float range"
+        with pytest.raises(NumericOverflow) as info:
+            db.run_suite("thm31", cfg)
+        assert str(info.value) == str(scalar)
+
     def test_degenerate_range_drops_only_its_own_b_checks(self, monkeypatch, rows_spy):
-        self._patch_extremes(monkeypatch, {4: (1.0, 1.0)})
         cfg = db.TrialConfig(seed=48, trials=30)
+        _force_ranges(monkeypatch, cfg, {4: (1.0, 1.0)})
         table = harness.PairTable(cfg)
+        r, R = table.extremes()
+        assert (r[4], R[4]) == (1.0, 1.0)
         for sid in ("thm31", "thm32"):
             before = len(rows_spy)
             rows = _suite_rows(sid, table)
@@ -492,32 +523,18 @@ class TestColumnSuites:
                 names = [name for name, _ in rows[i]]
                 has_b = [name for name in names if ":phi_le_b" in name or ":b_" in name]
                 assert (i == 4) == (not has_b), (sid, i)
-            rng = table.ranges()[4]
-            assert (rng.r, rng.R) == (1.0, 1.0)
-            expected = {}
-            if sid == "thm31":
-                for s in cfg.s_samples:
-                    checks = bound_set_from(s, rng, float(table.phi(s)[4]), float(table.e_phi(s)[4])).checks
-                    expected.update((f"s={s:g}:{name}", slack) for name, slack in checks.items())
-            else:
-                measure, s = db.CATALOG_IDS[4], cfg.s_samples[0]
-                mm = db.mm_exact(measure, s, rng)
-                phi, cf = float(table.phi(s)[4]), float(table.cf(measure)[4])
-                rep = bound_interval_from(measure, s, mm, phi, cf)
-                expected[f"{measure},s={s:g}:lower"] = rep.lower_slack
-                expected[f"{measure},s={s:g}:upper"] = rep.upper_slack
-                diff = difference_bounds_from(
-                    db.get_generator(measure), s, rng, mm, cf, phi, float(table.e_phi(s)[4]), float(table.e_cf(measure)[4])
-                )
-                expected.update((f"{measure},s={s:g}:{name}", slack) for name, slack in diff.checks.items())
-            assert rows[4] == [(name, _bits(slack)) for name, slack in expected.items()], sid
+            assert rows[4] == _reference_rows(sid, cfg, 4), sid
 
     def test_support_sizes_come_from_the_pairs_first_uniform(self):
-        keys = [
-            harness._pair_key(db.TrialConfig(seed=seed), i)
-            for seed in (0, 42, 2**63 + 5, 2**64 - 1, 2**64 - 2, -1)
-            for i in (0, 1, 999, 2**31, 10**15, 2**64 - 1)
-        ]
+        seeds = (0, 42, 2**63 + 5, 2**64 - 1, 2**64 - 2, -1)
+        keys = [harness._pair_key(db.TrialConfig(seed=seed), i) for seed in seeds for i in (0, 1, 999, 2**31, 10**15, 2**64 - 1)]
         keys += [0, 2**64 - 1, 2**64 - harness._GOLDEN, 2**64 - harness._GOLDEN - 1]
-        for key in keys:
-            assert _bits(harness._first_uniform(key)) == _bits(harness._uniforms(key, 1)[0]), key
+        rows = harness._uniforms(keys, 3)
+        assert rows.shape == (len(keys), 3)
+        for key, row in zip(keys, rows):
+            assert row.tobytes() == harness._uniforms(key, 3).tobytes(), key
+        for seed in seeds:
+            cfg = db.TrialConfig(seed=seed, trials=60, n_min=2, n_max=4)
+            sizes = [{len(db.random_pair(cfg, i)[0]) for i in trials} for trials in harness.PairTable(cfg)._chunks]
+            assert all(len(n) == 1 for n in sizes), seed  # a chunk holds one support size
+            assert [n.pop() for n in sizes] == [2, 3, 4], seed
