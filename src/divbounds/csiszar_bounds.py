@@ -11,7 +11,8 @@ polynomial
 of degree at most 3 once the factors x and x+1 are divided out.  (m, M)
 are therefore exact for every s: the extremes of g over r, R and the roots
 of S_s inside (r, R).  In the paper's monotone regions of s the endpoints
-alone suffice.  An independent numeric optimizer (log-spaced scan plus
+alone suffice.  Each global extremum the paper names is g at the single
+positive root of S_s.  An independent numeric optimizer (log-spaced scan plus
 golden-section refinement) is kept as the test oracle and for generators
 outside the catalog.  g has one definition, the float path of g_eval; an
 array of x follows it entry by entry, bit for bit, raising where it raises.
@@ -154,7 +155,7 @@ class MMBounds:
 
     m: float
     M: float
-    method: str  # "closed_form" | "numeric" | "global"
+    method: str  # "closed_form" | "numeric"
     s: float
     range: RatioRange
 
@@ -193,8 +194,6 @@ def mm_numeric(gen: Generator, s: float, rng: RatioRange) -> MMBounds:
     Two stationary points inside one grid cell can still hide each other.
     """
     r, R = rng.r, rng.R
-    if not 0.0 < r <= R:
-        raise InvalidRange(f"need 0 < r <= R, got {rng}")
     if r == R:
         v = g_eval(gen, s, r)
         return MMBounds(v, v, "numeric", s, rng)
@@ -248,25 +247,6 @@ CLOSED_FORM_REGIONS = {
 }
 
 
-def _pmul(a: tuple, b: tuple) -> tuple:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return tuple(out)
-
-
-def _padd(a: tuple, b: tuple, sign: int = 1) -> tuple:
-    n = max(len(a), len(b))
-    a, b = (0,) * (n - len(a)) + a, (0,) * (n - len(b)) + b
-    return tuple(x + sign * y for x, y in zip(a, b))
-
-
-def _pderiv(a: tuple) -> tuple:
-    n = len(a) - 1
-    return tuple((n - i) * c for i, c in enumerate(a[:-1])) or (0,)
-
-
 def _div_x_plus_1(a: tuple) -> tuple:
     """Quotient of a by x + 1 (synthetic division; the remainder must be 0)."""
     out, acc = [], 0
@@ -276,6 +256,11 @@ def _div_x_plus_1(a: tuple) -> tuple:
     return tuple(out[:-1])
 
 
+def _polyder(c: np.ndarray) -> np.ndarray:
+    """c'; [0] for a constant, where np.polyder is empty and np.convolve rejects it."""
+    return np.polyder(c) if c.size > 1 else np.zeros(1, dtype=c.dtype)
+
+
 def _stationarity(f_second) -> tuple:
     """(A, B), integer tuples of equal length, with S_s = A + s*B.
 
@@ -283,10 +268,12 @@ def _stationarity(f_second) -> tuple:
     catalog denominator is a product of 2, x and x + 1, and both divisors
     are positive on x > 0, so the sign of S_s (and of g') is kept.
     """
-    n, d = f_second.num, f_second.den
-    nd = _pmul(n, d)
-    a = _padd(_padd(nd, nd), _padd(_pmul(_pderiv(n), d), _pmul(n, _pderiv(d)), -1) + (0,))
-    b = _padd((0,) * len(a), nd, -1)  # -N D, as long as A
+    n, d = np.array(f_second.num), np.array(f_second.den)
+    nd = np.convolve(n, d)
+    cross = np.polysub(np.convolve(_polyder(n), d), np.convolve(n, _polyder(d)))
+    a = np.polyadd(2 * nd, np.append(cross, 0))
+    b = np.polysub(np.zeros_like(a), nd)  # -N D, as long as A
+    a, b = tuple(a.tolist()), tuple(b.tolist())  # plain ints: _real_roots runs per gap cell
     while a[-1] == b[-1] == 0:
         a, b = a[:-1], b[:-1]
     while horner(a, -1) == horner(b, -1) == 0:
@@ -354,16 +341,24 @@ def _real_roots(c: list, lo: float, hi: float) -> list:
     return [x for x in roots if lo < x < hi]
 
 
+def _positive_roots(c: list) -> list:
+    """Positive real roots of the polynomial c (highest power first), found
+    between Cauchy's bounds on c and on its reversal, roots at 0 divided out."""
+    c = np.trim_zeros(np.asarray(c, dtype=np.float64)).tolist()
+    if len(c) < 2:
+        return []
+    hi = 1.0 + max(abs(k / c[0]) for k in c[1:])
+    lo = 1.0 / (1.0 + max(abs(k / c[-1]) for k in c[:-1]))
+    return _real_roots(c, lo, hi)
+
+
 def mm_closed(measure, s: float, rng: RatioRange) -> Optional[MMBounds]:
     """Closed-form (m, M) where g is provably monotone; None in the gap.
 
     For a power-family measure PhiS(t), g(x) = x^(t-s) is monotone for
     every s, so a closed form is always returned (m = M = 1 when t = s).
     """
-    r, R = rng.r, rng.R
-    if not 0.0 < r <= R:
-        raise InvalidRange(f"need 0 < r <= R, got {rng}")
-    mm = _closed_values(measure, s, r, R)
+    mm = _closed_values(measure, s, rng.r, rng.R)
     return None if mm is None else MMBounds(*mm, "closed_form", s, rng)
 
 
@@ -400,10 +395,7 @@ def _monotone_ends(measure, s: float, r, R) -> Optional[tuple]:
 def mm_exact(measure, s: float, rng: RatioRange) -> MMBounds:
     """Exact (m, M) for every s: :func:`mm_closed` in the monotone regions,
     else the extremes of g over r, R and the roots of S_s inside (r, R)."""
-    r, R = rng.r, rng.R
-    if not 0.0 < r <= R:
-        raise InvalidRange(f"need 0 < r <= R, got {rng}")
-    return MMBounds(*mm_exact_values(measure, s, r, R), "closed_form", s, rng)
+    return MMBounds(*mm_exact_values(measure, s, rng.r, rng.R), "closed_form", s, rng)
 
 
 def mm_exact_values(measure, s: float, r: float, R: float) -> tuple:
@@ -434,31 +426,38 @@ def mm_exact_arrays(measure, s: float, r: np.ndarray, R: np.ndarray) -> tuple:
 
 @dataclass(frozen=True)
 class GlobalExtremum:
-    """A tabulated global sup or inf of g over (0, inf)."""
+    """A global sup or inf of g over (0, inf), and the x attaining it."""
 
     kind: str  # "sup" | "inf"
     value: float
     x: float
 
 
-_SQ2 = math.sqrt(2.0)
-_GLOBAL = {
-    ("D1", 1.0): GlobalExtremum("sup", 9.0 / 8.0, 3.0),
-    ("D2", 0.0): GlobalExtremum("sup", 9.0 / 8.0, 1.0 / 3.0),
-    ("F1", 0.0): GlobalExtremum("sup", 0.25, 1.0),
-    ("F1", 0.5): GlobalExtremum("sup", 3.0 * math.sqrt(3.0) / 16.0, 1.0 / 3.0),
-    ("F2", 0.5): GlobalExtremum("sup", 3.0 * math.sqrt(3.0) / 16.0, 3.0),
-    ("F2", 1.0): GlobalExtremum("sup", 0.25, 1.0),
-    ("J", 0.5): GlobalExtremum("inf", 2.0, 1.0),
-    ("I", 0.5): GlobalExtremum("sup", 0.25, 1.0),
-    ("T", 0.0): GlobalExtremum("inf", (_SQ2 - 1.0) / 2.0, _SQ2 - 1.0),
-    ("T", 0.5): GlobalExtremum("inf", 0.25, 1.0),
-    ("T", 1.0): GlobalExtremum("inf", (_SQ2 - 1.0) / 2.0, _SQ2 + 1.0),
-}
+#: The (measure, s) at which the paper names the global extremum of g.
+_PAPER_EXTREMA = (
+    ("D1", 1.0), ("D2", 0.0), ("F1", 0.0), ("F1", 0.5), ("F2", 0.5), ("F2", 1.0),
+    ("J", 0.5), ("I", 0.5), ("T", 0.0), ("T", 0.5), ("T", 1.0),
+)
+
+
+def _global_extremum(measure: str, s: float) -> GlobalExtremum:
+    """g's global extremum over (0, inf), at the single positive root of S_s:
+    a sup where S_s, the sign of g', is positive to its left, else an inf."""
+    a, b = _STATIONARY[measure]
+    c = [x + s * y for x, y in zip(a, b)]
+    roots = _positive_roots(c)
+    if len(roots) != 1:
+        raise RuntimeError(f"S_s of {measure} at s={s} has {len(roots)} positive roots, not 1")
+    x = roots[0]
+    kind = "sup" if horner(c, 0.5 * x) > 0.0 else "inf"
+    return GlobalExtremum(kind, g_eval(get_generator(measure), s, x), x)
+
+
+_GLOBAL = {key: _global_extremum(*key) for key in _PAPER_EXTREMA}
 
 
 def global_extrema(measure: str, s: float) -> GlobalExtremum:
-    """Tabulated global extremum of g over (0, inf) for special (measure, s)."""
+    """Global extremum of g over (0, inf) at a (measure, s) the paper names."""
     try:
         return _GLOBAL[(measure, float(s))]
     except KeyError:
@@ -486,8 +485,6 @@ def e_cf_sums(gen: Generator, p, q):
 def a_cf(gen: Generator, rng: RatioRange) -> float:
     """Range-only bound functional (R-r)/4 * (f'(R) - f'(r))."""
     r, R = rng.r, rng.R
-    if not 0.0 < r <= R:
-        raise InvalidRange(f"need 0 < r <= R, got {rng}")
     if r == R:
         return 0.0
     return a_cf_values(gen, r, R)

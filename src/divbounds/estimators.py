@@ -19,6 +19,9 @@ from .simplex import Distribution
 
 _DENOM_FLOOR = 1e-300
 
+#: Each estimator family and its size: indices t run over 1..size.
+_FAMILY_SIZES = {"XI": 8, "ZETA": 4}
+
 
 @dataclass(frozen=True)
 class EstimatorId:
@@ -26,11 +29,10 @@ class EstimatorId:
     t: int
 
     def __post_init__(self):
-        limits = {"XI": 8, "ZETA": 4}
-        if self.family not in limits:
+        if self.family not in _FAMILY_SIZES:
             raise InvalidArgument(f"unknown family {self.family!r}")
-        if not 1 <= self.t <= limits[self.family]:
-            raise InvalidArgument(f"{self.family} index must be in 1..{limits[self.family]}")
+        if not 1 <= self.t <= _FAMILY_SIZES[self.family]:
+            raise InvalidArgument(f"{self.family} index must be in 1..{_FAMILY_SIZES[self.family]}")
 
     def __str__(self) -> str:
         return f"{self.family.lower()}{self.t}"
@@ -123,6 +125,4 @@ def estimate_from(est: EstimatorId, d):
 
 def all_estimators() -> tuple:
     """Every EstimatorId in both families, in (family, t) order."""
-    return tuple(
-        [EstimatorId("XI", t) for t in range(1, 9)] + [EstimatorId("ZETA", t) for t in range(1, 5)]
-    )
+    return tuple(EstimatorId(family, t) for family, size in _FAMILY_SIZES.items() for t in range(1, size + 1))

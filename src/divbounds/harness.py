@@ -43,7 +43,7 @@ from __future__ import annotations
 import math
 import numbers
 import threading
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -60,7 +60,7 @@ from .csiszar_bounds import (
     sandwich,
 )
 from .errors import DivBoundsError, InvalidArgument, UnknownSuite, require_finite
-from .estimators import EstimatorId, coincide, estimate, estimate_from
+from .estimators import all_estimators, coincide, estimate, estimate_from
 from .generators import CATALOG_IDS, VIOLATION_TOL, csiszar_sums, get_generator
 from .measures import divergence_sums, phi_sums
 from .simplex import Distribution, ratio_extremes, ratio_range
@@ -324,16 +324,7 @@ class SuiteReport:
             self.tightest_slack = slack
 
     def to_dict(self) -> dict:
-        return {
-            "suite": self.suite,
-            "description": self.description,
-            "trials": self.trials,
-            "checks": self.checks,
-            "violations": self.violations,
-            "worst_slack": self.worst_slack,
-            "tightest_slack": self.tightest_slack,
-            "examples": self.examples,
-        }
+        return asdict(self)
 
 
 # ---------------------------------------------------------------------------
@@ -622,8 +613,8 @@ _SUITES: "dict[str, tuple[str, Callable]]" = {
             ]
         ),
     ),
-    "rem41": ("xi estimators stay inside the ratio range", _containment_suite([EstimatorId("XI", t) for t in range(1, 9)])),
-    "rem51": ("zeta estimators stay inside the ratio range", _containment_suite([EstimatorId("ZETA", t) for t in range(1, 5)])),
+    "rem41": ("xi estimators stay inside the ratio range", _containment_suite([e for e in all_estimators() if e.family == "XI"])),
+    "rem51": ("zeta estimators stay inside the ratio range", _containment_suite([e for e in all_estimators() if e.family == "ZETA"])),
     "eq194": ("chain: JS <= Hellinger <= min(AG, J/8)", _columns([_I_LE_H, _H_LE_T, _H_LE_J8])),
 }
 

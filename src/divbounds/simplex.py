@@ -14,6 +14,7 @@ import numpy as np
 
 from .errors import (
     EmptyOrTooShort,
+    InvalidRange,
     LengthMismatch,
     NegativeEntry,
     NonFinite,
@@ -60,11 +61,16 @@ class RatioRange:
     """Attained extremes (r, R) of the coordinate ratios p_i / q_i.
 
     Because both distributions sum to one, 0 < r <= 1 <= R, with
-    r = R = 1 exactly when the distributions coincide.
+    r = R = 1 exactly when the distributions coincide.  Any range with
+    0 < r <= R can be built; others raise InvalidRange.
     """
 
     r: float
     R: float
+
+    def __post_init__(self):
+        if not 0.0 < self.r <= self.R:
+            raise InvalidRange(f"need 0 < r <= R, got {self}")
 
     @property
     def degenerate(self) -> bool:

@@ -44,8 +44,6 @@ def e_phi_s(s: float, P: Distribution, Q: Distribution) -> float:
 def a_phi_s(s: float, rng: RatioRange) -> float:
     """Range-only bound (R-r)^2/4 * (R^(s-1) - r^(s-1)) / ((R-r)(s-1))."""
     r, R = rng.r, rng.R
-    if not 0.0 < r <= R:
-        raise InvalidRange(f"need 0 < r <= R, got {rng}")
     if r == R:
         return 0.0
     try:

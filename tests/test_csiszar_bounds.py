@@ -1,6 +1,7 @@
 import math
 import re
 import sys
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
@@ -433,6 +434,83 @@ class TestGlobalExtrema:
                 assert float(gs.max()) <= ext.value + 1e-9, (mid, s)
             else:
                 assert float(gs.min()) >= ext.value - 1e-9, (mid, s)
+
+
+class TestStationarity:
+    def test_pinned_integer_coefficients(self):
+        # S_s = A + s*B per measure, as plain ints of equal length: numpy
+        # scalars would slow _real_roots, which runs for every gap cell.
+        expected = {
+            "D1": ((1, 3, 6), (-1, -4, -3)),
+            "D2": ((-3, 1, 0), (-3, -4, -1)),
+            "F1": ((0, -1, 1), (0, -1, -1)),
+            "F2": ((0, 0, 2), (0, -1, -1)),
+            "G1": ((0, -2, 0), (0, -2, -2)),
+            "G2": ((0, 2, 4), (0, -2, -2)),
+            "J": ((1, 0), (-1, -1)),
+            "I": ((0, 0, 2), (0, -2, -2)),
+            "T": ((4, 8, -4, 0), (-4, -4, -4, -4)),
+        }
+        assert cb._STATIONARY == expected
+        for a, b in cb._STATIONARY.values():
+            assert all(type(k) is int for k in a + b)
+
+    @pytest.mark.parametrize("mid", list(CLOSED_FORM_REGIONS))
+    def test_paper_regions_agree_with_stationarity(self, mid):
+        # Outside the gap S_s has no positive root, and its sign at x = 1 is
+        # the direction of g: increasing for s <= s_lo, decreasing for s >= s_hi.
+        lo, hi = CLOSED_FORM_REGIONS[mid]
+        a, b = cb._STATIONARY[mid]
+        for offset in (0.0, 0.1, 0.25, 0.5, 1.0, 2.0, 5.0, 20.0):
+            for s, sign in ((lo - offset, 1.0), (hi + offset, -1.0)):
+                c = [x + s * y for x, y in zip(a, b)]
+                assert cb._positive_roots(c) == [], (mid, s)
+                assert sign * cb.horner(c, 1.0) > 0.0, (mid, s)
+
+    def test_positive_roots(self):
+        # (x - 1e-3)(x - 2)(x + 5) and x^2 (x - 7): roots at 0 and below 0 are dropped.
+        c = np.polymul(np.polymul([1.0, -1e-3], [1.0, -2.0]), [1.0, 5.0]).tolist()
+        assert cb._positive_roots(c) == pytest.approx([1e-3, 2.0], rel=1e-14)
+        assert cb._positive_roots([1.0, -7.0, 0.0, 0.0]) == [7.0]
+        assert cb._positive_roots([1.0, 1.0]) == [] and cb._positive_roots([3.0]) == []
+
+
+def _paper_closed_forms() -> dict:
+    """The paper's 11 global extrema, (measure, s) -> (kind, value, x), each
+    closed form evaluated to 40 digits and rounded once to a float."""
+    with localcontext() as ctx:
+        ctx.prec = 40
+        one, r2, r3 = Decimal(1), Decimal(2).sqrt(), Decimal(3).sqrt()
+        table = {
+            ("D1", 1.0): ("sup", 9 * one / 8, 3 * one),
+            ("D2", 0.0): ("sup", 9 * one / 8, one / 3),
+            ("F1", 0.0): ("sup", one / 4, one),
+            ("F1", 0.5): ("sup", 3 * r3 / 16, one / 3),
+            ("F2", 0.5): ("sup", 3 * r3 / 16, 3 * one),
+            ("F2", 1.0): ("sup", one / 4, one),
+            ("J", 0.5): ("inf", 2 * one, one),
+            ("I", 0.5): ("sup", one / 4, one),
+            ("T", 0.0): ("inf", (r2 - 1) / 2, r2 - 1),
+            ("T", 0.5): ("inf", one / 4, one),
+            ("T", 1.0): ("inf", (r2 - 1) / 2, r2 + 1),
+        }
+    return {key: (kind, float(value), float(x)) for key, (kind, value, x) in table.items()}
+
+
+_PAPER_CLOSED_FORMS = _paper_closed_forms()
+
+
+class TestDerivedExtrema:
+    def test_keys_are_the_papers(self):
+        assert set(global_extrema_table()) == set(_PAPER_CLOSED_FORMS)
+
+    @pytest.mark.parametrize("key", list(_PAPER_CLOSED_FORMS), ids=lambda k: f"{k[0]}-s{k[1]:g}")
+    def test_matches_closed_form(self, key):
+        kind, value, x = _PAPER_CLOSED_FORMS[key]
+        ext = db.global_extrema(*key)
+        assert ext.kind == kind
+        for got, want in ((ext.value, value), (ext.x, x)):
+            assert abs(got - want) <= 2.0 * math.ulp(want), (key, got, want)
 
 
 class TestGenericFunctionals:

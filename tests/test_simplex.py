@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 import divbounds as db
 from divbounds.errors import (
     EmptyOrTooShort,
+    InvalidRange,
     LengthMismatch,
     NegativeEntry,
     NonFinite,
@@ -115,6 +116,11 @@ class TestRatioRange:
     def test_length_mismatch(self):
         with pytest.raises(LengthMismatch):
             db.ratio_range(db.normalize([1, 1]), db.normalize([1, 1, 1]))
+
+    @pytest.mark.parametrize("r, R", [(2.0, 1.0), (0.0, 1.0), (-1.0, 2.0), (float("nan"), 1.0)])
+    def test_invalid_range_raises_at_construction(self, r, R):
+        with pytest.raises(InvalidRange, match=r"^need 0 < r <= R, got RatioRange\(r="):
+            db.RatioRange(r, R)
 
     def test_brackets_one_and_reciprocal(self, pairs_100):
         for P, Q in pairs_100:
