@@ -14,14 +14,15 @@ of S_s inside (r, R).  In the paper's monotone regions of s the endpoints
 alone suffice.  Each global extremum the paper names is g at the single
 positive root of S_s.  An independent numeric optimizer (log-spaced scan plus
 golden-section refinement) is kept as the test oracle and for generators
-outside the catalog.  g has one definition, the float path of g_eval; an
-array of x follows it entry by entry, bit for bit, raising where it raises.
+outside the catalog.  g has one formula, g = x^(2-s+t) * n(y) / d(y) from
+the scaled form of a Rational f'', which leaves the float range only where
+g does; g_eval raises there, and an array of x follows its float path bit
+for bit.
 """
 
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from typing import Optional
 
@@ -62,32 +63,22 @@ NUMERIC_GRID_POINTS = 4096  # samples of the mm_numeric scan
 def g_eval(gen: Generator, s: float, x):
     """x^(2-s) * f''(x); accepts a positive scalar or array.
 
-    The float path defines g: the direct product in plain Python, a
-    rescaled retry where it is not finite or is 0, or where a factor
-    (x^(2-s), or N(x) or D(x) of a Rational f'' = N/D) is below the
-    smallest normal float and has lost digits, then NumericOverflow (an
-    infinite g turns m * phi_s into nan, a zero g certifies m = 0 or M = 0).
-    An array of any shape follows it entry by entry (:func:`_g_array`).
+    The float path defines g: x^(2-s+t) * n(y) / d(y) for a Rational f''
+    (:meth:`Rational.times_power`), else x^(2-s) * f''(x), and
+    NumericOverflow where it is not finite or is 0 (an infinite g turns
+    m * phi_s into nan, a zero g certifies m = 0 or M = 0).  An array of
+    any shape follows it entry by entry (:func:`_g_array`).
     """
     if isinstance(x, float):
         if not x > 0.0:
             raise NonPositiveX(f"x must be > 0, got {x}")
         f2 = gen.f_second
         try:
-            power = x ** (2.0 - s)
-            if isinstance(f2, Rational):
-                n, d = horner(f2.num, x), horner(f2.den, x)
-                v = power * (n / d) if power >= _TINY and n >= _TINY and d >= _TINY else 0.0
-            else:
-                v = float(power * f2(x))
+            v = f2.times_power(x, 2.0 - s) if isinstance(f2, Rational) else float(x ** (2.0 - s) * f2(x))
         except (OverflowError, ZeroDivisionError):
             v = math.inf
         if not math.isfinite(v) or v == 0.0:
-            # Every f'' here is > 0 on x > 0, so a 0 is a factor that under-
-            # or overflowed on its own (N/D = 0 when only D overflows).
-            v = _g_rescaled(f2, s, x)
-            if not math.isfinite(v) or v == 0.0:
-                raise NumericOverflow(f"g(x) = x^(2-s) f''(x) leaves the float range at x={x!r}, s={s!r}")
+            raise NumericOverflow(f"g(x) = x^(2-s) f''(x) leaves the float range at x={x!r}, s={s!r}")
         return v
     arr = np.asarray(x, dtype=np.float64)
     if not np.all(arr > 0.0):
@@ -96,57 +87,24 @@ def g_eval(gen: Generator, s: float, x):
     return float(out) if np.isscalar(x) or arr.ndim == 0 else out
 
 
-#: Smallest normal float: a factor of g below it has lost digits.
-_TINY = sys.float_info.min
-
-
 def _g_array(gen: Generator, s: float, x: np.ndarray) -> np.ndarray:
-    """:func:`g_eval`'s float path at every entry of x > 0, bit for bit: the
-    power is Python's (:func:`float_pow`), a Rational f'' rounds in numpy as
-    in Python, and each entry that the float path would retry, or whose f''
-    is not a Rational, takes the float path, in array order."""
+    """:func:`g_eval`'s float path at every entry of x > 0, bit for bit: a
+    Rational f'' takes the same scaled form on the whole array; an entry
+    where that is not finite or is 0 (the float path raises there), and
+    every entry of any other f'', takes the float path, in array order."""
     flat = x.ravel()
     f2 = gen.f_second
     if isinstance(f2, Rational):
-        power = float_pow(flat, 2.0 - s)
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            n, d = horner(f2.num, flat), horner(f2.den, flat)
-            out = power * (n / d)
-        retry = ~np.isfinite(out) | (out == 0.0) | (np.minimum(np.minimum(power, n), d) < _TINY)
+        with np.errstate(over="ignore"):  # x^(2-s+t) near the float max, times n/d
+            out = f2.times_power(flat, 2.0 - s)
+        fallback = ~np.isfinite(out) | (out == 0.0)
     else:
         out = np.full(flat.size, math.nan)
-        retry = np.ones(flat.size, dtype=bool)
+        fallback = np.ones(flat.size, dtype=bool)
     xs = flat.tolist()
-    for i in np.flatnonzero(retry).tolist():
+    for i in np.flatnonzero(fallback).tolist():
         out[i] = g_eval(gen, s, xs[i])
     return out.reshape(x.shape)
-
-
-def _g_rescaled(f_second, s: float, x: float) -> float:
-    """g(x) for a Rational f'' = N/D, with every power of x that N and D
-    carry (a factor x^t, and for x > 1 also x^degree) moved into one power
-    of x: N, D and x^(2-s) then cannot under- or overflow on their own
-    where g is finite.  inf where g overflows or f'' is not a Rational.
-
-    Only called where the direct product x^(2-s) * N/D is not finite or is
-    0, so no value that the direct product gives changes.
-    """
-    if not isinstance(f_second, Rational):
-        return math.inf
-    e = 2.0 - s
-    ratio = 1.0
-    for coeffs, sign in ((f_second.num, 1), (f_second.den, -1)):
-        c = list(coeffs)
-        while c[-1] == 0:  # c(x) = x^t c'(x)
-            c.pop()
-            e += sign
-        if x > 1.0:  # c'(x) = x^deg c'_reversed(1/x)
-            e += sign * (len(c) - 1)
-            v = horner(c[::-1], 1.0 / x)
-        else:
-            v = horner(c, x)
-        ratio = ratio * v if sign > 0 else ratio / v
-    return float_pow(x, e) * ratio
 
 
 @dataclass(frozen=True, slots=True)
@@ -470,11 +428,12 @@ def global_extrema_table() -> dict:
 
 
 def e_cf(gen: Generator, P: Distribution, Q: Distribution) -> float:
-    """Data-dependent bound functional sum (p_i - q_i) f'(p_i/q_i)."""
+    """Data-dependent bound functional sum (p_i - q_i) f'(p_i/q_i); raises
+    NumericOverflow where it leaves the float range."""
     p, q = P.probs, Q.probs
     if p.size != q.size:
         raise LengthMismatch(f"lengths differ: {p.size} vs {q.size}")
-    return float(e_cf_sums(gen, p, q))
+    return require_finite(float(e_cf_sums(gen, p, q)), f"e_cf of {gen.id}")
 
 
 def e_cf_sums(gen: Generator, p, q):

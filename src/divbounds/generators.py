@@ -12,12 +12,12 @@ differences are relegated to the test oracle.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
-from .errors import LengthMismatch, NonFinite, UnknownMeasure
+from .errors import LengthMismatch, NonFinite, UnknownMeasure, require_finite
 from .simplex import Distribution
 
 #: Identifiers of the nine fixed generators, in catalog order.
@@ -87,17 +87,45 @@ def float_log(x):
 
 @dataclass(frozen=True)
 class Rational:
-    """num(x) / den(x), integer coefficient tuples highest power first.
-
-    Callable on a scalar or an array.  On a plain float it stays in plain
-    Python, which keeps scalar g evaluations cheap.
+    """num(x) / den(x), integer coefficient tuples highest power first,
+    evaluated only as x^t * n(y) / d(y), derived for y = x on x <= 1 (low)
+    and y = 1/x on x > 1 (high).  Every power of x that num and den carry
+    is in t, so n(y), d(y) on (0, 1] cannot under- or overflow: only x^t can.
     """
 
     num: tuple
     den: tuple
+    low: tuple = field(init=False, repr=False, compare=False)  # (t, n, d)
+    high: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        def split(coeffs):  # c(x) = x^k c'(x)
+            c = list(coeffs)
+            while c[-1] == 0:
+                c.pop()
+            return len(coeffs) - len(c), tuple(c)
+
+        (kn, n), (kd, d) = split(self.num), split(self.den)
+        object.__setattr__(self, "low", (kn - kd, n, d))
+        # c'(x) = x^deg(c') c'_reversed(1/x)
+        object.__setattr__(self, "high", (kn + len(n) - kd - len(d), n[::-1], d[::-1]))
 
     def __call__(self, x):
-        return horner(self.num, x) / horner(self.den, x)
+        return self.times_power(x, 0.0)
+
+    def times_power(self, x, e: float):
+        """x^e * num(x) / den(x) as x^(e+t) * n(y) / d(y), on a float or at
+        every entry of an array, bit for bit: the power is Python's
+        (:func:`float_pow`), and numpy's + * / round as Python's do."""
+        if not isinstance(x, np.ndarray):
+            t, n, d = self.low if x <= 1.0 else self.high
+            y = x if x <= 1.0 else 1.0 / x
+            return float_pow(x, e + t) * (horner(n, y) / horner(d, y))
+        out = np.empty(x.shape)
+        high = x > 1.0
+        for (t, n, d), at, y in ((self.low, ~high, x[~high]), (self.high, high, 1.0 / x[high])):
+            out[at] = float_pow(x[at], e + t) * (horner(n, y) / horner(d, y))
+        return out
 
 
 @dataclass(frozen=True)
@@ -246,10 +274,11 @@ def phi_generator(s: float) -> Generator:
 
 
 def eval_csiszar(gen: Generator, P: Distribution, Q: Distribution) -> float:
-    """The Csiszar sum sum_i q_i f(p_i/q_i); nonnegative for normalized convex f."""
+    """The Csiszar sum sum_i q_i f(p_i/q_i); nonnegative for normalized convex f.
+    Raises NumericOverflow where it leaves the float range."""
     if len(P) != len(Q):
         raise LengthMismatch(f"lengths differ: {len(P)} vs {len(Q)}")
-    return float(csiszar_sums(gen, P.probs, Q.probs))
+    return require_finite(float(csiszar_sums(gen, P.probs, Q.probs)), f"C_f of {gen.id}")
 
 
 def csiszar_sums(gen: Generator, p, q):

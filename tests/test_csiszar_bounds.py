@@ -97,8 +97,9 @@ class TestGEval:
         assert db.g_eval(db.catalog()["D1"], 0.5, np.array([x])).tolist() == [db.g_eval(db.catalog()["D1"], 0.5, x)]
 
     def test_subnormal_factor_takes_the_rescaled_path(self):
-        # F1 and I at s = 0: x^2 is subnormal below x = 1.5e-154, where the
-        # direct product lost up to 1.7e-4 relative; g = x/(x+1)^2 and x/(2x+2).
+        # F1 and I at s = 0: x^2 is subnormal below x = 1.5e-154, where
+        # x^2 * N/D loses up to 1.7e-4 relative; the scaled form computes
+        # g = x/(x+1)^2 and x/(2x+2) as x^1 * n/d.
         xs = np.exp(np.linspace(math.log(1e-300), math.log(1e-154), 400))
         for mid in ("F1", "I"):
             gen = db.catalog()[mid]
@@ -111,6 +112,38 @@ class TestGEval:
                 assert abs(v - exact) <= 2 * math.ulp(exact), (mid, x)
                 assert np.float64(a).tobytes() == np.float64(v).tobytes(), (mid, x)
         assert db.mm_exact("F1", 0.0, db.RatioRange(1e-158, 1.0)).m == pytest.approx(1e-158, rel=5e-16)
+
+    def test_within_3_ulp_of_exact_g(self):
+        # Every catalog g on the sandwich suites' s values and 241 log-spaced
+        # x in [1e-300, 1e300], against 60 digits: within 3 ulp wherever the
+        # exact g is a normal float, and NumericOverflow only where it is not.
+        s_values = sorted({*db.TrialConfig().s_samples, 0.25, 0.75})
+        xs = np.exp(np.linspace(math.log(1e-300), math.log(1e300), 241)).tolist()
+        lo, hi = Decimal(sys.float_info.min), Decimal(sys.float_info.max)
+        worst, raised = 0.0, 0
+        with localcontext() as ctx:
+            ctx.prec = 60
+            # Each 2 - s is a multiple of 1/4, so x^(2-s) is an integer power of x^(1/4).
+            roots = [Decimal(x).sqrt().sqrt() for x in xs]
+            for mid, gen in db.catalog().items():
+                f2 = gen.f_second
+                ratios = [cb.horner(f2.num, Decimal(x)) / cb.horner(f2.den, Decimal(x)) for x in xs]
+                for s in s_values:
+                    k = int(4.0 * (2.0 - s))
+                    assert k == 4.0 * (2.0 - s)
+                    for x, root, ratio in zip(xs, roots, ratios):
+                        exact = root**k * ratio
+                        try:
+                            v = db.g_eval(gen, s, x)
+                        except NumericOverflow:
+                            assert not lo <= exact <= hi, (mid, s, x)
+                            raised += 1
+                            continue
+                        if lo <= exact <= hi:
+                            err = float(abs(Decimal(v) - exact) / Decimal(math.ulp(float(exact))))
+                            assert err <= 3.0, (mid, s, x, err)
+                            worst = max(worst, err)
+        assert raised and worst > 0.0
 
     def test_mm_exact_is_positive_or_overflows_on_wide_ranges(self):
         mm = db.mm_exact("D1", 0.5, db.RatioRange(0.5, 1e200))
@@ -270,23 +303,10 @@ def _mm_per_trial(measure, s, r, R):
     return tuple(np.array(mm, dtype=np.float64).reshape(-1, 2).T)
 
 
-def _g_direct_fails(gen, s, x: float) -> bool:
-    """Whether g_eval retries its direct product x^(2-s) f''(x): it is not
-    finite or is 0, or x^(2-s), N(x) or D(x) of f'' = N/D is subnormal."""
-    f2 = gen.f_second
-    try:
-        power = x ** (2.0 - s)
-        n, d = cb.horner(f2.num, x), cb.horner(f2.den, x)
-        v = power * (n / d)
-    except (OverflowError, ZeroDivisionError):
-        return True
-    return not math.isfinite(v) or v == 0.0 or min(power, n, d) < sys.float_info.min
-
-
 class TestMMExactArrays:
     # Every s a sandwich suite uses, the default grid, and one gap s per measure.
     S_VALUES = sorted({*db.TrialConfig().s_samples, 0.25, 0.75, *((lo + hi) / 2 for lo, hi in CLOSED_FORM_REGIONS.values())})
-    # Ratio ranges out to 1e-300 and 1e200, where g_eval's direct product fails.
+    # Ratio ranges out to 1e-300 and 1e250, where g overflows at some s.
     WIDE_R = np.array([1e-300, 1e-200, 1e-160, 1e-30, 1e-5, 0.5, 0.5, 0.9, 1.0, 1e-250])
     WIDE_RR = np.array([1.0, 2.0, 3.0, 1e30, 1e100, 1e160, 1e200, 1e200, 1.0, 1e250])
 
@@ -329,24 +349,32 @@ class TestMMExactArrays:
         assert calls and raised
 
     def test_monotone_cells_call_g_eval_only_for_fallback_entries(self, monkeypatch):
+        # The array path evaluates g in the same scaled form as the float
+        # path, so an entry takes the float path only where it then raises.
         calls, g_eval = [], cb.g_eval
-        monkeypatch.setattr(cb, "g_eval", lambda gen, s, x: calls.append(x) or g_eval(gen, s, x))
+
+        def spy(gen, s, x):
+            try:
+                v = g_eval(gen, s, x)
+            except NumericOverflow:
+                calls.append((x, True))
+                raise
+            calls.append((x, False))
+            return v
+
+        monkeypatch.setattr(cb, "g_eval", spy)
         r, R = self.WIDE_R, self.WIDE_RR
-        cat = db.catalog()
         fired = 0
         for mid, (lo, hi) in CLOSED_FORM_REGIONS.items():
-            for s, (lo_x, hi_x) in ((lo, (r, R)), (lo - 1.0, (r, R)), (hi, (R, r)), (hi + 1.0, (R, r))):
-                expected = []
-                for a, b in zip(lo_x.tolist(), hi_x.tolist()):
-                    expected += [x for x in (a, b) if _g_direct_fails(cat[mid], s, x)]
+            for s in (lo, lo - 1.0, hi, hi + 1.0):
                 calls.clear()
                 try:
                     cb.mm_exact_arrays(mid, s, r, R)
                 except NumericOverflow:
-                    assert calls == expected[: len(calls)], (mid, s)
+                    assert len(calls) == 1 and calls[0][1], (mid, s, calls)
+                    fired += 1
                 else:
-                    assert calls == expected, (mid, s)
-                fired += len(calls)
+                    assert calls == [], (mid, s)
         assert fired > 0
         calls.clear()
         r, R = db.PairTable(db.TrialConfig(seed=42)).extremes()

@@ -24,6 +24,19 @@ class TestCatalog:
     def test_t_curvature_at_one(self):
         assert db.catalog()["T"].f_second(1) == pytest.approx(0.25, abs=1e-15)
 
+    def test_f_second_is_inf_only_past_the_float_range(self):
+        # D2's f'' = (3x+1)/(x^2 (x+1)^2) is about 1e400 at x = 1e-200: inf,
+        # not a division by x^2 = 0.0.
+        f2 = db.catalog()["D2"].f_second
+        assert f2(1e-200) == math.inf
+        assert f2(np.array([1e-200, 0.5])).tolist() == [math.inf, f2(0.5)]
+
+    def test_f_second_has_no_false_zero(self):
+        # D1's f'' = (x+3)/(x+1)^2 is about 1e-160 at x = 1e160, where (x+1)^2 overflows.
+        f2 = db.catalog()["D1"].f_second
+        assert f2(1e160) == pytest.approx(1e-160, rel=1e-15)
+        assert f2(np.array([1e160, 2.0])).tolist() == [f2(1e160), f2(2.0)]
+
     @pytest.mark.parametrize("mid", db.CATALOG_IDS)
     def test_convex_and_normalized_on_grid(self, mid):
         gen = db.catalog()[mid]

@@ -157,3 +157,15 @@ class TestOverflow:
     def test_bound_set(self):
         with pytest.raises(NumericOverflow):
             db.bound_set(-2.0, self.P, self.Q)
+
+    # Open FOUND in CHANGES.md: phi_s and e_phi_s let numpy warn "overflow
+    # encountered in power" before they raise NumericOverflow; C_f and e_cf
+    # of the power generator warn the same way.
+    @pytest.mark.filterwarnings("ignore:overflow encountered in power:RuntimeWarning")
+    def test_c_f_and_e_cf(self):
+        # The same quantities as phi_s and e_phi_s, through the generic engine.
+        gen = db.phi_generator(-2.0)
+        with pytest.raises(NumericOverflow, match="C_f"):
+            db.eval_csiszar(gen, self.P, self.Q)
+        with pytest.raises(NumericOverflow, match="e_cf"):
+            db.e_cf(gen, self.P, self.Q)
