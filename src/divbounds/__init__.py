@@ -6,6 +6,7 @@ from .generators import (
     CATALOG_IDS,
     Generator,
     PhiS,
+    Rational,
     catalog,
     check_generator,
     eval_csiszar,
@@ -44,6 +45,7 @@ __all__ = [
     "ratio_range",
     "Generator",
     "PhiS",
+    "Rational",
     "CATALOG_IDS",
     "catalog",
     "get_generator",

@@ -2,22 +2,22 @@
 
 The key object is g(x) = x^(2-s) * f''(x).  If m <= g <= M on the ratio
 range [r, R] of a pair (P, Q), then C_f(P||Q) is sandwiched between
-m * phi_s(P||Q) and M * phi_s(P||Q).  Every catalog f'' is a rational
-function N/D, so on x > 0 the sign of g' is the sign of the stationarity
-polynomial
+m * phi_s(P||Q) and M * phi_s(P||Q).  Every f'' is a Rational x^(a-2) N/D
+(a = 2 in the catalog, a = t for phi_t's x^(t-2)), so on x > 0 the sign of
+g' is the sign of the stationarity polynomial
 
-    S_s(x) = (2-s) N D + x (N'D - N D'),
+    S_s(x) = (a-s) N D + x (N'D - N D'),
 
-of degree at most 3 once the factors x and x+1 are divided out.  (m, M)
-are therefore exact for every s: the extremes of g over r, R and the roots
-of S_s inside (r, R).  In the paper's monotone regions of s the endpoints
-alone suffice.  Each global extremum the paper names is g at the single
-positive root of S_s.  An independent numeric optimizer (log-spaced scan plus
+of degree at most 3 once the factors x and x+1 are divided out (the
+constant t - s for phi_t).  (m, M) are therefore exact for every s: the
+extremes of g over r, R and the roots of S_s inside (r, R).  In the
+monotone regions of s (the paper's; (t, t) for phi_t) the endpoints alone
+suffice.  Each global extremum the paper names is g at the single positive
+root of S_s.  An independent numeric optimizer (log-spaced scan plus
 golden-section refinement) is kept as the test oracle and for generators
-outside the catalog.  g has one formula, g = x^(2-s+t) * n(y) / d(y) from
-the scaled form of a Rational f'', which leaves the float range only where
-g does; g_eval raises there, and an array of x follows its float path bit
-for bit.
+outside the catalog.  g has one formula, g = x^((a-s)+k) * n(y) / d(y) from
+the scaled form of f'', which leaves the float range only where g does;
+g_eval raises there, and an array of x follows its float path bit for bit.
 """
 
 from __future__ import annotations
@@ -42,11 +42,9 @@ from .generators import (
     VIOLATION_TOL,
     Generator,
     PhiS,
-    Rational,
     catalog,
     eval_csiszar,
     float_each,
-    float_pow,
     get_generator,
     horner,
 )
@@ -63,18 +61,17 @@ NUMERIC_GRID_POINTS = 4096  # samples of the mm_numeric scan
 def g_eval(gen: Generator, s: float, x):
     """x^(2-s) * f''(x); accepts a positive scalar or array.
 
-    The float path defines g: x^(2-s+t) * n(y) / d(y) for a Rational f''
-    (:meth:`Rational.times_power`), else x^(2-s) * f''(x), and
-    NumericOverflow where it is not finite or is 0 (an infinite g turns
-    m * phi_s into nan, a zero g certifies m = 0 or M = 0).  An array of
-    any shape follows it entry by entry (:func:`_g_array`).
+    The float path defines g: x^((a-s)+k) * n(y) / d(y) in the scaled form
+    of the Rational f'' (:meth:`Rational.times_power`), and NumericOverflow
+    where it is not finite or is 0 (an infinite g turns m * phi_s into nan,
+    a zero g certifies m = 0 or M = 0).  An array of any shape follows it
+    entry by entry (:func:`_g_array`).
     """
     if isinstance(x, float):
         if not x > 0.0:
             raise NonPositiveX(f"x must be > 0, got {x}")
-        f2 = gen.f_second
         try:
-            v = f2.times_power(x, 2.0 - s) if isinstance(f2, Rational) else float(x ** (2.0 - s) * f2(x))
+            v = gen.f_second.times_power(x, s)
         except (OverflowError, ZeroDivisionError):
             v = math.inf
         if not math.isfinite(v) or v == 0.0:
@@ -88,21 +85,14 @@ def g_eval(gen: Generator, s: float, x):
 
 
 def _g_array(gen: Generator, s: float, x: np.ndarray) -> np.ndarray:
-    """:func:`g_eval`'s float path at every entry of x > 0, bit for bit: a
-    Rational f'' takes the same scaled form on the whole array; an entry
-    where that is not finite or is 0 (the float path raises there), and
-    every entry of any other f'', takes the float path, in array order."""
+    """:func:`g_eval`'s float path at every entry of x > 0, bit for bit: the
+    same scaled form on the whole array; an entry where that is not finite
+    or is 0 takes the float path, which raises there, in array order."""
     flat = x.ravel()
-    f2 = gen.f_second
-    if isinstance(f2, Rational):
-        with np.errstate(over="ignore"):  # x^(2-s+t) near the float max, times n/d
-            out = f2.times_power(flat, 2.0 - s)
-        fallback = ~np.isfinite(out) | (out == 0.0)
-    else:
-        out = np.full(flat.size, math.nan)
-        fallback = np.ones(flat.size, dtype=bool)
+    with np.errstate(over="ignore"):  # x^((a-s)+k) near the float max, times n/d
+        out = gen.f_second.times_power(flat, s)
     xs = flat.tolist()
-    for i in np.flatnonzero(fallback).tolist():
+    for i in np.flatnonzero(~np.isfinite(out) | (out == 0.0)).tolist():
         out[i] = g_eval(gen, s, xs[i])
     return out.reshape(x.shape)
 
@@ -220,7 +210,7 @@ def _polyder(c: np.ndarray) -> np.ndarray:
 
 
 def _stationarity(f_second) -> tuple:
-    """(A, B), integer tuples of equal length, with S_s = A + s*B.
+    """(A, B), tuples of equal length, with S_s = A + s*B.
 
     The powers of x and of x + 1 that A and B share are divided out: every
     catalog denominator is a product of 2, x and x + 1, and both divisors
@@ -229,7 +219,7 @@ def _stationarity(f_second) -> tuple:
     n, d = np.array(f_second.num), np.array(f_second.den)
     nd = np.convolve(n, d)
     cross = np.polysub(np.convolve(_polyder(n), d), np.convolve(n, _polyder(d)))
-    a = np.polyadd(2 * nd, np.append(cross, 0))
+    a = np.polyadd(f_second.a * nd, np.append(cross, 0))
     b = np.polysub(np.zeros_like(a), nd)  # -N D, as long as A
     a, b = tuple(a.tolist()), tuple(b.tolist())  # plain ints: _real_roots runs per gap cell
     while a[-1] == b[-1] == 0:
@@ -322,14 +312,6 @@ def mm_closed(measure, s: float, rng: RatioRange) -> Optional[MMBounds]:
 
 def _closed_values(measure, s: float, r: float, R: float) -> Optional[tuple]:
     """(m, M) of :func:`mm_closed`, or None in the gap."""
-    if isinstance(measure, PhiS):
-        e = measure.s - s
-        if e == 0.0:
-            return 1.0, 1.0
-        lo_v, hi_v = float(float_pow(r, e)), float(float_pow(R, e))
-        if max(lo_v, hi_v) == math.inf:
-            raise NumericOverflow(f"x^{e!r} overflows on [{r!r}, {R!r}]")
-        return (lo_v, hi_v) if e > 0 else (hi_v, lo_v)
     ends = _monotone_ends(measure, s, r, R)
     if ends is None:
         return None
@@ -338,11 +320,15 @@ def _closed_values(measure, s: float, r: float, R: float) -> Optional[tuple]:
 
 
 def _monotone_ends(measure, s: float, r, R) -> Optional[tuple]:
-    """(x of m, x of M) of a catalog measure's g in its monotone regions; None in the gap."""
-    try:
-        s_lo, s_hi = CLOSED_FORM_REGIONS[measure]
-    except KeyError:
-        raise UnknownMeasure(f"unknown measure {measure!r}") from None
+    """(x of m, x of M) of g in a measure's monotone regions, None in the gap;
+    PhiS(t)'s region is (t, t), where S_s is the constant t - s."""
+    if isinstance(measure, PhiS):
+        s_lo = s_hi = measure.s
+    else:
+        try:
+            s_lo, s_hi = CLOSED_FORM_REGIONS[measure]
+        except KeyError:
+            raise UnknownMeasure(f"unknown measure {measure!r}") from None
     if s <= s_lo:  # g increasing
         return r, R
     if s >= s_hi:  # g decreasing
@@ -362,7 +348,7 @@ def mm_exact_values(measure, s: float, r: float, R: float) -> tuple:
     if mm is not None:
         return mm
     gen = get_generator(measure)
-    a, b = _STATIONARY[measure]
+    a, b = _STATIONARY.get(measure) or _stationarity(gen.f_second)  # PhiS: only at s = nan
     roots = _real_roots([x + s * y for x, y in zip(a, b)], r, R)
     gs = [g_eval(gen, s, x) for x in (r, R, *roots)]
     return min(gs), max(gs)
@@ -370,11 +356,11 @@ def mm_exact_values(measure, s: float, r: float, R: float) -> tuple:
 
 def mm_exact_arrays(measure, s: float, r: np.ndarray, R: np.ndarray) -> tuple:
     """(m, M) arrays of :func:`mm_exact_values` at every (r[i], R[i]), bit
-    for bit.  In a monotone region of a catalog measure g takes one array,
-    the endpoints interleaved in the order of the scalar calls; every other
-    cell, and a power-family measure, is scalar, trial by trial."""
+    for bit.  In a monotone region g takes one array, the endpoints
+    interleaved in the order of the scalar calls, so the first trial that
+    raises raises; a gap cell is scalar, trial by trial."""
     r, R = np.asarray(r, dtype=np.float64), np.asarray(R, dtype=np.float64)
-    ends = None if isinstance(measure, PhiS) else _monotone_ends(measure, s, r, R)
+    ends = _monotone_ends(measure, s, r, R)
     if ends is None:
         g = np.array([mm_exact_values(measure, s, a, b) for a, b in zip(r.tolist(), R.tolist())], dtype=np.float64)
     else:
@@ -427,6 +413,7 @@ def global_extrema_table() -> dict:
     return dict(_GLOBAL)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # NumericOverflow is the only signal
 def e_cf(gen: Generator, P: Distribution, Q: Distribution) -> float:
     """Data-dependent bound functional sum (p_i - q_i) f'(p_i/q_i); raises
     NumericOverflow where it leaves the float range."""

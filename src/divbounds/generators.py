@@ -4,20 +4,21 @@ Each divergence in this package is the Csiszar sum
 
     C_f(P||Q) = sum_i q_i * f(p_i / q_i)
 
-for a convex generator f on (0, inf) normalized by f(1) = 0.  The nine
-named generators carry analytic first and second derivatives; finite
+for a convex generator f on (0, inf) normalized by f(1) = 0.  Every
+generator carries an analytic f' and f'' as a :class:`Rational`; finite
 differences are relegated to the test oracle.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
-from .errors import LengthMismatch, NonFinite, UnknownMeasure, require_finite
+from .errors import InvalidArgument, LengthMismatch, NonFinite, UnknownMeasure, require_finite
 from .simplex import Distribution
 
 #: Identifiers of the nine fixed generators, in catalog order.
@@ -87,18 +88,24 @@ def float_log(x):
 
 @dataclass(frozen=True)
 class Rational:
-    """num(x) / den(x), integer coefficient tuples highest power first,
-    evaluated only as x^t * n(y) / d(y), derived for y = x on x <= 1 (low)
-    and y = 1/x on x > 1 (high).  Every power of x that num and den carry
-    is in t, so n(y), d(y) on (0, 1] cannot under- or overflow: only x^t can.
+    """f''(x) = x^(a-2) num(x) / den(x), integer coefficient tuples highest
+    power first and a real a (2 in the catalog, t for phi_t's x^(t-2)),
+    evaluated only as x^(a-2+k) n(y) / d(y) with y = x on x <= 1 (low) and
+    y = 1/x on x > 1 (high).  Every power of x that num and den carry is in
+    k, so n(y), d(y) on (0, 1] cannot under- or overflow: only the power can.
     """
 
     num: tuple
     den: tuple
-    low: tuple = field(init=False, repr=False, compare=False)  # (t, n, d)
+    a: float = 2
+    low: tuple = field(init=False, repr=False, compare=False)  # (k, n, d)
     high: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        for name, coeffs in (("num", self.num), ("den", self.den)):
+            if not any(coeffs):
+                raise InvalidArgument(f"Rational {name} needs a nonzero coefficient, got {coeffs!r}")
+
         def split(coeffs):  # c(x) = x^k c'(x)
             c = list(coeffs)
             while c[-1] == 0:
@@ -111,20 +118,20 @@ class Rational:
         object.__setattr__(self, "high", (kn + len(n) - kd - len(d), n[::-1], d[::-1]))
 
     def __call__(self, x):
-        return self.times_power(x, 0.0)
+        return self.times_power(x, 2.0)
 
-    def times_power(self, x, e: float):
-        """x^e * num(x) / den(x) as x^(e+t) * n(y) / d(y), on a float or at
+    def times_power(self, x, s: float):
+        """x^(2-s) f''(x) as x^((a-s)+k) * n(y) / d(y), on a float or at
         every entry of an array, bit for bit: the power is Python's
         (:func:`float_pow`), and numpy's + * / round as Python's do."""
         if not isinstance(x, np.ndarray):
-            t, n, d = self.low if x <= 1.0 else self.high
+            k, n, d = self.low if x <= 1.0 else self.high
             y = x if x <= 1.0 else 1.0 / x
-            return float_pow(x, e + t) * (horner(n, y) / horner(d, y))
+            return float_pow(x, (self.a - s) + k) * (horner(n, y) / horner(d, y))
         out = np.empty(x.shape)
         high = x > 1.0
-        for (t, n, d), at, y in ((self.low, ~high, x[~high]), (self.high, high, 1.0 / x[high])):
-            out[at] = float_pow(x[at], e + t) * (horner(n, y) / horner(d, y))
+        for (k, n, d), at, y in ((self.low, ~high, x[~high]), (self.high, high, 1.0 / x[high])):
+            out[at] = float_pow(x[at], (self.a - s) + k) * (horner(n, y) / horner(d, y))
         return out
 
 
@@ -132,16 +139,20 @@ class Rational:
 class Generator:
     """A divergence's generating triple on (0, inf), with f(1) = 0.
 
-    Catalog generators carry f'' as a :class:`Rational` and the formula
+    f'' is a :class:`Rational`; catalog generators also carry the formula
     text of f and f'' that the catalog command prints.
     """
 
     id: str
     f: Callable
     f_prime: Callable
-    f_second: Callable
+    f_second: Rational
     f_text: str = ""
     f_second_text: str = ""
+
+    def __post_init__(self):
+        if not isinstance(self.f_second, Rational):
+            raise InvalidArgument(f"f_second of {self.id} must be a Rational, got {type(self.f_second).__name__}")
 
 
 def _make_catalog() -> dict:
@@ -244,35 +255,31 @@ def get_generator(measure) -> Generator:
 def phi_generator(s: float) -> Generator:
     """Generator of the power-divergence family member with parameter s.
 
-    f(x) = (x^s - 1) / (s(s-1)) with f''(x) = x^(s-2); the s = 0 and s = 1
-    poles dispatch to the limit forms -ln(x) and x*ln(x) respectively.
+    f(x) = (x^s - 1) / (s(s-1)), f''(x) = x^(s-2) at every s; the poles of f
+    at s = 0 and s = 1 dispatch to the limit forms -ln(x) and x*ln(x).
     """
     if not np.isfinite(s):
         raise NonFinite(f"s must be finite, got {s}")
-    s = float(s)
+    return _phi_generator(float(s))
+
+
+@functools.lru_cache(maxsize=256)  # get_generator(PhiS(t)) runs on every mm_exact call
+def _phi_generator(s: float) -> Generator:
+    f_second = Rational((1,), (1,), a=s)
     if abs(s) <= S_POLE_TOL:
-        return Generator(
-            "PHI_S(0)",
-            f=lambda x: -np.log(x),
-            f_prime=lambda x: -1.0 / x,
-            f_second=lambda x: x**-2.0,
-        )
+        return Generator("PHI_S(0)", f=lambda x: -np.log(x), f_prime=lambda x: -1.0 / x, f_second=f_second)
     if abs(s - 1.0) <= S_POLE_TOL:
-        return Generator(
-            "PHI_S(1)",
-            f=lambda x: x * np.log(x),
-            f_prime=lambda x: np.log(x) + 1.0,
-            f_second=lambda x: 1.0 / x,
-        )
+        return Generator("PHI_S(1)", f=lambda x: x * np.log(x), f_prime=lambda x: np.log(x) + 1.0, f_second=f_second)
     c = 1.0 / (s * (s - 1.0))
     return Generator(
         f"PHI_S({s:g})",
         f=lambda x: (x**s - 1.0) * c,
         f_prime=lambda x: x ** (s - 1.0) / (s - 1.0),
-        f_second=lambda x: x ** (s - 2.0),
+        f_second=f_second,
     )
 
 
+@np.errstate(over="ignore", invalid="ignore")  # NumericOverflow is the only signal
 def eval_csiszar(gen: Generator, P: Distribution, Q: Distribution) -> float:
     """The Csiszar sum sum_i q_i f(p_i/q_i); nonnegative for normalized convex f.
     Raises NumericOverflow where it leaves the float range."""

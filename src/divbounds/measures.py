@@ -112,6 +112,7 @@ def phi_sums(s: float, p, q):
     return (np.sum(p**s * q ** (1.0 - s), axis=-1) - 1.0) / (s * (s - 1.0))
 
 
+@np.errstate(over="ignore", invalid="ignore")  # NumericOverflow is the only signal
 def phi_s(s: float, P: Distribution, Q: Distribution) -> float:
     """Power-divergence family: [s(s-1)]^-1 [sum p_i^s q_i^(1-s) - 1].
 

@@ -34,6 +34,7 @@ def e_phi_sums(s: float, p, q):
     return np.sum((p - q) * x ** (s - 1.0), axis=-1) / (s - 1.0)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # NumericOverflow is the only signal
 def e_phi_s(s: float, P: Distribution, Q: Distribution) -> float:
     """Data-dependent bound (s-1)^-1 sum (p_i - q_i)(p_i/q_i)^(s-1)."""
     if len(P) != len(Q):

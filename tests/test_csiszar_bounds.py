@@ -74,7 +74,7 @@ class TestGEval:
         with pytest.raises(NumericOverflow):
             db.g_eval(db.catalog()["J"], 3.0, 1e-200)  # f'' denominator underflows to 0, g = 1e600
         # An array raises where the float path raises, at its first such entry,
-        # also for an f'' that is not a Rational.
+        # also for the power family's f'' = x^(t-2).
         with pytest.raises(NumericOverflow, match=re.escape("at x=1e-06, s=100.0")):
             db.g_eval(gen, 100.0, np.array([1.0, 1e-6, 1e-7]))
         with pytest.raises(NumericOverflow, match=re.escape("at x=10000000000.0, s=-300.0")):
@@ -87,6 +87,11 @@ class TestGEval:
         # D2 at a huge x: f''(x) = (3x+1)/(x^2 (x+1)^2) has D = inf, g = 3e200.
         assert db.g_eval(db.catalog()["D2"], -2.0, 1e200) == pytest.approx(3e200, rel=1e-15)
         assert db.g_eval(db.catalog()["T"], 0.5, 1e200) == pytest.approx(2.5e99, rel=1e-15)
+        # phi_t's g = x^(t-s) is one power: 1 at s = t, however far x^(2-s) and
+        # f''(x) = x^(t-2) are out of the float range.
+        assert db.g_eval(db.phi_generator(0.5), 0.5, 1e-250) == 1.0
+        rep = db.bound_interval(db.PhiS(0.5), 0.5, db.normalize([1e-250, 1]), db.normalize([1, 1]), method="numeric")
+        assert (rep.mm.m, rep.mm.M) == (1.0, 1.0)
 
     def test_overflowing_denominator_gives_no_false_zero(self):
         # D1's f'' = (x+3)/(x+1)^2 has D = inf at x = 1e200, so N/D = 0 is
@@ -232,6 +237,16 @@ class TestMMClosed:
             db.mm_closed(db.PhiS(300.0), -10.0, db.RatioRange(1e-30, 1e30))
         with pytest.raises(NumericOverflow):
             db.mm_closed(db.PhiS(-300.0), 10.0, db.RatioRange(1e-30, 1e30))
+        # g = x^2 underflows to 0 at r = 2e-200: the exact and the numeric
+        # (m, M) both raise, as g_eval does for every catalog measure.
+        P, Q = db.normalize([1e-200, 1]), db.normalize([1, 1])
+        for method in ("auto", "numeric"):
+            with pytest.raises(NumericOverflow, match="leaves the float range"):
+                db.bound_interval(db.PhiS(3.0), 1.0, P, Q, method=method)
+        # A nan s leaves every monotone region: g = x^nan raises, as for J.
+        for measure in ("J", db.PhiS(0.5)):
+            with pytest.raises(NumericOverflow):
+                db.mm_exact(measure, math.nan, db.RatioRange(0.5, 2.0))
 
     def test_unknown_measure(self):
         with pytest.raises(UnknownMeasure):
@@ -419,6 +434,22 @@ class TestMMExactArrays:
             m, M = cb.mm_exact_arrays(measure, s, r, R)
             ref_m, ref_M = _mm_per_trial(measure, s, r, R)
             assert (m.tobytes(), M.tobytes()) == (ref_m.tobytes(), ref_M.tobytes()), (measure, s)
+        # On the wide ranges an endpoint's x^(t-s) over- or underflows (at
+        # trial 0, or at trial 1's m or M on the slice): the batched cell
+        # raises the first trial's error, as the scalar loop does.
+        raised = 0
+        for r, R in ((self.WIDE_R, self.WIDE_RR), (self.WIDE_R[4:], self.WIDE_RR[4:])):
+            for measure, s in ((db.PhiS(3.0), 1.0), (db.PhiS(-1.0), 2.0), (db.PhiS(0.5), 0.5), (db.PhiS(2.0), -1.5)):
+                try:
+                    ref_m, ref_M = _mm_per_trial(measure, s, r, R)
+                except NumericOverflow as exc:
+                    raised += 1
+                    with pytest.raises(NumericOverflow, match=re.escape(str(exc))):
+                        cb.mm_exact_arrays(measure, s, r, R)
+                else:
+                    m, M = cb.mm_exact_arrays(measure, s, r, R)
+                    assert (m.tobytes(), M.tobytes()) == (ref_m.tobytes(), ref_M.tobytes()), (measure, s)
+        assert raised == 6
         for mid, s in (("J", 2.0), ("J", 0.5)):
             m, M = cb.mm_exact_arrays(mid, s, np.empty(0), np.empty(0))
             assert m.shape == M.shape == (0,)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import divbounds as db
-from divbounds.errors import LengthMismatch, NonFinite, UnknownMeasure
+from divbounds.errors import InvalidArgument, LengthMismatch, NonFinite, UnknownMeasure
 
 GRID = np.exp(np.linspace(math.log(1e-3), math.log(1e3), 601))
 
@@ -99,6 +99,30 @@ class TestPhiGenerator:
     def test_non_finite_s(self):
         with pytest.raises(NonFinite):
             db.phi_generator(float("nan"))
+
+    def test_f_second_is_one_power(self):
+        # f'' = x^(t-2) at every t, the poles of f included.
+        for t in (-2.0, 0.0, 1e-11, 0.5, 1.0, 3.0):
+            f2 = db.phi_generator(t).f_second
+            assert f2 == db.Rational((1,), (1,), a=t)
+            assert f2(4.0) == 4.0 ** (t - 2.0)
+
+
+class TestRational:
+    def test_catalog_exponent_is_two(self):
+        for gen in db.catalog().values():
+            assert type(gen.f_second) is db.Rational and gen.f_second.a == 2 and type(gen.f_second.a) is int
+
+    @pytest.mark.parametrize("num, den", [((), (1,)), ((1,), ()), ((0,), (1,)), ((1,), (0, 0))])
+    def test_empty_or_zero_polynomial(self, num, den):
+        with pytest.raises(InvalidArgument):
+            db.Rational(num, den)
+
+    def test_generator_needs_a_rational_f_second(self):
+        with pytest.raises(InvalidArgument, match="Rational"):
+            db.Generator("X", f=lambda x: x * np.log(x), f_prime=lambda x: np.log(x) + 1.0, f_second=lambda x: 1.0 / x)
+        gen = db.Generator("X", f=lambda x: x * np.log(x), f_prime=lambda x: np.log(x) + 1.0, f_second=db.Rational((1,), (1, 0)))
+        assert db.g_eval(gen, 1.0, 3.0) == 1.0
 
 
 class TestEvalCsiszar:

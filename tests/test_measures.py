@@ -140,9 +140,6 @@ class TestPhiS:
                 assert db.phi_s(s, P, Q) >= -1e-12
 
 
-# Open FOUND in CHANGES.md: phi_s and e_phi_s let numpy warn "overflow
-# encountered in power" before they raise NumericOverflow.
-@pytest.mark.filterwarnings("ignore:overflow encountered in power:RuntimeWarning")
 def test_phi_s_overflow_is_typed():
     # p^s q^(1-s) = (1e-300)^-2 (1/2)^3 overflows to inf.
     with pytest.raises(NumericOverflow):

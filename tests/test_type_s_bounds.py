@@ -136,9 +136,6 @@ class TestOverflow:
     P = db.normalize([1e-300, 1])
     Q = db.normalize([1, 1])
 
-    # Open FOUND in CHANGES.md: phi_s and e_phi_s let numpy warn "overflow
-    # encountered in power" before they raise NumericOverflow.
-    @pytest.mark.filterwarnings("ignore:overflow encountered in power:RuntimeWarning")
     def test_e_phi_s(self):
         with pytest.raises(NumericOverflow):
             db.e_phi_s(-2.0, self.P, self.Q)
@@ -151,17 +148,10 @@ class TestOverflow:
         with pytest.raises(NumericOverflow):
             db.b_phi_s(-2.0, db.ratio_range(self.P, self.Q))
 
-    # Open FOUND in CHANGES.md: phi_s and e_phi_s let numpy warn "overflow
-    # encountered in power" before they raise NumericOverflow.
-    @pytest.mark.filterwarnings("ignore:overflow encountered in power:RuntimeWarning")
     def test_bound_set(self):
         with pytest.raises(NumericOverflow):
             db.bound_set(-2.0, self.P, self.Q)
 
-    # Open FOUND in CHANGES.md: phi_s and e_phi_s let numpy warn "overflow
-    # encountered in power" before they raise NumericOverflow; C_f and e_cf
-    # of the power generator warn the same way.
-    @pytest.mark.filterwarnings("ignore:overflow encountered in power:RuntimeWarning")
     def test_c_f_and_e_cf(self):
         # The same quantities as phi_s and e_phi_s, through the generic engine.
         gen = db.phi_generator(-2.0)
