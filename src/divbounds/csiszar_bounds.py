@@ -37,19 +37,22 @@ from .errors import (
     NumericOverflow,
     UnknownMeasure,
     require_finite,
+    require_finite_s,
 )
 from .generators import (
     VIOLATION_TOL,
     Generator,
     PhiS,
     catalog,
+    csiszar_sums,
     eval_csiszar,
+    finite_cf,
     float_each,
     get_generator,
     horner,
 )
-from .measures import phi_s
-from .simplex import Distribution, RatioRange, ratio_range
+from .measures import finite_phi, phi_s, phi_sums
+from .simplex import Distribution, RatioRange, pair_range, ratio_range
 from .type_s_bounds import a_phi_s, b_phi_s, e_phi_s
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -425,7 +428,7 @@ def e_cf(gen: Generator, P: Distribution, Q: Distribution) -> float:
 
 def e_cf_sums(gen: Generator, p, q):
     """e_cf on probability vectors p, q, or row by row on (k, n) blocks."""
-    return np.sum((p - q) * gen.f_prime(p / q), axis=-1)
+    return np.add.reduce((p - q) * gen.f_prime(p / q), axis=-1)
 
 
 def a_cf(gen: Generator, rng: RatioRange) -> float:
@@ -477,16 +480,26 @@ def bound_interval(measure, s: float, P: Distribution, Q: Distribution, method: 
     """Sandwich m * phi_s <= C_f <= M * phi_s for a catalog or PhiS measure.
 
     method "auto" and "closed" both take the exact (m, M) of
-    :func:`mm_exact`; "numeric" forces the oracle.  Raises NumericOverflow
-    where g, phi_s or a bound leaves the float range.
+    :func:`mm_exact`; "numeric" forces the oracle.  Raises NonFinite for a
+    nan or infinite s, and NumericOverflow where R, g, phi_s, C_f or a
+    bound leaves the float range.
+
+    One pass under one np.errstate: s is checked once, and phi_s and C_f
+    come from the cores of :func:`phi_s` and :func:`eval_csiszar`, so every
+    field holds the bits of those public functions, :func:`ratio_range`,
+    :func:`mm_exact` and :func:`sandwich`, and every error is theirs.
     """
     if method not in ("auto", "closed", "numeric"):
         raise InvalidArgument(f"unknown method {method!r}")
-    rng = ratio_range(P, Q)
-    gen = get_generator(measure)
-    mm = mm_numeric(gen, s, rng) if method == "numeric" else mm_exact(measure, s, rng)
-    phi, value = phi_s(s, P, Q), eval_csiszar(gen, P, Q)
-    lower, upper, lower_slack, upper_slack = sandwich(mm.m, mm.M, phi, value)
+    require_finite_s(s)
+    with np.errstate(over="ignore", invalid="ignore"):  # NumericOverflow is the only signal
+        rng = pair_range(P, Q)
+        gen = get_generator(measure)
+        mm = mm_numeric(gen, s, rng) if method == "numeric" else mm_exact(measure, s, rng)
+        p, q = P.probs, Q.probs
+        phi = finite_phi(s, float(phi_sums(s, p, q)))
+        value = finite_cf(gen, float(csiszar_sums(gen, p, q)))
+        lower, upper, lower_slack, upper_slack = sandwich(mm.m, mm.M, phi, value)
     return BoundReport(
         measure=measure,
         s=s,

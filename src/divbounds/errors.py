@@ -81,3 +81,11 @@ def require_finite(value, what: str):
     if not ok:
         raise NumericOverflow(f"{what} leaves the float range")
     return value
+
+
+def require_finite_s(s):
+    """The power-family parameter s unchanged, or NonFinite when it is nan
+    or infinite."""
+    if not math.isfinite(s):
+        raise NonFinite(f"s must be finite, got {s}")
+    return s

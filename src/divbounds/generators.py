@@ -18,7 +18,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import InvalidArgument, LengthMismatch, NonFinite, UnknownMeasure, require_finite
+from .errors import InvalidArgument, LengthMismatch, UnknownMeasure, require_finite, require_finite_s
 from .simplex import Distribution
 
 #: Identifiers of the nine fixed generators, in catalog order.
@@ -258,9 +258,7 @@ def phi_generator(s: float) -> Generator:
     f(x) = (x^s - 1) / (s(s-1)), f''(x) = x^(s-2) at every s; the poles of f
     at s = 0 and s = 1 dispatch to the limit forms -ln(x) and x*ln(x).
     """
-    if not np.isfinite(s):
-        raise NonFinite(f"s must be finite, got {s}")
-    return _phi_generator(float(s))
+    return _phi_generator(float(require_finite_s(s)))
 
 
 @functools.lru_cache(maxsize=256)  # get_generator(PhiS(t)) runs on every mm_exact call
@@ -285,12 +283,18 @@ def eval_csiszar(gen: Generator, P: Distribution, Q: Distribution) -> float:
     Raises NumericOverflow where it leaves the float range."""
     if len(P) != len(Q):
         raise LengthMismatch(f"lengths differ: {len(P)} vs {len(Q)}")
-    return require_finite(float(csiszar_sums(gen, P.probs, Q.probs)), f"C_f of {gen.id}")
+    return finite_cf(gen, float(csiszar_sums(gen, P.probs, Q.probs)))
 
 
 def csiszar_sums(gen: Generator, p, q):
     """C_f on probability vectors p, q, or row by row on (k, n) blocks."""
-    return np.sum(q * gen.f(p / q), axis=-1)
+    return np.add.reduce(q * gen.f(p / q), axis=-1)
+
+
+def finite_cf(gen: Generator, value):
+    """C_f values (a float or an array of trials) unchanged, or
+    NumericOverflow when one is inf or nan."""
+    return require_finite(value, f"C_f of {gen.id}")
 
 
 @dataclass(frozen=True)

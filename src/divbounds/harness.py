@@ -62,7 +62,7 @@ from .csiszar_bounds import (
 from .errors import DivBoundsError, InvalidArgument, UnknownSuite, require_finite
 from .estimators import all_estimators, coincide, estimate, estimate_from
 from .generators import CATALOG_IDS, VIOLATION_TOL, csiszar_sums, get_generator
-from .measures import divergence_sums, phi_sums
+from .measures import divergence_sums, finite_phi, phi_sums
 from .simplex import Distribution, ratio_extremes, ratio_range
 from .type_s_bounds import a_phi_values, b_phi_values, bound_set, chain_checks, e_phi_sums
 
@@ -258,7 +258,7 @@ class PairTable:
         return self._batch(("d", measure), lambda p, q: divergence_sums(measure, p, q))
 
     def phi(self, s: float) -> np.ndarray:
-        return require_finite(self._batch(("phi", s), lambda p, q: phi_sums(s, p, q)), f"phi_s at s={s!r}")
+        return finite_phi(s, self._batch(("phi", s), lambda p, q: phi_sums(s, p, q)))
 
     def e_phi(self, s: float) -> np.ndarray:
         return require_finite(self._batch(("e_phi", s), lambda p, q: e_phi_sums(s, p, q)), f"e_phi_s at s={s!r}")

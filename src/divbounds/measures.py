@@ -13,52 +13,52 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import LengthMismatch, NonFinite, UnknownMeasure, require_finite
+from .errors import LengthMismatch, UnknownMeasure, require_finite, require_finite_s
 from .generators import S_POLE_TOL
 from .simplex import Distribution
 
 
 def _kl(p, q):
-    return np.sum(p * np.log(p / q), axis=-1)
+    return np.add.reduce(p * np.log(p / q), axis=-1)
 
 
 def _j(p, q):
-    return np.sum((p - q) * np.log(p / q), axis=-1)
+    return np.add.reduce((p - q) * np.log(p / q), axis=-1)
 
 
 def _d1(p, q):
-    return np.sum((p - q) * np.log((p + q) / (2 * q)), axis=-1)
+    return np.add.reduce((p - q) * np.log((p + q) / (2 * q)), axis=-1)
 
 
 def _f1(p, q):
-    return np.sum(p * np.log(2 * p / (p + q)), axis=-1)
+    return np.add.reduce(p * np.log(2 * p / (p + q)), axis=-1)
 
 
 def _g1(p, q):
     m = (p + q) / 2
-    return np.sum(m * np.log(m / p), axis=-1)
+    return np.add.reduce(m * np.log(m / p), axis=-1)
 
 
 def _i(p, q):
     m = (p + q) / 2
-    return np.sum(p * np.log(p / m) + q * np.log(q / m), axis=-1) / 2
+    return np.add.reduce(p * np.log(p / m) + q * np.log(q / m), axis=-1) / 2
 
 
 def _t(p, q):
     m = (p + q) / 2
-    return np.sum(m * np.log(m / np.sqrt(p * q)), axis=-1)
+    return np.add.reduce(m * np.log(m / np.sqrt(p * q)), axis=-1)
 
 
 def _b(p, q):
-    return np.sum(np.sqrt(p * q), axis=-1)
+    return np.add.reduce(np.sqrt(p * q), axis=-1)
 
 
 def _h(p, q):
-    return np.sum((np.sqrt(p) - np.sqrt(q)) ** 2, axis=-1) / 2
+    return np.add.reduce((np.sqrt(p) - np.sqrt(q)) ** 2, axis=-1) / 2
 
 
 def _chi2(p, q):
-    return np.sum((p - q) ** 2 / q, axis=-1)
+    return np.add.reduce((p - q) ** 2 / q, axis=-1)
 
 
 _DISPATCH = {
@@ -109,7 +109,13 @@ def phi_sums(s: float, p, q):
         return _kl(q, p)
     if abs(s - 1.0) <= S_POLE_TOL:
         return _kl(p, q)
-    return (np.sum(p**s * q ** (1.0 - s), axis=-1) - 1.0) / (s * (s - 1.0))
+    return (np.add.reduce(p**s * q ** (1.0 - s), axis=-1) - 1.0) / (s * (s - 1.0))
+
+
+def finite_phi(s: float, value):
+    """phi_s values (a float or an array of trials) unchanged, or
+    NumericOverflow when one is inf or nan."""
+    return require_finite(value, f"phi_s at s={s!r}")
 
 
 @np.errstate(over="ignore", invalid="ignore")  # NumericOverflow is the only signal
@@ -121,8 +127,7 @@ def phi_s(s: float, P: Distribution, Q: Distribution) -> float:
     Raises NumericOverflow when a power leaves the float range (an extreme
     ratio at a large |s|), where the sum would be inf or nan.
     """
-    if not np.isfinite(s):
-        raise NonFinite(f"s must be finite, got {s}")
+    require_finite_s(s)
     if len(P) != len(Q):
         raise LengthMismatch(f"lengths differ: {len(P)} vs {len(Q)}")
-    return require_finite(float(phi_sums(s, P.probs, Q.probs)), f"phi_s at s={s!r}")
+    return finite_phi(s, float(phi_sums(s, P.probs, Q.probs)))

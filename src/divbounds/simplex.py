@@ -21,6 +21,7 @@ from .errors import (
     NonPositiveAlpha,
     NotNormalized,
     ZeroEntry,
+    require_finite,
 )
 
 #: Acceptance tolerance on |sum - 1|.  Inputs are used as given; no internal
@@ -120,16 +121,27 @@ def smooth(raw, alpha: float) -> Distribution:
     return normalize(arr + alpha)
 
 
+@np.errstate(over="ignore")  # NumericOverflow is the only signal
 def ratio_range(P: Distribution, Q: Distribution) -> RatioRange:
-    """Tight, attained bounds r = min p_i/q_i and R = max p_i/q_i."""
+    """Tight, attained bounds r = min p_i/q_i and R = max p_i/q_i.
+
+    Raises NumericOverflow where R leaves the float range (a q_i near the
+    smallest subnormal); r >= min p_i > 0 cannot underflow, since q_i <= 1.
+    """
+    return pair_range(P, Q)
+
+
+def pair_range(P: Distribution, Q: Distribution) -> RatioRange:
+    """:func:`ratio_range` without its np.errstate, for a caller that has
+    entered its own."""
     if len(P) != len(Q):
         raise LengthMismatch(f"lengths differ: {len(P)} vs {len(Q)}")
     r, R = ratio_extremes(P.probs, Q.probs)
-    return RatioRange(float(r), float(R))
+    return RatioRange(float(r), require_finite(float(R), "R = max p_i/q_i"))
 
 
 def ratio_extremes(p, q) -> tuple:
     """(min, max) of p_i / q_i for probability vectors p, q, or row by row
     on (k, n) blocks."""
     ratios = p / q
-    return ratios.min(axis=-1), ratios.max(axis=-1)
+    return np.minimum.reduce(ratios, axis=-1), np.maximum.reduce(ratios, axis=-1)

@@ -30,8 +30,8 @@ def e_phi_sums(s: float, p, q):
     """e_phi_s on probability vectors p, q, or row by row on (k, n) blocks."""
     x = p / q
     if abs(s - 1.0) <= S_POLE_TOL:
-        return np.sum((p - q) * np.log(x), axis=-1)
-    return np.sum((p - q) * x ** (s - 1.0), axis=-1) / (s - 1.0)
+        return np.add.reduce((p - q) * np.log(x), axis=-1)
+    return np.add.reduce((p - q) * x ** (s - 1.0), axis=-1) / (s - 1.0)
 
 
 @np.errstate(over="ignore", invalid="ignore")  # NumericOverflow is the only signal

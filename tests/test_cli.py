@@ -69,6 +69,15 @@ class TestCompute:
         assert code == 0
         assert "CHI2 1.3333333333333333" in capsys.readouterr().out
 
+    def test_overflowing_ratio_is_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "subnormal.json"
+        path.write_text(json.dumps({"distributions": {"u": [1, 1], "t": [5e-324, 1]}}))
+        code = main(["compute", "--input", str(path), "--p", "u", "--q", "t", "--measure", "J"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err == "error: R = max p_i/q_i leaves the float range\n"
+        assert captured.out == ""
+
     def test_json_roundtrip_is_bit_exact(self, golden_json, capsys):
         code = main(["compute", "--input", golden_json, "--p", "a", "--q", "b", "--all", "--s", "0.5", "--json"])
         assert code == 0

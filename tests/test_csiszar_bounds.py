@@ -15,6 +15,7 @@ from divbounds.errors import (
     InvalidArgument,
     InvalidRange,
     LengthMismatch,
+    NonFinite,
     NonPositiveX,
     NotTabulated,
     NumericOverflow,
@@ -677,6 +678,109 @@ class TestBoundInterval:
                 for s in (-1.0, 0.0, 0.5, 1.0, 2.0):
                     rep = db.bound_interval(mid, s, P, Q)
                     assert rep.holds, (mid, s)
+
+    @pytest.mark.parametrize("measure", ["J", db.PhiS(0.5)], ids=str)
+    @pytest.mark.parametrize("s", [math.nan, math.inf, -math.inf])
+    def test_non_finite_s_is_typed(self, measure, s):
+        # s is checked before g, which would raise NumericOverflow at x = 1/3.
+        P, Q = db.normalize([1, 2, 3]), db.normalize([3, 2, 1])
+        for method in ("auto", "numeric"):
+            with pytest.raises(NonFinite, match=f"^s must be finite, got {s}$"):
+                db.bound_interval(measure, s, P, Q, method=method)
+
+    def test_one_errstate_and_no_public_wrapper(self, monkeypatch, golden_pair):
+        entered = []
+
+        class CountingNumpy:
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            def errstate(self, **kwargs):
+                entered.append(kwargs)
+                return np.errstate(**kwargs)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a public wrapper was called")
+
+        monkeypatch.setattr(cb, "np", CountingNumpy())
+        for name in ("ratio_range", "phi_s", "eval_csiszar"):
+            monkeypatch.setattr(cb, name, forbidden)
+        for measure in ("J", db.PhiS(0.5)):
+            entered.clear()
+            assert db.bound_interval(measure, 0.5, *golden_pair).holds
+            assert entered == [{"over": "ignore", "invalid": "ignore"}]
+
+
+def _public_parts(measure, s, P, Q):
+    """bound_interval's fields from the public functions, called in its
+    order of evaluation, or the first DivBoundsError they raise."""
+    try:
+        rng = db.ratio_range(P, Q)
+        gen = db.get_generator(measure)
+        mm = db.mm_exact(measure, s, rng)
+        phi, value = db.phi_s(s, P, Q), db.eval_csiszar(gen, P, Q)
+        lower, upper, lower_slack, upper_slack = cb.sandwich(mm.m, mm.M, phi, value)
+    except DivBoundsError as exc:
+        return exc
+    return rng, dict(lower=lower, value=value, upper=upper, lower_slack=lower_slack, upper_slack=upper_slack, m=mm.m, M=mm.M)
+
+
+def _bits(fields: dict) -> dict:
+    return {k: np.float64(v).tobytes() for k, v in fields.items()}
+
+
+def _assert_public_parity(measure, s, P, Q):
+    """bound_interval gives the bits of its public parts, or raises the
+    type and message of the first one that raises."""
+    expected = _public_parts(measure, s, P, Q)
+    if isinstance(expected, DivBoundsError):
+        with pytest.raises(DivBoundsError) as info:
+            db.bound_interval(measure, s, P, Q)
+        assert (type(info.value), str(info.value)) == (type(expected), str(expected)), (measure, s)
+        return expected
+    rng, fields = expected
+    rep = db.bound_interval(measure, s, P, Q)
+    got = dict(
+        lower=rep.lower,
+        value=rep.value,
+        upper=rep.upper,
+        lower_slack=rep.lower_slack,
+        upper_slack=rep.upper_slack,
+        m=rep.mm.m,
+        M=rep.mm.M,
+    )
+    assert _bits(got) == _bits(fields), (measure, s)
+    assert (rep.mm.range, rep.mm.method, rep.measure, rep.s) == (rng, "closed_form", measure, s)
+    return None
+
+
+class TestBoundIntervalParity:
+    MEASURES = (*db.CATALOG_IDS, db.PhiS(0.5), db.PhiS(2.0))
+    # The default grid, and s at and next to the poles 0 and 1.
+    S_GRID = (*db.TrialConfig().s_samples, 1e-11, 1.0 - 1e-11, -0.0)
+
+    @pytest.mark.parametrize("kwargs", [{}, {"n_min": 2, "n_max": 2}, {"concentration": 12.0}], ids=str)
+    def test_fields_are_the_bits_of_the_public_parts(self, kwargs):
+        for P, Q in make_pairs(12, seed=5, **kwargs):
+            for measure in self.MEASURES:
+                for s in self.S_GRID:
+                    assert _assert_public_parity(measure, s, P, Q) is None
+
+    def test_errors_are_the_first_failing_public_parts(self):
+        cases = [(mid, -2.0, [1e-300, 1], [1, 1]) for mid in (*db.CATALOG_IDS, db.PhiS(-2.0))]  # g or phi_s overflows
+        cases.append(("D1", 100.0, [1, 1e6], [1e6, 1]))  # g overflows
+        cases.append(("J", 0.5, [1, 2], [1, 2, 3]))  # lengths differ
+        errors = set()
+        for measure, s, p, q in cases:
+            exc = _assert_public_parity(measure, s, db.normalize(p), db.normalize(q))
+            assert exc is not None, (measure, s)
+            errors.add((type(exc).__name__, str(exc).split(" leaves")[0].split(" at x=")[0]))
+        # Each of the three public parts is the first to fail somewhere.
+        assert errors >= {
+            ("NumericOverflow", "phi_s at s=-2.0"),
+            ("NumericOverflow", "g(x) = x^(2-s) f''(x)"),
+            ("LengthMismatch", "lengths differ: 2 vs 3"),
+        }
 
 
 class TestDifferenceBounds:

@@ -12,6 +12,7 @@ from divbounds.errors import (
     NonFinite,
     NonPositiveAlpha,
     NotNormalized,
+    NumericOverflow,
     ZeroEntry,
 )
 
@@ -116,6 +117,18 @@ class TestRatioRange:
     def test_length_mismatch(self):
         with pytest.raises(LengthMismatch):
             db.ratio_range(db.normalize([1, 1]), db.normalize([1, 1, 1]))
+
+    @pytest.mark.parametrize(
+        "call",
+        [db.ratio_range, lambda P, Q: db.bound_interval("J", 0.5, P, Q), lambda P, Q: db.bound_set(0.5, P, Q)],
+        ids=["ratio_range", "bound_interval", "bound_set"],
+    )
+    def test_overflowing_ratio_is_typed(self, call):
+        # p_1/q_1 = 0.5/5e-324 overflows float64: a typed error, not R = inf
+        # or numpy's RuntimeWarning.
+        P, Q = db.normalize([1, 1]), db.normalize([5e-324, 1])
+        with pytest.raises(NumericOverflow, match=r"^R = max p_i/q_i leaves the float range$"):
+            call(P, Q)
 
     @pytest.mark.parametrize("r, R", [(2.0, 1.0), (0.0, 1.0), (-1.0, 2.0), (float("nan"), 1.0)])
     def test_invalid_range_raises_at_construction(self, r, R):
