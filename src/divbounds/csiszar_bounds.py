@@ -50,10 +50,10 @@ from .generators import (
     float_each,
     get_generator,
     horner,
+    phi_generator,
 )
-from .measures import finite_phi, phi_s, phi_sums
+from .measures import finite_phi, phi_s
 from .simplex import Distribution, RatioRange, pair_range, ratio_range
-from .type_s_bounds import a_phi_s, b_phi_s, e_phi_s
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 _INV_PHI2 = _INV_PHI**2
@@ -431,26 +431,31 @@ def e_cf_sums(gen: Generator, p, q):
     return np.add.reduce((p - q) * gen.f_prime(p / q), axis=-1)
 
 
+@np.errstate(all="ignore")  # NumericOverflow is the only signal
 def a_cf(gen: Generator, rng: RatioRange) -> float:
-    """Range-only bound functional (R-r)/4 * (f'(R) - f'(r))."""
+    """Range-only bound functional (R-r)/4 * (f'(R) - f'(r)); raises
+    NumericOverflow where it leaves the float range."""
     r, R = rng.r, rng.R
     if r == R:
         return 0.0
-    return a_cf_values(gen, r, R)
+    return require_finite(a_cf_values(gen, r, R), f"a_cf of {gen.id}")
 
 
 def a_cf_values(gen: Generator, r, R):
     """a_cf on 0 < r < R: floats, or arrays of ranges, each entry bit for
-    bit its float value (f' is called on one float at a time)."""
+    bit its float value (f' is called on one float at a time); inf or nan
+    where it leaves the float range."""
     return 0.25 * (R - r) * (float_each(gen.f_prime, R) - float_each(gen.f_prime, r))
 
 
+@np.errstate(all="ignore")  # NumericOverflow is the only signal
 def b_cf(gen: Generator, rng: RatioRange) -> float:
-    """Chord bound functional [(R-1)f(r) + (1-r)f(R)] / (R-r)."""
+    """Chord bound functional [(R-1)f(r) + (1-r)f(R)] / (R-r); raises
+    NumericOverflow where it leaves the float range."""
     r, R = rng.r, rng.R
     if not (0.0 < r <= 1.0 <= R) or r == R:
         raise InvalidRange(f"need 0 < r <= 1 <= R with r != R, got {rng}")
-    return b_cf_values(gen, r, R)
+    return require_finite(b_cf_values(gen, r, R), f"b_cf of {gen.id}")
 
 
 def b_cf_values(gen: Generator, r, R):
@@ -484,8 +489,9 @@ def bound_interval(measure, s: float, P: Distribution, Q: Distribution, method: 
     nan or infinite s, and NumericOverflow where R, g, phi_s, C_f or a
     bound leaves the float range.
 
-    One pass under one np.errstate: s is checked once, and phi_s and C_f
-    come from the cores of :func:`phi_s` and :func:`eval_csiszar`, so every
+    One pass under one np.errstate: s is checked first, and phi_s and C_f
+    come from :func:`csiszar_sums`, the core of :func:`phi_s` (for
+    :func:`phi_generator` (s)) and of :func:`eval_csiszar`, so every
     field holds the bits of those public functions, :func:`ratio_range`,
     :func:`mm_exact` and :func:`sandwich`, and every error is theirs.
     """
@@ -497,7 +503,7 @@ def bound_interval(measure, s: float, P: Distribution, Q: Distribution, method: 
         gen = get_generator(measure)
         mm = mm_numeric(gen, s, rng) if method == "numeric" else mm_exact(measure, s, rng)
         p, q = P.probs, Q.probs
-        phi = finite_phi(s, float(phi_sums(s, p, q)))
+        phi = finite_phi(s, float(csiszar_sums(phi_generator(s), p, q)))
         value = finite_cf(gen, float(csiszar_sums(gen, p, q)))
         lower, upper, lower_slack, upper_slack = sandwich(mm.m, mm.M, phi, value)
     return BoundReport(
@@ -552,9 +558,10 @@ def difference_bounds(
     if mm is None:
         mm = mm_exact(gen.id, s, rng) if catalog().get(gen.id) is gen else mm_numeric(gen, s, rng)
     cf, phi = eval_csiszar(gen, P, Q), phi_s(s, P, Q)
-    forms = [("e", e_phi_s(s, P, Q), e_cf(gen, P, Q)), ("a", a_phi_s(s, rng), a_cf(gen, rng))]
+    pair = (phi_generator(s), gen)
+    forms = [("e", *(e_cf(g, P, Q) for g in pair)), ("a", *(a_cf(g, rng) for g in pair))]
     if not rng.degenerate:
-        forms.append(("b", b_phi_s(s, rng), b_cf(gen, rng)))
+        forms.append(("b", *(b_cf(g, rng) for g in pair)))
     return DifferenceReport(s=s, range=rng, mm=mm, checks=difference_checks(mm.m, mm.M, phi, cf, forms))
 
 

@@ -55,9 +55,10 @@ def horner(coeffs, x):
     return acc
 
 
-# Python's float power and log, on a float or entry by entry on an array:
-# numpy's array ``**`` and ``log`` can differ from them in the last bit, and
-# the harness's columns must hold the bits of the scalar functions.
+# Python's float power, and any function at one float at a time, on a float
+# or entry by entry on an array: numpy's array ``**`` and ``log`` can differ
+# from Python's and numpy's scalar ones in the last bit, and the harness's
+# columns must hold the bits of the scalar functions.
 
 
 def float_pow(x, e: float):
@@ -75,15 +76,18 @@ def float_pow(x, e: float):
 
 
 def float_each(fn, x):
-    """float(fn(x)) on a float, at every entry of an array one at a time."""
+    """float(fn(x)) on a float, at every entry of an array one at a time;
+    nan where fn raises OverflowError (Python's ** does)."""
     if not isinstance(x, np.ndarray):
-        return float(fn(x))
-    return np.array([float(fn(v)) for v in x.tolist()], dtype=np.float64)
-
-
-def float_log(x):
-    """math.log on a float or at every entry of an array."""
-    return float_each(math.log, x)
+        try:
+            return float(fn(x))
+        except OverflowError:
+            return math.nan
+    xs = x.tolist()
+    try:
+        return np.array([float(fn(v)) for v in xs], dtype=np.float64)
+    except OverflowError:
+        return np.array([float_each(fn, v) for v in xs], dtype=np.float64)
 
 
 @dataclass(frozen=True)
@@ -256,7 +260,9 @@ def phi_generator(s: float) -> Generator:
     """Generator of the power-divergence family member with parameter s.
 
     f(x) = (x^s - 1) / (s(s-1)), f''(x) = x^(s-2) at every s; the poles of f
-    at s = 0 and s = 1 dispatch to the limit forms -ln(x) and x*ln(x).
+    at s = 0 and s = 1 dispatch to the limit forms -ln(x) and x*ln(x).  The
+    family is written only here: phi_s and its E/A/B bounds are the Csiszar
+    sum and the generic functionals of this generator.
     """
     return _phi_generator(float(require_finite_s(s)))
 

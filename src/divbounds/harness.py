@@ -16,26 +16,28 @@ the budget are built afresh on every call.
 The suites of one run also share a :class:`PairTable`, which computes every
 pair-dependent sum they check once per trial, batched: the run's trials are
 grouped by support size n into C-contiguous (k, n) blocks, and a quantity
-(r and R, a measure, phi_s or e_phi_s at one s, C_f or e_cf of one catalog
-generator) is one numpy row sum per block, kept as a float64 array indexed
-by trial.  A row of a block is summed in the same order as the pair alone,
-so the table holds the bits the public functions return.  The sandwich
-suites' exact (m, M) are arrays over the run's trials, one per distinct
-(measure, s), from :func:`mm_exact_arrays`, bit-identical to the scalar
+(r and R, a measure, C_f or e_cf of one catalog generator or of the power
+generator at one s, which are phi_s and e_phi_s) is one numpy row sum per
+block, kept as a float64 array indexed by trial.  A row of a block is
+summed in the same order as the pair alone, so the table holds the bits
+the public functions return.  The sandwich suites' exact (m, M) are arrays
+over the run's trials, one per distinct (measure, s), from
+:func:`mm_exact_arrays`, bit-identical to the scalar
 :func:`mm_exact_values` of each trial.  A table is made for one run and
 dropped with it.
 
 Every suite checks the run's trials as float64 columns.  thm31 and thm32
-take the A/B functionals on the arrays of r and R, thm32 its (m, M) once
-per (measure, s) cell, and rem41/rem51 the estimator formulas on the
-measure columns, through the cores that the public scalar functions call,
-bit for bit: numpy's + - * / and sqrt are correctly rounded, and ** and log
-are Python's, entry by entry.  Where a trial would make a public function
-raise, or a slack is not finite, such a suite checks trial by trial
-instead, through the public per-pair functions on each trial's own pair
-(:func:`bound_set`; :func:`bound_interval` and :func:`difference_bounds`;
-:func:`estimate` and :func:`ratio_range`), so that it raises the first
-failing trial's error, in trial order.
+take the A/B functionals on the arrays of r and R (the cores of a_cf and
+b_cf, for the power generator and, in thm32, the catalog one), thm32 its
+(m, M) once per (measure, s) cell, and rem41/rem51 the estimator formulas
+on the measure columns, through the cores that the public scalar functions
+call, bit for bit: numpy's + - * / and sqrt are correctly rounded, and f
+and f' are called on one float at a time.  Where a trial would make a
+public function raise, or a slack is not finite, such a suite checks trial
+by trial instead, through the public per-pair functions on each trial's
+own pair (:func:`bound_set`; :func:`bound_interval` and
+:func:`difference_bounds`; :func:`estimate` and :func:`ratio_range`), so
+that it raises the first failing trial's error, in trial order.
 """
 
 from __future__ import annotations
@@ -61,10 +63,10 @@ from .csiszar_bounds import (
 )
 from .errors import DivBoundsError, InvalidArgument, UnknownSuite, require_finite
 from .estimators import all_estimators, coincide, estimate, estimate_from
-from .generators import CATALOG_IDS, VIOLATION_TOL, csiszar_sums, get_generator
-from .measures import divergence_sums, finite_phi, phi_sums
+from .generators import CATALOG_IDS, VIOLATION_TOL, csiszar_sums, get_generator, phi_generator
+from .measures import divergence_sums, finite_phi
 from .simplex import Distribution, ratio_extremes, ratio_range
-from .type_s_bounds import a_phi_values, b_phi_values, bound_set, chain_checks, e_phi_sums
+from .type_s_bounds import bound_set, chain_checks
 
 _MASK = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -258,10 +260,14 @@ class PairTable:
         return self._batch(("d", measure), lambda p, q: divergence_sums(measure, p, q))
 
     def phi(self, s: float) -> np.ndarray:
-        return finite_phi(s, self._batch(("phi", s), lambda p, q: phi_sums(s, p, q)))
+        """phi_s (:func:`phi_s`), C_f of the power generator, every trial."""
+        gen = phi_generator(s)
+        return finite_phi(s, self._batch(("phi", s), lambda p, q: csiszar_sums(gen, p, q)))
 
     def e_phi(self, s: float) -> np.ndarray:
-        return require_finite(self._batch(("e_phi", s), lambda p, q: e_phi_sums(s, p, q)), f"e_phi_s at s={s!r}")
+        """e_phi_s (:func:`e_phi_s`), e_cf of the power generator, every trial."""
+        gen = phi_generator(s)
+        return require_finite(self._batch(("e_phi", s), lambda p, q: e_cf_sums(gen, p, q)), f"e_phi_s at s={s!r}")
 
     def cf(self, measure: str) -> np.ndarray:
         """C_f (:func:`eval_csiszar`) of a catalog generator, every trial."""
@@ -414,7 +420,8 @@ def _thm31_columns(table):
         rt, Rt = r[trials], R[trials]
 
         def chain(s):
-            a, b = (0.0, None) if degenerate else (a_phi_values(s, rt, Rt), b_phi_values(s, rt, Rt))
+            gen = phi_generator(s)
+            a, b = (0.0, None) if degenerate else (a_cf_values(gen, rt, Rt), b_cf_values(gen, rt, Rt))
             return chain_checks(table.phi(s)[trials], table.e_phi(s)[trials], a, b)
 
         groups.append((trials.tolist(), _thm31_checks(table.config, chain)))
@@ -462,8 +469,9 @@ def _thm32_columns(table):
             if degenerate:
                 forms.append(("a", 0.0, 0.0))
             else:
-                forms.append(("a", a_phi_values(s, rt, Rt), a_cf_values(gen, rt, Rt)))
-                forms.append(("b", b_phi_values(s, rt, Rt), b_cf_values(gen, rt, Rt)))
+                pair = (phi_generator(s), gen)
+                forms.append(("a", *(a_cf_values(g, rt, Rt) for g in pair)))
+                forms.append(("b", *(b_cf_values(g, rt, Rt) for g in pair)))
             groups.append((at.tolist(), _thm32_checks(measure, s, lower, upper, difference_checks(m, M, phi, cf, forms))))
     return groups
 

@@ -6,15 +6,17 @@ G1/G2) because the bound tables are indexed by these names.
 
 Each formula sums over the last axis, so it takes one pair of probability
 vectors or a (k, n) block of k pairs (one value per row); the public
-functions here and the harness's batched pair table share it.
+functions here and the harness's batched pair table share it.  The power
+family phi_s has no formula of its own: it is the Csiszar sum of
+:func:`phi_generator` (s).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import LengthMismatch, UnknownMeasure, require_finite, require_finite_s
-from .generators import S_POLE_TOL
+from .errors import LengthMismatch, UnknownMeasure, require_finite
+from .generators import csiszar_sums, phi_generator
 from .simplex import Distribution
 
 
@@ -103,15 +105,6 @@ def divergence(measure: str, P: Distribution, Q: Distribution) -> float:
     return float(divergence_sums(measure, P.probs, Q.probs))
 
 
-def phi_sums(s: float, p, q):
-    """phi_s on probability vectors p, q, or row by row on (k, n) blocks."""
-    if abs(s) <= S_POLE_TOL:
-        return _kl(q, p)
-    if abs(s - 1.0) <= S_POLE_TOL:
-        return _kl(p, q)
-    return (np.add.reduce(p**s * q ** (1.0 - s), axis=-1) - 1.0) / (s * (s - 1.0))
-
-
 def finite_phi(s: float, value):
     """phi_s values (a float or an array of trials) unchanged, or
     NumericOverflow when one is inf or nan."""
@@ -120,14 +113,14 @@ def finite_phi(s: float, value):
 
 @np.errstate(over="ignore", invalid="ignore")  # NumericOverflow is the only signal
 def phi_s(s: float, P: Distribution, Q: Distribution) -> float:
-    """Power-divergence family: [s(s-1)]^-1 [sum p_i^s q_i^(1-s) - 1].
+    """Power-divergence family: [s(s-1)]^-1 [sum p_i^s q_i^(1-s) - 1], the
+    Csiszar sum of :func:`phi_generator` (s), which is KL(Q||P) and
+    KL(P||Q) at the poles s = 0 and s = 1.
 
-    The s = 0 and s = 1 poles dispatch to KL(Q||P) and KL(P||Q); the
-    threshold matches the generator-level dispatch so both routes agree.
-    Raises NumericOverflow when a power leaves the float range (an extreme
-    ratio at a large |s|), where the sum would be inf or nan.
+    Raises NonFinite for a nan or infinite s, and NumericOverflow where a
+    ratio p_i/q_i or its power leaves the float range.
     """
-    require_finite_s(s)
+    gen = phi_generator(s)
     if len(P) != len(Q):
         raise LengthMismatch(f"lengths differ: {len(P)} vs {len(Q)}")
-    return finite_phi(s, float(phi_sums(s, P.probs, Q.probs)))
+    return finite_phi(s, float(csiszar_sums(gen, P.probs, Q.probs)))

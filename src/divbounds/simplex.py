@@ -8,6 +8,7 @@ p_i / q_i of a pair of distributions.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,7 +64,8 @@ class RatioRange:
 
     Because both distributions sum to one, 0 < r <= 1 <= R, with
     r = R = 1 exactly when the distributions coincide.  Any range with
-    0 < r <= R can be built; others raise InvalidRange.
+    0 < r <= R < inf can be built; others raise InvalidRange, or NonFinite
+    for an infinite R.
     """
 
     r: float
@@ -72,6 +74,8 @@ class RatioRange:
     def __post_init__(self):
         if not 0.0 < self.r <= self.R:
             raise InvalidRange(f"need 0 < r <= R, got {self}")
+        if self.R == math.inf:
+            raise NonFinite(f"need finite r and R, got {self}")
 
     @property
     def degenerate(self) -> bool:

@@ -2,89 +2,61 @@
 
 Three bounds on phi_s(P||Q) are provided: a data-dependent one (e_phi_s),
 and two that depend only on the ratio range [r, R] (a_phi_s and b_phi_s).
-They satisfy the chain
+Each is the generic functional of :mod:`csiszar_bounds` (e_cf, a_cf and
+b_cf) applied to :func:`phi_generator` (s), as phi_s is its Csiszar sum;
+only the name in their error messages is their own.  They satisfy the chain
 
     0 <= phi_s <= e_phi_s <= a_phi_s,     phi_s <= b_phi_s <= a_phi_s,
     b_phi_s - phi_s <= a_phi_s,
 
 with b_phi_s defined only under r <= 1 <= R, r != R.  Every functional
-raises NumericOverflow where a power leaves the float range, instead of
-returning a bound that compares as inf or nan.
+raises NonFinite for a nan or infinite s, and NumericOverflow where it
+leaves the float range, instead of returning a bound that compares as inf
+or nan.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
+from .csiszar_bounds import a_cf_values, b_cf_values, e_cf_sums
 from .errors import InvalidRange, LengthMismatch, require_finite
-from .generators import S_POLE_TOL, VIOLATION_TOL, float_log, float_pow
+from .generators import VIOLATION_TOL, phi_generator
 from .measures import phi_s
 from .simplex import Distribution, RatioRange, ratio_range
 
 
-def e_phi_sums(s: float, p, q):
-    """e_phi_s on probability vectors p, q, or row by row on (k, n) blocks."""
-    x = p / q
-    if abs(s - 1.0) <= S_POLE_TOL:
-        return np.add.reduce((p - q) * np.log(x), axis=-1)
-    return np.add.reduce((p - q) * x ** (s - 1.0), axis=-1) / (s - 1.0)
-
-
 @np.errstate(over="ignore", invalid="ignore")  # NumericOverflow is the only signal
 def e_phi_s(s: float, P: Distribution, Q: Distribution) -> float:
-    """Data-dependent bound (s-1)^-1 sum (p_i - q_i)(p_i/q_i)^(s-1)."""
+    """Data-dependent bound (s-1)^-1 sum (p_i - q_i)(p_i/q_i)^(s-1): e_cf
+    of the power generator, sum (p_i - q_i) ln(p_i/q_i) at s = 1."""
     if len(P) != len(Q):
         raise LengthMismatch(f"lengths differ: {len(P)} vs {len(Q)}")
-    return require_finite(float(e_phi_sums(s, P.probs, Q.probs)), f"e_phi_s at s={s!r}")
+    return require_finite(float(e_cf_sums(phi_generator(s), P.probs, Q.probs)), f"e_phi_s at s={s!r}")
 
 
+@np.errstate(all="ignore")  # NumericOverflow is the only signal
 def a_phi_s(s: float, rng: RatioRange) -> float:
-    """Range-only bound (R-r)^2/4 * (R^(s-1) - r^(s-1)) / ((R-r)(s-1))."""
+    """Range-only bound (R-r)/4 * (R^(s-1) - r^(s-1)) / (s-1): a_cf of the
+    power generator, (R-r)/4 * ln(R/r) at s = 1."""
     r, R = rng.r, rng.R
     if r == R:
         return 0.0
-    try:
-        value = a_phi_values(s, r, R)
-    except ZeroDivisionError:  # (R - r)(s - 1) underflowed to 0
-        value = math.nan
-    return require_finite(value, f"a_phi_s at s={s!r}")
+    return require_finite(a_cf_values(phi_generator(s), r, R), f"a_phi_s at s={s!r}")
 
 
-def a_phi_values(s: float, r, R):
-    """a_phi_s on 0 < r < R: floats, or arrays of ranges, each entry bit for
-    bit its float value; inf or nan where a power overflows."""
-    if abs(s - 1.0) <= S_POLE_TOL:
-        factor = (float_log(R) - float_log(r)) / (R - r)
-    else:
-        factor = (float_pow(R, s - 1.0) - float_pow(r, s - 1.0)) / ((R - r) * (s - 1.0))
-    return 0.25 * float_pow(R - r, 2.0) * factor
-
-
+@np.errstate(all="ignore")  # NumericOverflow is the only signal
 def b_phi_s(s: float, rng: RatioRange) -> float:
-    """Chord bound [(R-1)f(r) + (1-r)f(R)] / (R-r) for the power generator.
-
-    Interpolates the generator through x = 1; requires r <= 1 <= R, r != R.
-    """
+    """Chord bound [(R-1)f(r) + (1-r)f(R)] / (R-r): b_cf of the power
+    generator f, which it interpolates through x = 1; requires
+    r <= 1 <= R, r != R."""
     r, R = rng.r, rng.R
     if not (0.0 < r <= 1.0 <= R) or r == R:
         raise InvalidRange(f"need 0 < r <= 1 <= R with r != R, got {rng}")
-    return require_finite(b_phi_values(s, r, R), f"b_phi_s at s={s!r}")
-
-
-def b_phi_values(s: float, r, R):
-    """b_phi_s on 0 < r <= 1 <= R, r != R, as :func:`a_phi_values`."""
-    if abs(s) <= S_POLE_TOL:
-        num = (R - 1.0) * float_log(1.0 / r) + (1.0 - r) * float_log(1.0 / R)
-        return num / (R - r)
-    if abs(s - 1.0) <= S_POLE_TOL:
-        num = (R - 1.0) * r * float_log(r) + (1.0 - r) * R * float_log(R)
-        return num / (R - r)
-    num = (R - 1.0) * (float_pow(r, s) - 1.0) + (1.0 - r) * (float_pow(R, s) - 1.0)
-    return num / ((R - r) * s * (s - 1.0))
+    return require_finite(b_cf_values(phi_generator(s), r, R), f"b_phi_s at s={s!r}")
 
 
 @dataclass(frozen=True)

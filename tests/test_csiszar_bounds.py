@@ -1,6 +1,7 @@
 import math
 import re
 import sys
+import warnings
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
@@ -596,6 +597,30 @@ class TestGenericFunctionals:
     def test_e_cf_specialization(self, golden_pair):
         P, Q = golden_pair
         assert db.e_cf(db.phi_generator(1), P, Q) == pytest.approx(db.e_phi_s(1, P, Q), abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "rng, overflows",
+        [(db.RatioRange(1e-310, 2.0), {("a_cf", "J"), ("b_cf", "F1")}), (db.RatioRange(0.5, 1e308), {("a_cf", "G1")})],
+        ids=str,
+    )
+    def test_a_cf_and_b_cf_are_finite_or_typed_without_warnings(self, rng, overflows):
+        # f or f' at 1e-310 or 1e308 (1/x, log((x+1)/(2x)), x^(s-1)) leaves
+        # the float range for some generators: NumericOverflow, not inf,
+        # nan or a numpy RuntimeWarning.
+        raised = set()
+        gens = [*db.catalog().values(), db.phi_generator(3.0), db.phi_generator(-2.0)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for gen in gens:
+                for functional in (db.a_cf, db.b_cf):
+                    try:
+                        value = functional(gen, rng)
+                    except NumericOverflow as exc:
+                        raised.add((functional.__name__, gen.id))
+                        assert str(exc).startswith(f"{functional.__name__} of {gen.id} "), exc
+                    else:
+                        assert math.isfinite(value), (functional.__name__, gen.id)
+        assert raised >= overflows
 
 
 class TestBoundInterval:

@@ -482,9 +482,9 @@ class TestColumnSuites:
 
     def test_thm31_overflow_is_the_first_failing_trials(self, monkeypatch):
         # Trial 2: A is finite at s = 3 (1.25e308) but B's R^3 overflows;
-        # trial 5: A's (R - r)^2 overflows at the first s.
+        # trial 5: A's f'(r) = r^-3 / -3 overflows at the first s.
         cfg = db.TrialConfig(seed=47, trials=10)
-        _force_ranges(monkeypatch, cfg, {2: (0.5, 1e103), 5: (0.5, 1e200)})
+        _force_ranges(monkeypatch, cfg, {2: (0.5, 1e103), 5: (1e-103, 2.0)})
 
         def scalar_error(i):
             with pytest.raises(NumericOverflow) as info:
@@ -499,10 +499,10 @@ class TestColumnSuites:
         assert str(info.value) == scalar_error(2)
 
     def test_a_later_trials_phi_overflow_does_not_preempt_the_first_error(self, monkeypatch):
-        # Trial 1's A overflows at s = -2; phi_s of a later trial (2)
-        # overflows at s = 120, and the column path stops there first.
+        # Trial 1's A overflows at s = -2 (r^-3); phi_s of a later trial
+        # (2) overflows at s = 120, and the column path stops there first.
         cfg = db.TrialConfig(seed=61, trials=12, s_samples=(-2.0, 120.0))
-        _force_ranges(monkeypatch, cfg, {1: (0.5, 1e200)})
+        _force_ranges(monkeypatch, cfg, {1: (1e-103, 2.0)})
         scalar = _first_error("thm31", cfg)
         assert str(scalar) == "a_phi_s at s=-2.0 leaves the float range"
         with pytest.raises(NumericOverflow) as info:

@@ -122,12 +122,10 @@ class TestPhiS:
                 assert abs(db.phi_s(pole - 1e-6, P, Q) - base) <= 1e-4
 
     def test_matches_generator_route(self, pairs_100):
-        for s in (-2.0, -0.5, 0.0, 0.7, 1.0, 2.0, 3.0):
+        for s in (-2.0, -0.5, 0.0, 0.7, 1.0, 2.0, 3.0, 1.0 - 1e-11, 1.0 + 1e-11):
             gen = db.phi_generator(s)
             for P, Q in pairs_100[:20]:
-                direct = db.phi_s(s, P, Q)
-                engine = db.eval_csiszar(gen, P, Q)
-                assert abs(direct - engine) <= 1e-10 * (1 + abs(direct))
+                assert db.phi_s(s, P, Q) == db.eval_csiszar(gen, P, Q), s
 
     def test_non_finite_s(self):
         d = db.normalize([1, 1])
@@ -141,6 +139,13 @@ class TestPhiS:
 
 
 def test_phi_s_overflow_is_typed():
-    # p^s q^(1-s) = (1e-300)^-2 (1/2)^3 overflows to inf.
+    # (p/q)^s = (2e-300)^-2 overflows to inf.
     with pytest.raises(NumericOverflow):
         db.phi_s(-2.0, db.normalize([1e-300, 1]), db.normalize([1, 1]))
+
+
+def test_phi_s_overflowing_ratio_is_typed():
+    # p_1/q_1 = 0.5/5e-324 overflows before its square root is taken, as
+    # ratio_range, bound_set and bound_interval reject the pair.
+    with pytest.raises(NumericOverflow, match=r"^phi_s at s=0\.5 leaves the float range$"):
+        db.phi_s(0.5, db.normalize([1, 1]), db.normalize([5e-324, 1]))

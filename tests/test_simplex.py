@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -133,6 +135,11 @@ class TestRatioRange:
     @pytest.mark.parametrize("r, R", [(2.0, 1.0), (0.0, 1.0), (-1.0, 2.0), (float("nan"), 1.0)])
     def test_invalid_range_raises_at_construction(self, r, R):
         with pytest.raises(InvalidRange, match=r"^need 0 < r <= R, got RatioRange\(r="):
+            db.RatioRange(r, R)
+
+    @pytest.mark.parametrize("r, R", [(0.5, math.inf), (math.inf, math.inf)])
+    def test_infinite_range_raises_at_construction(self, r, R):
+        with pytest.raises(NonFinite, match=r"^need finite r and R, got RatioRange\(r="):
             db.RatioRange(r, R)
 
     def test_brackets_one_and_reciprocal(self, pairs_100):

@@ -3,7 +3,7 @@ import math
 import pytest
 
 import divbounds as db
-from divbounds.errors import InvalidRange, LengthMismatch, NumericOverflow
+from divbounds.errors import InvalidRange, LengthMismatch, NonFinite, NumericOverflow
 
 LN3 = math.log(3.0)
 S_GRID = (-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 1.5, 2.0, 3.0)
@@ -46,10 +46,11 @@ class TestAPhiS:
         with pytest.raises(InvalidRange):
             db.a_phi_s(1, db.RatioRange(2.0, 1.0))
 
-    def test_denominator_underflow_is_typed(self):
-        # (R - r)(s - 1) = 1e-320 * 1e-5 underflows to 0.
-        with pytest.raises(NumericOverflow, match=r"^a_phi_s at s=1\.00001 leaves the float range$"):
-            db.a_phi_s(1.00001, db.RatioRange(1e-320, 2e-320))
+    def test_subnormal_range_is_finite_and_positive(self):
+        # (R-r)/4 * (f'(R) - f'(r)) forms no (R - r)(s - 1), which would
+        # underflow to 0 here (1e-320 * 1e-5); the bound is about 1.72e-321.
+        a = db.a_phi_s(1.00001, db.RatioRange(1e-320, 2e-320))
+        assert math.isfinite(a) and a > 0.0
 
 
 class TestBPhiS:
@@ -116,17 +117,24 @@ class TestBoundSet:
 
 
 class TestGenericConsistency:
-    """e/a/b specialize the generic functionals under the power generator."""
+    """e/a/b are the generic functionals of the power generator, bit for bit."""
 
     def test_matches_generic_functionals(self, pairs_100):
-        for s in (-1.0, 0.0, 0.5, 1.0, 2.0, 2.5):
+        for s in (-1.0, 0.0, 0.5, 1.0, 2.0, 2.5, 1.0 - 1e-11, 1.0 + 1e-11):
             gen = db.phi_generator(s)
             for P, Q in pairs_100[:25]:
                 rng = db.ratio_range(P, Q)
-                assert abs(db.e_phi_s(s, P, Q) - db.e_cf(gen, P, Q)) <= 1e-10
-                assert abs(db.a_phi_s(s, rng) - db.a_cf(gen, rng)) <= 1e-10
+                assert db.e_phi_s(s, P, Q) == db.e_cf(gen, P, Q), s
+                assert db.a_phi_s(s, rng) == db.a_cf(gen, rng), s
                 if not rng.degenerate:
-                    assert abs(db.b_phi_s(s, rng) - db.b_cf(gen, rng)) <= 1e-10
+                    assert db.b_phi_s(s, rng) == db.b_cf(gen, rng), s
+
+    @pytest.mark.parametrize("s", [math.nan, math.inf, -math.inf])
+    def test_non_finite_s(self, s):
+        d, rng = db.normalize([1, 2]), db.RatioRange(0.5, 2.0)
+        for call in (lambda: db.e_phi_s(s, d, d), lambda: db.a_phi_s(s, rng), lambda: db.b_phi_s(s, rng)):
+            with pytest.raises(NonFinite, match=f"^s must be finite, got {s}$"):
+                call()
 
 
 class TestOverflow:
