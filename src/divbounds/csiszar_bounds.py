@@ -12,8 +12,11 @@ of degree at most 3 once the factors x and x+1 are divided out (the
 constant t - s for phi_t).  (m, M) are therefore exact for every s: the
 extremes of g over r, R and the roots of S_s inside (r, R).  In the
 monotone regions of s (the paper's; (t, t) for phi_t) the endpoints alone
-suffice.  Each global extremum the paper names is g at the single positive
-root of S_s.  An independent numeric optimizer (log-spaced scan plus
+suffice.  The positive roots of S_s, g's stationary points, depend on the
+measure and s alone, never on the pair: they are found once per
+(measure, s) and memoized, and each range keeps those inside (r, R).
+Each global extremum the paper names is g at the single positive root
+of S_s.  An independent numeric optimizer (log-spaced scan plus
 golden-section refinement) is kept as the test oracle and for generators
 outside the catalog.  g has one formula, g = x^((a-s)+k) * n(y) / d(y) from
 the scaled form of f'', which leaves the float range only where g does;
@@ -22,6 +25,7 @@ g_eval raises there, and an array of x follows its float path bit for bit.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -53,7 +57,7 @@ from .generators import (
     phi_generator,
 )
 from .measures import finite_phi, phi_s
-from .simplex import Distribution, RatioRange, pair_range, ratio_range
+from .simplex import Distribution, RatioRange, pair_ratios, ratio_range, slot_init
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 _INV_PHI2 = _INV_PHI**2
@@ -68,8 +72,10 @@ def g_eval(gen: Generator, s: float, x):
     of the Rational f'' (:meth:`Rational.times_power`), and NumericOverflow
     where it is not finite or is 0 (an infinite g turns m * phi_s into nan,
     a zero g certifies m = 0 or M = 0).  An array of any shape follows it
-    entry by entry (:func:`_g_array`).
+    entry by entry (:func:`_g_array`).  Raises NonFinite for a nan or
+    infinite s.
     """
+    require_finite_s(s)
     if isinstance(x, float):
         if not x > 0.0:
             raise NonPositiveX(f"x must be > 0, got {x}")
@@ -100,6 +106,7 @@ def _g_array(gen: Generator, s: float, x: np.ndarray) -> np.ndarray:
     return out.reshape(x.shape)
 
 
+@slot_init
 @dataclass(frozen=True, slots=True)
 class MMBounds:
     """Extrema of g on [r, R], with provenance of how they were obtained."""
@@ -143,7 +150,9 @@ def mm_numeric(gen: Generator, s: float, rng: RatioRange) -> MMBounds:
     neighbours) and, unconditionally, the first and last grid cells, where
     an extremum has only one sampled neighbour and shows no such sample.
     Two stationary points inside one grid cell can still hide each other.
+    Raises NonFinite for a nan or infinite s.
     """
+    require_finite_s(s)
     r, R = rng.r, rng.R
     if r == R:
         v = g_eval(gen, s, r)
@@ -224,7 +233,7 @@ def _stationarity(f_second) -> tuple:
     cross = np.polysub(np.convolve(_polyder(n), d), np.convolve(n, _polyder(d)))
     a = np.polyadd(f_second.a * nd, np.append(cross, 0))
     b = np.polysub(np.zeros_like(a), nd)  # -N D, as long as A
-    a, b = tuple(a.tolist()), tuple(b.tolist())  # plain ints: _real_roots runs per gap cell
+    a, b = tuple(a.tolist()), tuple(b.tolist())  # plain ints, not numpy scalars
     while a[-1] == b[-1] == 0:
         a, b = a[:-1], b[:-1]
     while horner(a, -1) == horner(b, -1) == 0:
@@ -303,28 +312,35 @@ def _positive_roots(c: list) -> list:
     return _real_roots(c, lo, hi)
 
 
+def _stationarity_at(measure: str, s: float) -> list:
+    """S_s = A + s*B of a catalog measure, coefficients highest power first."""
+    a, b = _STATIONARY[measure]
+    return [x + s * y for x, y in zip(a, b)]
+
+
+@functools.lru_cache(maxsize=256)  # mm_exact_values asks on every gap cell
+def _stationary_points(measure: str, s: float) -> tuple:
+    """The stationary points of g for a catalog measure at a finite s: the
+    positive roots of S_s.  They depend on (measure, s) alone,
+    so they are found once and each range keeps those inside (r, R)."""
+    return tuple(_positive_roots(_stationarity_at(measure, s)))
+
+
 def mm_closed(measure, s: float, rng: RatioRange) -> Optional[MMBounds]:
     """Closed-form (m, M) where g is provably monotone; None in the gap.
 
     For a power-family measure PhiS(t), g(x) = x^(t-s) is monotone for
     every s, so a closed form is always returned (m = M = 1 when t = s).
+    Raises NonFinite for a nan or infinite s.
     """
-    mm = _closed_values(measure, s, rng.r, rng.R)
-    return None if mm is None else MMBounds(*mm, "closed_form", s, rng)
-
-
-def _closed_values(measure, s: float, r: float, R: float) -> Optional[tuple]:
-    """(m, M) of :func:`mm_closed`, or None in the gap."""
-    ends = _monotone_ends(measure, s, r, R)
-    if ends is None:
-        return None
-    gen = get_generator(measure)
-    return g_eval(gen, s, ends[0]), g_eval(gen, s, ends[1])
+    return None if _monotone_ends(measure, s, rng.r, rng.R) is None else mm_exact(measure, s, rng)
 
 
 def _monotone_ends(measure, s: float, r, R) -> Optional[tuple]:
     """(x of m, x of M) of g in a measure's monotone regions, None in the gap;
-    PhiS(t)'s region is (t, t), where S_s is the constant t - s."""
+    PhiS(t)'s region is (t, t), where S_s is the constant t - s, so a finite
+    s never leaves it.  Raises NonFinite for a nan or infinite s."""
+    require_finite_s(s)
     if isinstance(measure, PhiS):
         s_lo = s_hi = measure.s
     else:
@@ -341,19 +357,22 @@ def _monotone_ends(measure, s: float, r, R) -> Optional[tuple]:
 
 def mm_exact(measure, s: float, rng: RatioRange) -> MMBounds:
     """Exact (m, M) for every s: :func:`mm_closed` in the monotone regions,
-    else the extremes of g over r, R and the roots of S_s inside (r, R)."""
+    else the extremes of g over r, R and the roots of S_s inside (r, R).
+    The roots are found once per (measure, s), not per range.  Raises
+    NonFinite for a nan or infinite s."""
     return MMBounds(*mm_exact_values(measure, s, rng.r, rng.R), "closed_form", s, rng)
 
 
 def mm_exact_values(measure, s: float, r: float, R: float) -> tuple:
-    """(m, M) of :func:`mm_exact` on [r, R], 0 < r <= R, as plain floats."""
-    mm = _closed_values(measure, s, r, R)
-    if mm is not None:
-        return mm
+    """(m, M) of :func:`mm_exact` on [r, R], 0 < r <= R, as plain floats:
+    in the gap, the extremes of g at r, R and at those of the memoized
+    stationary points (:func:`_stationary_points`, found once per
+    (measure, s)) that lie inside (r, R)."""
+    ends = _monotone_ends(measure, s, r, R)
     gen = get_generator(measure)
-    a, b = _STATIONARY.get(measure) or _stationarity(gen.f_second)  # PhiS: only at s = nan
-    roots = _real_roots([x + s * y for x, y in zip(a, b)], r, R)
-    gs = [g_eval(gen, s, x) for x in (r, R, *roots)]
+    if ends is not None:
+        return g_eval(gen, s, ends[0]), g_eval(gen, s, ends[1])
+    gs = [g_eval(gen, s, x) for x in (r, R, *(x for x in _stationary_points(measure, s) if r < x < R))]
     return min(gs), max(gs)
 
 
@@ -390,13 +409,11 @@ _PAPER_EXTREMA = (
 def _global_extremum(measure: str, s: float) -> GlobalExtremum:
     """g's global extremum over (0, inf), at the single positive root of S_s:
     a sup where S_s, the sign of g', is positive to its left, else an inf."""
-    a, b = _STATIONARY[measure]
-    c = [x + s * y for x, y in zip(a, b)]
-    roots = _positive_roots(c)
+    roots = _stationary_points(measure, s)
     if len(roots) != 1:
         raise RuntimeError(f"S_s of {measure} at s={s} has {len(roots)} positive roots, not 1")
     x = roots[0]
-    kind = "sup" if horner(c, 0.5 * x) > 0.0 else "inf"
+    kind = "sup" if horner(_stationarity_at(measure, s), 0.5 * x) > 0.0 else "inf"
     return GlobalExtremum(kind, g_eval(get_generator(measure), s, x), x)
 
 
@@ -463,6 +480,7 @@ def b_cf_values(gen: Generator, r, R):
     return ((R - 1.0) * float_each(gen.f, r) + (1.0 - r) * float_each(gen.f, R)) / (R - r)
 
 
+@slot_init
 @dataclass(frozen=True, slots=True)
 class BoundReport:
     """A certified sandwich lower <= value <= upper for one measure."""
@@ -489,33 +507,26 @@ def bound_interval(measure, s: float, P: Distribution, Q: Distribution, method: 
     nan or infinite s, and NumericOverflow where R, g, phi_s, C_f or a
     bound leaves the float range.
 
-    One pass under one np.errstate: s is checked first, and phi_s and C_f
-    come from :func:`csiszar_sums`, the core of :func:`phi_s` (for
-    :func:`phi_generator` (s)) and of :func:`eval_csiszar`, so every
-    field holds the bits of those public functions, :func:`ratio_range`,
-    :func:`mm_exact` and :func:`sandwich`, and every error is theirs.
+    One pass under one np.errstate: s is checked first, x = p / q is
+    formed once, and the range, phi_s and C_f come from it through
+    :func:`ratio_extremes` and :func:`csiszar_sums`, the cores of
+    :func:`ratio_range`, :func:`phi_s` (for :func:`phi_generator` (s)) and
+    :func:`eval_csiszar`, so every field holds the bits of those public
+    functions, :func:`mm_exact` and :func:`sandwich`, and every error is
+    theirs.
     """
     if method not in ("auto", "closed", "numeric"):
         raise InvalidArgument(f"unknown method {method!r}")
     require_finite_s(s)
     with np.errstate(over="ignore", invalid="ignore"):  # NumericOverflow is the only signal
-        rng = pair_range(P, Q)
+        x, rng = pair_ratios(P, Q)
         gen = get_generator(measure)
         mm = mm_numeric(gen, s, rng) if method == "numeric" else mm_exact(measure, s, rng)
-        p, q = P.probs, Q.probs
-        phi = finite_phi(s, float(csiszar_sums(phi_generator(s), p, q)))
-        value = finite_cf(gen, float(csiszar_sums(gen, p, q)))
+        q = Q.probs
+        phi = finite_phi(s, float(csiszar_sums(phi_generator(s), q, x)))
+        value = finite_cf(gen, float(csiszar_sums(gen, q, x)))
         lower, upper, lower_slack, upper_slack = sandwich(mm.m, mm.M, phi, value)
-    return BoundReport(
-        measure=measure,
-        s=s,
-        lower=lower,
-        value=value,
-        upper=upper,
-        mm=mm,
-        lower_slack=lower_slack,
-        upper_slack=upper_slack,
-    )
+    return BoundReport(measure, s, lower, value, upper, mm, lower_slack, upper_slack)
 
 
 def sandwich(m, M, phi, value) -> tuple:

@@ -74,12 +74,14 @@ class NumericOverflow(DivBoundsError, OverflowError):
     """A float result overflowed where a finite value is required."""
 
 
-def require_finite(value, what: str):
+def require_finite(value, what: str, *args):
     """`value` (a float or an array) unchanged, or NumericOverflow when any
-    entry is inf or nan: a bound built on it would compare as nan."""
+    entry is inf or nan: a bound built on it would compare as nan.  The
+    message names `what`, formatted with args (``str.format``) only when
+    it is raised."""
     ok = math.isfinite(value) if isinstance(value, float) else bool(np.isfinite(value).all())
     if not ok:
-        raise NumericOverflow(f"{what} leaves the float range")
+        raise NumericOverflow(f"{what.format(*args) if args else what} leaves the float range")
     return value
 
 

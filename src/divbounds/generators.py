@@ -122,16 +122,22 @@ class Rational:
         object.__setattr__(self, "high", (kn + len(n) - kd - len(d), n[::-1], d[::-1]))
 
     def __call__(self, x):
-        return self.times_power(x, 2.0)
+        """f''(x); inf where it leaves the float range."""
+        try:
+            return self.times_power(x, 2.0)
+        except OverflowError:
+            return math.inf
 
     def times_power(self, x, s: float):
         """x^(2-s) f''(x) as x^((a-s)+k) * n(y) / d(y), on a float or at
-        every entry of an array, bit for bit: the power is Python's
-        (:func:`float_pow`), and numpy's + * / round as Python's do."""
+        every entry of an array, bit for bit: the power is Python's, and
+        numpy's + * / round as Python's do.  Where the power overflows, a
+        float raises OverflowError and an array entry is inf
+        (:func:`float_pow`)."""
         if not isinstance(x, np.ndarray):
             k, n, d = self.low if x <= 1.0 else self.high
             y = x if x <= 1.0 else 1.0 / x
-            return float_pow(x, (self.a - s) + k) * (horner(n, y) / horner(d, y))
+            return x ** ((self.a - s) + k) * (horner(n, y) / horner(d, y))
         out = np.empty(x.shape)
         high = x > 1.0
         for (k, n, d), at, y in ((self.low, ~high, x[~high]), (self.high, high, 1.0 / x[high])):
@@ -289,18 +295,20 @@ def eval_csiszar(gen: Generator, P: Distribution, Q: Distribution) -> float:
     Raises NumericOverflow where it leaves the float range."""
     if len(P) != len(Q):
         raise LengthMismatch(f"lengths differ: {len(P)} vs {len(Q)}")
-    return finite_cf(gen, float(csiszar_sums(gen, P.probs, Q.probs)))
+    q = Q.probs
+    return finite_cf(gen, float(csiszar_sums(gen, q, P.probs / q)))
 
 
-def csiszar_sums(gen: Generator, p, q):
-    """C_f on probability vectors p, q, or row by row on (k, n) blocks."""
-    return np.add.reduce(q * gen.f(p / q), axis=-1)
+def csiszar_sums(gen: Generator, q, x):
+    """C_f from a probability vector q and the ratio vector x = p / q, or
+    row by row on (k, n) blocks."""
+    return np.add.reduce(q * gen.f(x), axis=-1)
 
 
 def finite_cf(gen: Generator, value):
     """C_f values (a float or an array of trials) unchanged, or
     NumericOverflow when one is inf or nan."""
-    return require_finite(value, f"C_f of {gen.id}")
+    return require_finite(value, "C_f of {}", gen.id)
 
 
 @dataclass(frozen=True)

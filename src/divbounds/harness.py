@@ -262,7 +262,7 @@ class PairTable:
     def phi(self, s: float) -> np.ndarray:
         """phi_s (:func:`phi_s`), C_f of the power generator, every trial."""
         gen = phi_generator(s)
-        return finite_phi(s, self._batch(("phi", s), lambda p, q: csiszar_sums(gen, p, q)))
+        return finite_phi(s, self._batch(("phi", s), lambda p, q: csiszar_sums(gen, q, p / q)))
 
     def e_phi(self, s: float) -> np.ndarray:
         """e_phi_s (:func:`e_phi_s`), e_cf of the power generator, every trial."""
@@ -272,7 +272,7 @@ class PairTable:
     def cf(self, measure: str) -> np.ndarray:
         """C_f (:func:`eval_csiszar`) of a catalog generator, every trial."""
         gen = get_generator(measure)
-        return self._batch(("cf", measure), lambda p, q: csiszar_sums(gen, p, q))
+        return self._batch(("cf", measure), lambda p, q: csiszar_sums(gen, q, p / q))
 
     def e_cf(self, measure: str) -> np.ndarray:
         gen = get_generator(measure)
@@ -284,8 +284,8 @@ class PairTable:
 
     def extremes(self) -> tuple:
         """(r, R), the ratio range of every trial as two arrays."""
-        r = self._batch(("r",), lambda p, q: ratio_extremes(p, q)[0])
-        R = self._batch(("R",), lambda p, q: ratio_extremes(p, q)[1])
+        r = self._batch(("r",), lambda p, q: ratio_extremes(p / q)[0])
+        R = self._batch(("R",), lambda p, q: ratio_extremes(p / q)[1])
         return r, R
 
     def sandwich(self, measure: str, s: float) -> tuple:

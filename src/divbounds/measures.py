@@ -98,17 +98,22 @@ def divergence_sums(measure: str, p, q):
     return fn(p, q)
 
 
+@np.errstate(all="ignore")  # NumericOverflow is the only signal
 def divergence(measure: str, P: Distribution, Q: Distribution) -> float:
-    """Closed-form value of a named measure, in nats."""
+    """Closed-form value of a named measure, in nats.
+
+    Raises NumericOverflow where it leaves the float range, as a ratio
+    p_i/q_i does when q_i is near the smallest subnormal.
+    """
     if len(P) != len(Q):
         raise LengthMismatch(f"lengths differ: {len(P)} vs {len(Q)}")
-    return float(divergence_sums(measure, P.probs, Q.probs))
+    return require_finite(float(divergence_sums(measure, P.probs, Q.probs)), "divergence {}", measure)
 
 
 def finite_phi(s: float, value):
     """phi_s values (a float or an array of trials) unchanged, or
     NumericOverflow when one is inf or nan."""
-    return require_finite(value, f"phi_s at s={s!r}")
+    return require_finite(value, "phi_s at s={!r}", s)
 
 
 @np.errstate(over="ignore", invalid="ignore")  # NumericOverflow is the only signal
@@ -123,4 +128,5 @@ def phi_s(s: float, P: Distribution, Q: Distribution) -> float:
     gen = phi_generator(s)
     if len(P) != len(Q):
         raise LengthMismatch(f"lengths differ: {len(P)} vs {len(Q)}")
-    return finite_phi(s, float(csiszar_sums(gen, P.probs, Q.probs)))
+    q = Q.probs
+    return finite_phi(s, float(csiszar_sums(gen, q, P.probs / q)))

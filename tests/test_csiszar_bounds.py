@@ -245,10 +245,23 @@ class TestMMClosed:
         for method in ("auto", "numeric"):
             with pytest.raises(NumericOverflow, match="leaves the float range"):
                 db.bound_interval(db.PhiS(3.0), 1.0, P, Q, method=method)
-        # A nan s leaves every monotone region: g = x^nan raises, as for J.
-        for measure in ("J", db.PhiS(0.5)):
-            with pytest.raises(NumericOverflow):
-                db.mm_exact(measure, math.nan, db.RatioRange(0.5, 2.0))
+        # A nan or infinite s is rejected before g, at every (m, M) entry point.
+        rng = db.RatioRange(0.5, 2.0)
+        for s in (math.nan, math.inf, -math.inf):
+            for measure in ("J", db.PhiS(0.5)):
+                gen = db.get_generator(measure)
+                calls = (
+                    lambda: db.mm_exact(measure, s, rng),
+                    lambda: db.mm_closed(measure, s, rng),
+                    lambda: db.mm_numeric(gen, s, rng),
+                    lambda: cb.mm_exact_values(measure, s, 0.5, 2.0),
+                    lambda: cb.mm_exact_arrays(measure, s, np.array([0.5]), np.array([2.0])),
+                    lambda: db.g_eval(gen, s, 1.0),
+                    lambda: db.g_eval(gen, s, np.array([0.5, 1.0])),
+                )
+                for call in calls:
+                    with pytest.raises(NonFinite, match=f"^s must be finite, got {s}$"):
+                        call()
 
     def test_unknown_measure(self):
         with pytest.raises(UnknownMeasure):
@@ -499,8 +512,7 @@ class TestGlobalExtrema:
 
 class TestStationarity:
     def test_pinned_integer_coefficients(self):
-        # S_s = A + s*B per measure, as plain ints of equal length: numpy
-        # scalars would slow _real_roots, which runs for every gap cell.
+        # S_s = A + s*B per measure, as plain ints of equal length.
         expected = {
             "D1": ((1, 3, 6), (-1, -4, -3)),
             "D2": ((-3, 1, 0), (-3, -4, -1)),
@@ -527,6 +539,48 @@ class TestStationarity:
                 c = [x + s * y for x, y in zip(a, b)]
                 assert cb._positive_roots(c) == [], (mid, s)
                 assert sign * cb.horner(c, 1.0) > 0.0, (mid, s)
+
+    def test_roots_are_found_once_per_measure_and_s(self, monkeypatch):
+        # S_s depends on (measure, s) alone: 50 distinct pairs, one search.
+        searches = []
+        positive_roots = cb._positive_roots
+        monkeypatch.setattr(cb, "_positive_roots", lambda c: searches.append(c) or positive_roots(c))
+        cb._stationary_points.cache_clear()
+        pairs = make_pairs(50, seed=31)
+        assert len({(P.probs.tobytes(), Q.probs.tobytes()) for P, Q in pairs}) == 50
+        for P, Q in pairs:
+            assert db.bound_interval("T", 0.5, P, Q).holds
+        assert len(searches) == 1
+
+    def test_cached_roots_give_the_per_range_extrema(self):
+        # On every gap (measure, s) of the default grid, (m, M) from the
+        # cached roots are g at r, R and the roots _real_roots finds inside
+        # (r, R), within 2 ulp, and contain the numeric oracle's (m, M) up
+        # to g's own rounding (g at a sample next to the root of S_s can
+        # round an ulp past g at the root).
+        ranges = [(rng.r, rng.R) for rng in _range_draws(16, seed=808)]
+        ranges += zip(TestMMExactArrays.WIDE_R.tolist(), TestMMExactArrays.WIDE_RR.tolist())
+        checked = raised = 0
+        for mid, (lo, hi) in CLOSED_FORM_REGIONS.items():
+            gen = db.catalog()[mid]
+            a, b = cb._STATIONARY[mid]
+            for s in (s for s in db.TrialConfig().s_samples if lo < s < hi):
+                c = [x + s * y for x, y in zip(a, b)]
+                for r, R in ranges:
+                    try:
+                        gs = [db.g_eval(gen, s, x) for x in (r, R, *cb._real_roots(c, r, R))]
+                    except NumericOverflow as exc:
+                        with pytest.raises(NumericOverflow, match=re.escape(str(exc))):
+                            cb.mm_exact_values(mid, s, r, R)
+                        raised += 1
+                        continue
+                    m, M = cb.mm_exact_values(mid, s, r, R)
+                    assert abs(m - min(gs)) <= 2 * math.ulp(min(gs)), (mid, s, r, R)
+                    assert abs(M - max(gs)) <= 2 * math.ulp(max(gs)), (mid, s, r, R)
+                    oracle = db.mm_numeric(gen, s, db.RatioRange(r, R))
+                    assert m <= oracle.m + 4 * math.ulp(m) and oracle.M <= M + 4 * math.ulp(M), (mid, s, r, R)
+                    checked += 1
+        assert checked > 400 and raised > 0
 
     def test_positive_roots(self):
         # (x - 1e-3)(x - 2)(x + 5) and x^2 (x - 7): roots at 0 and below 0 are dropped.

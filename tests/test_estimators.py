@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import divbounds as db
-from divbounds.errors import DegeneratePair, DivBoundsError, InvalidArgument
+from divbounds.errors import DegeneratePair, DivBoundsError, InvalidArgument, NumericOverflow
 
 LN3 = math.log(3.0)
 
@@ -91,3 +91,11 @@ class TestEstimate:
                 except DegeneratePair:
                     degenerate += 1
         assert degenerate > 0
+
+
+def test_overflowing_divergence_is_typed():
+    # KL(P||Q) overflows on this pair, so xi2 raises NumericOverflow, not
+    # numpy's RuntimeWarning (an error under the test filter).
+    P, Q = db.normalize([1, 1]), db.normalize([5e-324, 1])
+    with pytest.raises(NumericOverflow, match="^divergence KL leaves the float range$"):
+        db.estimate(db.EstimatorId("XI", 2), P, Q)

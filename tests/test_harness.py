@@ -391,15 +391,25 @@ def _is_pair(cfg, i, p, q):
     return np.all(p == P.probs, axis=-1) & np.all(q == Q.probs, axis=-1)
 
 
+def _is_ratio(cfg, i, x):
+    """Which rows of x, one ratio vector p / q or a (k, n) block, are
+    trial i's ratios."""
+    P, Q = harness._memo_pair(cfg, i)
+    if x.shape[-1] != len(P):
+        return np.zeros(x.shape[:-1], dtype=bool)
+    return np.all(x == P.probs / Q.probs, axis=-1)
+
+
 def _force_ranges(monkeypatch, cfg, ranges: dict):
-    """ratio_extremes, as both the public ratio_range and the pair table
-    call it, giving trial i the (r, R) of ranges[i] wherever p, q is its pair."""
+    """ratio_extremes, as the public ratio_range, bound_interval and the
+    pair table call it, giving trial i the (r, R) of ranges[i] wherever x
+    is its ratio vector."""
     extremes = simplex.ratio_extremes
 
-    def forced(p, q):
-        lo, hi = (np.array(v) for v in extremes(p, q))
+    def forced(x):
+        lo, hi = (np.array(v) for v in extremes(x))
         for i, (r, R) in ranges.items():
-            at = _is_pair(cfg, i, p, q)
+            at = _is_ratio(cfg, i, x)
             lo[at], hi[at] = r, R
         return lo[()], hi[()]
 

@@ -149,3 +149,14 @@ def test_phi_s_overflowing_ratio_is_typed():
     # ratio_range, bound_set and bound_interval reject the pair.
     with pytest.raises(NumericOverflow, match=r"^phi_s at s=0\.5 leaves the float range$"):
         db.phi_s(0.5, db.normalize([1, 1]), db.normalize([5e-324, 1]))
+
+
+def test_divergence_overflowing_ratio_is_typed():
+    # p_2/q_2 = 0.5/5e-324 overflows: KL, J and CHI2 raise instead of
+    # returning inf after a numpy warning; KL_ADJ and F1 stay finite.
+    P, Q = db.normalize([1, 1]), db.normalize([5e-324, 1])
+    for measure in ("KL", "J", "CHI2"):
+        with pytest.raises(NumericOverflow, match=f"^divergence {measure} leaves the float range$"):
+            db.divergence(measure, P, Q)
+    assert db.divergence("KL_ADJ", P, Q) == pytest.approx(math.log(2.0), rel=1e-15)
+    assert math.isfinite(db.divergence("F1", P, Q))

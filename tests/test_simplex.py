@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -141,6 +142,25 @@ class TestRatioRange:
     def test_infinite_range_raises_at_construction(self, r, R):
         with pytest.raises(NonFinite, match=r"^need finite r and R, got RatioRange\(r="):
             db.RatioRange(r, R)
+
+    def test_fast_init_keeps_the_dataclass_contract(self):
+        # RatioRange, MMBounds and BoundReport store their fields through
+        # slot descriptors (simplex.slot_init): keyword construction, arity
+        # errors, __post_init__ and frozenness are the dataclass's.
+        from divbounds.csiszar_bounds import BoundReport, MMBounds
+
+        rng = db.RatioRange(R=2.0, r=0.5)
+        assert (rng.r, rng.R) == (0.5, 2.0) and rng == db.RatioRange(0.5, 2.0)
+        mm = MMBounds(m=1.0, M=2.0, method="closed_form", s=0.5, range=rng)
+        rep = BoundReport("J", 0.5, 1.0, 1.5, 2.0, mm, 0.5, 0.5)
+        assert (mm.range, rep.mm, rep.upper_slack) == (rng, mm, 0.5)
+        with pytest.raises(InvalidRange):
+            db.RatioRange(R=0.5, r=2.0)
+        with pytest.raises(TypeError):
+            db.RatioRange(0.5)
+        for obj, field in ((rng, "r"), (mm, "M"), (rep, "value")):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(obj, field, 0.0)
 
     def test_brackets_one_and_reciprocal(self, pairs_100):
         for P, Q in pairs_100:
