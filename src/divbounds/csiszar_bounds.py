@@ -8,19 +8,21 @@ g' is the sign of the stationarity polynomial
 
     S_s(x) = (a-s) N D + x (N'D - N D'),
 
-of degree at most 3 once the factors x and x+1 are divided out (the
-constant t - s for phi_t).  (m, M) are therefore exact for every s: the
-extremes of g over r, R and the roots of S_s inside (r, R).  In the
-monotone regions of s (the paper's; (t, t) for phi_t) the endpoints alone
-suffice.  The positive roots of S_s, g's stationary points, depend on the
-measure and s alone, never on the pair: they are found once per
-(measure, s) and memoized, and each range keeps those inside (r, R).
-Each global extremum the paper names is g at the single positive root
-of S_s.  An independent numeric optimizer (log-spaced scan plus
-golden-section refinement) is kept as the test oracle and for generators
-outside the catalog.  g has one formula, g = x^((a-s)+k) * n(y) / d(y) from
-the scaled form of f'', which leaves the float range only where g does;
-g_eval raises there, and an array of x follows its float path bit for bit.
+of degree at most 3 in the catalog once the factors x and x+1 are divided
+out (the constant t - s for phi_t).  (m, M) have one rule, exact for
+every s and every generator, catalog or not: the extremes of g over r, R
+and the positive roots of S_s, g's stationary points, inside (r, R).
+Those roots depend on f'' and s alone, never on the pair: they are found
+once per (f'', s) and memoized.  Where S_s has no root inside (r, R), g is
+monotone there and the endpoints alone decide.  The paper's monotone
+regions (:data:`CLOSED_FORM_REGIONS`) are its claim that S_s has no
+positive root there; the tests check them against the roots.  Each
+global extremum the paper names is g at the single positive root of S_s.
+An independent numeric optimizer (log-spaced scan plus golden-section
+refinement) is kept as the test oracle and as method "numeric".  g has
+one formula, g = x^((a-s)+k) * n(y) / d(y) from the scaled form of f'',
+which leaves the float range only where g does; g_eval raises there, and
+an array of x follows its float path bit for bit.
 """
 
 from __future__ import annotations
@@ -39,15 +41,12 @@ from .errors import (
     NonPositiveX,
     NotTabulated,
     NumericOverflow,
-    UnknownMeasure,
     require_finite,
     require_finite_s,
 )
 from .generators import (
     VIOLATION_TOL,
     Generator,
-    PhiS,
-    catalog,
     csiszar_sums,
     eval_csiszar,
     finite_cf,
@@ -192,8 +191,12 @@ def mm_numeric(gen: Generator, s: float, rng: RatioRange) -> MMBounds:
     return MMBounds(lo, hi, "numeric", s, rng)
 
 
-#: The paper's monotone regions (s_low, s_high) per catalog measure: g is
-#: increasing on (0, inf) for s <= s_low and decreasing for s >= s_high.
+#: The paper's monotone regions (s_low, s_high) per catalog measure: its
+#: claim that g is increasing on (0, inf) for s <= s_low and decreasing for
+#: s >= s_high, i.e. that S_s has no positive root there (the tests check
+#: it against the roots).  No (m, M) is computed from it: it decides only
+#: where :func:`mm_closed` returns None, which s the harness's restricted
+#: sandwich suites take, and the regions that ``catalog`` prints.
 CLOSED_FORM_REGIONS = {
     "D1": (0.75, 2.0),
     "D2": (-1.0, 0.25),
@@ -221,27 +224,26 @@ def _polyder(c: np.ndarray) -> np.ndarray:
     return np.polyder(c) if c.size > 1 else np.zeros(1, dtype=c.dtype)
 
 
+@functools.lru_cache(maxsize=64)
 def _stationarity(f_second) -> tuple:
-    """(A, B), tuples of equal length, with S_s = A + s*B.
+    """(A, B), tuples of equal length, with S_s = A + s*B for the Rational f''.
 
     The powers of x and of x + 1 that A and B share are divided out: every
     catalog denominator is a product of 2, x and x + 1, and both divisors
-    are positive on x > 0, so the sign of S_s (and of g') is kept.
+    are positive on x > 0, so the sign of S_s (and of g') is kept.  Cached
+    per f'': S_s depends on nothing else.
     """
     n, d = np.array(f_second.num), np.array(f_second.den)
     nd = np.convolve(n, d)
     cross = np.polysub(np.convolve(_polyder(n), d), np.convolve(n, _polyder(d)))
     a = np.polyadd(f_second.a * nd, np.append(cross, 0))
     b = np.polysub(np.zeros_like(a), nd)  # -N D, as long as A
-    a, b = tuple(a.tolist()), tuple(b.tolist())  # plain ints, not numpy scalars
+    a, b = tuple(a.tolist()), tuple(b.tolist())  # plain Python numbers, not numpy scalars
     while a[-1] == b[-1] == 0:
         a, b = a[:-1], b[:-1]
     while horner(a, -1) == horner(b, -1) == 0:
         a, b = _div_x_plus_1(a), _div_x_plus_1(b)
     return a, b
-
-
-_STATIONARY = {mid: _stationarity(gen.f_second) for mid, gen in catalog().items()}
 
 
 def _bracketed_root(c: list, a: float, b: float, neg_a: bool) -> float:
@@ -312,82 +314,74 @@ def _positive_roots(c: list) -> list:
     return _real_roots(c, lo, hi)
 
 
-def _stationarity_at(measure: str, s: float) -> list:
-    """S_s = A + s*B of a catalog measure, coefficients highest power first."""
-    a, b = _STATIONARY[measure]
+def _stationarity_poly(f_second, s: float) -> list:
+    """S_s = A + s*B of f'', coefficients highest power first."""
+    a, b = _stationarity(f_second)
     return [x + s * y for x, y in zip(a, b)]
 
 
-@functools.lru_cache(maxsize=256)  # mm_exact_values asks on every gap cell
-def _stationary_points(measure: str, s: float) -> tuple:
-    """The stationary points of g for a catalog measure at a finite s: the
-    positive roots of S_s.  They depend on (measure, s) alone,
-    so they are found once and each range keeps those inside (r, R)."""
-    return tuple(_positive_roots(_stationarity_at(measure, s)))
+@functools.lru_cache(maxsize=256)  # asked by every (m, M)
+def _stationary_points(f_second, s: float) -> tuple:
+    """The stationary points of g = x^(2-s) f'' at a finite s: the positive
+    roots of S_s.  They depend on (f'', s) alone, so they are found once
+    and each range keeps those inside (r, R)."""
+    return tuple(_positive_roots(_stationarity_poly(f_second, s)))
 
 
 def mm_closed(measure, s: float, rng: RatioRange) -> Optional[MMBounds]:
-    """Closed-form (m, M) where g is provably monotone; None in the gap.
+    """:func:`mm_exact` where the paper proves g monotone; None in the gap
+    that :data:`CLOSED_FORM_REGIONS` leaves a catalog measure.
 
-    For a power-family measure PhiS(t), g(x) = x^(t-s) is monotone for
-    every s, so a closed form is always returned (m = M = 1 when t = s).
-    Raises NonFinite for a nan or infinite s.
+    A power-family measure PhiS(t) has no gap: g(x) = x^(t-s) is monotone
+    for every s (m = M = 1 when t = s).  Raises NonFinite for a nan or
+    infinite s.
     """
-    return None if _monotone_ends(measure, s, rng.r, rng.R) is None else mm_exact(measure, s, rng)
-
-
-def _monotone_ends(measure, s: float, r, R) -> Optional[tuple]:
-    """(x of m, x of M) of g in a measure's monotone regions, None in the gap;
-    PhiS(t)'s region is (t, t), where S_s is the constant t - s, so a finite
-    s never leaves it.  Raises NonFinite for a nan or infinite s."""
-    require_finite_s(s)
-    if isinstance(measure, PhiS):
-        s_lo = s_hi = measure.s
-    else:
-        try:
-            s_lo, s_hi = CLOSED_FORM_REGIONS[measure]
-        except KeyError:
-            raise UnknownMeasure(f"unknown measure {measure!r}") from None
-    if s <= s_lo:  # g increasing
-        return r, R
-    if s >= s_hi:  # g decreasing
-        return R, r
-    return None
+    lo, hi = CLOSED_FORM_REGIONS.get(measure, (math.inf, -math.inf))
+    return None if lo < require_finite_s(s) < hi else mm_exact(measure, s, rng)
 
 
 def mm_exact(measure, s: float, rng: RatioRange) -> MMBounds:
-    """Exact (m, M) for every s: :func:`mm_closed` in the monotone regions,
-    else the extremes of g over r, R and the roots of S_s inside (r, R).
-    The roots are found once per (measure, s), not per range.  Raises
-    NonFinite for a nan or infinite s."""
+    """Exact (m, M) for every s and measure: the extremes of g over r, R
+    and the stationary points of f'' inside (r, R), found once per (f'', s),
+    not per range (:func:`mm_exact_values`).  Raises NonFinite for a nan or
+    infinite s."""
     return MMBounds(*mm_exact_values(measure, s, rng.r, rng.R), "closed_form", s, rng)
 
 
 def mm_exact_values(measure, s: float, r: float, R: float) -> tuple:
     """(m, M) of :func:`mm_exact` on [r, R], 0 < r <= R, as plain floats:
-    in the gap, the extremes of g at r, R and at those of the memoized
-    stationary points (:func:`_stationary_points`, found once per
-    (measure, s)) that lie inside (r, R)."""
-    ends = _monotone_ends(measure, s, r, R)
-    gen = get_generator(measure)
-    if ends is not None:
-        return g_eval(gen, s, ends[0]), g_eval(gen, s, ends[1])
-    gs = [g_eval(gen, s, x) for x in (r, R, *(x for x in _stationary_points(measure, s) if r < x < R))]
-    return min(gs), max(gs)
+    the scalar form of the rule whose array form is :func:`mm_exact_arrays`."""
+    return _g_extremes(get_generator(measure), s, r, R)
+
+
+def _g_extremes(gen: Generator, s: float, r: float, R: float) -> tuple:
+    """min and max of g at r, at R and at each memoized stationary point
+    (:func:`_stationary_points`) inside (r, R), evaluated in that order."""
+    m, M = g_eval(gen, s, r), g_eval(gen, s, R)
+    if M < m:
+        m, M = M, m
+    for x in _stationary_points(gen.f_second, s):
+        if r < x < R:
+            v = g_eval(gen, s, x)
+            m, M = min(m, v), max(M, v)
+    return m, M
 
 
 def mm_exact_arrays(measure, s: float, r: np.ndarray, R: np.ndarray) -> tuple:
     """(m, M) arrays of :func:`mm_exact_values` at every (r[i], R[i]), bit
-    for bit.  In a monotone region g takes one array, the endpoints
-    interleaved in the order of the scalar calls, so the first trial that
-    raises raises; a gap cell is scalar, trial by trial."""
+    for bit, by the same rule: g takes one array of each trial's
+    candidates, r, R and each stationary point, in the order of the scalar
+    calls, so that the first trial that raises raises; a stationary point
+    outside (r[i], R[i]) stands in as r[i] again.  Raises NonFinite for a
+    nan or infinite s."""
+    gen = get_generator(measure)
+    require_finite_s(s)
     r, R = np.asarray(r, dtype=np.float64), np.asarray(R, dtype=np.float64)
-    ends = _monotone_ends(measure, s, r, R)
-    if ends is None:
-        g = np.array([mm_exact_values(measure, s, a, b) for a, b in zip(r.tolist(), R.tolist())], dtype=np.float64)
-    else:
-        g = _g_array(get_generator(measure), s, np.column_stack(ends).ravel())
-    return tuple(g.reshape(-1, 2).T)
+    xs = [r, R, *(np.where((r < x) & (x < R), x, r) for x in _stationary_points(gen.f_second, s))]
+    g = _g_array(gen, s, np.column_stack(xs)).T
+    # Elementwise over the few candidate rows: numpy's reduction along a
+    # short contiguous axis costs about 40 times as much.
+    return functools.reduce(np.minimum, g), functools.reduce(np.maximum, g)
 
 
 @dataclass(frozen=True)
@@ -409,12 +403,13 @@ _PAPER_EXTREMA = (
 def _global_extremum(measure: str, s: float) -> GlobalExtremum:
     """g's global extremum over (0, inf), at the single positive root of S_s:
     a sup where S_s, the sign of g', is positive to its left, else an inf."""
-    roots = _stationary_points(measure, s)
+    gen = get_generator(measure)
+    roots = _stationary_points(gen.f_second, s)
     if len(roots) != 1:
         raise RuntimeError(f"S_s of {measure} at s={s} has {len(roots)} positive roots, not 1")
     x = roots[0]
-    kind = "sup" if horner(_stationarity_at(measure, s), 0.5 * x) > 0.0 else "inf"
-    return GlobalExtremum(kind, g_eval(get_generator(measure), s, x), x)
+    kind = "sup" if horner(_stationarity_poly(gen.f_second, s), 0.5 * x) > 0.0 else "inf"
+    return GlobalExtremum(kind, g_eval(gen, s, x), x)
 
 
 _GLOBAL = {key: _global_extremum(*key) for key in _PAPER_EXTREMA}
@@ -562,12 +557,12 @@ def difference_bounds(
     """Check the three difference sandwiches for an arbitrary generator.
 
     (m, M) must bound g on the whole ratio range; if not supplied they are
-    exact for a catalog generator and come from the numeric optimizer for
-    any other.
+    the exact (m, M) of :func:`mm_exact`'s rule, which needs only the
+    generator's Rational f''.
     """
     rng = ratio_range(P, Q)
     if mm is None:
-        mm = mm_exact(gen.id, s, rng) if catalog().get(gen.id) is gen else mm_numeric(gen, s, rng)
+        mm = MMBounds(*_g_extremes(gen, s, rng.r, rng.R), "closed_form", s, rng)
     cf, phi = eval_csiszar(gen, P, Q), phi_s(s, P, Q)
     pair = (phi_generator(s), gen)
     forms = [("e", *(e_cf(g, P, Q) for g in pair)), ("a", *(a_cf(g, rng) for g in pair))]

@@ -22,9 +22,10 @@ block, kept as a float64 array indexed by trial.  A row of a block is
 summed in the same order as the pair alone, so the table holds the bits
 the public functions return.  The sandwich suites' exact (m, M) are arrays
 over the run's trials, one per distinct (measure, s), from
-:func:`mm_exact_arrays`, bit-identical to the scalar
-:func:`mm_exact_values` of each trial.  A table is made for one run and
-dropped with it.
+:func:`mm_exact_arrays`: g on one array of every trial's r, R and the
+stationary points of f'' inside its range, the rule of the scalar
+:func:`mm_exact_values` and bit-identical to it.  A table is made for one
+run and dropped with it.
 
 Every suite checks the run's trials as float64 columns.  thm31 and thm32
 take the A/B functionals on the arrays of r and R (the cores of a_cf and
@@ -245,13 +246,14 @@ class PairTable:
         # chunk at a time is alive when the blocks are not held.
         return self._held[j] if self._held is not None else _stack(self.config, self._chunks[j])
 
-    def _batch(self, key, sums, dtype=np.float64) -> np.ndarray:
-        """sums(p, q) of every trial, row sums of each block."""
+    def _batch(self, key, sums, dtype=np.float64, rows=()) -> np.ndarray:
+        """sums(p, q) of every trial, row sums of each block; with rows=(k,),
+        sums gives k values a trial and the result has k rows."""
         values = self._values.get(key)
         if values is None:
-            values = np.empty(self.config.trials, dtype=dtype)
+            values = np.empty((*rows, self.config.trials), dtype=dtype)
             for j, trials in enumerate(self._chunks):
-                values[trials] = sums(*self._block(j))
+                values[..., trials] = sums(*self._block(j))
             self._values[key] = values
         return values
 
@@ -284,9 +286,7 @@ class PairTable:
 
     def extremes(self) -> tuple:
         """(r, R), the ratio range of every trial as two arrays."""
-        r = self._batch(("r",), lambda p, q: ratio_extremes(p / q)[0])
-        R = self._batch(("R",), lambda p, q: ratio_extremes(p / q)[1])
-        return r, R
+        return tuple(self._batch(("extremes",), lambda p, q: ratio_extremes(p / q), rows=(2,)))
 
     def sandwich(self, measure: str, s: float) -> tuple:
         """(lower, upper) slacks of m * phi_s <= C_f <= M * phi_s, every

@@ -42,6 +42,11 @@ def _range_draws(count, seed):
     return out
 
 
+def _stationarity(measure):
+    """(A, B) with S_s = A + s*B, from the measure's f''."""
+    return cb._stationarity(db.get_generator(measure).f_second)
+
+
 class TestGEval:
     def test_i_at_one(self):
         assert db.g_eval(db.catalog()["I"], 1, 1.0) == pytest.approx(0.25, abs=1e-15)
@@ -315,7 +320,7 @@ class TestMMExact:
         # Inside each CLOSED_FORM_REGIONS side S_s has no root in (0, inf),
         # so g is monotone there and the endpoints are its extrema.
         for mid, (lo, hi) in CLOSED_FORM_REGIONS.items():
-            a, b = cb._STATIONARY[mid]
+            a, b = _stationarity(mid)
             for s in np.concatenate([np.linspace(lo - 6.0, lo, 25), np.linspace(hi, hi + 6.0, 25)]):
                 c = np.trim_zeros(np.array(a) + s * np.array(b), "f")
                 roots = np.roots(c) if c.size > 1 else np.array([])
@@ -412,6 +417,22 @@ class TestMMExactArrays:
             cb.mm_exact_arrays(mid, lo, r, R)
             cb.mm_exact_arrays(mid, hi, r, R)
         assert calls == []
+
+    def test_gap_cells_are_one_array_g(self, monkeypatch):
+        # A gap cell evaluates g on one array of the endpoints and the cached
+        # stationary points that the ranges hold: no scalar g call at all,
+        # let alone one per trial.
+        calls, g_eval = [], cb.g_eval
+        monkeypatch.setattr(cb, "g_eval", lambda gen, s, x: calls.append(x) or g_eval(gen, s, x))
+        r, R = db.PairTable(db.TrialConfig(seed=42)).extremes()
+        for mid, s in (("T", 0.5), ("D1", 1.0)):
+            roots = cb._stationary_points(db.catalog()[mid].f_second, s)
+            assert len(roots) == 1 and np.sum((r < roots[0]) & (roots[0] < R)) > 100, (mid, s)
+            calls.clear()
+            m, M = cb.mm_exact_arrays(mid, s, r, R)
+            assert calls == [], (mid, s)
+            ref_m, ref_M = _mm_per_trial(mid, s, r, R)
+            assert (m.tobytes(), M.tobytes()) == (ref_m.tobytes(), ref_M.tobytes()), (mid, s)
 
     def test_array_g_eval_is_the_float_path_entry_by_entry(self):
         # Every point, and each array of them as a whole (flat, 2-d and 0-d),
@@ -524,24 +545,26 @@ class TestStationarity:
             "I": ((0, 0, 2), (0, -2, -2)),
             "T": ((4, 8, -4, 0), (-4, -4, -4, -4)),
         }
-        assert cb._STATIONARY == expected
-        for a, b in cb._STATIONARY.values():
+        table = {mid: _stationarity(mid) for mid in db.CATALOG_IDS}
+        assert table == expected
+        for a, b in table.values():
             assert all(type(k) is int for k in a + b)
 
-    @pytest.mark.parametrize("mid", list(CLOSED_FORM_REGIONS))
-    def test_paper_regions_agree_with_stationarity(self, mid):
+    @pytest.mark.parametrize("measure", [*CLOSED_FORM_REGIONS, *(db.PhiS(t) for t in (-1.5, 0.0, 0.5, 1.0, 3.0))], ids=str)
+    def test_paper_regions_agree_with_stationarity(self, measure):
         # Outside the gap S_s has no positive root, and its sign at x = 1 is
         # the direction of g: increasing for s <= s_lo, decreasing for s >= s_hi.
-        lo, hi = CLOSED_FORM_REGIONS[mid]
-        a, b = cb._STATIONARY[mid]
+        # PhiS(t)'s gap is the single point t, where S_s = 0 and g = 1.
+        lo, hi = (measure.s, measure.s) if isinstance(measure, db.PhiS) else CLOSED_FORM_REGIONS[measure]
+        a, b = _stationarity(measure)
         for offset in (0.0, 0.1, 0.25, 0.5, 1.0, 2.0, 5.0, 20.0):
             for s, sign in ((lo - offset, 1.0), (hi + offset, -1.0)):
                 c = [x + s * y for x, y in zip(a, b)]
-                assert cb._positive_roots(c) == [], (mid, s)
-                assert sign * cb.horner(c, 1.0) > 0.0, (mid, s)
+                assert cb._positive_roots(c) == [], (measure, s)
+                assert sign * cb.horner(c, 1.0) > 0.0 or lo == s == hi, (measure, s)
 
     def test_roots_are_found_once_per_measure_and_s(self, monkeypatch):
-        # S_s depends on (measure, s) alone: 50 distinct pairs, one search.
+        # S_s depends on (f'', s) alone: 50 distinct pairs, one search.
         searches = []
         positive_roots = cb._positive_roots
         monkeypatch.setattr(cb, "_positive_roots", lambda c: searches.append(c) or positive_roots(c))
@@ -563,7 +586,7 @@ class TestStationarity:
         checked = raised = 0
         for mid, (lo, hi) in CLOSED_FORM_REGIONS.items():
             gen = db.catalog()[mid]
-            a, b = cb._STATIONARY[mid]
+            a, b = _stationarity(mid)
             for s in (s for s in db.TrialConfig().s_samples if lo < s < hi):
                 c = [x + s * y for x, y in zip(a, b)]
                 for r, R in ranges:
@@ -918,10 +941,33 @@ class TestDifferenceBounds:
                 for s in db.TrialConfig().s_samples:
                     assert db.difference_bounds(db.catalog()[mid], s, P, Q).holds, (mid, s)
 
-    def test_non_catalog_default_uses_numeric(self, golden_pair):
-        P, Q = golden_pair
-        rep = db.difference_bounds(db.phi_generator(0.5), 1.0, P, Q)
-        assert rep.mm.method == "numeric"
+    def test_non_catalog_default_is_exact(self, golden_pair, pairs_100):
+        # Every generator's f'' is a Rational, so a generator outside the
+        # catalog gets the exact (m, M) too: here phi_(1/2) and a user
+        # generator with f'' = (x^4 + 1) / (x^3 (x + 1)^2), whose g has a
+        # stationary point for -1 <= s <= 1.
+        c = 2.0 * math.log(2.0)
+        user = db.Generator(
+            "USER",
+            f=lambda x: 3 * x * np.log(x) + 2 * np.log(x) + 0.5 / x - 2 * x * np.log1p(x) + (c - 3.5) * x + 3,
+            f_prime=lambda x: 3 * np.log(x) + 2 / x - 0.5 / x**2 - 2 * np.log1p(x) + 2 / (x + 1) + c - 2.5,
+            f_second=db.Rational((1, 0, 0, 0, 1), (1, 2, 1, 0, 0, 0)),
+        )
+        check = db.check_generator(user, np.exp(np.linspace(-3.0, 3.0, 61)))
+        assert check.max_abs_f_at_1 <= 1e-15 and check.min_f_second > 0.0
+        assert check.max_f_prime_dev <= 1e-8 and check.max_f_second_dev <= 1e-8
+        cases = [(db.phi_generator(0.5), 1.0, golden_pair)]
+        cases += [(user, s, pair) for s in (-1.0, 0.0, 0.5, 1.0, 2.0) for pair in (golden_pair, *pairs_100[:8])]
+        interior = 0
+        for gen, s, (P, Q) in cases:
+            rep = db.difference_bounds(gen, s, P, Q)
+            oracle = db.mm_numeric(gen, s, rep.range)
+            assert rep.mm.method == "closed_form"
+            assert rep.mm.m == pytest.approx(oracle.m, rel=1e-12, abs=0.0), (gen.id, s)
+            assert rep.mm.M == pytest.approx(oracle.M, rel=1e-12, abs=0.0), (gen.id, s)
+            assert rep.holds, (gen.id, s)
+            interior += any(rep.range.r < x < rep.range.R for x in cb._stationary_points(gen.f_second, s))
+        assert interior > 10
 
 
 def test_result_types_are_slotted(golden_pair):

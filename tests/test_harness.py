@@ -247,6 +247,14 @@ class TestPairTable:
         out = capsys.readouterr().out
         assert out[: len(out) // 2] == out[len(out) // 2 :]
 
+    def test_ratio_range_is_one_reduction_per_block(self, monkeypatch):
+        # r and R of a block come from one p / q and one ratio_extremes: a
+        # run makes one call per support size, 63 for n = 2..64.
+        calls, extremes = [], harness.ratio_extremes
+        monkeypatch.setattr(harness, "ratio_extremes", lambda x: calls.append(x.shape) or extremes(x))
+        db.run_all(db.TrialConfig(seed=42, trials=1000))
+        assert len(calls) == 63 and len({shape[-1] for shape in calls}) == 63
+
     def test_large_pairs_stack_within_the_budget(self, monkeypatch):
         n = 200_000  # 2n entries a pair: two pairs fit in one stack, three do not
         cfg = db.TrialConfig(seed=35, trials=5, n_min=n, n_max=n)
