@@ -14,7 +14,7 @@ from .generators import (
     phi_generator,
 )
 from .measures import MEASURE_IDS, SYMMETRIC_IDS, divergence, phi_s
-from .type_s_bounds import TypeSBoundSet, a_phi_s, b_phi_s, bound_set, e_phi_s
+from .type_s_bounds import TypeSBoundSet, bound_set
 from .csiszar_bounds import (
     BoundReport,
     DifferenceReport,
@@ -57,9 +57,6 @@ __all__ = [
     "divergence",
     "phi_s",
     "TypeSBoundSet",
-    "e_phi_s",
-    "a_phi_s",
-    "b_phi_s",
     "bound_set",
     "MMBounds",
     "BoundReport",

@@ -465,9 +465,17 @@ def b_cf(gen: Generator, rng: RatioRange) -> float:
     """Chord bound functional [(R-1)f(r) + (1-r)f(R)] / (R-r); raises
     NumericOverflow where it leaves the float range."""
     r, R = rng.r, rng.R
-    if not (0.0 < r <= 1.0 <= R) or r == R:
+    if not b_defined(r, R):
         raise InvalidRange(f"need 0 < r <= 1 <= R with r != R, got {rng}")
     return require_finite(b_cf_values(gen, r, R), f"b_cf of {gen.id}")
+
+
+def b_defined(r, R):
+    """B's hypothesis r <= 1 <= R, r != R on 0 < r <= R: a bool, or a bool
+    array on arrays of ranges.  A normalized pair can miss it by rounding
+    (r <= R < 1, say), as P and Q sum to 1 only to rounding; bound_set,
+    difference_bounds and the harness omit B there, as on r = R."""
+    return (r <= 1.0) & (1.0 <= R) & (r != R)
 
 
 def b_cf_values(gen: Generator, r, R):
@@ -538,7 +546,7 @@ class DifferenceReport:
 
     For each form X in {E, A, B}, checks that X_Cf - C_f lies between
     m and M times (X_phi_s - phi_s).  ``checks`` maps a label to its
-    slack; the B form is omitted on a degenerate range.
+    slack; the B form is omitted where B is not defined (:func:`b_defined`).
     """
 
     s: float
@@ -566,7 +574,7 @@ def difference_bounds(
     cf, phi = eval_csiszar(gen, P, Q), phi_s(s, P, Q)
     pair = (phi_generator(s), gen)
     forms = [("e", *(e_cf(g, P, Q) for g in pair)), ("a", *(a_cf(g, rng) for g in pair))]
-    if not rng.degenerate:
+    if b_defined(rng.r, rng.R):
         forms.append(("b", *(b_cf(g, rng) for g in pair)))
     return DifferenceReport(s=s, range=rng, mm=mm, checks=difference_checks(mm.m, mm.M, phi, cf, forms))
 

@@ -268,7 +268,9 @@ def phi_generator(s: float) -> Generator:
     f(x) = (x^s - 1) / (s(s-1)), f''(x) = x^(s-2) at every s; the poles of f
     at s = 0 and s = 1 dispatch to the limit forms -ln(x) and x*ln(x).  The
     family is written only here: phi_s and its E/A/B bounds are the Csiszar
-    sum and the generic functionals of this generator.
+    sum and the generic functionals of this generator.  Its id, which their
+    error messages name, carries s exactly: PHI_S(0.5), PHI_S(1.0000001);
+    PHI_S(0) and PHI_S(1) name the poles' limit forms.
     """
     return _phi_generator(float(require_finite_s(s)))
 
@@ -282,7 +284,7 @@ def _phi_generator(s: float) -> Generator:
         return Generator("PHI_S(1)", f=lambda x: x * np.log(x), f_prime=lambda x: np.log(x) + 1.0, f_second=f_second)
     c = 1.0 / (s * (s - 1.0))
     return Generator(
-        f"PHI_S({s:g})",
+        f"PHI_S({s!r})",
         f=lambda x: (x**s - 1.0) * c,
         f_prime=lambda x: x ** (s - 1.0) / (s - 1.0),
         f_second=f_second,

@@ -17,28 +17,28 @@ The suites of one run also share a :class:`PairTable`, which computes every
 pair-dependent sum they check once per trial, batched: the run's trials are
 grouped by support size n into C-contiguous (k, n) blocks, and a quantity
 (r and R, a measure, C_f or e_cf of one catalog generator or of the power
-generator at one s, which are phi_s and e_phi_s) is one numpy row sum per
-block, kept as a float64 array indexed by trial.  A row of a block is
-summed in the same order as the pair alone, so the table holds the bits
-the public functions return.  The sandwich suites' exact (m, M) are arrays
-over the run's trials, one per distinct (measure, s), from
-:func:`mm_exact_arrays`: g on one array of every trial's r, R and the
-stationary points of f'' inside its range, the rule of the scalar
-:func:`mm_exact_values` and bit-identical to it.  A table is made for one
-run and dropped with it.
+generator PhiS(s), whose C_f is phi_s) is one numpy row sum per block, kept
+as a float64 array indexed by trial.  A row of a block is summed in the
+same order as the pair alone, so the table holds the bits the public
+functions return.  The sandwich suites' exact (m, M) are arrays over the
+run's trials, one per distinct (measure, s), from :func:`mm_exact_arrays`:
+g on one array of every trial's r, R and the stationary points of f''
+inside its range, the rule of the scalar :func:`mm_exact_values` and
+bit-identical to it.  A table is made for one run and dropped with it.
 
 Every suite checks the run's trials as float64 columns.  thm31 and thm32
 take the A/B functionals on the arrays of r and R (the cores of a_cf and
-b_cf, for the power generator and, in thm32, the catalog one), thm32 its
-(m, M) once per (measure, s) cell, and rem41/rem51 the estimator formulas
-on the measure columns, through the cores that the public scalar functions
-call, bit for bit: numpy's + - * / and sqrt are correctly rounded, and f
-and f' are called on one float at a time.  Where a trial would make a
-public function raise, or a slack is not finite, such a suite checks trial
-by trial instead, through the public per-pair functions on each trial's
-own pair (:func:`bound_set`; :func:`bound_interval` and
-:func:`difference_bounds`; :func:`estimate` and :func:`ratio_range`), so
-that it raises the first failing trial's error, in trial order.
+b_cf, for the power generator and, in thm32, the catalog one; B only on the
+trials where :func:`b_defined`), thm32 its (m, M) once per (measure, s)
+cell, and rem41/rem51 the estimator formulas on the measure columns,
+through the cores that the public scalar functions call, bit for bit:
+numpy's + - * / and sqrt are correctly rounded, and f and f' are called on
+one float at a time.  Where a trial would make a public function raise, or
+a slack is not finite, such a suite checks trial by trial instead, through
+the public per-pair functions on each trial's own pair (:func:`bound_set`;
+:func:`bound_interval` and :func:`difference_bounds`; :func:`estimate` and
+:func:`ratio_range`), so that it raises the first failing trial's error, in
+trial order.
 """
 
 from __future__ import annotations
@@ -55,6 +55,7 @@ from .csiszar_bounds import (
     CLOSED_FORM_REGIONS,
     a_cf_values,
     b_cf_values,
+    b_defined,
     bound_interval,
     difference_bounds,
     difference_checks,
@@ -62,9 +63,9 @@ from .csiszar_bounds import (
     mm_exact_arrays,
     sandwich,
 )
-from .errors import DivBoundsError, InvalidArgument, UnknownSuite, require_finite
+from .errors import DivBoundsError, InvalidArgument, UnknownSuite
 from .estimators import all_estimators, coincide, estimate, estimate_from
-from .generators import CATALOG_IDS, VIOLATION_TOL, csiszar_sums, get_generator, phi_generator
+from .generators import CATALOG_IDS, VIOLATION_TOL, PhiS, csiszar_sums, get_generator, phi_generator
 from .measures import divergence_sums, finite_phi
 from .simplex import Distribution, ratio_extremes, ratio_range
 from .type_s_bounds import bound_set, chain_checks
@@ -262,21 +263,17 @@ class PairTable:
         return self._batch(("d", measure), lambda p, q: divergence_sums(measure, p, q))
 
     def phi(self, s: float) -> np.ndarray:
-        """phi_s (:func:`phi_s`), C_f of the power generator, every trial."""
-        gen = phi_generator(s)
-        return finite_phi(s, self._batch(("phi", s), lambda p, q: csiszar_sums(gen, q, p / q)))
+        """phi_s (:func:`phi_s`), C_f of PhiS(s), every trial."""
+        return finite_phi(s, self.cf(PhiS(s)))
 
-    def e_phi(self, s: float) -> np.ndarray:
-        """e_phi_s (:func:`e_phi_s`), e_cf of the power generator, every trial."""
-        gen = phi_generator(s)
-        return require_finite(self._batch(("e_phi", s), lambda p, q: e_cf_sums(gen, p, q)), f"e_phi_s at s={s!r}")
-
-    def cf(self, measure: str) -> np.ndarray:
-        """C_f (:func:`eval_csiszar`) of a catalog generator, every trial."""
+    def cf(self, measure) -> np.ndarray:
+        """C_f (:func:`eval_csiszar`) of a catalog generator or of PhiS(s),
+        every trial."""
         gen = get_generator(measure)
         return self._batch(("cf", measure), lambda p, q: csiszar_sums(gen, q, p / q))
 
-    def e_cf(self, measure: str) -> np.ndarray:
+    def e_cf(self, measure) -> np.ndarray:
+        """e_cf (:func:`e_cf`) of a catalog generator or of PhiS(s), every trial."""
         gen = get_generator(measure)
         return self._batch(("e_cf", measure), lambda p, q: e_cf_sums(gen, p, q))
 
@@ -390,15 +387,16 @@ def _column_suite(columns, trial):
 
 
 def _split_ranges(table):
-    """(r, R, [(trials, degenerate)]): the run's trials split by whether
-    r == R (no B functionals there, and A is 0), or None when a range fails
-    a precondition of the A/B functionals."""
+    """(r, R, [(trials, degenerate, has_b)]): the run's trials split by
+    whether r == R (A is 0 there) and whether B is defined
+    (:func:`b_defined`), or None when a range fails 0 < r <= R."""
     r, R = table.extremes()
-    degenerate = r == R
-    if not np.all((0.0 < r) & (r <= R) & (degenerate | ((r <= 1.0) & (1.0 <= R)))):
+    if not np.all((0.0 < r) & (r <= R)):
         return None
-    parts = [(np.flatnonzero(degenerate == flag), flag) for flag in (False, True)]
-    return r, R, [(trials, flag) for trials, flag in parts if trials.size]
+    degenerate, has_b = r == R, b_defined(r, R)
+    flags = ((False, True), (False, False), (True, False))  # r == R has no B
+    parts = [(np.flatnonzero((degenerate == d) & (has_b == b)), d, b) for d, b in flags]
+    return r, R, [part for part in parts if part[0].size]
 
 
 def _thm31_checks(config: TrialConfig, chain) -> dict:
@@ -416,13 +414,14 @@ def _thm31_columns(table):
         return None
     r, R, parts = split
     groups = []
-    for trials, degenerate in parts:
+    for trials, degenerate, has_b in parts:
         rt, Rt = r[trials], R[trials]
 
         def chain(s):
             gen = phi_generator(s)
-            a, b = (0.0, None) if degenerate else (a_cf_values(gen, rt, Rt), b_cf_values(gen, rt, Rt))
-            return chain_checks(table.phi(s)[trials], table.e_phi(s)[trials], a, b)
+            a = 0.0 if degenerate else a_cf_values(gen, rt, Rt)
+            b = b_cf_values(gen, rt, Rt) if has_b else None
+            return chain_checks(table.phi(s)[trials], table.e_cf(PhiS(s))[trials], a, b)
 
         groups.append((trials.tolist(), _thm31_checks(table.config, chain)))
     return groups
@@ -453,7 +452,7 @@ def _thm32_columns(table):
         return None
     r, R, parts = split
     groups = []
-    for trials, degenerate in parts:
+    for trials, degenerate, has_b in parts:
         cells = {}
         for i in trials.tolist():
             measure, s = _thm32_cell(table.config, i)
@@ -465,13 +464,14 @@ def _thm32_columns(table):
             m, M = mm_exact_arrays(measure, s, rt, Rt)
             phi, cf = table.phi(s)[at], table.cf(measure)[at]
             lower, upper = sandwich(m, M, phi, cf)[2:]
-            forms = [("e", table.e_phi(s)[at], table.e_cf(measure)[at])]
+            forms = [("e", table.e_cf(PhiS(s))[at], table.e_cf(measure)[at])]
             if degenerate:
                 forms.append(("a", 0.0, 0.0))
             else:
                 pair = (phi_generator(s), gen)
                 forms.append(("a", *(a_cf_values(g, rt, Rt) for g in pair)))
-                forms.append(("b", *(b_cf_values(g, rt, Rt) for g in pair)))
+                if has_b:
+                    forms.append(("b", *(b_cf_values(g, rt, Rt) for g in pair)))
             groups.append((at.tolist(), _thm32_checks(measure, s, lower, upper, difference_checks(m, M, phi, cf, forms))))
     return groups
 

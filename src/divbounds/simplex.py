@@ -83,9 +83,10 @@ class RatioRange:
     """Attained extremes (r, R) of the coordinate ratios p_i / q_i.
 
     Because both distributions sum to one, 0 < r <= 1 <= R, with
-    r = R = 1 exactly when the distributions coincide.  Any range with
-    0 < r <= R < inf can be built; others raise InvalidRange, or NonFinite
-    for an infinite R.
+    r = R = 1 exactly when the distributions coincide; but they sum to one
+    only to rounding, so a pair can give r <= R < 1 or 1 < r <= R.  Any
+    range with 0 < r <= R < inf can be built; others raise InvalidRange,
+    or NonFinite for an infinite R.
     """
 
     r: float

@@ -149,6 +149,14 @@ class TestBounds:
         main(["bounds", "--input", golden_json, "--p", "u", "--q", "u", "--measure", "J", "--s", "1"])
         assert "\nb_bound n/a\nholds\n" in capsys.readouterr().out
 
+    def test_range_missing_one_by_rounding_has_no_b_bound(self, tmp_path, capsys):
+        # The pair sums to 1 only to rounding: r <= R < 1, so B is undefined.
+        path = tmp_path / "rounded.json"
+        path.write_text(json.dumps({"distributions": {"c": [8.000000000000002, 5.000000000000001], "d": [8, 5]}}))
+        code = main(["bounds", "--input", str(path), "--p", "c", "--q", "d", "--measure", "J", "--s", "1"])
+        assert code == 0
+        assert "\nb_bound n/a\n" in capsys.readouterr().out
+
     def test_non_catalog_measure_rejected(self, golden_json, capsys):
         code = main(["bounds", "--input", golden_json, "--p", "a", "--q", "b", "--measure", "KL", "--s", "1"])
         assert code == 2

@@ -673,7 +673,8 @@ class TestGenericFunctionals:
 
     def test_e_cf_specialization(self, golden_pair):
         P, Q = golden_pair
-        assert db.e_cf(db.phi_generator(1), P, Q) == pytest.approx(db.e_phi_s(1, P, Q), abs=1e-12)
+        # At s = 1, sum (p_i - q_i) f'(p_i/q_i) = sum (p_i - q_i) ln(p_i/q_i) is J.
+        assert db.e_cf(db.phi_generator(1), P, Q) == pytest.approx(db.divergence("J", P, Q), abs=1e-12)
 
     @pytest.mark.parametrize(
         "rng, overflows",
@@ -909,6 +910,15 @@ class TestDifferenceBounds:
         assert "b_lower" not in rep.checks  # degenerate range drops the chord form
         for slack in rep.checks.values():
             assert abs(slack) <= 1e-12
+
+    def test_range_missing_one_by_rounding_drops_the_chord_form(self):
+        # P and Q sum to 1 only to rounding, so r <= R < 1: B's hypothesis
+        # r <= 1 <= R fails, and the B form is omitted as on r = R.
+        P, Q = db.normalize([8.000000000000002, 5.000000000000001]), db.normalize([8, 5])
+        assert db.ratio_range(P, Q).R < 1.0
+        for mid in ("J", "D1", "T"):
+            rep = db.difference_bounds(db.catalog()[mid], 1, P, Q)
+            assert set(rep.checks) == {"e_lower", "e_upper", "a_lower", "a_upper"}, mid
 
     def test_holds_for_catalog(self, pairs_100):
         for i, (P, Q) in enumerate(pairs_100[:36]):

@@ -91,6 +91,10 @@ class TestPhiGenerator:
         assert db.phi_generator(1.0 + 1e-11).id == "PHI_S(1)"
         assert db.phi_generator(1e-9).id != "PHI_S(0)"
 
+    def test_id_carries_s_exactly(self):
+        assert db.phi_generator(1.0000001).id != db.phi_generator(1.0).id
+        assert db.phi_generator(0.1234567).id == "PHI_S(0.1234567)"
+
     def test_one_pole_is_entropy_form(self):
         gen = db.phi_generator(1)
         x = 2.5

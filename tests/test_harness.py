@@ -223,7 +223,7 @@ class TestPairTable:
                 assert _bits(table.d(m)[i]) == _bits(db.divergence(m, P, Q)), (i, m)
             for s in s_values:
                 assert _bits(table.phi(s)[i]) == _bits(db.phi_s(s, P, Q)), (i, s)
-                assert _bits(table.e_phi(s)[i]) == _bits(db.e_phi_s(s, P, Q)), (i, s)
+                assert _bits(table.e_cf(db.PhiS(s))[i]) == _bits(db.e_cf(db.phi_generator(s), P, Q)), (i, s)
             for m, gen in db.catalog().items():
                 assert _bits(table.cf(m)[i]) == _bits(db.eval_csiszar(gen, P, Q)), (i, m)
                 assert _bits(table.e_cf(m)[i]) == _bits(db.e_cf(gen, P, Q)), (i, m)
@@ -509,8 +509,8 @@ class TestColumnSuites:
                 _reference_rows("thm31", cfg, i)
             return str(info.value)
 
-        assert scalar_error(2) == "b_phi_s at s=3.0 leaves the float range"
-        assert scalar_error(5) == "a_phi_s at s=-2.0 leaves the float range"
+        assert scalar_error(2) == "b_cf of PHI_S(3.0) leaves the float range"
+        assert scalar_error(5) == "a_cf of PHI_S(-2.0) leaves the float range"
         assert str(_first_error("thm31", cfg)) == scalar_error(2)
         with pytest.raises(NumericOverflow) as info:
             db.run_suite("thm31", cfg)
@@ -522,17 +522,18 @@ class TestColumnSuites:
         cfg = db.TrialConfig(seed=61, trials=12, s_samples=(-2.0, 120.0))
         _force_ranges(monkeypatch, cfg, {1: (1e-103, 2.0)})
         scalar = _first_error("thm31", cfg)
-        assert str(scalar) == "a_phi_s at s=-2.0 leaves the float range"
+        assert str(scalar) == "a_cf of PHI_S(-2.0) leaves the float range"
         with pytest.raises(NumericOverflow) as info:
             db.run_suite("thm31", cfg)
         assert str(info.value) == str(scalar)
 
-    def test_degenerate_range_drops_only_its_own_b_checks(self, monkeypatch, rows_spy):
+    @staticmethod
+    def _drops_only_its_own_b_checks(monkeypatch, rows_spy, trial, rng):
         cfg = db.TrialConfig(seed=48, trials=30)
-        _force_ranges(monkeypatch, cfg, {4: (1.0, 1.0)})
+        _force_ranges(monkeypatch, cfg, {trial: rng})
         table = harness.PairTable(cfg)
         r, R = table.extremes()
-        assert (r[4], R[4]) == (1.0, 1.0)
+        assert (r[trial], R[trial]) == rng
         for sid in ("thm31", "thm32"):
             before = len(rows_spy)
             rows = _suite_rows(sid, table)
@@ -540,8 +541,17 @@ class TestColumnSuites:
             for i in range(cfg.trials):
                 names = [name for name, _ in rows[i]]
                 has_b = [name for name in names if ":phi_le_b" in name or ":b_" in name]
-                assert (i == 4) == (not has_b), (sid, i)
-            assert rows[4] == _reference_rows(sid, cfg, 4), sid
+                assert (i == trial) == (not has_b), (sid, i)
+            assert rows[trial] == _reference_rows(sid, cfg, trial), sid
+            assert db.run_suite(sid, cfg).checks == sum(map(len, rows)), sid
+
+    def test_degenerate_range_drops_only_its_own_b_checks(self, monkeypatch, rows_spy):
+        self._drops_only_its_own_b_checks(monkeypatch, rows_spy, 4, (1.0, 1.0))
+
+    def test_range_missing_one_by_rounding_drops_only_its_own_b_checks(self, monkeypatch, rows_spy):
+        # 1 < r < R, as a pair that sums to 1 only to rounding can give:
+        # B's hypothesis r <= 1 <= R fails, and B is omitted as on r = R.
+        self._drops_only_its_own_b_checks(monkeypatch, rows_spy, 7, (1.0000000000000002, 1.0000000000000007))
 
     def test_support_sizes_come_from_the_pairs_first_uniform(self):
         seeds = (0, 42, 2**63 + 5, 2**64 - 1, 2**64 - 2, -1)
