@@ -18,7 +18,7 @@ import sys
 from . import __version__
 from .csiszar_bounds import CLOSED_FORM_REGIONS, bound_interval, global_extrema_table
 from .errors import DivBoundsError, UnknownMeasure
-from .generators import CATALOG_IDS, catalog
+from .generators import CATALOG_IDS, catalog, phi_generator
 from .measures import MEASURE_IDS, divergence, phi_s
 from .simplex import Distribution, normalize, ratio_range, smooth
 from .type_s_bounds import bound_set
@@ -101,7 +101,7 @@ def cmd_compute(args) -> int:
             raise UnknownMeasure(f"unknown measure {args.measure!r}")
         values[args.measure] = divergence(args.measure, P, Q) * scale
     for s in args.s or []:
-        values[f"PHI_S({s:g})"] = phi_s(s, P, Q) * scale
+        values[phi_generator(s).id] = phi_s(s, P, Q) * scale
     if not values:
         raise DivBoundsError("nothing to compute: pass --measure, --all, or --s")
 

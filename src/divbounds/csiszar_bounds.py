@@ -195,7 +195,7 @@ def mm_numeric(gen: Generator, s: float, rng: RatioRange) -> MMBounds:
 #: claim that g is increasing on (0, inf) for s <= s_low and decreasing for
 #: s >= s_high, i.e. that S_s has no positive root there (the tests check
 #: it against the roots).  No (m, M) is computed from it: it decides only
-#: where :func:`mm_closed` returns None, which s the harness's restricted
+#: where :func:`mm_closed` returns None, which s the harness's cor and thm
 #: sandwich suites take, and the regions that ``catalog`` prints.
 CLOSED_FORM_REGIONS = {
     "D1": (0.75, 2.0),
@@ -454,9 +454,9 @@ def a_cf(gen: Generator, rng: RatioRange) -> float:
 
 
 def a_cf_values(gen: Generator, r, R):
-    """a_cf on 0 < r < R: floats, or arrays of ranges, each entry bit for
-    bit its float value (f' is called on one float at a time); inf or nan
-    where it leaves the float range."""
+    """a_cf on 0 < r <= R (0.0 where r == R): floats, or arrays of ranges,
+    each entry bit for bit its float value (f' is called on one float at a
+    time); inf or nan where it leaves the float range."""
     return 0.25 * (R - r) * (float_each(gen.f_prime, R) - float_each(gen.f_prime, r))
 
 

@@ -43,7 +43,8 @@ class PhiS:
     s: float
 
     def __str__(self) -> str:
-        return f"PHI_S({self.s:g})"
+        """phi_generator(s)'s id: PHI_S(0.5), PHI_S(2.0), PHI_S(1) at the pole."""
+        return phi_generator(self.s).id
 
 
 def horner(coeffs, x):
@@ -104,6 +105,7 @@ class Rational:
     a: float = 2
     low: tuple = field(init=False, repr=False, compare=False)  # (k, n, d)
     high: tuple = field(init=False, repr=False, compare=False)
+    _hash: int = field(init=False, repr=False, compare=False)  # memo keys hash it on every (m, M)
 
     def __post_init__(self):
         for name, coeffs in (("num", self.num), ("den", self.den)):
@@ -120,6 +122,10 @@ class Rational:
         object.__setattr__(self, "low", (kn - kd, n, d))
         # c'(x) = x^deg(c') c'_reversed(1/x)
         object.__setattr__(self, "high", (kn + len(n) - kd - len(d), n[::-1], d[::-1]))
+        object.__setattr__(self, "_hash", hash((self.num, self.den, self.a)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def __call__(self, x):
         """f''(x); inf where it leaves the float range."""

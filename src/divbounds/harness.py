@@ -26,6 +26,10 @@ g on one array of every trial's r, R and the stationary points of f''
 inside its range, the rule of the scalar :func:`mm_exact_values` and
 bit-identical to it.  A table is made for one run and dropped with it.
 
+The paper's special cases phi_s = k * (named measure) are one table,
+:data:`_SPECIAL_S`, read by phi_cases, by the cor and thm sandwich suites
+(at the s outside :data:`CLOSED_FORM_REGIONS`) and by the propositions.
+
 Every suite checks the run's trials as float64 columns.  thm31 and thm32
 take the A/B functionals on the arrays of r and R (the cores of a_cf and
 b_cf, for the power generator and, in thm32, the catalog one; B only on the
@@ -60,6 +64,7 @@ from .csiszar_bounds import (
     difference_bounds,
     difference_checks,
     e_cf_sums,
+    global_extrema,
     mm_exact_arrays,
     sandwich,
 )
@@ -387,15 +392,14 @@ def _column_suite(columns, trial):
 
 
 def _split_ranges(table):
-    """(r, R, [(trials, degenerate, has_b)]): the run's trials split by
-    whether r == R (A is 0 there) and whether B is defined
-    (:func:`b_defined`), or None when a range fails 0 < r <= R."""
+    """(r, R, [(trials, has_b)]): the run's trials split by whether B is
+    defined (:func:`b_defined`), or None when a range fails 0 < r <= R.
+    A needs no split: :func:`a_cf_values` is 0.0 where r == R."""
     r, R = table.extremes()
     if not np.all((0.0 < r) & (r <= R)):
         return None
-    degenerate, has_b = r == R, b_defined(r, R)
-    flags = ((False, True), (False, False), (True, False))  # r == R has no B
-    parts = [(np.flatnonzero((degenerate == d) & (has_b == b)), d, b) for d, b in flags]
+    has_b = b_defined(r, R)
+    parts = [(np.flatnonzero(has_b == b), b) for b in (True, False)]
     return r, R, [part for part in parts if part[0].size]
 
 
@@ -414,14 +418,13 @@ def _thm31_columns(table):
         return None
     r, R, parts = split
     groups = []
-    for trials, degenerate, has_b in parts:
+    for trials, has_b in parts:
         rt, Rt = r[trials], R[trials]
 
         def chain(s):
             gen = phi_generator(s)
-            a = 0.0 if degenerate else a_cf_values(gen, rt, Rt)
             b = b_cf_values(gen, rt, Rt) if has_b else None
-            return chain_checks(table.phi(s)[trials], table.e_cf(PhiS(s))[trials], a, b)
+            return chain_checks(table.phi(s)[trials], table.e_cf(PhiS(s))[trials], a_cf_values(gen, rt, Rt), b)
 
         groups.append((trials.tolist(), _thm31_checks(table.config, chain)))
     return groups
@@ -452,7 +455,7 @@ def _thm32_columns(table):
         return None
     r, R, parts = split
     groups = []
-    for trials, degenerate, has_b in parts:
+    for trials, has_b in parts:
         cells = {}
         for i in trials.tolist():
             measure, s = _thm32_cell(table.config, i)
@@ -464,14 +467,10 @@ def _thm32_columns(table):
             m, M = mm_exact_arrays(measure, s, rt, Rt)
             phi, cf = table.phi(s)[at], table.cf(measure)[at]
             lower, upper = sandwich(m, M, phi, cf)[2:]
-            forms = [("e", table.e_cf(PhiS(s))[at], table.e_cf(measure)[at])]
-            if degenerate:
-                forms.append(("a", 0.0, 0.0))
-            else:
-                pair = (phi_generator(s), gen)
-                forms.append(("a", *(a_cf_values(g, rt, Rt) for g in pair)))
-                if has_b:
-                    forms.append(("b", *(b_cf_values(g, rt, Rt) for g in pair)))
+            pair = (phi_generator(s), gen)
+            forms = [("e", table.e_cf(PhiS(s))[at], table.e_cf(measure)[at]), ("a", *(a_cf_values(g, rt, Rt) for g in pair))]
+            if has_b:
+                forms.append(("b", *(b_cf_values(g, rt, Rt) for g in pair)))
             groups.append((at.tolist(), _thm32_checks(measure, s, lower, upper, difference_checks(m, M, phi, cf, forms))))
     return groups
 
@@ -484,25 +483,45 @@ def _thm32_trial(config: TrialConfig, i):
     return _thm32_checks(measure, s, rep.lower_slack, rep.upper_slack, diff.checks)
 
 
-def _sandwich_suite(measure: str, s_values, restrict: bool = False):
-    """Closed-form sandwich checks for one measure.
+def _sandwich_suite(measure: str, configured: bool = False):
+    """Sandwich checks of one measure at the s outside its
+    :data:`CLOSED_FORM_REGIONS` gap: those of :data:`_SPECIAL_S` (a
+    corollary), or with configured=True those of s_samples, if any (a theorem)."""
+    lo, hi = CLOSED_FORM_REGIONS[measure]
 
-    With restrict=True the configured s_samples are used, filtered to the
-    measure's closed-form validity region (falling back to the defaults
-    when the filter leaves nothing).
-    """
+    def outside(values) -> tuple:
+        return tuple(s for s in values if s <= lo or s >= hi)
+
+    special = outside(_SPECIAL_S)
 
     def check(table):
-        values = s_values
-        if restrict:
-            lo, hi = CLOSED_FORM_REGIONS[measure]
-            values = tuple(s for s in table.config.s_samples if s <= lo or s >= hi) or s_values
         columns = {}
-        for s in values:
+        for s in (configured and outside(table.config.s_samples)) or special:
             columns[f"s={s:g}:lower"], columns[f"s={s:g}:upper"] = table.sandwich(measure, s)
         return _rows([(range(table.config.trials), columns)])
 
     return check
+
+
+def _phi_case(s: float, k: float, named: str):
+    return lambda t: _identity(t.phi(s) - k * t.d(named))
+
+
+def _proposition(*checks):
+    """Theorem 3.2 at g's global extremum over (0, inf), for checks given
+    as (measure, s, name): with phi_s = k * named (:data:`_SPECIAL_S`) and
+    c = k * :func:`global_extrema`, a sup gives C_f <= c * named and an inf
+    named <= C_f / c."""
+
+    def column(measure: str, s: float):
+        k, named, _ = _SPECIAL_S[s]
+        extremum = global_extrema(measure, s)
+        c = k * extremum.value
+        if extremum.kind == "sup":
+            return lambda t: c * t.d(named) - t.d(measure)
+        return lambda t: t.d(measure) / c - t.d(named)
+
+    return _columns([(name, column(measure, s)) for measure, s, name in checks])
 
 
 def _containment_suite(estimator_ids):
@@ -530,13 +549,21 @@ def _containment_suite(estimator_ids):
     return _column_suite(columns, trial)
 
 
-_SQRT2 = math.sqrt(2.0)
-_C34 = 3.0 * math.sqrt(3.0) / 4.0
+#: The power family's special cases phi_s = k * named measure, by s:
+#: (k, named measure, phi_cases' check name).  The corollaries are the
+#: sandwich at these s and the propositions are g's global extrema at them.
+_SPECIAL_S = {
+    -1.0: (0.5, "CHI2_ADJ", "phi(-1)=chi2_adj/2"),
+    0.0: (1.0, "KL_ADJ", "phi(0)=KL_adj"),
+    0.5: (4.0, "HELLINGER", "phi(1/2)=4h"),
+    1.0: (1.0, "KL", "phi(1)=KL"),
+    2.0: (0.5, "CHI2", "phi(2)=chi2/2"),
+}
 
 # The checks of prop51-prop53 that eq194 chains.
-_H_LE_J8 = ("h<=J/8", lambda t: t.d("J") / 8.0 - t.d("HELLINGER"))
-_I_LE_H = ("I<=h", lambda t: t.d("HELLINGER") - t.d("I"))
-_H_LE_T = ("h<=T", lambda t: t.d("T") - t.d("HELLINGER"))
+_H_LE_J8 = ("J", 0.5, "h<=J/8")
+_I_LE_H = ("I", 0.5, "I<=h")
+_H_LE_T = ("T", 0.5, "h<=T")
 
 _SUITES: "dict[str, tuple[str, Callable]]" = {
     "eq3": (
@@ -553,77 +580,41 @@ _SUITES: "dict[str, tuple[str, Callable]]" = {
     ),
     "phi_cases": (
         "power-family special cases hit chi-square, KL and Hellinger",
-        _columns(
-            [
-                ("phi(-1)=chi2_adj/2", lambda t: _identity(t.phi(-1.0) - 0.5 * t.d("CHI2_ADJ"))),
-                ("phi(0)=KL_adj", lambda t: _identity(t.phi(0.0) - t.d("KL_ADJ"))),
-                ("phi(1/2)=4h", lambda t: _identity(t.phi(0.5) - 4.0 * t.d("HELLINGER"))),
-                ("phi(1)=KL", lambda t: _identity(t.phi(1.0) - t.d("KL"))),
-                ("phi(2)=chi2/2", lambda t: _identity(t.phi(2.0) - 0.5 * t.d("CHI2"))),
-            ]
-        ),
+        _columns([(name, _phi_case(s, k, named)) for s, (k, named, name) in _SPECIAL_S.items()]),
     ),
     "thm31": ("phi_s bound chain: 0 <= phi <= E <= A, phi <= B <= A, B-phi <= A", _column_suite(_thm31_columns, _thm31_trial)),
     "thm32": ("generic sandwich m*phi_s <= C_f <= M*phi_s plus difference forms", _column_suite(_thm32_columns, _thm32_trial)),
-    "thm41": ("closed-form sandwich for relative J-divergence", _sandwich_suite("D1", (-2.0, -1.0, 0.0, 0.5, 0.75, 2.0, 3.0), restrict=True)),
-    "cor41": ("relative J vs chi-square/KL/Hellinger special cases", _sandwich_suite("D1", (-1.0, 0.0, 0.5, 2.0))),
-    "prop41": (
-        "relative J bounded by 9/8 of KL",
-        _columns([("D1<=9/8*KL", lambda t: 1.125 * t.d("KL") - t.d("D1"))]),
-    ),
-    "thm42": ("closed-form sandwich for the adjoint relative J-divergence", _sandwich_suite("D2", (-2.0, -1.0, 0.25, 1.0, 2.0), restrict=True)),
-    "cor42": ("adjoint relative J special cases", _sandwich_suite("D2", (-1.0, 0.5, 1.0, 2.0))),
-    "prop42": (
-        "adjoint relative J bounded by 9/8 of adjoint KL",
-        _columns([("D2<=9/8*KL_adj", lambda t: 1.125 * t.d("KL_ADJ") - t.d("D2"))]),
-    ),
-    "thm43": ("closed-form sandwich for relative JS-divergence", _sandwich_suite("F1", (-2.0, -1.0, 1.0, 1.5, 2.0), restrict=True)),
-    "cor43": ("relative JS special cases", _sandwich_suite("F1", (-1.0, 1.0, 2.0))),
-    "prop43": (
-        "relative JS bounded by KL_adj/4 and (3*sqrt3/4)*Hellinger",
-        _columns(
-            [
-                ("F1<=KL_adj/4", lambda t: 0.25 * t.d("KL_ADJ") - t.d("F1")),
-                ("F1<=c*h", lambda t: _C34 * t.d("HELLINGER") - t.d("F1")),
-            ]
-        ),
-    ),
-    "thm44": ("closed-form sandwich for the adjoint relative JS-divergence", _sandwich_suite("F2", (-1.0, 0.0, 2.0, 3.0), restrict=True)),
-    "cor44": ("adjoint relative JS special cases", _sandwich_suite("F2", (-1.0, 0.0, 2.0))),
-    "prop44": (
-        "adjoint relative JS bounded by (3*sqrt3/4)*Hellinger and KL/4",
-        _columns(
-            [
-                ("F2<=c*h", lambda t: _C34 * t.d("HELLINGER") - t.d("F2")),
-                ("F2<=KL/4", lambda t: 0.25 * t.d("KL") - t.d("F2")),
-            ]
-        ),
-    ),
-    "thm45": ("closed-form sandwich for relative AG-divergence", _sandwich_suite("G1", (-2.0, -1.0, 0.0, 0.5, 1.0, 2.0), restrict=True)),
-    "cor45": ("relative AG special cases", _sandwich_suite("G1", (-1.0, 0.0, 0.5, 1.0, 2.0))),
-    "thm46": ("closed-form sandwich for the adjoint relative AG-divergence", _sandwich_suite("G2", (-1.0, 0.0, 1.0, 2.0, 3.0), restrict=True)),
-    "cor46": ("adjoint relative AG special cases", _sandwich_suite("G2", (-1.0, 0.0, 0.5, 1.0, 2.0))),
-    "thm51": ("closed-form sandwich for J-divergence", _sandwich_suite("J", (-1.0, 0.0, 1.0, 2.0), restrict=True)),
-    "cor51": ("J-divergence special cases", _sandwich_suite("J", (-1.0, 0.0, 1.0, 2.0))),
-    "prop51": ("Hellinger bounded by J/8", _columns([_H_LE_J8])),
-    "thm52": ("closed-form sandwich for JS-divergence", _sandwich_suite("I", (-1.0, 0.0, 1.0, 2.0), restrict=True)),
-    "cor52": ("JS-divergence special cases", _sandwich_suite("I", (-1.0, 0.0, 1.0, 2.0))),
-    "prop52": ("JS bounded by Hellinger", _columns([_I_LE_H])),
-    "thm53": ("closed-form sandwich for AG-divergence", _sandwich_suite("T", (-2.0, -1.0, 2.0, 3.0), restrict=True)),
-    "cor53": ("AG-divergence special cases", _sandwich_suite("T", (-1.0, 2.0))),
+    "thm41": ("closed-form sandwich for relative J-divergence", _sandwich_suite("D1", configured=True)),
+    "cor41": ("relative J vs chi-square/KL/Hellinger special cases", _sandwich_suite("D1")),
+    "prop41": ("relative J bounded by 9/8 of KL", _proposition(("D1", 1.0, "D1<=9/8*KL"))),
+    "thm42": ("closed-form sandwich for the adjoint relative J-divergence", _sandwich_suite("D2", configured=True)),
+    "cor42": ("adjoint relative J special cases", _sandwich_suite("D2")),
+    "prop42": ("adjoint relative J bounded by 9/8 of adjoint KL", _proposition(("D2", 0.0, "D2<=9/8*KL_adj"))),
+    "thm43": ("closed-form sandwich for relative JS-divergence", _sandwich_suite("F1", configured=True)),
+    "cor43": ("relative JS special cases", _sandwich_suite("F1")),
+    "prop43": ("relative JS bounded by KL_adj/4 and (3*sqrt3/4)*Hellinger", _proposition(("F1", 0.0, "F1<=KL_adj/4"), ("F1", 0.5, "F1<=c*h"))),
+    "thm44": ("closed-form sandwich for the adjoint relative JS-divergence", _sandwich_suite("F2", configured=True)),
+    "cor44": ("adjoint relative JS special cases", _sandwich_suite("F2")),
+    "prop44": ("adjoint relative JS bounded by (3*sqrt3/4)*Hellinger and KL/4", _proposition(("F2", 0.5, "F2<=c*h"), ("F2", 1.0, "F2<=KL/4"))),
+    "thm45": ("closed-form sandwich for relative AG-divergence", _sandwich_suite("G1", configured=True)),
+    "cor45": ("relative AG special cases", _sandwich_suite("G1")),
+    "thm46": ("closed-form sandwich for the adjoint relative AG-divergence", _sandwich_suite("G2", configured=True)),
+    "cor46": ("adjoint relative AG special cases", _sandwich_suite("G2")),
+    "thm51": ("closed-form sandwich for J-divergence", _sandwich_suite("J", configured=True)),
+    "cor51": ("J-divergence special cases", _sandwich_suite("J")),
+    "prop51": ("Hellinger bounded by J/8", _proposition(_H_LE_J8)),
+    "thm52": ("closed-form sandwich for JS-divergence", _sandwich_suite("I", configured=True)),
+    "cor52": ("JS-divergence special cases", _sandwich_suite("I")),
+    "prop52": ("JS bounded by Hellinger", _proposition(_I_LE_H)),
+    "thm53": ("closed-form sandwich for AG-divergence", _sandwich_suite("T", configured=True)),
+    "cor53": ("AG-divergence special cases", _sandwich_suite("T")),
     "prop53": (
         "AG dominates Hellinger and (sqrt2-1)/2 of both KL directions",
-        _columns(
-            [
-                ("c*KL_adj<=T", lambda t: t.d("T") - 0.5 * (_SQRT2 - 1.0) * t.d("KL_ADJ")),
-                ("c*KL<=T", lambda t: t.d("T") - 0.5 * (_SQRT2 - 1.0) * t.d("KL")),
-                _H_LE_T,
-            ]
-        ),
+        _proposition(("T", 0.0, "c*KL_adj<=T"), ("T", 1.0, "c*KL<=T"), _H_LE_T),
     ),
     "rem41": ("xi estimators stay inside the ratio range", _containment_suite([e for e in all_estimators() if e.family == "XI"])),
     "rem51": ("zeta estimators stay inside the ratio range", _containment_suite([e for e in all_estimators() if e.family == "ZETA"])),
-    "eq194": ("chain: JS <= Hellinger <= min(AG, J/8)", _columns([_I_LE_H, _H_LE_T, _H_LE_J8])),
+    "eq194": ("chain: JS <= Hellinger <= min(AG, J/8)", _proposition(_I_LE_H, _H_LE_T, _H_LE_J8)),
 }
 
 

@@ -89,6 +89,14 @@ class TestCompute:
         rng = db.ratio_range(P, Q)
         assert report["r"] == rng.r and report["R"] == rng.R
 
+    def test_each_s_gets_its_own_line(self, golden_json, capsys):
+        # 1 and 1.0000001 print alike under :g; the generator id tells them apart.
+        code = main(["compute", "--input", golden_json, "--p", "a", "--q", "b", "--s", "1", "--s", "1.0000001", "--s", "2"])
+        assert code == 0
+        P, Q = db.normalize([3, 1]), db.normalize([1, 3])
+        lines = capsys.readouterr().out.splitlines()[2:]
+        assert lines == [f"{name} {db.phi_s(s, P, Q):.17g}" for name, s in (("PHI_S(1)", 1.0), ("PHI_S(1.0000001)", 1.0000001), ("PHI_S(2.0)", 2.0))]
+
     def test_bits_flag(self, golden_json, capsys):
         main(["compute", "--input", golden_json, "--p", "a", "--q", "b", "--measure", "J", "--json", "--bits"])
         report = json.loads(capsys.readouterr().out)

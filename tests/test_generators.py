@@ -95,6 +95,12 @@ class TestPhiGenerator:
         assert db.phi_generator(1.0000001).id != db.phi_generator(1.0).id
         assert db.phi_generator(0.1234567).id == "PHI_S(0.1234567)"
 
+    def test_phis_str_is_the_generator_id(self):
+        for s in (1.0000001, 1.0, 1.0 + 1e-11, 0.0, -0.0, 1e-11, 0.5, 2, -1.5):
+            assert str(db.PhiS(s)) == db.phi_generator(s).id, s
+        assert str(db.PhiS(1.0000001)) == "PHI_S(1.0000001)"
+        assert str(db.PhiS(2)) == "PHI_S(2.0)"
+
     def test_one_pole_is_entropy_form(self):
         gen = db.phi_generator(1)
         x = 2.5
@@ -116,6 +122,14 @@ class TestRational:
     def test_catalog_exponent_is_two(self):
         for gen in db.catalog().values():
             assert type(gen.f_second) is db.Rational and gen.f_second.a == 2 and type(gen.f_second.a) is int
+
+    def test_hash_and_equality_follow_num_den_and_a(self):
+        f2 = db.catalog()["J"].f_second
+        same = db.Rational(f2.num, f2.den, a=2.0)
+        assert same == f2 and hash(same) == hash(f2)
+        assert db.Rational(f2.num, f2.den, a=3) != f2
+        assert db.Rational((1,), (1,), a=0.5) != db.Rational((1,), (1,), a=1.5)
+        assert {f2: 1}[same] == 1
 
     @pytest.mark.parametrize("num, den", [((), (1,)), ((1,), ()), ((0,), (1,)), ((1,), (0, 0))])
     def test_empty_or_zero_polynomial(self, num, den):

@@ -566,3 +566,102 @@ class TestColumnSuites:
             sizes = [{len(db.random_pair(cfg, i)[0]) for i in trials} for trials in harness.PairTable(cfg)._chunks]
             assert all(len(n) == 1 for n in sizes), seed  # a chunk holds one support size
             assert [n.pop() for n in sizes] == [2, 3, 4], seed
+
+
+#: The s of each closed-form sandwich suite at the default config: the
+#: configured s_samples (thm) or the power family's special cases (cor)
+#: outside the measure's CLOSED_FORM_REGIONS gap.
+SANDWICH_S = {
+    "thm41": (-2, -1, -0.5, 0, 0.5, 2, 3),
+    "cor41": (-1, 0, 0.5, 2),
+    "thm42": (-2, -1, 0.5, 1, 1.5, 2, 3),
+    "cor42": (-1, 0.5, 1, 2),
+    "thm43": (-2, -1, 1, 1.5, 2, 3),
+    "cor43": (-1, 1, 2),
+    "thm44": (-2, -1, -0.5, 0, 2, 3),
+    "cor44": (-1, 0, 2),
+    "thm45": (-2, -1, 0, 0.5, 1, 1.5, 2, 3),
+    "cor45": (-1, 0, 0.5, 1, 2),
+    "thm46": (-2, -1, -0.5, 0, 0.5, 1, 2, 3),
+    "cor46": (-1, 0, 0.5, 1, 2),
+    "thm51": (-2, -1, -0.5, 0, 1, 1.5, 2, 3),
+    "cor51": (-1, 0, 1, 2),
+    "thm52": (-2, -1, -0.5, 0, 1, 1.5, 2, 3),
+    "cor52": (-1, 0, 1, 2),
+    "thm53": (-2, -1, 2, 3),
+    "cor53": (-1, 2),
+}
+
+_C_T = (math.sqrt(2.0) - 1.0) / 2.0
+
+#: Propositions 4.1-5.3 and eq. (194) as the paper states them: each
+#: check's slack from the named measures d(id) of one pair.
+PAPER_PROPOSITIONS = {
+    "prop41": {"D1<=9/8*KL": lambda d: 9 / 8 * d("KL") - d("D1")},
+    "prop42": {"D2<=9/8*KL_adj": lambda d: 9 / 8 * d("KL_ADJ") - d("D2")},
+    "prop43": {
+        "F1<=KL_adj/4": lambda d: d("KL_ADJ") / 4 - d("F1"),
+        "F1<=c*h": lambda d: 3 * math.sqrt(3) / 4 * d("HELLINGER") - d("F1"),
+    },
+    "prop44": {
+        "F2<=c*h": lambda d: 3 * math.sqrt(3) / 4 * d("HELLINGER") - d("F2"),
+        "F2<=KL/4": lambda d: d("KL") / 4 - d("F2"),
+    },
+    "prop51": {"h<=J/8": lambda d: d("J") / 8 - d("HELLINGER")},
+    "prop52": {"I<=h": lambda d: d("HELLINGER") - d("I")},
+    "prop53": {
+        "c*KL_adj<=T": lambda d: d("T") / _C_T - d("KL_ADJ"),
+        "c*KL<=T": lambda d: d("T") / _C_T - d("KL"),
+        "h<=T": lambda d: d("T") - d("HELLINGER"),
+    },
+    "eq194": {
+        "I<=h": lambda d: d("HELLINGER") - d("I"),
+        "h<=T": lambda d: d("T") - d("HELLINGER"),
+        "h<=J/8": lambda d: d("J") / 8 - d("HELLINGER"),
+    },
+}
+
+#: The derived c = (sqrt2-1)/2 is correctly rounded, 2 ulp below the float
+#: of the paper's formula, so these slacks T/c - KL are not bit-identical.
+NEAR_PAPER = {"c*KL_adj<=T", "c*KL<=T"}
+
+
+class TestSpecialCases:
+    def test_sandwich_suites_check_the_special_cases_outside_the_gap(self):
+        table = harness.PairTable(db.TrialConfig(trials=3))
+        for sid, s_values in SANDWICH_S.items():
+            names = [f"s={s:g}:{side}" for s in s_values for side in ("lower", "upper")]
+            for i in range(3):
+                assert [name for name, _ in harness._SUITES[sid][1](table)(i)] == names, (sid, i)
+        sandwich = [sid for sid in db.suite_ids() if sid[:3] in ("thm", "cor") and sid not in ("thm31", "thm32")]
+        assert sandwich == list(SANDWICH_S)
+
+    def test_theorem_falls_back_to_the_corollarys_s(self):
+        # s = 1 lies in D1's gap (0.75, 2), so thm41 takes cor41's s.
+        cfg = db.TrialConfig(seed=0, trials=20, s_samples=(1.0,))
+        table = harness.PairTable(cfg)
+        rows = [list(harness._SUITES[sid][1](table)(0)) for sid in ("thm41", "cor41")]
+        assert [name for name, _ in rows[0]] == [f"s={s:g}:{side}" for s in (-1, 0, 0.5, 2) for side in ("lower", "upper")]
+        assert rows[0] == rows[1]
+        assert db.run_suite("thm41", cfg).violations == 0
+
+    def test_phi_cases_check_the_five_special_cases(self):
+        table = harness.PairTable(db.TrialConfig(trials=2))
+        names = [name for name, _ in harness._SUITES["phi_cases"][1](table)(0)]
+        assert names == ["phi(-1)=chi2_adj/2", "phi(0)=KL_adj", "phi(1/2)=4h", "phi(1)=KL", "phi(2)=chi2/2"]
+
+    def test_propositions_are_the_papers_inequalities(self):
+        cfg = db.TrialConfig(seed=42, trials=300)
+        table = harness.PairTable(cfg)
+        for sid, checks in PAPER_PROPOSITIONS.items():
+            rows = harness._SUITES[sid][1](table)
+            for i in range(cfg.trials):
+                P, Q = db.random_pair(cfg, i)
+                got = dict(rows(i))
+                assert list(got) == list(checks), sid
+                for name, slack in checks.items():
+                    want = slack(lambda measure: db.divergence(measure, P, Q))
+                    if name in NEAR_PAPER:  # within 1e-15 of the larger side, T/c
+                        assert abs(got[name] - want) <= 1e-15 * db.divergence("T", P, Q) / _C_T, (sid, name, i)
+                    else:
+                        assert _bits(got[name]) == _bits(want), (sid, name, i)
