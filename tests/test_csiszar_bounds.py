@@ -550,7 +550,12 @@ class TestStationarity:
         for a, b in table.values():
             assert all(type(k) is int for k in a + b)
 
-    @pytest.mark.parametrize("measure", [*CLOSED_FORM_REGIONS, *(db.PhiS(t) for t in (-1.5, 0.0, 0.5, 1.0, 3.0))], ids=str)
+    @pytest.mark.parametrize(
+        "measure",
+        [*CLOSED_FORM_REGIONS, *(db.PhiS(t) for t in (-1.5, 0.0, 0.5, 1.0, 3.0))],
+        # Cases named by s in %g form (PHI_S(3), not str's PHI_S(3.0)).
+        ids=lambda m: f"PHI_S({m.s:g})" if isinstance(m, db.PhiS) else str(m),
+    )
     def test_paper_regions_agree_with_stationarity(self, measure):
         # Outside the gap S_s has no positive root, and its sign at x = 1 is
         # the direction of g: increasing for s <= s_lo, decreasing for s >= s_hi.
