@@ -5,7 +5,6 @@ from .simplex import Distribution, RatioRange, normalize, ratio_range, smooth
 from .generators import (
     CATALOG_IDS,
     Generator,
-    PhiS,
     Rational,
     catalog,
     check_generator,
@@ -44,7 +43,6 @@ __all__ = [
     "smooth",
     "ratio_range",
     "Generator",
-    "PhiS",
     "Rational",
     "CATALOG_IDS",
     "catalog",

@@ -47,6 +47,7 @@ from .errors import (
 from .generators import (
     VIOLATION_TOL,
     Generator,
+    catalog_id,
     csiszar_sums,
     eval_csiszar,
     finite_cf,
@@ -76,20 +77,25 @@ def g_eval(gen: Generator, s: float, x):
     """
     require_finite_s(s)
     if isinstance(x, float):
-        if not x > 0.0:
-            raise NonPositiveX(f"x must be > 0, got {x}")
-        try:
-            v = gen.f_second.times_power(x, s)
-        except (OverflowError, ZeroDivisionError):
-            v = math.inf
-        if not math.isfinite(v) or v == 0.0:
-            raise NumericOverflow(f"g(x) = x^(2-s) f''(x) leaves the float range at x={x!r}, s={s!r}")
-        return v
+        return _g_float(gen, s, x)
     arr = np.asarray(x, dtype=np.float64)
     if not np.all(arr > 0.0):
         raise NonPositiveX(f"x must be > 0, got {x}")
     out = _g_array(gen, s, arr)
     return float(out) if np.isscalar(x) or arr.ndim == 0 else out
+
+
+def _g_float(gen: Generator, s: float, x: float) -> float:
+    """:func:`g_eval`'s float path, at an s already checked."""
+    if not x > 0.0:
+        raise NonPositiveX(f"x must be > 0, got {x}")
+    try:
+        v = gen.f_second.times_power(x, s)
+    except (OverflowError, ZeroDivisionError):
+        v = math.inf
+    if not math.isfinite(v) or v == 0.0:
+        raise NumericOverflow(f"g(x) = x^(2-s) f''(x) leaves the float range at x={x!r}, s={s!r}")
+    return v
 
 
 def _g_array(gen: Generator, s: float, x: np.ndarray) -> np.ndarray:
@@ -330,13 +336,11 @@ def _stationary_points(f_second, s: float) -> tuple:
 
 def mm_closed(measure, s: float, rng: RatioRange) -> Optional[MMBounds]:
     """:func:`mm_exact` where the paper proves g monotone; None in the gap
-    that :data:`CLOSED_FORM_REGIONS` leaves a catalog measure.
-
-    A power-family measure PhiS(t) has no gap: g(x) = x^(t-s) is monotone
-    for every s (m = M = 1 when t = s).  Raises NonFinite for a nan or
-    infinite s.
-    """
-    lo, hi = CLOSED_FORM_REGIONS.get(measure, (math.inf, -math.inf))
+    that :data:`CLOSED_FORM_REGIONS` leaves a catalog generator
+    (:func:`catalog_id`).  Any other generator has no gap: phi_generator(t)'s
+    g(x) = x^(t-s) is monotone for every s (m = M = 1 when t = s).  Raises
+    NonFinite for a nan or infinite s."""
+    lo, hi = CLOSED_FORM_REGIONS.get(catalog_id(measure), (math.inf, -math.inf))
     return None if lo < require_finite_s(s) < hi else mm_exact(measure, s, rng)
 
 
@@ -350,19 +354,18 @@ def mm_exact(measure, s: float, rng: RatioRange) -> MMBounds:
 
 def mm_exact_values(measure, s: float, r: float, R: float) -> tuple:
     """(m, M) of :func:`mm_exact` on [r, R], 0 < r <= R, as plain floats:
-    the scalar form of the rule whose array form is :func:`mm_exact_arrays`."""
-    return _g_extremes(get_generator(measure), s, r, R)
-
-
-def _g_extremes(gen: Generator, s: float, r: float, R: float) -> tuple:
-    """min and max of g at r, at R and at each memoized stationary point
-    (:func:`_stationary_points`) inside (r, R), evaluated in that order."""
-    m, M = g_eval(gen, s, r), g_eval(gen, s, R)
+    g's min and max at r, at R and at each memoized stationary point
+    (:func:`_stationary_points`) inside (r, R), in that order, the scalar
+    form of :func:`mm_exact_arrays`.  s is checked once, and a Generator,
+    which a caller has resolved already, is not resolved again."""
+    gen = measure if isinstance(measure, Generator) else get_generator(measure)
+    require_finite_s(s)
+    m, M = _g_float(gen, s, float(r)), _g_float(gen, s, float(R))
     if M < m:
         m, M = M, m
     for x in _stationary_points(gen.f_second, s):
         if r < x < R:
-            v = g_eval(gen, s, x)
+            v = _g_float(gen, s, x)
             m, M = min(m, v), max(M, v)
     return m, M
 
@@ -415,10 +418,11 @@ def _global_extremum(measure: str, s: float) -> GlobalExtremum:
 _GLOBAL = {key: _global_extremum(*key) for key in _PAPER_EXTREMA}
 
 
-def global_extrema(measure: str, s: float) -> GlobalExtremum:
-    """Global extremum of g over (0, inf) at a (measure, s) the paper names."""
+def global_extrema(measure, s: float) -> GlobalExtremum:
+    """Global extremum of g over (0, inf) at a (catalog generator, s) the
+    paper names (:func:`catalog_id`)."""
     try:
-        return _GLOBAL[(measure, float(s))]
+        return _GLOBAL[(catalog_id(measure), float(s))]
     except KeyError:
         raise NotTabulated(f"no tabulated global extremum for ({measure}, s={s})") from None
 
@@ -503,30 +507,31 @@ class BoundReport:
 
 
 def bound_interval(measure, s: float, P: Distribution, Q: Distribution, method: str = "auto") -> BoundReport:
-    """Sandwich m * phi_s <= C_f <= M * phi_s for a catalog or PhiS measure.
+    """Sandwich m * phi_s <= C_f <= M * phi_s for a catalog id or any
+    Generator, phi_generator(t) or a user's.
 
     method "auto" and "closed" both take the exact (m, M) of
     :func:`mm_exact`; "numeric" forces the oracle.  Raises NonFinite for a
     nan or infinite s, and NumericOverflow where R, g, phi_s, C_f or a
     bound leaves the float range.
 
-    One pass under one np.errstate: s is checked first, x = p / q is
-    formed once, and the range, phi_s and C_f come from it through
+    One pass under one np.errstate: s is checked first, by
+    :func:`phi_generator`, the measure is resolved once, and x = p / q is
+    formed once; the range, phi_s and C_f come from x through
     :func:`ratio_extremes` and :func:`csiszar_sums`, the cores of
-    :func:`ratio_range`, :func:`phi_s` (for :func:`phi_generator` (s)) and
-    :func:`eval_csiszar`, so every field holds the bits of those public
-    functions, :func:`mm_exact` and :func:`sandwich`, and every error is
-    theirs.
+    :func:`ratio_range`, :func:`phi_s` and :func:`eval_csiszar`, so every
+    field holds the bits of those public functions, :func:`mm_exact` and
+    :func:`sandwich`, and every error is theirs.
     """
     if method not in ("auto", "closed", "numeric"):
         raise InvalidArgument(f"unknown method {method!r}")
-    require_finite_s(s)
+    phi_gen = phi_generator(s)
     with np.errstate(over="ignore", invalid="ignore"):  # NumericOverflow is the only signal
         x, rng = pair_ratios(P, Q)
         gen = get_generator(measure)
-        mm = mm_numeric(gen, s, rng) if method == "numeric" else mm_exact(measure, s, rng)
+        mm = mm_numeric(gen, s, rng) if method == "numeric" else mm_exact(gen, s, rng)
         q = Q.probs
-        phi = finite_phi(s, float(csiszar_sums(phi_generator(s), q, x)))
+        phi = finite_phi(s, float(csiszar_sums(phi_gen, q, x)))
         value = finite_cf(gen, float(csiszar_sums(gen, q, x)))
         lower, upper, lower_slack, upper_slack = sandwich(mm.m, mm.M, phi, value)
     return BoundReport(measure, s, lower, value, upper, mm, lower_slack, upper_slack)
@@ -570,7 +575,7 @@ def difference_bounds(
     """
     rng = ratio_range(P, Q)
     if mm is None:
-        mm = MMBounds(*_g_extremes(gen, s, rng.r, rng.R), "closed_form", s, rng)
+        mm = mm_exact(gen, s, rng)
     cf, phi = eval_csiszar(gen, P, Q), phi_s(s, P, Q)
     pair = (phi_generator(s), gen)
     forms = [("e", *(e_cf(g, P, Q) for g in pair)), ("a", *(a_cf(g, rng) for g in pair))]

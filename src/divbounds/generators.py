@@ -36,17 +36,6 @@ S_POLE_TOL = 1e-10
 VIOLATION_TOL = -1e-9
 
 
-@dataclass(frozen=True)
-class PhiS:
-    """Measure tag for the power-divergence family member with parameter s."""
-
-    s: float
-
-    def __str__(self) -> str:
-        """phi_generator(s)'s id: PHI_S(0.5), PHI_S(2.0), PHI_S(1) at the pole."""
-        return phi_generator(self.s).id
-
-
 def horner(coeffs, x):
     """Polynomial with coefficients highest power first (numpy.polyval order)
     at x; scalar or array x."""
@@ -170,6 +159,9 @@ class Generator:
         if not isinstance(self.f_second, Rational):
             raise InvalidArgument(f"f_second of {self.id} must be a Rational, got {type(self.f_second).__name__}")
 
+    def __str__(self) -> str:
+        return self.id  # J, PHI_S(0.5), PHI_S(1) at the pole: messages and test ids name it
+
 
 def _make_catalog() -> dict:
     log, sqrt = np.log, np.sqrt
@@ -259,13 +251,20 @@ def catalog() -> dict:
 
 
 def get_generator(measure) -> Generator:
-    """Resolve a catalog id or a :class:`PhiS` tag to its generator."""
-    if isinstance(measure, PhiS):
-        return phi_generator(measure.s)
+    """A :class:`Generator` unchanged, or the catalog's generator of an id;
+    UnknownMeasure for anything else, unhashable or not."""
+    if isinstance(measure, Generator):
+        return measure
     try:
         return _CATALOG[measure]
-    except KeyError:
+    except (KeyError, TypeError):
         raise UnknownMeasure(f"no generator for measure {measure!r}") from None
+
+
+def catalog_id(measure):
+    """A catalog generator's id, named or passed as itself; None for any other."""
+    gen = get_generator(measure)
+    return gen.id if _CATALOG.get(gen.id) is gen else None
 
 
 def phi_generator(s: float) -> Generator:
@@ -281,7 +280,7 @@ def phi_generator(s: float) -> Generator:
     return _phi_generator(float(require_finite_s(s)))
 
 
-@functools.lru_cache(maxsize=256)  # get_generator(PhiS(t)) runs on every mm_exact call
+@functools.lru_cache(maxsize=256)  # asked by every phi_s and bound_interval; one object per s keys PairTable
 def _phi_generator(s: float) -> Generator:
     f_second = Rational((1,), (1,), a=s)
     if abs(s) <= S_POLE_TOL:

@@ -16,8 +16,8 @@ the budget are built afresh on every call.
 The suites of one run also share a :class:`PairTable`, which computes every
 pair-dependent sum they check once per trial, batched: the run's trials are
 grouped by support size n into C-contiguous (k, n) blocks, and a quantity
-(r and R, a measure, C_f or e_cf of one catalog generator or of the power
-generator PhiS(s), whose C_f is phi_s) is one numpy row sum per block, kept
+(r and R, a measure, C_f or e_cf of one catalog generator or of
+phi_generator(s), whose C_f is phi_s) is one numpy row sum per block, kept
 as a float64 array indexed by trial.  A row of a block is summed in the
 same order as the pair alone, so the table holds the bits the public
 functions return.  The sandwich suites' exact (m, M) are arrays over the
@@ -70,7 +70,7 @@ from .csiszar_bounds import (
 )
 from .errors import DivBoundsError, InvalidArgument, UnknownSuite
 from .estimators import all_estimators, coincide, estimate, estimate_from
-from .generators import CATALOG_IDS, VIOLATION_TOL, PhiS, csiszar_sums, get_generator, phi_generator
+from .generators import CATALOG_IDS, VIOLATION_TOL, csiszar_sums, get_generator, phi_generator
 from .measures import divergence_sums, finite_phi
 from .simplex import Distribution, ratio_extremes, ratio_range
 from .type_s_bounds import bound_set, chain_checks
@@ -268,19 +268,18 @@ class PairTable:
         return self._batch(("d", measure), lambda p, q: divergence_sums(measure, p, q))
 
     def phi(self, s: float) -> np.ndarray:
-        """phi_s (:func:`phi_s`), C_f of PhiS(s), every trial."""
-        return finite_phi(s, self.cf(PhiS(s)))
+        """phi_s (:func:`phi_s`), C_f of phi_generator(s), every trial."""
+        return finite_phi(s, self.cf(phi_generator(s)))
 
     def cf(self, measure) -> np.ndarray:
-        """C_f (:func:`eval_csiszar`) of a catalog generator or of PhiS(s),
-        every trial."""
+        """C_f (:func:`eval_csiszar`) of a catalog id or a Generator, every trial."""
         gen = get_generator(measure)
-        return self._batch(("cf", measure), lambda p, q: csiszar_sums(gen, q, p / q))
+        return self._batch(("cf", gen), lambda p, q: csiszar_sums(gen, q, p / q))
 
     def e_cf(self, measure) -> np.ndarray:
-        """e_cf (:func:`e_cf`) of a catalog generator or of PhiS(s), every trial."""
+        """e_cf (:func:`e_cf`) of a catalog id or a Generator, every trial."""
         gen = get_generator(measure)
-        return self._batch(("e_cf", measure), lambda p, q: e_cf_sums(gen, p, q))
+        return self._batch(("e_cf", gen), lambda p, q: e_cf_sums(gen, p, q))
 
     def coincide(self) -> np.ndarray:
         """Whether each trial's P and Q coincide (estimators are 0/0)."""
@@ -424,7 +423,7 @@ def _thm31_columns(table):
         def chain(s):
             gen = phi_generator(s)
             b = b_cf_values(gen, rt, Rt) if has_b else None
-            return chain_checks(table.phi(s)[trials], table.e_cf(PhiS(s))[trials], a_cf_values(gen, rt, Rt), b)
+            return chain_checks(table.phi(s)[trials], table.e_cf(gen)[trials], a_cf_values(gen, rt, Rt), b)
 
         groups.append((trials.tolist(), _thm31_checks(table.config, chain)))
     return groups
@@ -468,7 +467,7 @@ def _thm32_columns(table):
             phi, cf = table.phi(s)[at], table.cf(measure)[at]
             lower, upper = sandwich(m, M, phi, cf)[2:]
             pair = (phi_generator(s), gen)
-            forms = [("e", table.e_cf(PhiS(s))[at], table.e_cf(measure)[at]), ("a", *(a_cf_values(g, rt, Rt) for g in pair))]
+            forms = [("e", *(table.e_cf(g)[at] for g in pair)), ("a", *(a_cf_values(g, rt, Rt) for g in pair))]
             if has_b:
                 forms.append(("b", *(b_cf_values(g, rt, Rt) for g in pair)))
             groups.append((at.tolist(), _thm32_checks(measure, s, lower, upper, difference_checks(m, M, phi, cf, forms))))

@@ -93,7 +93,7 @@ def divergence_sums(measure: str, p, q):
     (k, n) blocks (an array of k values)."""
     try:
         fn = _DISPATCH[measure]
-    except KeyError:
+    except (KeyError, TypeError):
         raise UnknownMeasure(f"unknown measure {measure!r}") from None
     return fn(p, q)
 

@@ -97,7 +97,7 @@ class TestGEval:
         # phi_t's g = x^(t-s) is one power: 1 at s = t, however far x^(2-s) and
         # f''(x) = x^(t-2) are out of the float range.
         assert db.g_eval(db.phi_generator(0.5), 0.5, 1e-250) == 1.0
-        rep = db.bound_interval(db.PhiS(0.5), 0.5, db.normalize([1e-250, 1]), db.normalize([1, 1]), method="numeric")
+        rep = db.bound_interval(db.phi_generator(0.5), 0.5, db.normalize([1e-250, 1]), db.normalize([1, 1]), method="numeric")
         assert (rep.mm.m, rep.mm.M) == (1.0, 1.0)
 
     def test_overflowing_denominator_gives_no_false_zero(self):
@@ -230,30 +230,30 @@ class TestMMClosed:
 
     def test_phi_s_measure(self):
         rng = db.RatioRange(0.5, 4.0)
-        mm = db.mm_closed(db.PhiS(2.0), 2.0, rng)
+        mm = db.mm_closed(db.phi_generator(2.0), 2.0, rng)
         assert (mm.m, mm.M) == (1.0, 1.0)
-        mm = db.mm_closed(db.PhiS(3.0), 1.0, rng)
+        mm = db.mm_closed(db.phi_generator(3.0), 1.0, rng)
         assert mm.m == pytest.approx(0.25, rel=1e-14)
         assert mm.M == pytest.approx(16.0, rel=1e-14)
-        mm = db.mm_closed(db.PhiS(0.0), 1.0, rng)
+        mm = db.mm_closed(db.phi_generator(0.0), 1.0, rng)
         assert mm.m == pytest.approx(0.25, rel=1e-14)
         assert mm.M == pytest.approx(2.0, rel=1e-14)
 
     def test_phi_s_power_overflow_is_typed(self):
         with pytest.raises(NumericOverflow):
-            db.mm_closed(db.PhiS(300.0), -10.0, db.RatioRange(1e-30, 1e30))
+            db.mm_closed(db.phi_generator(300.0), -10.0, db.RatioRange(1e-30, 1e30))
         with pytest.raises(NumericOverflow):
-            db.mm_closed(db.PhiS(-300.0), 10.0, db.RatioRange(1e-30, 1e30))
+            db.mm_closed(db.phi_generator(-300.0), 10.0, db.RatioRange(1e-30, 1e30))
         # g = x^2 underflows to 0 at r = 2e-200: the exact and the numeric
         # (m, M) both raise, as g_eval does for every catalog measure.
         P, Q = db.normalize([1e-200, 1]), db.normalize([1, 1])
         for method in ("auto", "numeric"):
             with pytest.raises(NumericOverflow, match="leaves the float range"):
-                db.bound_interval(db.PhiS(3.0), 1.0, P, Q, method=method)
+                db.bound_interval(db.phi_generator(3.0), 1.0, P, Q, method=method)
         # A nan or infinite s is rejected before g, at every (m, M) entry point.
         rng = db.RatioRange(0.5, 2.0)
         for s in (math.nan, math.inf, -math.inf):
-            for measure in ("J", db.PhiS(0.5)):
+            for measure in ("J", db.phi_generator(0.5)):
                 gen = db.get_generator(measure)
                 calls = (
                     lambda: db.mm_exact(measure, s, rng),
@@ -466,7 +466,7 @@ class TestMMExactArrays:
 
     def test_power_measures_empty_arrays_and_unknown_measure(self):
         r, R = self.WIDE_R[3:9], self.WIDE_RR[3:9]
-        for measure, s in ((db.PhiS(0.5), 1.0), (db.PhiS(2.0), 2.0), (db.PhiS(1.0), -0.5)):
+        for measure, s in ((db.phi_generator(0.5), 1.0), (db.phi_generator(2.0), 2.0), (db.phi_generator(1.0), -0.5)):
             m, M = cb.mm_exact_arrays(measure, s, r, R)
             ref_m, ref_M = _mm_per_trial(measure, s, r, R)
             assert (m.tobytes(), M.tobytes()) == (ref_m.tobytes(), ref_M.tobytes()), (measure, s)
@@ -475,7 +475,7 @@ class TestMMExactArrays:
         # raises the first trial's error, as the scalar loop does.
         raised = 0
         for r, R in ((self.WIDE_R, self.WIDE_RR), (self.WIDE_R[4:], self.WIDE_RR[4:])):
-            for measure, s in ((db.PhiS(3.0), 1.0), (db.PhiS(-1.0), 2.0), (db.PhiS(0.5), 0.5), (db.PhiS(2.0), -1.5)):
+            for measure, s in ((db.phi_generator(3.0), 1.0), (db.phi_generator(-1.0), 2.0), (db.phi_generator(0.5), 0.5), (db.phi_generator(2.0), -1.5)):
                 try:
                     ref_m, ref_M = _mm_per_trial(measure, s, r, R)
                 except NumericOverflow as exc:
@@ -552,15 +552,16 @@ class TestStationarity:
 
     @pytest.mark.parametrize(
         "measure",
-        [*CLOSED_FORM_REGIONS, *(db.PhiS(t) for t in (-1.5, 0.0, 0.5, 1.0, 3.0))],
+        [*CLOSED_FORM_REGIONS, *(db.phi_generator(t) for t in (-1.5, 0.0, 0.5, 1.0, 3.0))],
         # Cases named by s in %g form (PHI_S(3), not str's PHI_S(3.0)).
-        ids=lambda m: f"PHI_S({m.s:g})" if isinstance(m, db.PhiS) else str(m),
+        ids=lambda m: f"PHI_S({m.f_second.a:g})" if isinstance(m, db.Generator) else str(m),
     )
     def test_paper_regions_agree_with_stationarity(self, measure):
         # Outside the gap S_s has no positive root, and its sign at x = 1 is
         # the direction of g: increasing for s <= s_lo, decreasing for s >= s_hi.
-        # PhiS(t)'s gap is the single point t, where S_s = 0 and g = 1.
-        lo, hi = (measure.s, measure.s) if isinstance(measure, db.PhiS) else CLOSED_FORM_REGIONS[measure]
+        # phi_generator(t)'s gap is the single point t (its f'' = x^(t-2) has
+        # a = t), where S_s = 0 and g = 1.
+        lo, hi = (measure.f_second.a,) * 2 if isinstance(measure, db.Generator) else CLOSED_FORM_REGIONS[measure]
         a, b = _stationarity(measure)
         for offset in (0.0, 0.1, 0.25, 0.5, 1.0, 2.0, 5.0, 20.0):
             for s, sign in ((lo - offset, 1.0), (hi + offset, -1.0)):
@@ -787,7 +788,7 @@ class TestBoundInterval:
                     rep = db.bound_interval(mid, s, P, Q)
                     assert rep.holds, (mid, s)
 
-    @pytest.mark.parametrize("measure", ["J", db.PhiS(0.5)], ids=str)
+    @pytest.mark.parametrize("measure", ["J", db.phi_generator(0.5)], ids=str)
     @pytest.mark.parametrize("s", [math.nan, math.inf, -math.inf])
     def test_non_finite_s_is_typed(self, measure, s):
         # s is checked before g, which would raise NumericOverflow at x = 1/3.
@@ -813,7 +814,7 @@ class TestBoundInterval:
         monkeypatch.setattr(cb, "np", CountingNumpy())
         for name in ("ratio_range", "phi_s", "eval_csiszar"):
             monkeypatch.setattr(cb, name, forbidden)
-        for measure in ("J", db.PhiS(0.5)):
+        for measure in ("J", db.phi_generator(0.5)):
             entered.clear()
             assert db.bound_interval(measure, 0.5, *golden_pair).holds
             assert entered == [{"over": "ignore", "invalid": "ignore"}]
@@ -863,7 +864,7 @@ def _assert_public_parity(measure, s, P, Q):
 
 
 class TestBoundIntervalParity:
-    MEASURES = (*db.CATALOG_IDS, db.PhiS(0.5), db.PhiS(2.0))
+    MEASURES = (*db.CATALOG_IDS, db.phi_generator(0.5), db.phi_generator(2.0))
     # The default grid, and s at and next to the poles 0 and 1.
     S_GRID = (*db.TrialConfig().s_samples, 1e-11, 1.0 - 1e-11, -0.0)
 
@@ -875,7 +876,7 @@ class TestBoundIntervalParity:
                     assert _assert_public_parity(measure, s, P, Q) is None
 
     def test_errors_are_the_first_failing_public_parts(self):
-        cases = [(mid, -2.0, [1e-300, 1], [1, 1]) for mid in (*db.CATALOG_IDS, db.PhiS(-2.0))]  # g or phi_s overflows
+        cases = [(mid, -2.0, [1e-300, 1], [1, 1]) for mid in (*db.CATALOG_IDS, db.phi_generator(-2.0))]  # g or phi_s overflows
         cases.append(("D1", 100.0, [1, 1e6], [1e6, 1]))  # g overflows
         cases.append(("J", 0.5, [1, 2], [1, 2, 3]))  # lengths differ
         errors = set()
@@ -990,3 +991,103 @@ def test_result_types_are_slotted(golden_pair):
     rep = db.bound_interval("I", 1, P, Q)
     for obj in (rep, rep.mm, rep.mm.range):
         assert not hasattr(obj, "__dict__"), type(obj).__name__
+
+
+def _mm_bits(mm) -> dict:
+    return {"m": np.float64(mm.m).tobytes(), "M": np.float64(mm.M).tobytes(), "method": mm.method, "range": mm.range}
+
+
+class TestOneHandle:
+    """A Generator is accepted wherever a measure is named: a catalog one
+    gives the bits of its id, any other its own exact (m, M)."""
+
+    def test_non_measures_raise_unknown_measure(self, golden_pair):
+        P, Q = golden_pair
+        rng = db.RatioRange(0.5, 2.0)
+        for bad in (["J"], {"J": 1}, None, 1.5):
+            calls = (
+                lambda: db.get_generator(bad),
+                lambda: db.divergence(bad, P, Q),
+                lambda: db.mm_closed(bad, 1.0, rng),
+                lambda: db.mm_exact(bad, 1.0, rng),
+                lambda: cb.mm_exact_values(bad, 1.0, 0.5, 2.0),
+                lambda: cb.mm_exact_arrays(bad, 1.0, np.array([0.5]), np.array([2.0])),
+                lambda: db.global_extrema(bad, 1.0),
+                lambda: db.bound_interval(bad, 1.0, P, Q),
+            )
+            for call in calls:
+                with pytest.raises(UnknownMeasure):
+                    call()
+
+    def test_catalog_generator_gives_the_bits_of_its_id(self):
+        pairs = make_pairs(6, seed=18, concentration=6.0)
+        gaps = tabulated = 0
+        for mid in db.CATALOG_IDS:
+            gen = db.catalog()[mid]
+            assert db.get_generator(gen) is gen and str(gen) == mid
+            for s in db.TrialConfig().s_samples:
+                for P, Q in pairs:
+                    by_id, by_gen = db.bound_interval(mid, s, P, Q), db.bound_interval(gen, s, P, Q)
+                    fields = ("lower", "value", "upper", "lower_slack", "upper_slack")
+                    assert _bits({k: getattr(by_id, k) for k in fields}) == _bits({k: getattr(by_gen, k) for k in fields})
+                    assert _mm_bits(by_id.mm) == _mm_bits(by_gen.mm), (mid, s)
+                    rng = by_id.mm.range
+                    assert _mm_bits(db.mm_exact(mid, s, rng)) == _mm_bits(db.mm_exact(gen, s, rng)), (mid, s)
+                    closed = db.mm_closed(mid, s, rng), db.mm_closed(gen, s, rng)
+                    if closed[0] is None:
+                        assert closed[1] is None, (mid, s)
+                        gaps += 1
+                    else:
+                        assert _mm_bits(closed[0]) == _mm_bits(closed[1]), (mid, s)
+                r = np.array([P.probs.min() for P, _ in pairs])  # any ranges will do
+                R = np.array([max(1.0, 1.0 / v) for v in r])
+                arrays = cb.mm_exact_arrays(mid, s, r, R), cb.mm_exact_arrays(gen, s, r, R)
+                assert [a.tobytes() for a in arrays[0]] == [a.tobytes() for a in arrays[1]], (mid, s)
+                extrema = []
+                for measure in (mid, gen):
+                    try:
+                        extrema.append(db.global_extrema(measure, s))
+                    except NotTabulated:
+                        extrema.append(None)
+                assert extrema[0] is extrema[1], (mid, s)
+                tabulated += extrema[0] is not None
+        assert gaps > 0 and tabulated > 0
+
+    def test_user_generator(self):
+        # f = (x-1)^2, whose C_f is chi-square; f'' = 2 at every x.
+        gen = db.Generator("SQ", f=lambda x: (x - 1.0) ** 2, f_prime=lambda x: 2.0 * (x - 1.0), f_second=db.Rational((2,), (1,)))
+        for P, Q in make_pairs(20, seed=18):
+            for s in db.TrialConfig().s_samples:
+                rep = db.bound_interval(gen, s, P, Q)
+                assert rep.holds, s
+                assert rep.value == pytest.approx(db.divergence("CHI2", P, Q), rel=1e-12)
+                assert rep.mm == db.difference_bounds(gen, s, P, Q).mm, s
+                assert db.mm_closed(gen, s, rep.mm.range) == rep.mm, s
+        # Named like a catalog generator, it gets neither a gap nor a
+        # tabulated extremum: those belong to the catalog's own J.
+        like_j = db.Generator("J", gen.f, gen.f_prime, gen.f_second)
+        assert db.mm_closed(like_j, 0.5, db.RatioRange(0.5, 2.0)) is not None
+        assert db.mm_closed("J", 0.5, db.RatioRange(0.5, 2.0)) is None
+        with pytest.raises(NotTabulated):
+            db.global_extrema(like_j, 0.5)
+
+    def test_bound_interval_resolves_once_and_checks_s_twice(self, monkeypatch):
+        import divbounds.generators as gm
+
+        counts = {"get_generator": 0, "require_finite_s": 0}
+        for name in counts:
+            original = getattr(gm, name)
+
+            def counting(*args, _name=name, _original=original):
+                counts[_name] += 1
+                return _original(*args)
+
+            for mod in (cb, gm):
+                monkeypatch.setattr(mod, name, counting)
+        calls = 0
+        for P, Q in make_pairs(5, seed=18):
+            for s in db.TrialConfig().s_samples:
+                for mid in db.CATALOG_IDS:
+                    db.bound_interval(mid, s, P, Q)
+                    calls += 1
+        assert counts == {"get_generator": calls, "require_finite_s": 2 * calls}

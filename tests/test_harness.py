@@ -223,7 +223,7 @@ class TestPairTable:
                 assert _bits(table.d(m)[i]) == _bits(db.divergence(m, P, Q)), (i, m)
             for s in s_values:
                 assert _bits(table.phi(s)[i]) == _bits(db.phi_s(s, P, Q)), (i, s)
-                assert _bits(table.e_cf(db.PhiS(s))[i]) == _bits(db.e_cf(db.phi_generator(s), P, Q)), (i, s)
+                assert _bits(table.e_cf(db.phi_generator(s))[i]) == _bits(db.e_cf(db.phi_generator(s), P, Q)), (i, s)
             for m, gen in db.catalog().items():
                 assert _bits(table.cf(m)[i]) == _bits(db.eval_csiszar(gen, P, Q)), (i, m)
                 assert _bits(table.e_cf(m)[i]) == _bits(db.e_cf(gen, P, Q)), (i, m)
