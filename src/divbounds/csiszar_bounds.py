@@ -73,9 +73,11 @@ def g_eval(gen: Generator, s: float, x):
     where it is not finite or is 0 (an infinite g turns m * phi_s into nan,
     a zero g certifies m = 0 or M = 0).  An array of any shape follows it
     entry by entry (:func:`_g_array`).  Raises NonFinite for a nan or
-    infinite s.
+    infinite s, and UnknownMeasure for anything but a Generator or catalog
+    id.
     """
     require_finite_s(s)
+    gen = get_generator(gen)
     if isinstance(x, float):
         return _g_float(gen, s, x)
     arr = np.asarray(x, dtype=np.float64)
@@ -155,9 +157,11 @@ def mm_numeric(gen: Generator, s: float, rng: RatioRange) -> MMBounds:
     neighbours) and, unconditionally, the first and last grid cells, where
     an extremum has only one sampled neighbour and shows no such sample.
     Two stationary points inside one grid cell can still hide each other.
-    Raises NonFinite for a nan or infinite s.
+    Raises NonFinite for a nan or infinite s, and UnknownMeasure for
+    anything but a Generator or catalog id.
     """
     require_finite_s(s)
+    gen = get_generator(gen)
     r, R = rng.r, rng.R
     if r == R:
         v = g_eval(gen, s, r)
@@ -434,11 +438,13 @@ def global_extrema_table() -> dict:
 
 @np.errstate(over="ignore", invalid="ignore")  # NumericOverflow is the only signal
 def e_cf(gen: Generator, P: Distribution, Q: Distribution) -> float:
-    """Data-dependent bound functional sum (p_i - q_i) f'(p_i/q_i); raises
-    NumericOverflow where it leaves the float range."""
+    """Data-dependent bound functional sum (p_i - q_i) f'(p_i/q_i) of a
+    Generator or catalog id; raises NumericOverflow where it leaves the
+    float range."""
     p, q = P.probs, Q.probs
     if p.size != q.size:
         raise LengthMismatch(f"lengths differ: {p.size} vs {q.size}")
+    gen = get_generator(gen)
     return require_finite(float(e_cf_sums(gen, p, q)), f"e_cf of {gen.id}")
 
 
@@ -449,8 +455,9 @@ def e_cf_sums(gen: Generator, p, q):
 
 @np.errstate(all="ignore")  # NumericOverflow is the only signal
 def a_cf(gen: Generator, rng: RatioRange) -> float:
-    """Range-only bound functional (R-r)/4 * (f'(R) - f'(r)); raises
-    NumericOverflow where it leaves the float range."""
+    """Range-only bound functional (R-r)/4 * (f'(R) - f'(r)) of a Generator
+    or catalog id; raises NumericOverflow where it leaves the float range."""
+    gen = get_generator(gen)
     r, R = rng.r, rng.R
     if r == R:
         return 0.0
@@ -466,11 +473,13 @@ def a_cf_values(gen: Generator, r, R):
 
 @np.errstate(all="ignore")  # NumericOverflow is the only signal
 def b_cf(gen: Generator, rng: RatioRange) -> float:
-    """Chord bound functional [(R-1)f(r) + (1-r)f(R)] / (R-r); raises
-    NumericOverflow where it leaves the float range."""
+    """Chord bound functional [(R-1)f(r) + (1-r)f(R)] / (R-r) of a
+    Generator or catalog id; raises NumericOverflow where it leaves the
+    float range."""
     r, R = rng.r, rng.R
     if not b_defined(r, R):
         raise InvalidRange(f"need 0 < r <= 1 <= R with r != R, got {rng}")
+    gen = get_generator(gen)
     return require_finite(b_cf_values(gen, r, R), f"b_cf of {gen.id}")
 
 
@@ -567,13 +576,14 @@ class DifferenceReport:
 def difference_bounds(
     gen: Generator, s: float, P: Distribution, Q: Distribution, mm: Optional[MMBounds] = None
 ) -> DifferenceReport:
-    """Check the three difference sandwiches for an arbitrary generator.
+    """Check the three difference sandwiches for a Generator or catalog id.
 
     (m, M) must bound g on the whole ratio range; if not supplied they are
     the exact (m, M) of :func:`mm_exact`'s rule, which needs only the
     generator's Rational f''.
     """
     rng = ratio_range(P, Q)
+    gen = get_generator(gen)
     if mm is None:
         mm = mm_exact(gen, s, rng)
     cf, phi = eval_csiszar(gen, P, Q), phi_s(s, P, Q)

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import DegeneratePair, InvalidArgument, VanishingDenominator
 from .measures import divergence
-from .simplex import Distribution
+from .simplex import Distribution, memoized
 
 _DENOM_FLOOR = 1e-300
 
@@ -93,8 +93,9 @@ def estimate(est: EstimatorId, P: Distribution, Q: Distribution) -> float:
 
     Raises DegeneratePair on a coordinatewise-equal pair, and on a pair so
     close to it that a divergence under a square root rounds below zero.
+    The coincide test, as each divergence, is memoized for the latest pair.
     """
-    if len(P) == len(Q) and coincide(P.probs, Q.probs):
+    if len(P) == len(Q) and memoized(P, Q, coincide, lambda: bool(coincide(P.probs, Q.probs))):
         raise DegeneratePair("estimators are 0/0 at P = Q")
 
     cache = {}

@@ -19,7 +19,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import InvalidArgument, LengthMismatch, UnknownMeasure, require_finite, require_finite_s
-from .simplex import Distribution
+from .simplex import Distribution, memoized
 
 #: Identifiers of the nine fixed generators, in catalog order.
 CATALOG_IDS = ("D1", "D2", "F1", "F2", "G1", "G2", "J", "I", "T")
@@ -298,12 +298,23 @@ def _phi_generator(s: float) -> Generator:
 
 @np.errstate(over="ignore", invalid="ignore")  # NumericOverflow is the only signal
 def eval_csiszar(gen: Generator, P: Distribution, Q: Distribution) -> float:
-    """The Csiszar sum sum_i q_i f(p_i/q_i); nonnegative for normalized convex f.
-    Raises NumericOverflow where it leaves the float range."""
+    """The Csiszar sum sum_i q_i f(p_i/q_i) of a Generator or catalog id;
+    nonnegative for normalized convex f.  Memoized for the latest pair.
+    Raises NumericOverflow where it leaves the float range, and
+    UnknownMeasure for anything but a Generator or catalog id."""
     if len(P) != len(Q):
         raise LengthMismatch(f"lengths differ: {len(P)} vs {len(Q)}")
-    q = Q.probs
-    return finite_cf(gen, float(csiszar_sums(gen, q, P.probs / q)))
+    gen = get_generator(gen)
+    return finite_cf(gen, csiszar_value(gen, P, Q))
+
+
+def csiszar_value(gen: Generator, P: Distribution, Q: Distribution) -> float:
+    """The raw Csiszar sum of gen on a pair of one length, a float that is
+    inf or nan where the sum leaves the float range, memoized for the
+    latest pair by Generator equality: phi_s(s) and
+    eval_csiszar(phi_generator(s)) share an entry, and two generators with
+    one id but their own f never do."""
+    return memoized(P, Q, gen, lambda: float(csiszar_sums(gen, Q.probs, P.probs / Q.probs)))
 
 
 def csiszar_sums(gen: Generator, q, x):

@@ -9,6 +9,12 @@ vectors or a (k, n) block of k pairs (one value per row); the public
 functions here and the harness's batched pair table share it.  The power
 family phi_s has no formula of its own: it is the Csiszar sum of
 :func:`phi_generator` (s).
+
+:func:`divergence` and :func:`phi_s` keep each raw sum, before its finite
+check, in the latest-pair memo (:func:`simplex.memoized`): a Python float
+per measure or generator, held while (P, Q), matched by identity through
+weak references, stays the latest pair.  phi_s(s) and
+``eval_csiszar(phi_generator(s))`` share one entry.
 """
 
 from __future__ import annotations
@@ -16,8 +22,8 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import LengthMismatch, UnknownMeasure, require_finite
-from .generators import csiszar_sums, phi_generator
-from .simplex import Distribution
+from .generators import csiszar_value, phi_generator
+from .simplex import Distribution, memoized
 
 
 def _kl(p, q):
@@ -91,23 +97,29 @@ SYMMETRIC_IDS = ("J", "I", "T", "HELLINGER", "BHATTACHARYYA")
 def divergence_sums(measure: str, p, q):
     """A named measure on probability vectors p, q, or row by row on
     (k, n) blocks (an array of k values)."""
+    return _measure_fn(measure)(p, q)
+
+
+def _measure_fn(measure: str):
     try:
-        fn = _DISPATCH[measure]
+        return _DISPATCH[measure]
     except (KeyError, TypeError):
         raise UnknownMeasure(f"unknown measure {measure!r}") from None
-    return fn(p, q)
 
 
 @np.errstate(all="ignore")  # NumericOverflow is the only signal
 def divergence(measure: str, P: Distribution, Q: Distribution) -> float:
-    """Closed-form value of a named measure, in nats.
+    """Closed-form value of a named measure, in nats, memoized for the
+    latest pair.
 
     Raises NumericOverflow where it leaves the float range, as a ratio
     p_i/q_i does when q_i is near the smallest subnormal.
     """
     if len(P) != len(Q):
         raise LengthMismatch(f"lengths differ: {len(P)} vs {len(Q)}")
-    return require_finite(float(divergence_sums(measure, P.probs, Q.probs)), "divergence {}", measure)
+    fn = _measure_fn(measure)
+    value = memoized(P, Q, measure, lambda: float(fn(P.probs, Q.probs)))
+    return require_finite(value, "divergence {}", measure)
 
 
 def finite_phi(s: float, value):
@@ -120,7 +132,7 @@ def finite_phi(s: float, value):
 def phi_s(s: float, P: Distribution, Q: Distribution) -> float:
     """Power-divergence family: [s(s-1)]^-1 [sum p_i^s q_i^(1-s) - 1], the
     Csiszar sum of :func:`phi_generator` (s), which is KL(Q||P) and
-    KL(P||Q) at the poles s = 0 and s = 1.
+    KL(P||Q) at the poles s = 0 and s = 1; memoized for the latest pair.
 
     Raises NonFinite for a nan or infinite s, and NumericOverflow where a
     ratio p_i/q_i or its power leaves the float range.
@@ -128,5 +140,4 @@ def phi_s(s: float, P: Distribution, Q: Distribution) -> float:
     gen = phi_generator(s)
     if len(P) != len(Q):
         raise LengthMismatch(f"lengths differ: {len(P)} vs {len(Q)}")
-    q = Q.probs
-    return finite_phi(s, float(csiszar_sums(gen, q, P.probs / q)))
+    return finite_phi(s, csiszar_value(gen, P, Q))

@@ -1,14 +1,24 @@
-"""Validated probability distributions and coordinate-ratio ranges.
+"""Validated probability distributions, coordinate-ratio ranges, and the
+memo of the latest pair.
 
 A :class:`Distribution` is a strictly positive, normalized point on the
-probability simplex with n >= 2 entries.  Every bound downstream is
+probability simplex with n >= 2 entries; its entries are its own, a
+read-only copy of the array it was given.  Every bound downstream is
 parameterized by the :class:`RatioRange` (r, R) of the coordinate ratios
 p_i / q_i of a pair of distributions.
+
+The public per-pair functions (:func:`ratio_range`, ``divergence``,
+``phi_s``, ``eval_csiszar`` and ``estimate``'s coincide test) keep what
+they compute on the latest pair (P, Q) in one slot (:func:`memoized`), so
+each of a pair's sums is computed once however often it is asked for.  The
+slot holds the pair through weak references, matched by identity, and
+only Python scalars: no array, and no pair kept alive.
 """
 
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -32,12 +42,16 @@ SUM_TOL = 1e-9
 
 @dataclass(frozen=True, eq=False)
 class Distribution:
-    """Immutable point on the simplex: all entries > 0, summing to 1."""
+    """Immutable point on the simplex: all entries > 0, summing to 1.
+
+    ``probs`` is a read-only copy of the given entries, so writing to the
+    caller's array changes neither the distribution nor a value memoized
+    on it."""
 
     probs: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.probs, dtype=np.float64)
+        arr = np.array(self.probs, dtype=np.float64)
         if arr.ndim != 1 or arr.size < 2:
             raise EmptyOrTooShort(f"need a 1-d vector of length >= 2, got shape {arr.shape}")
         if not np.all(np.isfinite(arr)):
@@ -152,8 +166,9 @@ def ratio_range(P: Distribution, Q: Distribution) -> RatioRange:
 
     Raises NumericOverflow where R leaves the float range (a q_i near the
     smallest subnormal); r >= min p_i > 0 cannot underflow, since q_i <= 1.
+    Memoized for the latest pair (:func:`memoized`).
     """
-    return pair_ratios(P, Q)[1]
+    return memoized(P, Q, ratio_range, lambda: pair_ratios(P, Q)[1])
 
 
 def pair_ratios(P: Distribution, Q: Distribution) -> tuple:
@@ -170,3 +185,38 @@ def pair_ratios(P: Distribution, Q: Distribution) -> tuple:
 def ratio_extremes(x) -> tuple:
     """(min, max) of a ratio vector x = p / q, or row by row on (k, n) blocks."""
     return np.minimum.reduce(x, axis=-1), np.maximum.reduce(x, axis=-1)
+
+
+class _LatestPair:
+    """Scalars computed on one pair, held through weak references to it."""
+
+    __slots__ = ("p", "q", "values")
+
+    def __init__(self, P: Distribution, Q: Distribution):
+        self.p = weakref.ref(P)
+        self.q = weakref.ref(Q)
+        self.values = {}
+
+
+_latest = None
+
+
+def memoized(P: Distribution, Q: Distribution, key, compute):
+    """compute(), or the value it gave for key on this very pair (P, Q).
+
+    One slot holds the latest pair, matched by identity through weak
+    references: it keeps no pair alive, and a dead pair never matches a new
+    object at its address.  A new pair replaces it.  The slot is read once
+    a call, so threads that interleave pairs only miss it.  compute() must
+    give a Python scalar (a float, bool or RatioRange, never an array) and
+    do every check of its inputs: a value is stored only when it returned,
+    so a call that raises raises the same way on every call.
+    """
+    global _latest
+    memo = _latest
+    if memo is None or memo.p() is not P or memo.q() is not Q:
+        memo = _latest = _LatestPair(P, Q)
+    value = memo.values.get(key)
+    if value is None:
+        value = memo.values[key] = compute()
+    return value

@@ -1019,6 +1019,27 @@ class TestOneHandle:
                 with pytest.raises(UnknownMeasure):
                     call()
 
+    def test_generator_functionals_take_ids(self, golden_pair):
+        P, Q = golden_pair
+        rng = db.ratio_range(P, Q)
+        calls = {
+            "eval_csiszar": lambda g: db.eval_csiszar(g, P, Q),
+            "e_cf": lambda g: db.e_cf(g, P, Q),
+            "a_cf": lambda g: db.a_cf(g, rng),
+            "a_cf degenerate": lambda g: db.a_cf(g, db.RatioRange(1.0, 1.0)),
+            "b_cf": lambda g: db.b_cf(g, rng),
+            "difference_bounds": lambda g: db.difference_bounds(g, 0.5, P, Q).checks,
+            "g_eval": lambda g: db.g_eval(g, 0.5, 3.0),
+            "g_eval array": lambda g: db.g_eval(g, 0.5, np.array([0.5, 3.0])).tolist(),
+            "mm_numeric": lambda g: _mm_bits(db.mm_numeric(g, 0.5, rng)),
+        }
+        for name, call in calls.items():
+            for mid in db.CATALOG_IDS:
+                assert repr(call(mid)) == repr(call(db.catalog()[mid])), (name, mid)
+            for bad in ("NOPE", ["J"], None, 1.5):
+                with pytest.raises(UnknownMeasure):
+                    call(bad)
+
     def test_catalog_generator_gives_the_bits_of_its_id(self):
         pairs = make_pairs(6, seed=18, concentration=6.0)
         gaps = tabulated = 0

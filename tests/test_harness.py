@@ -423,6 +423,7 @@ def _force_ranges(monkeypatch, cfg, ranges: dict):
 
     monkeypatch.setattr(simplex, "ratio_extremes", forced)
     monkeypatch.setattr(harness, "ratio_extremes", forced)
+    _fresh_pair_memo(monkeypatch)
 
 
 def _force_divergence(monkeypatch, cfg, measure: str, values: dict):
@@ -437,6 +438,14 @@ def _force_divergence(monkeypatch, cfg, measure: str, values: dict):
         return out[()]
 
     monkeypatch.setitem(measures._DISPATCH, measure, forced)
+    _fresh_pair_memo(monkeypatch)
+
+
+def _fresh_pair_memo(monkeypatch):
+    """An empty latest-pair memo for the test, so that no value memoized
+    before a core was patched shadows the patch; the test's values, patched,
+    go when the memo of before is put back."""
+    monkeypatch.setattr(simplex, "_latest", None)
 
 
 COLUMN_SUITES = ("thm31", "thm32", "rem41", "rem51")

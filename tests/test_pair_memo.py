@@ -1,0 +1,227 @@
+"""The latest-pair memo of the public per-pair functions: a warm call gives
+the bits and the errors of a cold one, and the memo keeps no pair alive."""
+
+import gc
+import math
+import sys
+import threading
+import weakref
+
+import numpy as np
+import pytest
+
+import divbounds as db
+import divbounds.measures as measures
+import divbounds.simplex as simplex
+from divbounds.errors import DivBoundsError, LengthMismatch, NonFinite, NumericOverflow, UnknownMeasure
+
+from conftest import make_pairs
+
+S_VALUES = db.TrialConfig().s_samples + (1.0000001,)
+
+
+def _calls():
+    """(label, fn(P, Q)) for every memoized public function, each measure,
+    s and generator; phi_s(s) and eval_csiszar(phi_generator(s)) share an
+    entry, so both orders are asked for."""
+    calls = [("ratio_range", db.ratio_range)]
+    calls += [(f"divergence {m}", lambda P, Q, m=m: db.divergence(m, P, Q)) for m in db.MEASURE_IDS]
+    for s in S_VALUES:
+        calls.append((f"phi_s {s}", lambda P, Q, s=s: db.phi_s(s, P, Q)))
+        calls.append((f"C_f phi {s}", lambda P, Q, s=s: db.eval_csiszar(db.phi_generator(s), P, Q)))
+    calls += [(f"C_f {m}", lambda P, Q, m=m: db.eval_csiszar(db.catalog()[m], P, Q)) for m in db.CATALOG_IDS]
+    calls += [(f"C_f id {m}", lambda P, Q, m=m: db.eval_csiszar(m, P, Q)) for m in db.CATALOG_IDS]
+    calls += [(f"estimate {e}", lambda P, Q, e=e: db.estimate(e, P, Q)) for e in db.all_estimators()]
+    return calls
+
+
+CALLS = _calls()
+
+
+def _bits(value):
+    if isinstance(value, db.RatioRange):
+        return ("range", value.r.hex(), value.R.hex())
+    assert type(value) is float
+    return value.hex()
+
+
+def _outcome(fn, P, Q):
+    """The bits of fn(P, Q), or the type and message of what it raised."""
+    try:
+        return _bits(fn(P, Q))
+    except DivBoundsError as exc:
+        return type(exc), str(exc)
+
+
+def _copy(D):
+    return db.Distribution(D.probs)
+
+
+def _cold(P, Q):
+    """Each call on its own equal-valued copy of the pair: a memo miss."""
+    return [_outcome(fn, _copy(P), _copy(Q)) for _, fn in CALLS]
+
+
+def _warm(P, Q):
+    return [_outcome(fn, P, Q) for _, fn in CALLS]
+
+
+@pytest.fixture
+def fresh_memo(monkeypatch):
+    monkeypatch.setattr(simplex, "_latest", None)
+
+
+def test_warm_calls_give_the_cold_bits(fresh_memo):
+    pairs = make_pairs(50, seed=19)
+    pairs.append((db.normalize([8.000000000000002, 5.000000000000001]), db.normalize([8, 5])))
+    pairs.append((db.normalize([1, 1, 1]), db.normalize([1, 1, 1])))
+    for P, Q in pairs:
+        cold = _cold(P, Q)
+        first = _warm(P, Q)
+        second = _warm(P, Q)
+        for (label, _), c, f, s in zip(CALLS, cold, first, second):
+            assert c == f == s, label
+
+
+def test_reversed_order_shares_the_phi_entry(fresh_memo):
+    P, Q = make_pairs(1, seed=5)[0]
+    for s in S_VALUES:
+        cf = db.eval_csiszar(db.phi_generator(s), P, Q)
+        assert db.phi_s(s, P, Q).hex() == cf.hex() == db.phi_s(s, _copy(P), _copy(Q)).hex()
+
+
+def test_generators_with_one_id_keep_their_own_entries(fresh_memo):
+    P, Q = make_pairs(1, seed=8)[0]
+    square = db.Generator("J", f=lambda x: (x - 1.0) ** 2, f_prime=lambda x: 2.0 * (x - 1.0), f_second=db.Rational((2,), (1,)))
+    quartic = db.Generator("J", f=lambda x: (x - 1.0) ** 4, f_prime=lambda x: 4.0 * (x - 1.0) ** 3, f_second=db.Rational((12, -24, 12), (1,)))
+    values = [db.eval_csiszar(g, P, Q) for g in ("J", square, quartic)]
+    assert values == [db.eval_csiszar(g, _copy(P), _copy(Q)) for g in ("J", square, quartic)]
+    assert len(set(values)) == 3
+
+
+def test_memo_holds_only_scalars(fresh_memo):
+    P, Q = make_pairs(1, seed=6)[0]
+    _warm(P, Q)
+    held = simplex._latest.values
+    assert len(held) == 1 + len(db.MEASURE_IDS) + len(S_VALUES) + len(db.CATALOG_IDS) + 1
+    assert all(type(v) in (float, bool, db.RatioRange) for v in held.values())
+
+
+def test_interleaved_pairs(monkeypatch, fresh_memo):
+    counts = {"KL": 0, "extremes": 0}
+    kl, extremes = measures._DISPATCH["KL"], simplex.ratio_extremes
+
+    def counting_kl(p, q):
+        counts["KL"] += 1
+        return kl(p, q)
+
+    def counting_extremes(x):
+        counts["extremes"] += 1
+        return extremes(x)
+
+    monkeypatch.setitem(measures._DISPATCH, "KL", counting_kl)
+    monkeypatch.setattr(simplex, "ratio_extremes", counting_extremes)
+    (A, B), (C, D) = make_pairs(2, seed=7, n_min=8, n_max=8)
+    expected = {}
+    for pair in ((A, B), (C, D)):
+        expected[pair] = (db.divergence("KL", *map(_copy, pair)), db.ratio_range(*map(_copy, pair)))
+    counts.update(KL=0, extremes=0)
+    seen = []
+    for pair in ((A, B), (A, B), (C, D), (A, B), (A, B)):
+        value, rng = db.divergence("KL", *pair), db.ratio_range(*pair)
+        assert _bits(value) == _bits(expected[pair][0])
+        assert _bits(rng) == _bits(expected[pair][1])
+        seen.append((counts["KL"], counts["extremes"]))
+    assert seen == [(1, 1), (1, 1), (2, 2), (3, 3), (3, 3)]
+    # A pair that shares only P or only Q with the latest, or is it in the
+    # other order, is another pair.
+    others = ((A, B), (A, D), (C, D), (D, C))
+    cold = [db.divergence("KL", *map(_copy, pair)) for pair in others]
+    for pair, value in zip(others, cold):
+        assert _bits(db.divergence("KL", *pair)) == _bits(value)
+    assert counts["KL"] == 11
+
+
+ONE, TINY = db.normalize([1, 1]), db.normalize([5e-324, 1])
+
+
+@pytest.mark.parametrize(
+    "call, P, Q, error",
+    [
+        (db.ratio_range, ONE, TINY, NumericOverflow),
+        (lambda P, Q: db.divergence("KL", P, Q), ONE, TINY, NumericOverflow),
+        (lambda P, Q: db.divergence("J", P, Q), ONE, TINY, NumericOverflow),
+        (lambda P, Q: db.phi_s(0.5, P, Q), ONE, TINY, NumericOverflow),
+        (lambda P, Q: db.eval_csiszar("J", P, Q), ONE, TINY, NumericOverflow),
+        (lambda P, Q: db.eval_csiszar(db.phi_generator(0.5), P, Q), ONE, TINY, NumericOverflow),
+        (lambda P, Q: db.estimate(db.EstimatorId("ZETA", 1), P, Q), ONE, TINY, NumericOverflow),
+        (db.ratio_range, ONE, db.normalize([1, 1, 1]), LengthMismatch),
+        (lambda P, Q: db.divergence("KL", P, Q), ONE, db.normalize([1, 1, 1]), LengthMismatch),
+        (lambda P, Q: db.phi_s(2.0, P, Q), ONE, db.normalize([1, 1, 1]), LengthMismatch),
+        (lambda P, Q: db.eval_csiszar("J", P, Q), ONE, db.normalize([1, 1, 1]), LengthMismatch),
+        (lambda P, Q: db.divergence("NOPE", P, Q), ONE, TINY, UnknownMeasure),
+        (lambda P, Q: db.divergence(["KL"], P, Q), ONE, TINY, UnknownMeasure),
+        (lambda P, Q: db.eval_csiszar("NOPE", P, Q), ONE, TINY, UnknownMeasure),
+        (lambda P, Q: db.phi_s(math.nan, P, Q), ONE, TINY, NonFinite),
+    ],
+)
+def test_each_error_is_raised_again_with_its_message(call, P, Q, error, fresh_memo):
+    messages = []
+    for _ in range(2):
+        with pytest.raises(error) as info:
+            call(P, Q)
+        messages.append(str(info.value))
+    assert messages[0] == messages[1]
+
+
+def test_an_overflowing_measure_leaves_the_others_on_its_pair(fresh_memo):
+    P, Q = db.normalize([1, 1]), db.normalize([5e-324, 1])
+    with pytest.raises(NumericOverflow):
+        db.divergence("KL", P, Q)
+    hellinger = db.divergence("HELLINGER", P, Q)
+    assert hellinger == db.divergence("HELLINGER", P, Q) == db.divergence("HELLINGER", _copy(P), _copy(Q))
+    with pytest.raises(NumericOverflow):
+        db.divergence("KL", P, Q)
+
+
+def test_the_memo_keeps_no_pair_alive(fresh_memo):
+    P, Q = db.normalize(np.arange(1.0, 40.0)), db.normalize(np.arange(40.0, 1.0, -1.0))
+    db.divergence("J", P, Q)
+    db.ratio_range(P, Q)
+    refs = weakref.ref(P), weakref.ref(Q)
+    del P, Q
+    gc.collect()
+    assert [ref() for ref in refs] == [None, None]
+    # A new pair, at whatever address, is a miss.
+    P, Q = db.normalize(np.arange(2.0, 41.0)), db.normalize(np.arange(41.0, 2.0, -1.0))
+    assert db.divergence("J", P, Q) == db.divergence("J", _copy(P), _copy(Q))
+
+
+def test_threads_on_two_pairs_give_the_serial_bits(fresh_memo):
+    pairs = make_pairs(2, seed=11)
+    serial = [_cold(P, Q) for P, Q in pairs]
+    barrier = threading.Barrier(4, timeout=30)
+    results, errors = {}, []
+
+    def work(k):
+        try:
+            barrier.wait()
+            results[k] = [(j, _warm(*pairs[j])) for j in ((k + i) % 2 for i in range(12))]
+        except Exception as exc:  # reported below, not lost in the thread
+            errors.append(exc)
+
+    threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads inside the memo's read and store
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    for k in range(4):
+        for j, got in results[k]:
+            assert got == serial[j]

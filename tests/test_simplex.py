@@ -93,6 +93,15 @@ class TestDistribution:
         with pytest.raises(ValueError):
             d.probs[0] = 0.5
 
+    def test_entries_are_its_own(self):
+        base = np.array([[0.5, 0.5], [0.25, 0.75]])
+        P, Q = db.Distribution(base[0]), db.Distribution(base[1])
+        kl = db.divergence("KL", P, Q)
+        assert not np.shares_memory(P.probs, base) and base.flags.writeable
+        base[0] = [0.9, 0.1]
+        assert P.probs.tolist() == [0.5, 0.5]
+        assert db.divergence("KL", P, Q) == kl == db.divergence("KL", db.Distribution([0.5, 0.5]), Q)
+
     def test_len_and_iter(self):
         d = db.normalize([1, 1, 2])
         assert len(d) == 3
