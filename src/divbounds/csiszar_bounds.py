@@ -37,7 +37,6 @@ import numpy as np
 from .errors import (
     InvalidArgument,
     InvalidRange,
-    LengthMismatch,
     NonPositiveX,
     NotTabulated,
     NumericOverflow,
@@ -57,7 +56,7 @@ from .generators import (
     phi_generator,
 )
 from .measures import finite_phi, phi_s
-from .simplex import Distribution, RatioRange, pair_ratios, ratio_range, slot_init
+from .simplex import Distribution, RatioRange, pair_probs, pair_ratios, ratio_range, slot_init
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 _INV_PHI2 = _INV_PHI**2
@@ -441,9 +440,7 @@ def e_cf(gen: Generator, P: Distribution, Q: Distribution) -> float:
     """Data-dependent bound functional sum (p_i - q_i) f'(p_i/q_i) of a
     Generator or catalog id; raises NumericOverflow where it leaves the
     float range."""
-    p, q = P.probs, Q.probs
-    if p.size != q.size:
-        raise LengthMismatch(f"lengths differ: {p.size} vs {q.size}")
+    p, q = pair_probs(P, Q)
     gen = get_generator(gen)
     return require_finite(float(e_cf_sums(gen, p, q)), f"e_cf of {gen.id}")
 

@@ -19,9 +19,6 @@ from .simplex import Distribution, memoized
 
 _DENOM_FLOOR = 1e-300
 
-#: Each estimator family and its size: indices t run over 1..size.
-_FAMILY_SIZES = {"XI": 8, "ZETA": 4}
-
 
 @dataclass(frozen=True)
 class EstimatorId:
@@ -29,10 +26,10 @@ class EstimatorId:
     t: int
 
     def __post_init__(self):
-        if self.family not in _FAMILY_SIZES:
+        if self.family not in _FORMULAS:
             raise InvalidArgument(f"unknown family {self.family!r}")
-        if not 1 <= self.t <= _FAMILY_SIZES[self.family]:
-            raise InvalidArgument(f"{self.family} index must be in 1..{_FAMILY_SIZES[self.family]}")
+        if not 1 <= self.t <= len(_FORMULAS[self.family]):
+            raise InvalidArgument(f"{self.family} index must be in 1..{len(_FORMULAS[self.family])}")
 
     def __str__(self) -> str:
         return f"{self.family.lower()}{self.t}"
@@ -59,33 +56,26 @@ def _sqrt(v):
     return math.sqrt(v)
 
 
-def _xi(t: int, d) -> float:
-    sqrt = _sqrt
-    if t == 1:
-        return _ratio(sqrt(2 * d("F1")), sqrt(d("CHI2_ADJ")) - sqrt(2 * d("F1")))
-    if t == 2:
-        return _ratio(sqrt(d("KL")) - sqrt(d("F1")), sqrt(d("F1")))
-    if t == 3:
-        return _ratio(sqrt(d("F2")), sqrt(d("KL_ADJ")) - sqrt(d("F2")))
-    if t == 4:
-        return _ratio(sqrt(d("CHI2")) - sqrt(2 * d("F2")), sqrt(2 * d("F2")))
-    if t == 5:
-        return _ratio(4 * d("G1"), d("CHI2_ADJ") - 4 * d("G1"))
-    if t == 6:
-        return _ratio(d("KL_ADJ") - 2 * d("G1"), 2 * d("G1"))
-    if t == 7:
-        return _ratio(2 * d("G2"), d("KL") - 2 * d("G2"))
-    return _ratio(d("CHI2") - 4 * d("G2"), 4 * d("G2"))
-
-
-def _zeta(t: int, d) -> float:
-    if t == 1:
-        return _ratio(d("J") - d("KL_ADJ"), d("KL_ADJ"))
-    if t == 2:
-        return _ratio(d("KL"), d("J") - d("KL"))
-    if t == 3:
-        return _ratio(2 * d("I"), d("KL_ADJ") - 2 * d("I"))
-    return _ratio(d("KL") - 2 * d("I"), 2 * d("I"))
+#: Each family's formulas, xi_t or zeta_t at index t - 1, from d(measure),
+#: a pair's divergence values; the family sizes are their counts.
+_FORMULAS = {
+    "XI": (
+        lambda d: _ratio(_sqrt(2 * d("F1")), _sqrt(d("CHI2_ADJ")) - _sqrt(2 * d("F1"))),
+        lambda d: _ratio(_sqrt(d("KL")) - _sqrt(d("F1")), _sqrt(d("F1"))),
+        lambda d: _ratio(_sqrt(d("F2")), _sqrt(d("KL_ADJ")) - _sqrt(d("F2"))),
+        lambda d: _ratio(_sqrt(d("CHI2")) - _sqrt(2 * d("F2")), _sqrt(2 * d("F2"))),
+        lambda d: _ratio(4 * d("G1"), d("CHI2_ADJ") - 4 * d("G1")),
+        lambda d: _ratio(d("KL_ADJ") - 2 * d("G1"), 2 * d("G1")),
+        lambda d: _ratio(2 * d("G2"), d("KL") - 2 * d("G2")),
+        lambda d: _ratio(d("CHI2") - 4 * d("G2"), 4 * d("G2")),
+    ),
+    "ZETA": (
+        lambda d: _ratio(d("J") - d("KL_ADJ"), d("KL_ADJ")),
+        lambda d: _ratio(d("KL"), d("J") - d("KL")),
+        lambda d: _ratio(2 * d("I"), d("KL_ADJ") - 2 * d("I")),
+        lambda d: _ratio(d("KL") - 2 * d("I"), 2 * d("I")),
+    ),
+}
 
 
 def estimate(est: EstimatorId, P: Distribution, Q: Distribution) -> float:
@@ -119,11 +109,9 @@ def estimate_from(est: EstimatorId, d):
     the pair's divergence values.  d may give arrays of pairs instead: the
     estimates are then an array, each entry bit for bit its float value,
     and nan where the float form raises."""
-    if est.family == "XI":
-        return _xi(est.t, d)
-    return _zeta(est.t, d)
+    return _FORMULAS[est.family][est.t - 1](d)
 
 
 def all_estimators() -> tuple:
     """Every EstimatorId in both families, in (family, t) order."""
-    return tuple(EstimatorId(family, t) for family, size in _FAMILY_SIZES.items() for t in range(1, size + 1))
+    return tuple(EstimatorId(family, t) for family, formulas in _FORMULAS.items() for t in range(1, len(formulas) + 1))

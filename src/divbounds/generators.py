@@ -18,8 +18,8 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import InvalidArgument, LengthMismatch, UnknownMeasure, require_finite, require_finite_s
-from .simplex import Distribution, memoized
+from .errors import InvalidArgument, UnknownMeasure, require_finite, require_finite_s
+from .simplex import Distribution, memoized, pair_probs
 
 #: Identifiers of the nine fixed generators, in catalog order.
 CATALOG_IDS = ("D1", "D2", "F1", "F2", "G1", "G2", "J", "I", "T")
@@ -302,8 +302,7 @@ def eval_csiszar(gen: Generator, P: Distribution, Q: Distribution) -> float:
     nonnegative for normalized convex f.  Memoized for the latest pair.
     Raises NumericOverflow where it leaves the float range, and
     UnknownMeasure for anything but a Generator or catalog id."""
-    if len(P) != len(Q):
-        raise LengthMismatch(f"lengths differ: {len(P)} vs {len(Q)}")
+    pair_probs(P, Q)
     gen = get_generator(gen)
     return finite_cf(gen, csiszar_value(gen, P, Q))
 

@@ -15,7 +15,8 @@ the budget are built afresh on every call.
 
 The suites of one run also share a :class:`PairTable`, which computes every
 pair-dependent sum they check once per trial, batched: the run's trials are
-grouped by support size n into C-contiguous (k, n) blocks, and a quantity
+grouped by support size n into C-contiguous (k, n) blocks, which the table
+builds itself by the row code of a single pair, bit for bit, and a quantity
 (r and R, a measure, C_f or e_cf of one catalog generator or of
 phi_generator(s), whose C_f is phi_s) is one numpy row sum per block, kept
 as a float64 array indexed by trial.  A row of a block is summed in the
@@ -137,7 +138,7 @@ class TrialConfig:
 
 
 #: Most probability entries (8 bytes each) the pair memo holds, about 8 MB;
-#: also the most a :class:`PairTable` stacks at once.
+#: also the most a :class:`PairTable` builds at once.
 PAIR_MEMO_BUDGET = 1 << 20
 
 
@@ -168,9 +169,9 @@ def random_pair(config: TrialConfig, trial_index: int):
 
 
 def _memo_pair(config: TrialConfig, trial_index: int):
-    """The body of :func:`random_pair`.  The pair table and the suites'
-    per-trial fallback read pairs here, so that only :func:`run_suite`
-    calls random_pair, once per trial."""
+    """The body of :func:`random_pair`.  The suites' per-trial fallback
+    reads pairs here, so that only :func:`run_suite` calls random_pair,
+    once per trial."""
     global _memo
     key = (config.seed, config.n_min, config.n_max, config.concentration)
     memo = _memo
@@ -196,31 +197,35 @@ def _support_size(config: TrialConfig, u0: float) -> int:
     return config.n_min + int(u0 * (config.n_max - config.n_min + 1))
 
 
+def _probs(config: TrialConfig, u: np.ndarray) -> np.ndarray:
+    """Rows of probabilities from rows of uniforms u, normalized and floored
+    at 1e-12 twice: the second floor can lift a sum past 1, by at most
+    n * 1e-12, inside the Distribution normalization tolerance."""
+    raw = np.exp(config.concentration * (2.0 * u - 1.0))
+    probs = np.maximum(raw / np.add.reduce(raw, axis=-1, keepdims=True), 1e-12)
+    return np.maximum(probs / np.add.reduce(probs, axis=-1, keepdims=True), 1e-12)
+
+
+def _pair_rows(config: TrialConfig, u: np.ndarray) -> tuple:
+    """(p, q) from the uniforms of a pair, or of pairs of one support size
+    as (k, n) blocks, u holding 1 + 2 * n_max of them a pair: the first
+    gives n, then p and q read n each from their own n_max."""
+    n = _support_size(config, u.flat[0])
+    return _probs(config, u[..., 1 : 1 + n]), _probs(config, u[..., 1 + config.n_max : 1 + config.n_max + n])
+
+
 def _build_pair(config: TrialConfig, trial_index: int):
     """Build the pair of :func:`random_pair` from scratch."""
-    u = _uniforms(_pair_key(config, trial_index), 1 + 2 * config.n_max)
-    n = _support_size(config, u[0])
-
-    def build(block: np.ndarray) -> Distribution:
-        raw = np.exp(config.concentration * (2.0 * block - 1.0))
-        probs = raw / raw.sum()
-        probs = np.maximum(probs, 1e-12)
-        probs = probs / probs.sum()
-        # Renormalizing can push a floored entry back under the floor; the
-        # resulting sum excess (at most n * 1e-12) stays inside the
-        # Distribution normalization tolerance.
-        return Distribution(np.maximum(probs, 1e-12))
-
-    return build(u[1 : 1 + n]), build(u[1 + config.n_max : 1 + config.n_max + n])
+    pair = _pair_rows(config, _uniforms(_pair_key(config, trial_index), 1 + 2 * config.n_max))
+    for probs in pair:
+        probs.setflags(write=False)  # adopted by the Distribution, not copied
+    return Distribution(pair[0]), Distribution(pair[1])
 
 
 def _stack(config: TrialConfig, trials) -> tuple:
-    """(P block, Q block) of the trials' pairs, all of one support size; a
-    single trial's vectors are viewed as one-row blocks, not copied."""
-    pairs = [_memo_pair(config, i) for i in trials]
-    if len(pairs) == 1:
-        return pairs[0][0].probs[None], pairs[0][1].probs[None]
-    return np.stack([P.probs for P, _ in pairs]), np.stack([Q.probs for _, Q in pairs])
+    """(P block, Q block) of the trials' pairs, all of one support size,
+    built as :func:`_build_pair` builds each, row for row and bit for bit."""
+    return _pair_rows(config, _uniforms([_pair_key(config, i) for i in trials], 1 + 2 * config.n_max))
 
 
 class PairTable:
@@ -228,9 +233,10 @@ class PairTable:
     once, when a suite first asks for it.
 
     Trials are grouped by support size into chunks of at most
-    PAIR_MEMO_BUDGET stacked probability entries.  The stacked blocks are
-    held for the run when all of them fit in that budget; otherwise each
-    quantity stacks the chunks again, one at a time.
+    PAIR_MEMO_BUDGET probability entries, and each chunk's (k, n) blocks
+    are built by :func:`_stack`.  The blocks are held for the run when all
+    of them fit in that budget; otherwise each quantity builds the chunks
+    again, one at a time.
     """
 
     def __init__(self, config: TrialConfig):
@@ -248,7 +254,7 @@ class PairTable:
         self._values = {}
 
     def _block(self, j: int) -> tuple:
-        # Stacked anew only as the statement that uses it runs, so one
+        # Built anew only as the statement that uses it runs, so one
         # chunk at a time is alive when the blocks are not held.
         return self._held[j] if self._held is not None else _stack(self.config, self._chunks[j])
 
@@ -370,7 +376,7 @@ def _column_suite(columns, trial):
     """A suite checked as float64 columns over the run's trials.
 
     columns(table) gives the checks in groups, as :func:`_rows` takes them,
-    or None where a trial fails a range precondition.  Where it gives None,
+    or None where a trial's P = Q (estimators are 0/0).  Where it gives None,
     raises, or gives a slack that is not finite, the suite takes
     trial(config, i) instead: the public per-pair functions on trial i's
     own pair, one trial at a time.  They raise the first failing trial's
@@ -392,11 +398,10 @@ def _column_suite(columns, trial):
 
 def _split_ranges(table):
     """(r, R, [(trials, has_b)]): the run's trials split by whether B is
-    defined (:func:`b_defined`), or None when a range fails 0 < r <= R.
-    A needs no split: :func:`a_cf_values` is 0.0 where r == R."""
+    defined (:func:`b_defined`).  Every range has 0 < r <= R, since p, q > 0
+    and q <= 1 give r >= min p.  A needs no split: :func:`a_cf_values` is
+    0.0 where r == R."""
     r, R = table.extremes()
-    if not np.all((0.0 < r) & (r <= R)):
-        return None
     has_b = b_defined(r, R)
     parts = [(np.flatnonzero(has_b == b), b) for b in (True, False)]
     return r, R, [part for part in parts if part[0].size]
@@ -412,10 +417,7 @@ def _thm31_checks(config: TrialConfig, chain) -> dict:
 
 
 def _thm31_columns(table):
-    split = _split_ranges(table)
-    if split is None:
-        return None
-    r, R, parts = split
+    r, R, parts = _split_ranges(table)
     groups = []
     for trials, has_b in parts:
         rt, Rt = r[trials], R[trials]
@@ -449,10 +451,7 @@ def _thm32_checks(measure, s: float, lower, upper, differences: dict) -> dict:
 
 
 def _thm32_columns(table):
-    split = _split_ranges(table)
-    if split is None:
-        return None
-    r, R, parts = split
+    r, R, parts = _split_ranges(table)
     groups = []
     for trials, has_b in parts:
         cells = {}

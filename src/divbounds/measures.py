@@ -21,9 +21,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import LengthMismatch, UnknownMeasure, require_finite
+from .errors import UnknownMeasure, require_finite
 from .generators import csiszar_value, phi_generator
-from .simplex import Distribution, memoized
+from .simplex import Distribution, memoized, pair_probs
 
 
 def _kl(p, q):
@@ -115,10 +115,9 @@ def divergence(measure: str, P: Distribution, Q: Distribution) -> float:
     Raises NumericOverflow where it leaves the float range, as a ratio
     p_i/q_i does when q_i is near the smallest subnormal.
     """
-    if len(P) != len(Q):
-        raise LengthMismatch(f"lengths differ: {len(P)} vs {len(Q)}")
+    p, q = pair_probs(P, Q)
     fn = _measure_fn(measure)
-    value = memoized(P, Q, measure, lambda: float(fn(P.probs, Q.probs)))
+    value = memoized(P, Q, measure, lambda: float(fn(p, q)))
     return require_finite(value, "divergence {}", measure)
 
 
@@ -138,6 +137,5 @@ def phi_s(s: float, P: Distribution, Q: Distribution) -> float:
     ratio p_i/q_i or its power leaves the float range.
     """
     gen = phi_generator(s)
-    if len(P) != len(Q):
-        raise LengthMismatch(f"lengths differ: {len(P)} vs {len(Q)}")
+    pair_probs(P, Q)
     return finite_phi(s, csiszar_value(gen, P, Q))

@@ -2,8 +2,9 @@
 memo of the latest pair.
 
 A :class:`Distribution` is a strictly positive, normalized point on the
-probability simplex with n >= 2 entries; its entries are its own, a
-read-only copy of the array it was given.  Every bound downstream is
+probability simplex with n >= 2 entries; its entries are its own: a
+read-only float64 array that owns its data, as :func:`normalize` makes, is
+adopted, and anything else copied.  Every bound downstream is
 parameterized by the :class:`RatioRange` (r, R) of the coordinate ratios
 p_i / q_i of a pair of distributions.
 
@@ -44,14 +45,17 @@ SUM_TOL = 1e-9
 class Distribution:
     """Immutable point on the simplex: all entries > 0, summing to 1.
 
-    ``probs`` is a read-only copy of the given entries, so writing to the
-    caller's array changes neither the distribution nor a value memoized
-    on it."""
+    ``probs`` is the given array itself when it is a read-only float64
+    ndarray that owns its data, and a read-only copy of anything else (a
+    writable array, a view, a list), so writing to the caller's array
+    changes neither the distribution nor a value memoized on it."""
 
     probs: np.ndarray
 
     def __post_init__(self):
-        arr = np.array(self.probs, dtype=np.float64)
+        arr = self.probs
+        if not (type(arr) is np.ndarray and arr.dtype == np.float64 and arr.flags.owndata and not arr.flags.writeable):
+            arr = np.array(arr, dtype=np.float64)
         if arr.ndim != 1 or arr.size < 2:
             raise EmptyOrTooShort(f"need a 1-d vector of length >= 2, got shape {arr.shape}")
         if not np.all(np.isfinite(arr)):
@@ -121,13 +125,9 @@ class RatioRange:
         return RatioRange(1.0 / self.R, 1.0 / self.r)
 
 
-def normalize(raw) -> Distribution:
-    """Scale a nonnegative weight vector onto the simplex.
-
-    Zeros are a hard error: every generator is evaluated at x = p/q and
-    several second derivatives diverge at 0.  Use :func:`smooth` for
-    empirical count vectors.
-    """
+def _weights(raw) -> np.ndarray:
+    """raw as a float64 array, checked as a weight vector: 1-d with at
+    least 2 entries, finite and nonnegative."""
     arr = np.asarray(raw, dtype=np.float64)
     if arr.ndim != 1 or arr.size < 2:
         raise EmptyOrTooShort(f"need at least 2 entries, got shape {arr.shape}")
@@ -135,29 +135,38 @@ def normalize(raw) -> Distribution:
         raise NonFinite("weights must be finite")
     if np.any(arr < 0.0):
         raise NegativeEntry("weights must be nonnegative")
+    return arr
+
+
+def normalize(raw) -> Distribution:
+    """Scale a nonnegative weight vector onto the simplex.
+
+    Zeros are a hard error: every generator is evaluated at x = p/q and
+    several second derivatives diverge at 0.  Use :func:`smooth` for
+    empirical count vectors.  The quotient is made read-only here, so the
+    Distribution adopts it without a copy.
+    """
+    arr = _weights(raw)
     total = arr.sum()
     if not total > 0.0:
         raise ZeroEntry("weights sum to zero")
     probs = arr / total
     if np.any(probs == 0.0):
         raise ZeroEntry("zero weight present; the simplex requires p_i > 0")
+    probs.setflags(write=False)
     return Distribution(probs)
 
 
 def smooth(raw, alpha: float) -> Distribution:
-    """Additive smoothing: normalize(raw_i + alpha).  Admits zeros in raw."""
+    """Additive smoothing: normalize(raw_i + alpha).  Admits zeros in raw.
+
+    raw is checked before alpha is added, since alpha can lift a negative
+    weight; normalize checks the sum again, which can overflow to inf."""
     if not np.isfinite(alpha):
         raise NonFinite("alpha must be finite")
     if alpha <= 0.0:
         raise NonPositiveAlpha(f"alpha must be > 0, got {alpha}")
-    arr = np.asarray(raw, dtype=np.float64)
-    if arr.ndim != 1 or arr.size < 2:
-        raise EmptyOrTooShort(f"need at least 2 entries, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise NonFinite("weights must be finite")
-    if np.any(arr < 0.0):
-        raise NegativeEntry("weights must be nonnegative")
-    return normalize(arr + alpha)
+    return normalize(_weights(raw) + alpha)
 
 
 @np.errstate(over="ignore")  # NumericOverflow is the only signal
@@ -171,12 +180,19 @@ def ratio_range(P: Distribution, Q: Distribution) -> RatioRange:
     return memoized(P, Q, ratio_range, lambda: pair_ratios(P, Q)[1])
 
 
-def pair_ratios(P: Distribution, Q: Distribution) -> tuple:
-    """(x, :func:`ratio_range`) with x = p / q, the ratio vector, for a
-    caller that has entered its own np.errstate and reuses x."""
+def pair_probs(P: Distribution, Q: Distribution) -> tuple:
+    """(p, q), the probability vectors of a pair; raises LengthMismatch
+    where their lengths differ."""
     p, q = P.probs, Q.probs
     if p.size != q.size:
         raise LengthMismatch(f"lengths differ: {p.size} vs {q.size}")
+    return p, q
+
+
+def pair_ratios(P: Distribution, Q: Distribution) -> tuple:
+    """(x, :func:`ratio_range`) with x = p / q, the ratio vector, for a
+    caller that has entered its own np.errstate and reuses x."""
+    p, q = pair_probs(P, Q)
     x = p / q
     r, R = ratio_extremes(x)
     return x, RatioRange(float(r), require_finite(float(R), "R = max p_i/q_i"))

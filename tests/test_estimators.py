@@ -28,6 +28,15 @@ class TestEstimatorId:
             db.EstimatorId(family, t)
         assert isinstance(info.value, DivBoundsError)
 
+    @pytest.mark.parametrize(
+        "family, t, message",
+        [("XI", 9, "XI index must be in 1..8"), ("ZETA", 0, "ZETA index must be in 1..4"), ("ZETA", 5, "ZETA index must be in 1..4"), ("NU", 1, "unknown family 'NU'")],
+    )
+    def test_validation_messages(self, family, t, message):
+        with pytest.raises(InvalidArgument) as info:
+            db.EstimatorId(family, t)
+        assert str(info.value) == message
+
     def test_all_estimators(self):
         ests = db.all_estimators()
         assert len(ests) == 12
@@ -73,6 +82,29 @@ class TestEstimate:
         chi2_adj = db.divergence("CHI2_ADJ", P, Q)
         expected = 4 * g1 / (chi2_adj - 4 * g1)
         assert db.estimate(db.EstimatorId("XI", 5), P, Q) == pytest.approx(expected, rel=1e-14)
+
+    def test_every_estimate_is_its_formula_bit_for_bit(self, pairs_100):
+        # The paper's twelve ratios, written out on the pair's divergences.
+        s = math.sqrt
+        formulas = {
+            "xi1": lambda d: s(2 * d["F1"]) / (s(d["CHI2_ADJ"]) - s(2 * d["F1"])),
+            "xi2": lambda d: (s(d["KL"]) - s(d["F1"])) / s(d["F1"]),
+            "xi3": lambda d: s(d["F2"]) / (s(d["KL_ADJ"]) - s(d["F2"])),
+            "xi4": lambda d: (s(d["CHI2"]) - s(2 * d["F2"])) / s(2 * d["F2"]),
+            "xi5": lambda d: 4 * d["G1"] / (d["CHI2_ADJ"] - 4 * d["G1"]),
+            "xi6": lambda d: (d["KL_ADJ"] - 2 * d["G1"]) / (2 * d["G1"]),
+            "xi7": lambda d: 2 * d["G2"] / (d["KL"] - 2 * d["G2"]),
+            "xi8": lambda d: (d["CHI2"] - 4 * d["G2"]) / (4 * d["G2"]),
+            "zeta1": lambda d: (d["J"] - d["KL_ADJ"]) / d["KL_ADJ"],
+            "zeta2": lambda d: d["KL"] / (d["J"] - d["KL"]),
+            "zeta3": lambda d: 2 * d["I"] / (d["KL_ADJ"] - 2 * d["I"]),
+            "zeta4": lambda d: (d["KL"] - 2 * d["I"]) / (2 * d["I"]),
+        }
+        assert [str(e) for e in db.all_estimators()] == list(formulas)
+        for P, Q in pairs_100[:20]:
+            d = {m: db.divergence(m, P, Q) for m in db.MEASURE_IDS}
+            for est in db.all_estimators():
+                assert db.estimate(est, P, Q) == formulas[str(est)](d), str(est)
 
     def test_near_equal_pairs_raise_only_degenerate_pair(self):
         # p = q * (1 + 1e-8 z): several divergences round below zero, which

@@ -206,6 +206,20 @@ def _bits(x) -> bytes:
     return np.float64(x).tobytes()
 
 
+def _one_trials_pair(cfg, i) -> tuple:
+    """Trial i's (p, q) built alone, one vector and one 1-d sum at a time:
+    the reference that the (k, n) block builder must match bit for bit."""
+    u = harness._uniforms(harness._pair_key(cfg, i), 1 + 2 * cfg.n_max)
+    n = harness._support_size(cfg, u[0])
+
+    def build(block):
+        raw = np.exp(cfg.concentration * (2.0 * block - 1.0))
+        probs = np.maximum(raw / raw.sum(), 1e-12)
+        return np.maximum(probs / probs.sum(), 1e-12)
+
+    return build(u[1 : 1 + n]), build(u[1 + cfg.n_max : 1 + cfg.n_max + n])
+
+
 class TestPairTable:
     def test_quantities_equal_the_public_functions_bit_for_bit(self):
         cfg = db.TrialConfig(seed=31, trials=300)
@@ -277,6 +291,41 @@ class TestPairTable:
         )
         assert report.checks == cfg.trials
         assert _bits(report.worst_slack) == _bits(expected)
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            db.TrialConfig(seed=0),
+            db.TrialConfig(seed=7),
+            db.TrialConfig(seed=42),
+            db.TrialConfig(seed=50, trials=3, n_min=200_000, n_max=200_000),
+            db.TrialConfig(seed=51, concentration=1e-4),
+            db.TrialConfig(seed=52, concentration=20.0),
+        ],
+        ids=["seed0", "seed7", "seed42", "n200000", "concentration1e-4", "concentration20"],
+    )
+    def test_blocks_are_the_per_trial_pairs_bit_for_bit(self, cfg):
+        sizes = set()
+        for trials in harness.PairTable(cfg)._chunks:
+            p, q = harness._stack(cfg, trials)
+            assert p.shape == q.shape == (len(trials), p.shape[1])
+            sizes.add(p.shape[1])
+            for row, i in enumerate(trials):
+                P, Q = harness._build_pair(cfg, i)
+                expected = [v.tobytes() for v in _one_trials_pair(cfg, i)]
+                assert [p[row].tobytes(), q[row].tobytes()] == expected, i
+                assert [P.probs.tobytes(), Q.probs.tobytes()] == expected, i
+        if cfg.n_max == 64:
+            assert sizes == set(range(2, 65))
+
+    def test_the_table_builds_its_own_blocks(self, monkeypatch):
+        def no_pairs(config, trial_index):
+            raise AssertionError("the pair table read a pair")
+
+        monkeypatch.setattr(harness, "_memo_pair", no_pairs)
+        monkeypatch.setattr(harness, "_build_pair", no_pairs)
+        table = harness.PairTable(db.TrialConfig(seed=53, trials=40))
+        assert np.isfinite(table.d("J")).all() and np.isfinite(table.extremes()[1]).all()
 
     def test_standalone_suite_matches_the_run(self):
         cfg = db.TrialConfig(seed=36, trials=60)

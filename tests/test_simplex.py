@@ -18,6 +18,7 @@ from divbounds.errors import (
     NumericOverflow,
     ZeroEntry,
 )
+from divbounds.simplex import pair_probs
 
 
 class TestNormalize:
@@ -106,6 +107,92 @@ class TestDistribution:
         d = db.normalize([1, 1, 2])
         assert len(d) == 3
         assert sum(d) == pytest.approx(1.0, abs=1e-15)
+
+    def test_adopts_a_read_only_float64_array_that_owns_its_data(self):
+        probs = np.array([0.25, 0.75])
+        probs.setflags(write=False)
+        assert db.Distribution(probs).probs is probs
+
+    @pytest.mark.parametrize("make", ["writable", "read_only_view", "list", "float32"])
+    def test_copies_anything_else(self, make):
+        base = np.array([[0.25, 0.75], [0.5, 0.5]])
+        given = {
+            "writable": base[0].copy(),
+            "read_only_view": base[0],
+            "list": [0.25, 0.75],
+            "float32": np.array([0.25, 0.75], dtype=np.float32),
+        }[make]
+        if isinstance(given, np.ndarray):
+            given.setflags(write=make == "writable")
+        P = db.Distribution(given)
+        assert P.probs is not given and not np.shares_memory(P.probs, base)
+        assert P.probs.dtype == np.float64 and not P.probs.flags.writeable
+        if make != "list":
+            base[0] = [0.9, 0.1]
+        assert P.probs.tolist() == [0.25, 0.75]
+
+    def test_normalize_and_smooth_hand_over_a_read_only_quotient(self):
+        for d in (db.normalize([1, 3]), db.smooth([0, 2], 1.0)):
+            assert d.probs.flags.owndata and not d.probs.flags.writeable
+            assert d.probs.tolist() == [0.25, 0.75]
+
+
+#: Weights that fail the raw-weight check, as normalize(raw) (alpha None)
+#: or smooth(raw, alpha), and the error type and message each raises.
+WEIGHT_ERRORS = [
+    ([-0.25, 1.0], None, NegativeEntry, "weights must be nonnegative"),
+    # alpha would lift the negative weight: smooth checks raw first.
+    ([-0.25, 1.0], 0.5, NegativeEntry, "weights must be nonnegative"),
+    # raw is finite, raw + alpha is not: normalize checks the sum again.
+    ([1.7e308, 1.0], 1e308, NonFinite, "weights must be finite"),
+    ([math.nan, -1.0], None, NonFinite, "weights must be finite"),
+    ([math.nan, -1.0], 0.5, NonFinite, "weights must be finite"),
+    ([[1.0, 2.0], [3.0, 4.0]], None, EmptyOrTooShort, "need at least 2 entries, got shape (2, 2)"),
+    ([[1.0, 2.0], [3.0, 4.0]], 0.5, EmptyOrTooShort, "need at least 2 entries, got shape (2, 2)"),
+    ([0.0, 0.0], None, ZeroEntry, "weights sum to zero"),
+]
+
+
+@pytest.mark.parametrize("raw, alpha, error, message", WEIGHT_ERRORS)
+def test_weight_errors_keep_their_type_and_message(raw, alpha, error, message):
+    with pytest.raises(error) as info, np.errstate(over="ignore"):
+        db.normalize(raw) if alpha is None else db.smooth(raw, alpha)
+    assert type(info.value) is error and str(info.value) == message
+
+
+class TestPairProbs:
+    SHORT, LONG = db.normalize([1, 2]), db.normalize([1, 2, 3])
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            pair_probs,
+            db.ratio_range,
+            lambda P, Q: db.divergence("KL", P, Q),
+            lambda P, Q: db.phi_s(0.5, P, Q),
+            lambda P, Q: db.eval_csiszar("J", P, Q),
+            lambda P, Q: db.e_cf("J", P, Q),
+        ],
+        ids=["pair_probs", "ratio_range", "divergence", "phi_s", "eval_csiszar", "e_cf"],
+    )
+    def test_length_mismatch_message(self, call):
+        with pytest.raises(LengthMismatch, match=r"^lengths differ: 2 vs 3$"):
+            call(self.SHORT, self.LONG)
+
+    @pytest.mark.parametrize(
+        "call, error",
+        [
+            (lambda P, Q: db.divergence("NOPE", P, Q), LengthMismatch),
+            (lambda P, Q: db.eval_csiszar("NOPE", P, Q), LengthMismatch),
+            (lambda P, Q: db.e_cf("NOPE", P, Q), LengthMismatch),
+            (lambda P, Q: db.phi_s(math.nan, P, Q), NonFinite),
+        ],
+        ids=["divergence", "eval_csiszar", "e_cf", "phi_s"],
+    )
+    def test_first_error_on_a_pair_bad_in_two_ways(self, call, error):
+        # The length is checked before the measure is resolved, and after s.
+        with pytest.raises(error):
+            call(self.SHORT, self.LONG)
 
 
 class TestRatioRange:
