@@ -2,9 +2,10 @@
 
 Input files hold named raw weight vectors, either as JSON
 ``{"distributions": {"name": [w1, w2, ...]}}`` or as headerless CSV rows
-``name,w1,w2,...``.  All printed reals use 17 significant digits so every
-binary64 value round-trips exactly.  Exit codes: 0 success, 1 bound or
-inequality violation, 2 usage/input error.
+``name,w1,w2,...``; a name given twice is an input error.  All printed
+reals use 17 significant digits so every binary64 value round-trips
+exactly.  Exit codes: 0 success, 1 bound or inequality violation, 2
+usage/input error.
 """
 
 from __future__ import annotations
@@ -35,10 +36,12 @@ def load_distributions(path: str, fmt: str) -> dict:
     """Parse a distribution file into {name: raw weight list}."""
     if fmt == "json":
         with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
+            doc = json.load(fh, object_pairs_hook=_JsonObject)
         dists = doc.get("distributions")
         if not isinstance(dists, dict):
             raise DivBoundsError(f"{path}: expected a top-level 'distributions' object")
+        if dists.duplicate is not None:
+            raise DivBoundsError(f"{path}: duplicate distribution name {dists.duplicate!r}")
         return {str(k): _json_weights(str(k), v) for k, v in dists.items()}
     if fmt == "csv":
         out = {}
@@ -52,6 +55,21 @@ def load_distributions(path: str, fmt: str) -> dict:
                 out[name] = values
         return out
     raise DivBoundsError(f"unknown format {fmt!r}")
+
+
+class _JsonObject(dict):
+    """A parsed JSON object that remembers the first key it holds twice
+    (None if none), where a plain dict keeps the last value silently."""
+
+    __slots__ = ("duplicate",)
+
+    def __init__(self, pairs: list):
+        super().__init__()
+        self.duplicate = None
+        for key, value in pairs:
+            if key in self and self.duplicate is None:
+                self.duplicate = key
+            self[key] = value
 
 
 def _json_weights(name: str, value) -> list:
@@ -126,7 +144,7 @@ def cmd_bounds(args) -> int:
     P, Q = _get_pair(args)
     if args.measure not in CATALOG_IDS:
         raise UnknownMeasure(f"bounds require one of {', '.join(CATALOG_IDS)}")
-    rep = bound_interval(args.measure, args.s_value, P, Q, method=args.method)
+    rep = bound_interval(args.measure, args.s_value, P, Q)
     chain = bound_set(args.s_value, P, Q)
     rng = rep.mm.range
     report = {
@@ -241,7 +259,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_pair_args(p)
     p.add_argument("--measure", required=True, help=f"One of {', '.join(CATALOG_IDS)}.")
     p.add_argument("--s", dest="s_value", type=float, required=True, help="Power-family parameter.")
-    p.add_argument("--method", choices=("auto", "closed", "numeric"), default="auto")
     p.set_defaults(fn=cmd_bounds)
 
     p = sub.add_parser("verify", help="Run randomized verification suites.")

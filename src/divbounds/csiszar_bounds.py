@@ -19,7 +19,7 @@ regions (:data:`CLOSED_FORM_REGIONS`) are its claim that S_s has no
 positive root there; the tests check them against the roots.  Each
 global extremum the paper names is g at the single positive root of S_s.
 An independent numeric optimizer (log-spaced scan plus golden-section
-refinement) is kept as the test oracle and as method "numeric".  g has
+refinement), :func:`mm_numeric`, is kept as the test oracle.  g has
 one formula, g = x^((a-s)+k) * n(y) / d(y) from the scaled form of f'',
 which leaves the float range only where g does; g_eval raises there, and
 an array of x follows its float path bit for bit.
@@ -35,7 +35,6 @@ from typing import Optional
 import numpy as np
 
 from .errors import (
-    InvalidArgument,
     InvalidRange,
     NonPositiveX,
     NotTabulated,
@@ -512,12 +511,10 @@ class BoundReport:
         return self.lower_slack >= VIOLATION_TOL and self.upper_slack >= VIOLATION_TOL
 
 
-def bound_interval(measure, s: float, P: Distribution, Q: Distribution, method: str = "auto") -> BoundReport:
+def bound_interval(measure, s: float, P: Distribution, Q: Distribution) -> BoundReport:
     """Sandwich m * phi_s <= C_f <= M * phi_s for a catalog id or any
-    Generator, phi_generator(t) or a user's.
-
-    method "auto" and "closed" both take the exact (m, M) of
-    :func:`mm_exact`; "numeric" forces the oracle.  Raises NonFinite for a
+    Generator, phi_generator(t) or a user's, with the exact (m, M) of
+    :func:`mm_exact` on the pair's own ratio range.  Raises NonFinite for a
     nan or infinite s, and NumericOverflow where R, g, phi_s, C_f or a
     bound leaves the float range.
 
@@ -529,13 +526,11 @@ def bound_interval(measure, s: float, P: Distribution, Q: Distribution, method: 
     field holds the bits of those public functions, :func:`mm_exact` and
     :func:`sandwich`, and every error is theirs.
     """
-    if method not in ("auto", "closed", "numeric"):
-        raise InvalidArgument(f"unknown method {method!r}")
     phi_gen = phi_generator(s)
     with np.errstate(over="ignore", invalid="ignore"):  # NumericOverflow is the only signal
         x, rng = pair_ratios(P, Q)
         gen = get_generator(measure)
-        mm = mm_numeric(gen, s, rng) if method == "numeric" else mm_exact(gen, s, rng)
+        mm = mm_exact(gen, s, rng)
         q = Q.probs
         phi = finite_phi(s, float(csiszar_sums(phi_gen, q, x)))
         value = finite_cf(gen, float(csiszar_sums(gen, q, x)))
@@ -570,19 +565,13 @@ class DifferenceReport:
         return all(slack >= VIOLATION_TOL for slack in self.checks.values())
 
 
-def difference_bounds(
-    gen: Generator, s: float, P: Distribution, Q: Distribution, mm: Optional[MMBounds] = None
-) -> DifferenceReport:
-    """Check the three difference sandwiches for a Generator or catalog id.
-
-    (m, M) must bound g on the whole ratio range; if not supplied they are
-    the exact (m, M) of :func:`mm_exact`'s rule, which needs only the
-    generator's Rational f''.
-    """
+def difference_bounds(gen: Generator, s: float, P: Distribution, Q: Distribution) -> DifferenceReport:
+    """Check the three difference sandwiches for a Generator or catalog id,
+    with the exact (m, M) of :func:`mm_exact` on the pair's own ratio
+    range, which needs only the generator's Rational f''."""
     rng = ratio_range(P, Q)
     gen = get_generator(gen)
-    if mm is None:
-        mm = mm_exact(gen, s, rng)
+    mm = mm_exact(gen, s, rng)
     cf, phi = eval_csiszar(gen, P, Q), phi_s(s, P, Q)
     pair = (phi_generator(s), gen)
     forms = [("e", *(e_cf(g, P, Q) for g in pair)), ("a", *(a_cf(g, rng) for g in pair))]

@@ -66,8 +66,8 @@ class UnknownSuite(DivBoundsError):
 
 
 class InvalidArgument(DivBoundsError, ValueError):
-    """An argument lies outside its allowed values (a config field, a
-    method name, an estimator family or index)."""
+    """An argument lies outside its allowed values (a config field, an
+    estimator family or index)."""
 
 
 class NumericOverflow(DivBoundsError, OverflowError):

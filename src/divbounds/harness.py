@@ -477,7 +477,7 @@ def _thm32_trial(config: TrialConfig, i):
     measure, s = _thm32_cell(config, i)
     P, Q = _memo_pair(config, i)
     rep = bound_interval(measure, s, P, Q)
-    diff = difference_bounds(get_generator(measure), s, P, Q, rep.mm)
+    diff = difference_bounds(measure, s, P, Q)
     return _thm32_checks(measure, s, rep.lower_slack, rep.upper_slack, diff.checks)
 
 

@@ -144,10 +144,14 @@ def normalize(raw) -> Distribution:
     Zeros are a hard error: every generator is evaluated at x = p/q and
     several second derivatives diverge at 0.  Use :func:`smooth` for
     empirical count vectors.  The quotient is made read-only here, so the
-    Distribution adopts it without a copy.
+    Distribution adopts it without a copy.  Finite weights whose sum
+    overflows raise NonFinite.
     """
     arr = _weights(raw)
-    total = arr.sum()
+    with np.errstate(over="ignore"):  # NonFinite is the only signal
+        total = arr.sum()
+    if not math.isfinite(total):
+        raise NonFinite("weights must sum to a finite value")
     if not total > 0.0:
         raise ZeroEntry("weights sum to zero")
     probs = arr / total
@@ -166,7 +170,9 @@ def smooth(raw, alpha: float) -> Distribution:
         raise NonFinite("alpha must be finite")
     if alpha <= 0.0:
         raise NonPositiveAlpha(f"alpha must be > 0, got {alpha}")
-    return normalize(_weights(raw) + alpha)
+    with np.errstate(over="ignore"):  # an inf here is normalize's NonFinite
+        lifted = _weights(raw) + alpha
+    return normalize(lifted)
 
 
 @np.errstate(over="ignore")  # NumericOverflow is the only signal

@@ -127,7 +127,7 @@ def test_criterion_6_sandwich_bounds(golden_pair):
             # One s per (trial, measure), alternating validity branches.
             u = float(_uniforms(_mix(4000 + i), 9)[list(CLOSED_FORM_REGIONS).index(mid)])
             s = lo - 3.0 * u if i % 2 == 0 else hi + 3.0 * u
-            rep = db.bound_interval(mid, s, P, Q, method="closed")
+            rep = db.bound_interval(mid, s, P, Q)
             assert rep.mm.method == "closed_form"
             worst = min(worst, rep.lower_slack, rep.upper_slack)
     P, Q = golden_pair

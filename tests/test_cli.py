@@ -46,6 +46,24 @@ class TestLoadDistributions:
         with pytest.raises(db.errors.DivBoundsError):
             load_distributions(str(path), "csv")
 
+    @pytest.mark.parametrize(
+        "name, text",
+        [
+            ("dup.csv", "a,1,2\na,2,1\nb,1,1\n"),
+            ("dup.json", '{"distributions": {"a": [1, 2], "a": [2, 1], "b": [1, 1]}}'),
+        ],
+        ids=["csv", "json"],
+    )
+    def test_duplicate_name_is_usage_error(self, tmp_path, capsys, name, text):
+        # json.load would keep the last "a" silently; both formats refuse it.
+        path = tmp_path / name
+        path.write_text(text)
+        code = main(["compute", "--input", str(path), "--p", "a", "--q", "b", "--measure", "J"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err == f"error: {path}: duplicate distribution name 'a'\n"
+        assert captured.out == ""
+
 
 class TestCompute:
     def test_golden_j(self, golden_json, capsys):
@@ -142,11 +160,18 @@ class TestBounds:
         assert (report["e_bound"], report["a_bound"], report["b_bound"]) == (chain.e_bound, chain.a_bound, chain.b_bound)
 
     def test_gap_reports_closed_form(self, golden_json, capsys):
-        code = main(["bounds", "--input", golden_json, "--p", "a", "--q", "b", "--measure", "D1", "--s", "1", "--method", "closed"])
+        code = main(["bounds", "--input", golden_json, "--p", "a", "--q", "b", "--measure", "D1", "--s", "1"])
         out = capsys.readouterr().out
         assert code == 0
         assert "method closed_form" in out
         assert "holds" in out
+
+    def test_method_is_not_an_option(self, golden_json, capsys):
+        # (m, M) always come from mm_exact; argparse rejects the old selector.
+        with pytest.raises(SystemExit) as info:
+            main(["bounds", "--input", golden_json, "--p", "a", "--q", "b", "--measure", "I", "--s", "1", "--method", "numeric"])
+        assert info.value.code == 2
+        assert "unrecognized arguments: --method numeric" in capsys.readouterr().err
 
     def test_equal_pair_all_zero(self, golden_json, capsys):
         code = main(["bounds", "--input", golden_json, "--p", "u", "--q", "u", "--measure", "J", "--s", "1", "--json"])

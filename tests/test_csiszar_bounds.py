@@ -13,7 +13,6 @@ import divbounds.csiszar_bounds as cb
 from divbounds.csiszar_bounds import CLOSED_FORM_REGIONS, global_extrema_table
 from divbounds.errors import (
     DivBoundsError,
-    InvalidArgument,
     InvalidRange,
     LengthMismatch,
     NonFinite,
@@ -97,8 +96,9 @@ class TestGEval:
         # phi_t's g = x^(t-s) is one power: 1 at s = t, however far x^(2-s) and
         # f''(x) = x^(t-2) are out of the float range.
         assert db.g_eval(db.phi_generator(0.5), 0.5, 1e-250) == 1.0
-        rep = db.bound_interval(db.phi_generator(0.5), 0.5, db.normalize([1e-250, 1]), db.normalize([1, 1]), method="numeric")
-        assert (rep.mm.m, rep.mm.M) == (1.0, 1.0)
+        P, Q = db.normalize([1e-250, 1]), db.normalize([1, 1])
+        mm = db.mm_numeric(db.phi_generator(0.5), 0.5, db.ratio_range(P, Q))
+        assert (mm.m, mm.M) == (1.0, 1.0)
 
     def test_overflowing_denominator_gives_no_false_zero(self):
         # D1's f'' = (x+3)/(x+1)^2 has D = inf at x = 1e200, so N/D = 0 is
@@ -247,9 +247,11 @@ class TestMMClosed:
         # g = x^2 underflows to 0 at r = 2e-200: the exact and the numeric
         # (m, M) both raise, as g_eval does for every catalog measure.
         P, Q = db.normalize([1e-200, 1]), db.normalize([1, 1])
-        for method in ("auto", "numeric"):
-            with pytest.raises(NumericOverflow, match="leaves the float range"):
-                db.bound_interval(db.phi_generator(3.0), 1.0, P, Q, method=method)
+        gen = db.phi_generator(3.0)
+        with pytest.raises(NumericOverflow, match="leaves the float range"):
+            db.bound_interval(gen, 1.0, P, Q)
+        with pytest.raises(NumericOverflow, match="leaves the float range"):
+            db.mm_numeric(gen, 1.0, db.ratio_range(P, Q))
         # A nan or infinite s is rejected before g, at every (m, M) entry point.
         rng = db.RatioRange(0.5, 2.0)
         for s in (math.nan, math.inf, -math.inf):
@@ -733,7 +735,7 @@ class TestBoundInterval:
 
     def test_gap_uses_exact_extrema(self, golden_pair):
         P, Q = golden_pair
-        rep = db.bound_interval("D1", 1, P, Q, method="closed")
+        rep = db.bound_interval("D1", 1, P, Q)
         assert rep.mm.method == "closed_form"
         oracle = db.mm_numeric(db.catalog()["D1"], 1, rep.mm.range)
         assert rep.mm.m == pytest.approx(oracle.m, rel=1e-12)
@@ -748,27 +750,15 @@ class TestBoundInterval:
         for P, Q in make_pairs(5, seed=17):
             for mid in db.CATALOG_IDS:
                 for s in db.TrialConfig().s_samples:
-                    for method in ("auto", "closed"):
-                        rep = db.bound_interval(mid, s, P, Q, method=method)
-                        assert rep.mm.method == "closed_form"
-                        assert rep.holds, (mid, s)
+                    rep = db.bound_interval(mid, s, P, Q)
+                    assert rep.mm.method == "closed_form"
+                    assert rep.holds, (mid, s)
 
     def test_numeric_method_forced(self, golden_pair):
         P, Q = golden_pair
-        rep = db.bound_interval("I", 1, P, Q, method="numeric")
-        assert rep.mm.method == "numeric"
-        assert rep.lower == pytest.approx(0.0686633, abs=1e-6)
-
-    def test_bad_method(self, golden_pair):
-        P, Q = golden_pair
-        with pytest.raises(ValueError):
-            db.bound_interval("I", 1, P, Q, method="exact")
-
-    def test_bad_method_is_typed(self, golden_pair):
-        P, Q = golden_pair
-        with pytest.raises(InvalidArgument) as info:
-            db.bound_interval("I", 1, P, Q, method="exact")
-        assert isinstance(info.value, DivBoundsError)
+        mm = db.mm_numeric("I", 1, db.ratio_range(P, Q))
+        assert mm.method == "numeric"
+        assert mm.m * db.phi_s(1, P, Q) == pytest.approx(0.0686633, abs=1e-6)
 
     def test_overflowing_g_is_typed(self):
         P, Q = db.normalize([1, 1e6]), db.normalize([1e6, 1])
@@ -793,9 +783,10 @@ class TestBoundInterval:
     def test_non_finite_s_is_typed(self, measure, s):
         # s is checked before g, which would raise NumericOverflow at x = 1/3.
         P, Q = db.normalize([1, 2, 3]), db.normalize([3, 2, 1])
-        for method in ("auto", "numeric"):
-            with pytest.raises(NonFinite, match=f"^s must be finite, got {s}$"):
-                db.bound_interval(measure, s, P, Q, method=method)
+        with pytest.raises(NonFinite, match=f"^s must be finite, got {s}$"):
+            db.bound_interval(measure, s, P, Q)
+        with pytest.raises(NonFinite, match=f"^s must be finite, got {s}$"):
+            db.mm_numeric(measure, s, db.ratio_range(P, Q))
 
     def test_one_errstate_and_no_public_wrapper(self, monkeypatch, golden_pair):
         entered = []
@@ -893,12 +884,24 @@ class TestBoundIntervalParity:
 
 
 class TestDifferenceBounds:
+    def test_mm_comes_from_the_pair_alone(self):
+        # (m, M) are mm_exact's on the pair's own s and range; no caller can
+        # put another s's or range's (m, M) into a report.
+        P, Q = db.normalize([3, 1, 2]), db.normalize([1, 3, 2])
+        rep = db.difference_bounds("J", 1.0, P, Q)
+        assert rep.mm == db.mm_exact("J", 1.0, db.ratio_range(P, Q))
+        assert rep.holds
+        with pytest.raises(TypeError):
+            db.difference_bounds("J", 1.0, P, Q, db.mm_exact("J", 0.5, db.RatioRange(0.9, 1.1)))
+        with pytest.raises(TypeError):
+            db.bound_interval("J", 1.0, P, Q, "numeric")
+
     def test_phi_generator_is_tight(self, pairs_100):
         # gen equal to the power generator makes g constant 1, so every
         # difference sandwich collapses to an identity.
         for s in (0.0, 0.5, 1.0, 2.0):
             for P, Q in pairs_100[:10]:
-                rep = db.difference_bounds(db.phi_generator(s), s, P, Q, mm=None)
+                rep = db.difference_bounds(db.phi_generator(s), s, P, Q)
                 assert rep.mm.m == pytest.approx(1.0, rel=1e-9)
                 assert rep.mm.M == pytest.approx(1.0, rel=1e-9)
                 for name, slack in rep.checks.items():

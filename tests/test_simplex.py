@@ -150,12 +150,15 @@ WEIGHT_ERRORS = [
     ([[1.0, 2.0], [3.0, 4.0]], None, EmptyOrTooShort, "need at least 2 entries, got shape (2, 2)"),
     ([[1.0, 2.0], [3.0, 4.0]], 0.5, EmptyOrTooShort, "need at least 2 entries, got shape (2, 2)"),
     ([0.0, 0.0], None, ZeroEntry, "weights sum to zero"),
+    # Every weight is finite and nonzero, their sum is not.
+    ([1e308, 1e308], None, NonFinite, "weights must sum to a finite value"),
 ]
 
 
+@pytest.mark.filterwarnings("error")  # no numpy warning escapes before the error
 @pytest.mark.parametrize("raw, alpha, error, message", WEIGHT_ERRORS)
 def test_weight_errors_keep_their_type_and_message(raw, alpha, error, message):
-    with pytest.raises(error) as info, np.errstate(over="ignore"):
+    with pytest.raises(error) as info:
         db.normalize(raw) if alpha is None else db.smooth(raw, alpha)
     assert type(info.value) is error and str(info.value) == message
 
