@@ -40,19 +40,20 @@ through the cores that the public scalar functions call, bit for bit:
 numpy's + - * / and sqrt are correctly rounded, and f and f' are called on
 one float at a time.  Where a trial would make a public function raise, or
 a slack is not finite, such a suite checks trial by trial instead, through
-the public per-pair functions on each trial's own pair (:func:`bound_set`;
-:func:`bound_interval` and :func:`difference_bounds`; :func:`estimate` and
-:func:`ratio_range`), so that it raises the first failing trial's error, in
-trial order.
+the public per-pair functions (:func:`bound_set`; :func:`bound_interval`
+and :func:`difference_bounds`; :func:`estimate` and :func:`ratio_range`) on
+the pair that :func:`run_suite` reads for the trial, so that it raises the
+first failing trial's error, in trial order.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 import numbers
 import threading
+from collections import namedtuple
 from dataclasses import asdict, dataclass, field
-from typing import Callable
 
 import numpy as np
 
@@ -80,27 +81,21 @@ _MASK = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 
 
-def _mix(z: int) -> int:
-    """64-bit finalizer: xor-shift / multiply avalanche."""
-    z &= _MASK
-    z ^= z >> 30
-    z = (z * 0xBF58476D1CE4E5B9) & _MASK
-    z ^= z >> 27
-    z = (z * 0x94D049BB133111EB) & _MASK
-    z ^= z >> 31
-    return z
+def _mix(z: np.ndarray) -> np.ndarray:
+    """64-bit finalizer, xor-shift / multiply avalanche, on a uint64 array
+    (an array's products wrap mod 2**64 silently; a numpy scalar's warn)."""
+    z = z ^ (z >> np.uint64(30))
+    z = z * np.uint64(0xBF58476D1CE4E5B9)
+    z = z ^ (z >> np.uint64(27))
+    z = z * np.uint64(0x94D049BB133111EB)
+    return z ^ (z >> np.uint64(31))
 
 
 def _uniforms(key, count: int) -> np.ndarray:
     """`count` uniforms in [0, 1) from counter-mode mixing of `key`, or one
     row of them per key of a sequence of keys."""
     z = np.asarray(key, dtype=np.uint64)[..., None] + np.arange(1, count + 1, dtype=np.uint64) * np.uint64(_GOLDEN)
-    z = z ^ (z >> np.uint64(30))
-    z = z * np.uint64(0xBF58476D1CE4E5B9)
-    z = z ^ (z >> np.uint64(27))
-    z = z * np.uint64(0x94D049BB133111EB)
-    z = z ^ (z >> np.uint64(31))
-    return (z >> np.uint64(11)).astype(np.float64) * 2.0**-53
+    return (_mix(z) >> np.uint64(11)).astype(np.float64) * 2.0**-53
 
 
 def _is_number(value, kind) -> bool:
@@ -165,13 +160,6 @@ def random_pair(config: TrialConfig, trial_index: int):
     Repeated calls with the same pair-generating key return the same
     objects while the memo's budget lasts.
     """
-    return _memo_pair(config, trial_index)
-
-
-def _memo_pair(config: TrialConfig, trial_index: int):
-    """The body of :func:`random_pair`.  The suites' per-trial fallback
-    reads pairs here, so that only :func:`run_suite` calls random_pair,
-    once per trial."""
     global _memo
     key = (config.seed, config.n_min, config.n_max, config.concentration)
     memo = _memo
@@ -188,8 +176,11 @@ def _memo_pair(config: TrialConfig, trial_index: int):
     return pair
 
 
-def _pair_key(config: TrialConfig, trial_index: int) -> int:
-    return _mix((config.seed ^ _mix(trial_index * _GOLDEN)) & _MASK)
+def _pair_keys(config: TrialConfig, trials) -> np.ndarray:
+    """The key of the uniforms of each trial's pair, for an array of trial
+    indices in [0, 2**64)."""
+    index = np.asarray(trials, dtype=np.uint64) * np.uint64(_GOLDEN)
+    return _mix(np.uint64(config.seed & _MASK) ^ _mix(index))
 
 
 def _support_size(config: TrialConfig, u0: float) -> int:
@@ -216,7 +207,7 @@ def _pair_rows(config: TrialConfig, u: np.ndarray) -> tuple:
 
 def _build_pair(config: TrialConfig, trial_index: int):
     """Build the pair of :func:`random_pair` from scratch."""
-    pair = _pair_rows(config, _uniforms(_pair_key(config, trial_index), 1 + 2 * config.n_max))
+    pair = _pair_rows(config, _uniforms(_pair_keys(config, [trial_index & _MASK]), 1 + 2 * config.n_max)[0])
     for probs in pair:
         probs.setflags(write=False)  # adopted by the Distribution, not copied
     return Distribution(pair[0]), Distribution(pair[1])
@@ -225,7 +216,7 @@ def _build_pair(config: TrialConfig, trial_index: int):
 def _stack(config: TrialConfig, trials) -> tuple:
     """(P block, Q block) of the trials' pairs, all of one support size,
     built as :func:`_build_pair` builds each, row for row and bit for bit."""
-    return _pair_rows(config, _uniforms([_pair_key(config, i) for i in trials], 1 + 2 * config.n_max))
+    return _pair_rows(config, _uniforms(_pair_keys(config, trials), 1 + 2 * config.n_max))
 
 
 class PairTable:
@@ -242,7 +233,7 @@ class PairTable:
     def __init__(self, config: TrialConfig):
         self.config = config
         by_size = {}
-        first = _uniforms([_pair_key(config, i) for i in range(config.trials)], 1)[:, 0]
+        first = _uniforms(_pair_keys(config, np.arange(config.trials, dtype=np.uint64)), 1)[:, 0]
         for i, u0 in enumerate(first.tolist()):
             by_size.setdefault(_support_size(config, u0), []).append(i)
         self._chunks = []
@@ -321,7 +312,7 @@ class SuiteReport:
         self.checks += 1
         if slack < self.worst_slack:  # min(), without the call
             self.worst_slack = slack
-        if slack < VIOLATION_TOL:
+        if not slack >= VIOLATION_TOL:  # a nan slack is a violation
             self.violations += 1
             if len(self.examples) < 3:
                 self.examples.append(
@@ -341,59 +332,57 @@ class SuiteReport:
 
 
 # ---------------------------------------------------------------------------
-# Suites.  A suite's check takes the run's PairTable and returns rows(i), the
-# (check name, slack) pairs of trial i.  Identities report slack =
-# -|lhs - rhs| so the shared violation threshold applies uniformly.  Checks
-# are collected in a dict by name, so a repeated name (a repeated s, say) is
-# checked once.
+# Suites.  A suite is one record: its description; columns(table), its checks
+# of the run's trials as float64 columns, in groups [(trials, {check name:
+# slack of each of those trials})], a trial's names being those of its group;
+# and, for the suites whose columns can fail where a public function would
+# raise, fallback(config, i, P, Q), the {check name: slack} of trial i from
+# the public per-pair functions on its pair (P, Q).  Identities report
+# slack = -|lhs - rhs| so the shared violation threshold applies uniformly.
+# Checks are collected in a dict by name, so a repeated name (a repeated s,
+# say) is checked once.
+
+_Suite = namedtuple("_Suite", "description columns fallback", defaults=(None,))
 
 
-def _identity(diff):
-    return -np.abs(diff)
+def _every(table, columns: dict) -> list:
+    """The one check group of columns that hold every trial of the run."""
+    return [(range(table.config.trials), columns)]
 
 
 def _rows(groups):
-    """rows(i) of checks given in groups (trials, {name: slack of each of
-    those trials}); a trial's names are those of its group."""
+    """rows(i, P, Q), the (check name, slack) pairs of trial i, of checks
+    given in groups."""
     by_trial = {}
     for trials, columns in groups:
         names = tuple(columns)
         for i, values in zip(trials, zip(*(np.asarray(v).tolist() for v in columns.values()))):
             by_trial[i] = (names, values)
-    return lambda i: zip(*by_trial[i])
+    return lambda i, P, Q: zip(*by_trial[i])
 
 
-def _columns(checks):
-    """checks: (name, fn(table) -> slack of every trial) tuples."""
+def _checks(suite: _Suite, table: PairTable):
+    """rows(i, P, Q) of a suite on a run's table: the (check name, slack)
+    pairs of trial i, whose pair is (P, Q).
 
-    def check(table):
-        return _rows([(range(table.config.trials), {name: fn(table) for name, fn in checks})])
-
-    return check
-
-
-def _column_suite(columns, trial):
-    """A suite checked as float64 columns over the run's trials.
-
-    columns(table) gives the checks in groups, as :func:`_rows` takes them,
-    or None where a trial's P = Q (estimators are 0/0).  Where it gives None,
-    raises, or gives a slack that is not finite, the suite takes
-    trial(config, i) instead: the public per-pair functions on trial i's
-    own pair, one trial at a time.  They raise the first failing trial's
-    error, in trial order, or record the same non-finite slack.
+    A suite with a fallback has its columns computed with numpy's warnings
+    off.  Where they raise a DivBoundsError, give None (a trial's P = Q,
+    where the estimators are 0/0) or give a slack that is not finite, rows
+    takes the fallback on each trial's own pair instead, one trial at a
+    time: the public functions raise the first failing trial's error, in
+    trial order, or give the same non-finite slack.
     """
-
-    def check(table):
-        try:
-            with np.errstate(all="ignore"):
-                groups = columns(table)
-        except DivBoundsError:
-            groups = None
-        if groups is not None and all(np.isfinite(v).all() for _, c in groups for v in c.values()):
-            return _rows(groups)
-        return lambda i: trial(table.config, i).items()
-
-    return check
+    fallback = suite.fallback
+    try:
+        with np.errstate(all="ignore") if fallback else contextlib.nullcontext():
+            groups = suite.columns(table)
+    except DivBoundsError:
+        if fallback is None:
+            raise
+        groups = None
+    if fallback is None or (groups is not None and all(np.isfinite(v).all() for _, c in groups for v in c.values())):
+        return _rows(groups)
+    return lambda i, P, Q: fallback(table.config, i, P, Q).items()
 
 
 def _split_ranges(table):
@@ -431,8 +420,7 @@ def _thm31_columns(table):
     return groups
 
 
-def _thm31_trial(config: TrialConfig, i):
-    P, Q = _memo_pair(config, i)
+def _thm31_trial(config: TrialConfig, i, P, Q):
     return _thm31_checks(config, lambda s: bound_set(s, P, Q).checks)
 
 
@@ -473,16 +461,15 @@ def _thm32_columns(table):
     return groups
 
 
-def _thm32_trial(config: TrialConfig, i):
+def _thm32_trial(config: TrialConfig, i, P, Q):
     measure, s = _thm32_cell(config, i)
-    P, Q = _memo_pair(config, i)
     rep = bound_interval(measure, s, P, Q)
     diff = difference_bounds(measure, s, P, Q)
     return _thm32_checks(measure, s, rep.lower_slack, rep.upper_slack, diff.checks)
 
 
-def _sandwich_suite(measure: str, configured: bool = False):
-    """Sandwich checks of one measure at the s outside its
+def _sandwich(measure: str, configured: bool = False):
+    """columns of the sandwich checks of one measure at the s outside its
     :data:`CLOSED_FORM_REGIONS` gap: those of :data:`_SPECIAL_S` (a
     corollary), or with configured=True those of s_samples, if any (a theorem)."""
     lo, hi = CLOSED_FORM_REGIONS[measure]
@@ -492,38 +479,35 @@ def _sandwich_suite(measure: str, configured: bool = False):
 
     special = outside(_SPECIAL_S)
 
-    def check(table):
-        columns = {}
+    def columns(table):
+        checks = {}
         for s in (configured and outside(table.config.s_samples)) or special:
-            columns[f"s={s:g}:lower"], columns[f"s={s:g}:upper"] = table.sandwich(measure, s)
-        return _rows([(range(table.config.trials), columns)])
+            checks[f"s={s:g}:lower"], checks[f"s={s:g}:upper"] = table.sandwich(measure, s)
+        return _every(table, checks)
 
-    return check
-
-
-def _phi_case(s: float, k: float, named: str):
-    return lambda t: _identity(t.phi(s) - k * t.d(named))
+    return columns
 
 
 def _proposition(*checks):
-    """Theorem 3.2 at g's global extremum over (0, inf), for checks given
-    as (measure, s, name): with phi_s = k * named (:data:`_SPECIAL_S`) and
-    c = k * :func:`global_extrema`, a sup gives C_f <= c * named and an inf
-    named <= C_f / c."""
+    """columns of Theorem 3.2 at g's global extremum over (0, inf), for
+    checks given as (measure, s, name): with phi_s = k * named
+    (:data:`_SPECIAL_S`) and c = k * :func:`global_extrema`, a sup gives
+    C_f <= c * named and an inf named <= C_f / c."""
 
-    def column(measure: str, s: float):
+    def column(t, measure: str, s: float):
         k, named, _ = _SPECIAL_S[s]
         extremum = global_extrema(measure, s)
         c = k * extremum.value
         if extremum.kind == "sup":
-            return lambda t: c * t.d(named) - t.d(measure)
-        return lambda t: t.d(measure) / c - t.d(named)
+            return c * t.d(named) - t.d(measure)
+        return t.d(measure) / c - t.d(named)
 
-    return _columns([(name, column(measure, s)) for measure, s, name in checks])
+    return lambda t: _every(t, {name: column(t, measure, s) for measure, s, name in checks})
 
 
-def _containment_suite(estimator_ids):
-    names = [(est, f"{est}>=r", f"{est}<=R") for est in estimator_ids]
+def _containment_suite(description: str, family: str) -> _Suite:
+    """The family's estimators, each inside the ratio range [r, R]."""
+    names = [(est, f"{est}>=r", f"{est}<=R") for est in all_estimators() if est.family == family]
 
     def checks(r, R, value) -> dict:
         """{name: slack} of every estimator, value(est) giving its estimate."""
@@ -537,14 +521,13 @@ def _containment_suite(estimator_ids):
     def columns(table):
         if table.coincide().any():
             return None
-        return [(range(table.config.trials), checks(*table.extremes(), lambda est: estimate_from(est, table.d)))]
+        return _every(table, checks(*table.extremes(), lambda est: estimate_from(est, table.d)))
 
-    def trial(config, i):
-        P, Q = _memo_pair(config, i)
+    def trial(config, i, P, Q):
         rng = ratio_range(P, Q)
         return checks(rng.r, rng.R, lambda est: estimate(est, P, Q))
 
-    return _column_suite(columns, trial)
+    return _Suite(description, columns, trial)
 
 
 #: The power family's special cases phi_s = k * named measure, by s:
@@ -563,56 +546,56 @@ _H_LE_J8 = ("J", 0.5, "h<=J/8")
 _I_LE_H = ("I", 0.5, "I<=h")
 _H_LE_T = ("T", 0.5, "h<=T")
 
-_SUITES: "dict[str, tuple[str, Callable]]" = {
-    "eq3": (
+_SUITES = {
+    "eq3": _Suite(
         "J-divergence splits into its two relative halves",
-        _columns([("J=D1+D2", lambda t: _identity(t.d("J") - t.d("D1") - t.d("D2")))]),
+        lambda t: _every(t, {"J=D1+D2": -np.abs(t.d("J") - t.d("D1") - t.d("D2"))}),
     ),
-    "eq12": (
+    "eq12": _Suite(
         "J equals four times the sum of the JS and AG divergences",
-        _columns([("J=4(I+T)", lambda t: _identity(t.d("J") - 4.0 * (t.d("I") + t.d("T"))))]),
+        lambda t: _every(t, {"J=4(I+T)": -np.abs(t.d("J") - 4.0 * (t.d("I") + t.d("T")))}),
     ),
-    "eq13": (
+    "eq13": _Suite(
         "relative J equals twice the sum of the adjoint JS/AG halves",
-        _columns([("D1=2(F2+G2)", lambda t: _identity(t.d("D1") - 2.0 * (t.d("F2") + t.d("G2"))))]),
+        lambda t: _every(t, {"D1=2(F2+G2)": -np.abs(t.d("D1") - 2.0 * (t.d("F2") + t.d("G2")))}),
     ),
-    "phi_cases": (
+    "phi_cases": _Suite(
         "power-family special cases hit chi-square, KL and Hellinger",
-        _columns([(name, _phi_case(s, k, named)) for s, (k, named, name) in _SPECIAL_S.items()]),
+        lambda t: _every(t, {name: -np.abs(t.phi(s) - k * t.d(named)) for s, (k, named, name) in _SPECIAL_S.items()}),
     ),
-    "thm31": ("phi_s bound chain: 0 <= phi <= E <= A, phi <= B <= A, B-phi <= A", _column_suite(_thm31_columns, _thm31_trial)),
-    "thm32": ("generic sandwich m*phi_s <= C_f <= M*phi_s plus difference forms", _column_suite(_thm32_columns, _thm32_trial)),
-    "thm41": ("closed-form sandwich for relative J-divergence", _sandwich_suite("D1", configured=True)),
-    "cor41": ("relative J vs chi-square/KL/Hellinger special cases", _sandwich_suite("D1")),
-    "prop41": ("relative J bounded by 9/8 of KL", _proposition(("D1", 1.0, "D1<=9/8*KL"))),
-    "thm42": ("closed-form sandwich for the adjoint relative J-divergence", _sandwich_suite("D2", configured=True)),
-    "cor42": ("adjoint relative J special cases", _sandwich_suite("D2")),
-    "prop42": ("adjoint relative J bounded by 9/8 of adjoint KL", _proposition(("D2", 0.0, "D2<=9/8*KL_adj"))),
-    "thm43": ("closed-form sandwich for relative JS-divergence", _sandwich_suite("F1", configured=True)),
-    "cor43": ("relative JS special cases", _sandwich_suite("F1")),
-    "prop43": ("relative JS bounded by KL_adj/4 and (3*sqrt3/4)*Hellinger", _proposition(("F1", 0.0, "F1<=KL_adj/4"), ("F1", 0.5, "F1<=c*h"))),
-    "thm44": ("closed-form sandwich for the adjoint relative JS-divergence", _sandwich_suite("F2", configured=True)),
-    "cor44": ("adjoint relative JS special cases", _sandwich_suite("F2")),
-    "prop44": ("adjoint relative JS bounded by (3*sqrt3/4)*Hellinger and KL/4", _proposition(("F2", 0.5, "F2<=c*h"), ("F2", 1.0, "F2<=KL/4"))),
-    "thm45": ("closed-form sandwich for relative AG-divergence", _sandwich_suite("G1", configured=True)),
-    "cor45": ("relative AG special cases", _sandwich_suite("G1")),
-    "thm46": ("closed-form sandwich for the adjoint relative AG-divergence", _sandwich_suite("G2", configured=True)),
-    "cor46": ("adjoint relative AG special cases", _sandwich_suite("G2")),
-    "thm51": ("closed-form sandwich for J-divergence", _sandwich_suite("J", configured=True)),
-    "cor51": ("J-divergence special cases", _sandwich_suite("J")),
-    "prop51": ("Hellinger bounded by J/8", _proposition(_H_LE_J8)),
-    "thm52": ("closed-form sandwich for JS-divergence", _sandwich_suite("I", configured=True)),
-    "cor52": ("JS-divergence special cases", _sandwich_suite("I")),
-    "prop52": ("JS bounded by Hellinger", _proposition(_I_LE_H)),
-    "thm53": ("closed-form sandwich for AG-divergence", _sandwich_suite("T", configured=True)),
-    "cor53": ("AG-divergence special cases", _sandwich_suite("T")),
-    "prop53": (
+    "thm31": _Suite("phi_s bound chain: 0 <= phi <= E <= A, phi <= B <= A, B-phi <= A", _thm31_columns, _thm31_trial),
+    "thm32": _Suite("generic sandwich m*phi_s <= C_f <= M*phi_s plus difference forms", _thm32_columns, _thm32_trial),
+    "thm41": _Suite("closed-form sandwich for relative J-divergence", _sandwich("D1", configured=True)),
+    "cor41": _Suite("relative J vs chi-square/KL/Hellinger special cases", _sandwich("D1")),
+    "prop41": _Suite("relative J bounded by 9/8 of KL", _proposition(("D1", 1.0, "D1<=9/8*KL"))),
+    "thm42": _Suite("closed-form sandwich for the adjoint relative J-divergence", _sandwich("D2", configured=True)),
+    "cor42": _Suite("adjoint relative J special cases", _sandwich("D2")),
+    "prop42": _Suite("adjoint relative J bounded by 9/8 of adjoint KL", _proposition(("D2", 0.0, "D2<=9/8*KL_adj"))),
+    "thm43": _Suite("closed-form sandwich for relative JS-divergence", _sandwich("F1", configured=True)),
+    "cor43": _Suite("relative JS special cases", _sandwich("F1")),
+    "prop43": _Suite("relative JS bounded by KL_adj/4 and (3*sqrt3/4)*Hellinger", _proposition(("F1", 0.0, "F1<=KL_adj/4"), ("F1", 0.5, "F1<=c*h"))),
+    "thm44": _Suite("closed-form sandwich for the adjoint relative JS-divergence", _sandwich("F2", configured=True)),
+    "cor44": _Suite("adjoint relative JS special cases", _sandwich("F2")),
+    "prop44": _Suite("adjoint relative JS bounded by (3*sqrt3/4)*Hellinger and KL/4", _proposition(("F2", 0.5, "F2<=c*h"), ("F2", 1.0, "F2<=KL/4"))),
+    "thm45": _Suite("closed-form sandwich for relative AG-divergence", _sandwich("G1", configured=True)),
+    "cor45": _Suite("relative AG special cases", _sandwich("G1")),
+    "thm46": _Suite("closed-form sandwich for the adjoint relative AG-divergence", _sandwich("G2", configured=True)),
+    "cor46": _Suite("adjoint relative AG special cases", _sandwich("G2")),
+    "thm51": _Suite("closed-form sandwich for J-divergence", _sandwich("J", configured=True)),
+    "cor51": _Suite("J-divergence special cases", _sandwich("J")),
+    "prop51": _Suite("Hellinger bounded by J/8", _proposition(_H_LE_J8)),
+    "thm52": _Suite("closed-form sandwich for JS-divergence", _sandwich("I", configured=True)),
+    "cor52": _Suite("JS-divergence special cases", _sandwich("I")),
+    "prop52": _Suite("JS bounded by Hellinger", _proposition(_I_LE_H)),
+    "thm53": _Suite("closed-form sandwich for AG-divergence", _sandwich("T", configured=True)),
+    "cor53": _Suite("AG-divergence special cases", _sandwich("T")),
+    "prop53": _Suite(
         "AG dominates Hellinger and (sqrt2-1)/2 of both KL directions",
         _proposition(("T", 0.0, "c*KL_adj<=T"), ("T", 1.0, "c*KL<=T"), _H_LE_T),
     ),
-    "rem41": ("xi estimators stay inside the ratio range", _containment_suite([e for e in all_estimators() if e.family == "XI"])),
-    "rem51": ("zeta estimators stay inside the ratio range", _containment_suite([e for e in all_estimators() if e.family == "ZETA"])),
-    "eq194": ("chain: JS <= Hellinger <= min(AG, J/8)", _proposition(_I_LE_H, _H_LE_T, _H_LE_J8)),
+    "rem41": _containment_suite("xi estimators stay inside the ratio range", "XI"),
+    "rem51": _containment_suite("zeta estimators stay inside the ratio range", "ZETA"),
+    "eq194": _Suite("chain: JS <= Hellinger <= min(AG, J/8)", _proposition(_I_LE_H, _H_LE_T, _H_LE_J8)),
 }
 
 
@@ -627,18 +610,18 @@ def run_suite(suite_id: str, config: TrialConfig, table: "PairTable | None" = No
     for the same config; without one the suite makes its own.
     """
     try:
-        description, check = _SUITES[suite_id]
+        suite = _SUITES[suite_id]
     except KeyError:
         raise UnknownSuite(f"unknown suite {suite_id!r}") from None
     if table is None:
         table = PairTable(config)
     elif table.config != config:
         raise InvalidArgument("the pair table was made for another config")
-    report = SuiteReport(suite=suite_id, description=description, trials=config.trials)
-    rows = check(table)
+    report = SuiteReport(suite=suite_id, description=suite.description, trials=config.trials)
+    rows = _checks(suite, table)
     for i in range(config.trials):
         P, Q = random_pair(config, i)
-        for name, slack in rows(i):
+        for name, slack in rows(i, P, Q):
             report.record(i, name, slack, P, Q)
     return report
 

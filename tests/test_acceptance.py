@@ -101,8 +101,8 @@ def test_criterion_5_closed_vs_numeric():
     cat = db.catalog()
     worst = 0.0
     for t, (mid, (lo, hi)) in enumerate(CLOSED_FORM_REGIONS.items()):
-        for i in range(200):
-            u = _uniforms(_mix(9000 + 1000 * t + i), 3)
+        draws = _uniforms(_mix(np.arange(9000 + 1000 * t, 9200 + 1000 * t, dtype=np.uint64)), 3)
+        for i, u in enumerate(draws):
             # Alternate between the two monotone branches of the validity region.
             s = lo - 3.0 * u[0] if i % 2 == 0 else hi + 3.0 * u[0]
             r = 0.01 + 0.99 * float(u[1])
@@ -122,10 +122,11 @@ def test_criterion_5_closed_vs_numeric():
 def test_criterion_6_sandwich_bounds(golden_pair):
     pairs = make_pairs(1000, seed=63)
     worst = math.inf
+    draws = _uniforms(_mix(np.arange(4000, 4000 + len(pairs), dtype=np.uint64)), 9)
     for i, (P, Q) in enumerate(pairs):
         for mid, (lo, hi) in CLOSED_FORM_REGIONS.items():
             # One s per (trial, measure), alternating validity branches.
-            u = float(_uniforms(_mix(4000 + i), 9)[list(CLOSED_FORM_REGIONS).index(mid)])
+            u = float(draws[i, list(CLOSED_FORM_REGIONS).index(mid)])
             s = lo - 3.0 * u if i % 2 == 0 else hi + 3.0 * u
             rep = db.bound_interval(mid, s, P, Q)
             assert rep.mm.method == "closed_form"

@@ -33,8 +33,7 @@ def _range_draws(count, seed):
     from divbounds.harness import _mix, _uniforms
 
     out = []
-    for i in range(count):
-        u = _uniforms(_mix(seed + i), 2)
+    for u in _uniforms(_mix(np.arange(seed, seed + count, dtype=np.uint64)), 2):
         r = 0.01 + 0.99 * u[0]
         R = 1.0 + 99.0 * u[1]
         out.append(db.RatioRange(min(r, 1.0), max(R, 1.0)))

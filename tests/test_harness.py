@@ -1,6 +1,7 @@
 import math
 import sys
 import threading
+import warnings
 import weakref
 
 import numpy as np
@@ -209,7 +210,7 @@ def _bits(x) -> bytes:
 def _one_trials_pair(cfg, i) -> tuple:
     """Trial i's (p, q) built alone, one vector and one 1-d sum at a time:
     the reference that the (k, n) block builder must match bit for bit."""
-    u = harness._uniforms(harness._pair_key(cfg, i), 1 + 2 * cfg.n_max)
+    u = harness._uniforms(harness._pair_keys(cfg, [i]), 1 + 2 * cfg.n_max)[0]
     n = harness._support_size(cfg, u[0])
 
     def build(block):
@@ -322,7 +323,7 @@ class TestPairTable:
         def no_pairs(config, trial_index):
             raise AssertionError("the pair table read a pair")
 
-        monkeypatch.setattr(harness, "_memo_pair", no_pairs)
+        monkeypatch.setattr(harness, "random_pair", no_pairs)
         monkeypatch.setattr(harness, "_build_pair", no_pairs)
         table = harness.PairTable(db.TrialConfig(seed=53, trials=40))
         assert np.isfinite(table.d("J")).all() and np.isfinite(table.extremes()[1]).all()
@@ -377,6 +378,18 @@ class TestRunSuite:
         assert report.violations == 0
         assert report.worst_slack == pytest.approx(0.018277322876822794, rel=1e-15)
         assert report.tightest_slack == report.worst_slack
+
+    def test_nan_slack_is_a_violation(self, monkeypatch):
+        # J = nan at trial 3 makes eq3's slack -|nan| = nan: no slack
+        # compares below the threshold, but a nan must not pass.
+        cfg = db.TrialConfig(seed=46, trials=10)
+        _force_divergence(monkeypatch, cfg, "J", {3: math.nan})
+        report = db.run_suite("eq3", cfg)
+        assert (report.checks, report.violations) == (10, 1)
+        [example] = report.examples
+        assert (example["trial"], example["check"]) == (3, "J=D1+D2")
+        assert math.isnan(example["slack"])
+        assert example["p"] == db.random_pair(cfg, 3)[0].probs.tolist()
 
     def test_report_dict_shape(self):
         d = db.run_suite("eq3", db.TrialConfig(trials=3)).to_dict()
@@ -442,7 +455,7 @@ def _first_error(sid, cfg):
 
 def _is_pair(cfg, i, p, q):
     """Which rows of (p, q), one pair or a (k, n) block, are trial i's pair."""
-    P, Q = harness._memo_pair(cfg, i)
+    P, Q = db.random_pair(cfg, i)
     if p.shape[-1] != len(P):
         return np.zeros(p.shape[:-1], dtype=bool)
     return np.all(p == P.probs, axis=-1) & np.all(q == Q.probs, axis=-1)
@@ -451,7 +464,7 @@ def _is_pair(cfg, i, p, q):
 def _is_ratio(cfg, i, x):
     """Which rows of x, one ratio vector p / q or a (k, n) block, are
     trial i's ratios."""
-    P, Q = harness._memo_pair(cfg, i)
+    P, Q = db.random_pair(cfg, i)
     if x.shape[-1] != len(P):
         return np.zeros(x.shape[:-1], dtype=bool)
     return np.all(x == P.probs / Q.probs, axis=-1)
@@ -514,8 +527,15 @@ def rows_spy(monkeypatch):
     return built
 
 
+def _checks(sid, table):
+    """rows(i), trial i's (check name, slack) pairs of a suite, from the
+    runner's helper on the table and on trial i's pair."""
+    rows = harness._checks(harness._SUITES[sid], table)
+    return lambda i: rows(i, *db.random_pair(table.config, i))
+
+
 def _suite_rows(sid, table) -> list:
-    rows = harness._SUITES[sid][1](table)
+    rows = _checks(sid, table)
     return [[(name, _bits(slack)) for name, slack in rows(i)] for i in range(table.config.trials)]
 
 
@@ -585,6 +605,27 @@ class TestColumnSuites:
             db.run_suite("thm31", cfg)
         assert str(info.value) == str(scalar)
 
+    def test_numpy_warnings_escape_only_the_suites_without_a_fallback(self, monkeypatch, rows_spy):
+        # A measure column divided by zero warns and is inf.  eq3 has no
+        # fallback, so the warning reaches the caller; rem41 computes its
+        # columns with numpy's warnings off and takes its fallback, the
+        # public functions on the row loop's pairs, which read no column.
+        cfg = db.TrialConfig(seed=46, trials=20)
+        expected = db.run_suite("rem41", cfg).to_dict()
+        d = harness.PairTable.d
+        monkeypatch.setattr(harness.PairTable, "d", lambda table, measure: d(table, measure) / np.zeros(1))
+        pairs = []
+        random_pair = harness.random_pair
+        monkeypatch.setattr(harness, "random_pair", lambda config, i: pairs.append(i) or random_pair(config, i))
+        built = len(rows_spy)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(RuntimeWarning, match="divide by zero"):
+                db.run_suite("eq3", cfg)
+            assert db.run_suite("rem41", cfg).to_dict() == expected
+        assert len(rows_spy) == built  # no suite built its rows from columns
+        assert pairs == list(range(cfg.trials))  # one pair a trial, fallback included
+
     @staticmethod
     def _drops_only_its_own_b_checks(monkeypatch, rows_spy, trial, rng):
         cfg = db.TrialConfig(seed=48, trials=30)
@@ -613,7 +654,7 @@ class TestColumnSuites:
 
     def test_support_sizes_come_from_the_pairs_first_uniform(self):
         seeds = (0, 42, 2**63 + 5, 2**64 - 1, 2**64 - 2, -1)
-        keys = [harness._pair_key(db.TrialConfig(seed=seed), i) for seed in seeds for i in (0, 1, 999, 2**31, 10**15, 2**64 - 1)]
+        keys = [int(k) for seed in seeds for k in harness._pair_keys(db.TrialConfig(seed=seed), [0, 1, 999, 2**31, 10**15, 2**64 - 1])]
         keys += [0, 2**64 - 1, 2**64 - harness._GOLDEN, 2**64 - harness._GOLDEN - 1]
         rows = harness._uniforms(keys, 3)
         assert rows.shape == (len(keys), 3)
@@ -690,7 +731,7 @@ class TestSpecialCases:
         for sid, s_values in SANDWICH_S.items():
             names = [f"s={s:g}:{side}" for s in s_values for side in ("lower", "upper")]
             for i in range(3):
-                assert [name for name, _ in harness._SUITES[sid][1](table)(i)] == names, (sid, i)
+                assert [name for name, _ in _checks(sid, table)(i)] == names, (sid, i)
         sandwich = [sid for sid in db.suite_ids() if sid[:3] in ("thm", "cor") and sid not in ("thm31", "thm32")]
         assert sandwich == list(SANDWICH_S)
 
@@ -698,21 +739,21 @@ class TestSpecialCases:
         # s = 1 lies in D1's gap (0.75, 2), so thm41 takes cor41's s.
         cfg = db.TrialConfig(seed=0, trials=20, s_samples=(1.0,))
         table = harness.PairTable(cfg)
-        rows = [list(harness._SUITES[sid][1](table)(0)) for sid in ("thm41", "cor41")]
+        rows = [list(_checks(sid, table)(0)) for sid in ("thm41", "cor41")]
         assert [name for name, _ in rows[0]] == [f"s={s:g}:{side}" for s in (-1, 0, 0.5, 2) for side in ("lower", "upper")]
         assert rows[0] == rows[1]
         assert db.run_suite("thm41", cfg).violations == 0
 
     def test_phi_cases_check_the_five_special_cases(self):
         table = harness.PairTable(db.TrialConfig(trials=2))
-        names = [name for name, _ in harness._SUITES["phi_cases"][1](table)(0)]
+        names = [name for name, _ in _checks("phi_cases", table)(0)]
         assert names == ["phi(-1)=chi2_adj/2", "phi(0)=KL_adj", "phi(1/2)=4h", "phi(1)=KL", "phi(2)=chi2/2"]
 
     def test_propositions_are_the_papers_inequalities(self):
         cfg = db.TrialConfig(seed=42, trials=300)
         table = harness.PairTable(cfg)
         for sid, checks in PAPER_PROPOSITIONS.items():
-            rows = harness._SUITES[sid][1](table)
+            rows = _checks(sid, table)
             for i in range(cfg.trials):
                 P, Q = db.random_pair(cfg, i)
                 got = dict(rows(i))
