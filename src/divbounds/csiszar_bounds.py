@@ -55,7 +55,7 @@ from .generators import (
     phi_generator,
 )
 from .measures import finite_phi, phi_s
-from .simplex import Distribution, RatioRange, pair_probs, pair_ratios, ratio_range, slot_init
+from .simplex import Distribution, RatioRange, pair_ratios, pair_vector, ratio_range, slot_init
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 _INV_PHI2 = _INV_PHI**2
@@ -437,16 +437,18 @@ def global_extrema_table() -> dict:
 @np.errstate(over="ignore", invalid="ignore")  # NumericOverflow is the only signal
 def e_cf(gen: Generator, P: Distribution, Q: Distribution) -> float:
     """Data-dependent bound functional sum (p_i - q_i) f'(p_i/q_i) of a
-    Generator or catalog id; raises NumericOverflow where it leaves the
-    float range."""
-    p, q = pair_probs(P, Q)
+    Generator or catalog id, from the pair's d = p - q and x = p / q
+    (:func:`pair_vector`, formed once for the latest pair); raises
+    NumericOverflow where it leaves the float range."""
+    d, x = pair_vector(P, Q, "d"), pair_vector(P, Q, "x")
     gen = get_generator(gen)
-    return require_finite(float(e_cf_sums(gen, p, q)), f"e_cf of {gen.id}")
+    return require_finite(float(e_cf_sums(gen, d, x)), f"e_cf of {gen.id}")
 
 
-def e_cf_sums(gen: Generator, p, q):
-    """e_cf on probability vectors p, q, or row by row on (k, n) blocks."""
-    return np.add.reduce((p - q) * gen.f_prime(p / q), axis=-1)
+def e_cf_sums(gen: Generator, d, x):
+    """e_cf from the difference d = p - q and the ratio vector x = p / q,
+    or row by row on (k, n) blocks."""
+    return np.add.reduce(d * gen.f_prime(x), axis=-1)
 
 
 @np.errstate(all="ignore")  # NumericOverflow is the only signal
@@ -520,11 +522,13 @@ def bound_interval(measure, s: float, P: Distribution, Q: Distribution) -> Bound
 
     One pass under one np.errstate: s is checked first, by
     :func:`phi_generator`, the measure is resolved once, and x = p / q is
-    formed once; the range, phi_s and C_f come from x through
+    the pair's one ratio vector (:func:`pair_vector`), formed once while
+    the pair is the latest; the range, phi_s and C_f come from x through
     :func:`ratio_extremes` and :func:`csiszar_sums`, the cores of
     :func:`ratio_range`, :func:`phi_s` and :func:`eval_csiszar`, so every
     field holds the bits of those public functions, :func:`mm_exact` and
-    :func:`sandwich`, and every error is theirs.
+    :func:`sandwich`, and every error is theirs.  The two sums are made on
+    every call, as is the range: only x comes from the latest-pair slot.
     """
     phi_gen = phi_generator(s)
     with np.errstate(over="ignore", invalid="ignore"):  # NumericOverflow is the only signal

@@ -19,7 +19,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import InvalidArgument, UnknownMeasure, require_finite, require_finite_s
-from .simplex import Distribution, memoized, pair_probs
+from .simplex import Distribution, memoized, pair_probs, pair_vector
 
 #: Identifiers of the nine fixed generators, in catalog order.
 CATALOG_IDS = ("D1", "D2", "F1", "F2", "G1", "G2", "J", "I", "T")
@@ -312,8 +312,9 @@ def csiszar_value(gen: Generator, P: Distribution, Q: Distribution) -> float:
     inf or nan where the sum leaves the float range, memoized for the
     latest pair by Generator equality: phi_s(s) and
     eval_csiszar(phi_generator(s)) share an entry, and two generators with
-    one id but their own f never do."""
-    return memoized(P, Q, gen, lambda: float(csiszar_sums(gen, Q.probs, P.probs / Q.probs)))
+    one id but their own f never do.  Every generator's sum reads the one
+    ratio vector x of the pair (:func:`pair_vector`)."""
+    return memoized(P, Q, gen, lambda: float(csiszar_sums(gen, Q.probs, pair_vector(P, Q, "x"))))
 
 
 def csiszar_sums(gen: Generator, q, x):

@@ -43,7 +43,8 @@ a slack is not finite, such a suite checks trial by trial instead, through
 the public per-pair functions (:func:`bound_set`; :func:`bound_interval`
 and :func:`difference_bounds`; :func:`estimate` and :func:`ratio_range`) on
 the pair that :func:`run_suite` reads for the trial, so that it raises the
-first failing trial's error, in trial order.
+first failing trial's error, in trial order.  rem41 and rem51 check no
+trial whose P and Q coincide, where the estimators are 0/0, on either path.
 """
 
 from __future__ import annotations
@@ -276,7 +277,7 @@ class PairTable:
     def e_cf(self, measure) -> np.ndarray:
         """e_cf (:func:`e_cf`) of a catalog id or a Generator, every trial."""
         gen = get_generator(measure)
-        return self._batch(("e_cf", gen), lambda p, q: e_cf_sums(gen, p, q))
+        return self._batch(("e_cf", gen), lambda p, q: e_cf_sums(gen, p - q, p / q))
 
     def coincide(self) -> np.ndarray:
         """Whether each trial's P and Q coincide (estimators are 0/0)."""
@@ -352,13 +353,13 @@ def _every(table, columns: dict) -> list:
 
 def _rows(groups):
     """rows(i, P, Q), the (check name, slack) pairs of trial i, of checks
-    given in groups."""
+    given in groups; none for a trial in no group."""
     by_trial = {}
     for trials, columns in groups:
         names = tuple(columns)
         for i, values in zip(trials, zip(*(np.asarray(v).tolist() for v in columns.values()))):
             by_trial[i] = (names, values)
-    return lambda i, P, Q: zip(*by_trial[i])
+    return lambda i, P, Q: zip(*by_trial.get(i, ((), ())))
 
 
 def _checks(suite: _Suite, table: PairTable):
@@ -366,11 +367,10 @@ def _checks(suite: _Suite, table: PairTable):
     pairs of trial i, whose pair is (P, Q).
 
     A suite with a fallback has its columns computed with numpy's warnings
-    off.  Where they raise a DivBoundsError, give None (a trial's P = Q,
-    where the estimators are 0/0) or give a slack that is not finite, rows
-    takes the fallback on each trial's own pair instead, one trial at a
-    time: the public functions raise the first failing trial's error, in
-    trial order, or give the same non-finite slack.
+    off.  Where they raise a DivBoundsError or give a slack that is not
+    finite, rows takes the fallback on each trial's own pair instead, one
+    trial at a time: the public functions raise the first failing trial's
+    error, in trial order, or give the same non-finite slack.
     """
     fallback = suite.fallback
     try:
@@ -379,9 +379,9 @@ def _checks(suite: _Suite, table: PairTable):
     except DivBoundsError:
         if fallback is None:
             raise
-        groups = None
-    if fallback is None or (groups is not None and all(np.isfinite(v).all() for _, c in groups for v in c.values())):
-        return _rows(groups)
+    else:
+        if fallback is None or all(np.isfinite(v).all() for _, c in groups for v in c.values()):
+            return _rows(groups)
     return lambda i, P, Q: fallback(table.config, i, P, Q).items()
 
 
@@ -506,7 +506,9 @@ def _proposition(*checks):
 
 
 def _containment_suite(description: str, family: str) -> _Suite:
-    """The family's estimators, each inside the ratio range [r, R]."""
+    """The family's estimators, each inside the ratio range [r, R], on
+    every trial whose P and Q do not coincide (the estimators are 0/0
+    there, and such a trial has no checks)."""
     names = [(est, f"{est}>=r", f"{est}<=R") for est in all_estimators() if est.family == family]
 
     def checks(r, R, value) -> dict:
@@ -519,11 +521,13 @@ def _containment_suite(description: str, family: str) -> _Suite:
         return out
 
     def columns(table):
-        if table.coincide().any():
-            return None
-        return _every(table, checks(*table.extremes(), lambda est: estimate_from(est, table.d)))
+        apart = np.flatnonzero(~table.coincide())
+        r, R = (v[apart] for v in table.extremes())
+        return [(apart.tolist(), checks(r, R, lambda est: estimate_from(est, table.d)[apart]))]
 
     def trial(config, i, P, Q):
+        if coincide(P.probs, Q.probs):
+            return {}
         rng = ratio_range(P, Q)
         return checks(rng.r, rng.R, lambda est: estimate(est, P, Q))
 

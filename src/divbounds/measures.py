@@ -14,7 +14,10 @@ family phi_s has no formula of its own: it is the Csiszar sum of
 check, in the latest-pair memo (:func:`simplex.memoized`): a Python float
 per measure or generator, held while (P, Q), matched by identity through
 weak references, stays the latest pair.  phi_s(s) and
-``eval_csiszar(phi_generator(s))`` share one entry.
+``eval_csiszar(phi_generator(s))`` share one entry.  phi_s reads the
+pair's ratio vector x = p / q from the same slot (:func:`simplex.pair_vector`),
+formed once for every s; the closed forms here keep their own (p, q)
+formulas, which take blocks as well.
 """
 
 from __future__ import annotations

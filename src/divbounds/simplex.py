@@ -12,8 +12,11 @@ The public per-pair functions (:func:`ratio_range`, ``divergence``,
 ``phi_s``, ``eval_csiszar`` and ``estimate``'s coincide test) keep what
 they compute on the latest pair (P, Q) in one slot (:func:`memoized`), so
 each of a pair's sums is computed once however often it is asked for.  The
-slot holds the pair through weak references, matched by identity, and
-only Python scalars: no array, and no pair kept alive.
+slot holds the pair through weak references, matched by identity, its
+Python scalars, and the pair's two vectors (:func:`pair_vector`): the
+ratios x = p / q and the difference d = p - q, each formed at most once
+and read-only, from which every per-pair sum is built.  It keeps no pair
+alive, and is dropped with its pair, so no vector outlives the pair.
 """
 
 from __future__ import annotations
@@ -175,7 +178,6 @@ def smooth(raw, alpha: float) -> Distribution:
     return normalize(lifted)
 
 
-@np.errstate(over="ignore")  # NumericOverflow is the only signal
 def ratio_range(P: Distribution, Q: Distribution) -> RatioRange:
     """Tight, attained bounds r = min p_i/q_i and R = max p_i/q_i.
 
@@ -196,10 +198,9 @@ def pair_probs(P: Distribution, Q: Distribution) -> tuple:
 
 
 def pair_ratios(P: Distribution, Q: Distribution) -> tuple:
-    """(x, :func:`ratio_range`) with x = p / q, the ratio vector, for a
-    caller that has entered its own np.errstate and reuses x."""
-    p, q = pair_probs(P, Q)
-    x = p / q
+    """(x, :func:`ratio_range`) with x = p / q, the ratio vector of
+    :func:`pair_vector`, for a caller that reuses x."""
+    x = pair_vector(P, Q, "x")
     r, R = ratio_extremes(x)
     return x, RatioRange(float(r), require_finite(float(R), "R = max p_i/q_i"))
 
@@ -210,17 +211,36 @@ def ratio_extremes(x) -> tuple:
 
 
 class _LatestPair:
-    """Scalars computed on one pair, held through weak references to it."""
+    """What is computed on one pair, held through weak references to it:
+    scalars in values, and the vectors x and d once formed (else None)."""
 
-    __slots__ = ("p", "q", "values")
+    __slots__ = ("p", "q", "values", "x", "d")
 
     def __init__(self, P: Distribution, Q: Distribution):
-        self.p = weakref.ref(P)
-        self.q = weakref.ref(Q)
+        self.p = weakref.ref(P, _drop)
+        self.q = weakref.ref(Q, _drop)
         self.values = {}
+        self.x = self.d = None
 
 
 _latest = None
+
+
+def _drop(ref):
+    """Weak-reference callback: the slot goes when its P or its Q dies."""
+    global _latest
+    memo = _latest
+    if memo is not None and (memo.p is ref or memo.q is ref):
+        _latest = None
+
+
+def _slot(P: Distribution, Q: Distribution) -> _LatestPair:
+    """The slot of the pair (P, Q), a new one if it is not the latest."""
+    global _latest
+    memo = _latest
+    if memo is None or memo.p() is not P or memo.q() is not Q:
+        memo = _latest = _LatestPair(P, Q)
+    return memo
 
 
 def memoized(P: Distribution, Q: Distribution, key, compute):
@@ -228,17 +248,39 @@ def memoized(P: Distribution, Q: Distribution, key, compute):
 
     One slot holds the latest pair, matched by identity through weak
     references: it keeps no pair alive, and a dead pair never matches a new
-    object at its address.  A new pair replaces it.  The slot is read once
-    a call, so threads that interleave pairs only miss it.  compute() must
-    give a Python scalar (a float, bool or RatioRange, never an array) and
-    do every check of its inputs: a value is stored only when it returned,
-    so a call that raises raises the same way on every call.
+    object at its address; a callback drops the slot when P or Q dies.  A
+    new pair replaces it.  The slot is read once a call, so threads that
+    interleave pairs only miss it.  compute() must give a Python scalar (a
+    float, bool or RatioRange; the slot's arrays are :func:`pair_vector`'s)
+    and do every check of its inputs: a value is stored only when it
+    returned, so a call that raises raises the same way on every call.
     """
-    global _latest
-    memo = _latest
-    if memo is None or memo.p() is not P or memo.q() is not Q:
-        memo = _latest = _LatestPair(P, Q)
+    memo = _slot(P, Q)
     value = memo.values.get(key)
     if value is None:
         value = memo.values[key] = compute()
     return value
+
+
+#: How each vector of the slot is formed from (p, q).
+_VECTORS = {"x": np.divide, "d": np.subtract}
+
+
+def pair_vector(P: Distribution, Q: Distribution, name: str) -> np.ndarray:
+    """The pair's ratio vector x = p / q (name "x") or its difference
+    d = p - q (name "d"), a read-only array formed at most once while
+    (P, Q) is the latest pair (:func:`memoized`'s slot).
+
+    Raises LengthMismatch, before any arithmetic, where the lengths differ.
+    An x_i that overflows is inf, with no numpy warning: its caller's
+    NumericOverflow is the only signal.
+    """
+    p, q = pair_probs(P, Q)
+    memo = _slot(P, Q)
+    vector = getattr(memo, name)
+    if vector is None:
+        with np.errstate(over="ignore"):
+            vector = _VECTORS[name](p, q)
+        vector.setflags(write=False)
+        setattr(memo, name, vector)
+    return vector

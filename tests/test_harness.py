@@ -414,6 +414,21 @@ class TestRunAll:
             assert r.violations == 0, r.suite
             assert r.checks > 0, r.suite
 
+    def test_a_coinciding_trial_has_no_estimator_checks(self, monkeypatch):
+        # The 1e-12 floor makes trial 248's P = Q = [1, 1e-12] (n = 2): the
+        # estimators are 0/0 there, so rem41 and rem51 check the other 299
+        # trials, on the column path and on the fallback alike.
+        cfg = db.TrialConfig(seed=3, trials=300, concentration=30.0)
+        assert np.flatnonzero(harness.PairTable(cfg).coincide()).tolist() == [248]
+        reports = {r.suite: r for r in db.run_all(cfg)}
+        assert list(reports) == list(db.suite_ids())
+        assert (reports["rem41"].checks, reports["rem51"].checks) == (299 * 16, 299 * 8)
+        assert reports["rem41"].violations == reports["rem51"].violations == 0
+        d = harness.PairTable.d
+        monkeypatch.setattr(harness.PairTable, "d", lambda table, measure: d(table, measure) / np.zeros(1))
+        for sid in ("rem41", "rem51"):
+            assert db.run_suite(sid, cfg).to_dict() == reports[sid].to_dict(), sid
+
 
 def _reference_rows(sid, cfg, i):
     """The (name, slack) pairs of trial i of a column suite, from the public

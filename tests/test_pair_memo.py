@@ -1,6 +1,8 @@
 """The latest-pair memo of the public per-pair functions: a warm call gives
-the bits and the errors of a cold one, and the memo keeps no pair alive."""
+the bits and the errors of a cold one, a pair's vectors x = p / q and
+d = p - q are formed once, and the memo keeps no pair, and no vector, alive."""
 
+import dataclasses
 import gc
 import math
 import sys
@@ -17,13 +19,14 @@ from divbounds.errors import DivBoundsError, LengthMismatch, NonFinite, NumericO
 
 from conftest import make_pairs
 
-S_VALUES = db.TrialConfig().s_samples + (1.0000001,)
+DEFAULT_S = db.TrialConfig().s_samples
+S_VALUES = DEFAULT_S + (1.0000001,)
 
 
 def _calls():
-    """(label, fn(P, Q)) for every memoized public function, each measure,
-    s and generator; phi_s(s) and eval_csiszar(phi_generator(s)) share an
-    entry, so both orders are asked for."""
+    """(label, fn(P, Q)) for every public function that reads the memo, each
+    measure, s and generator; phi_s(s) and eval_csiszar(phi_generator(s))
+    share an entry, so both orders are asked for."""
     calls = [("ratio_range", db.ratio_range)]
     calls += [(f"divergence {m}", lambda P, Q, m=m: db.divergence(m, P, Q)) for m in db.MEASURE_IDS]
     for s in S_VALUES:
@@ -32,6 +35,14 @@ def _calls():
     calls += [(f"C_f {m}", lambda P, Q, m=m: db.eval_csiszar(db.catalog()[m], P, Q)) for m in db.CATALOG_IDS]
     calls += [(f"C_f id {m}", lambda P, Q, m=m: db.eval_csiszar(m, P, Q)) for m in db.CATALOG_IDS]
     calls += [(f"estimate {e}", lambda P, Q, e=e: db.estimate(e, P, Q)) for e in db.all_estimators()]
+    calls += [(f"e_cf {m}", lambda P, Q, m=m: db.e_cf(db.catalog()[m], P, Q)) for m in db.CATALOG_IDS]
+    for s in S_VALUES:
+        calls.append((f"e_cf phi {s}", lambda P, Q, s=s: db.e_cf(db.phi_generator(s), P, Q)))
+        calls.append((f"bound_set {s}", lambda P, Q, s=s: db.bound_set(s, P, Q)))
+    for m in db.CATALOG_IDS:
+        for s in DEFAULT_S:
+            calls.append((f"bound_interval {m} {s}", lambda P, Q, m=m, s=s: db.bound_interval(m, s, P, Q)))
+            calls.append((f"difference_bounds {m} {s}", lambda P, Q, m=m, s=s: db.difference_bounds(m, s, P, Q)))
     return calls
 
 
@@ -39,8 +50,14 @@ CALLS = _calls()
 
 
 def _bits(value):
-    if isinstance(value, db.RatioRange):
-        return ("range", value.r.hex(), value.R.hex())
+    """value with each float, in a report's fields and checks too, as its
+    hex string."""
+    if dataclasses.is_dataclass(value):
+        return (type(value).__name__, *(_bits(getattr(value, f.name)) for f in dataclasses.fields(value)))
+    if isinstance(value, dict):
+        return tuple((name, _bits(v)) for name, v in value.items())
+    if value is None or type(value) is str:
+        return value
     assert type(value) is float
     return value.hex()
 
@@ -163,6 +180,11 @@ ONE, TINY = db.normalize([1, 1]), db.normalize([5e-324, 1])
         (lambda P, Q: db.divergence(["KL"], P, Q), ONE, TINY, UnknownMeasure),
         (lambda P, Q: db.eval_csiszar("NOPE", P, Q), ONE, TINY, UnknownMeasure),
         (lambda P, Q: db.phi_s(math.nan, P, Q), ONE, TINY, NonFinite),
+        (lambda P, Q: db.e_cf("J", P, Q), ONE, TINY, NumericOverflow),
+        (lambda P, Q: db.e_cf(db.phi_generator(2.0), P, Q), ONE, TINY, NumericOverflow),
+        (lambda P, Q: db.bound_set(0.5, P, Q), ONE, TINY, NumericOverflow),
+        (lambda P, Q: db.e_cf("J", P, Q), ONE, db.normalize([1, 1, 1]), LengthMismatch),
+        (lambda P, Q: db.bound_set(2.0, P, Q), ONE, db.normalize([1, 1, 1]), LengthMismatch),
     ],
 )
 def test_each_error_is_raised_again_with_its_message(call, P, Q, error, fresh_memo):
@@ -225,3 +247,67 @@ def test_threads_on_two_pairs_give_the_serial_bits(fresh_memo):
     for k in range(4):
         for j, got in results[k]:
             assert got == serial[j]
+
+
+@pytest.fixture
+def vector_counts(monkeypatch, fresh_memo):
+    """How often each of the slot's vectors, x and d, has been formed."""
+    counts = {"x": 0, "d": 0}
+
+    def counting(name, form):
+        def wrapper(p, q):
+            counts[name] += 1
+            return form(p, q)
+
+        return wrapper
+
+    for name, form in simplex._VECTORS.items():
+        monkeypatch.setitem(simplex._VECTORS, name, counting(name, form))
+    return counts
+
+
+def test_each_vector_is_formed_once_a_pair(vector_counts):
+    (A, B), (C, D) = make_pairs(2, seed=12, n_min=16, n_max=16)
+    seen = []
+    for pair in ((A, B), (A, B), (C, D), (A, B)):
+        _warm(*pair)
+        _warm(*pair)
+        seen.append(dict(vector_counts))
+    assert seen == [{"x": 1, "d": 1}, {"x": 1, "d": 1}, {"x": 2, "d": 2}, {"x": 3, "d": 3}]
+
+
+def test_the_vectors_are_the_pairs_and_read_only(fresh_memo):
+    P, Q = make_pairs(1, seed=13)[0]
+    for name, expected in (("x", P.probs / Q.probs), ("d", P.probs - Q.probs)):
+        vector = simplex.pair_vector(P, Q, name)
+        assert vector is getattr(simplex._latest, name)
+        assert vector.tobytes() == expected.tobytes()
+        assert not vector.flags.writeable
+        with pytest.raises(ValueError):
+            vector[0] = 1.0
+
+
+def test_the_slot_goes_with_its_pair(fresh_memo):
+    P, Q = db.normalize(np.arange(1.0, 40.0)), db.normalize(np.arange(40.0, 1.0, -1.0))
+    _warm(P, Q)
+    assert simplex._latest.x is not None and simplex._latest.d is not None
+    del P, Q
+    gc.collect()
+    assert simplex._latest is None
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda P, Q: simplex.pair_vector(P, Q, "x"),
+        lambda P, Q: simplex.pair_vector(P, Q, "d"),
+        db.ratio_range,
+        lambda P, Q: db.e_cf("J", P, Q),
+        lambda P, Q: db.bound_set(0.5, P, Q),
+        lambda P, Q: db.bound_interval("J", 0.5, P, Q),
+    ],
+)
+def test_a_length_mismatch_is_raised_before_any_arithmetic(call, vector_counts):
+    with pytest.raises(LengthMismatch):
+        call(ONE, db.normalize([1, 1, 1]))
+    assert vector_counts == {"x": 0, "d": 0}
