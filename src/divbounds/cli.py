@@ -114,7 +114,7 @@ def cmd_compute(args) -> int:
     if args.all:
         for mid in MEASURE_IDS:
             values[mid] = divergence(mid, P, Q) * scale
-    elif args.measure and args.measure != "PHI_S":
+    elif args.measure:
         values[args.measure] = divergence(args.measure, P, Q) * scale
     for s in args.s or []:
         values[phi_generator(s).id] = phi_s(s, P, Q) * scale

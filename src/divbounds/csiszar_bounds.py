@@ -55,7 +55,7 @@ from .generators import (
     phi_generator,
 )
 from .measures import finite_phi, phi_s
-from .simplex import Distribution, RatioRange, pair_ratios, pair_vector, ratio_range, slot_init
+from .simplex import Distribution, RatioRange, pair_ratios, pair_vector, ratio_range
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 _INV_PHI2 = _INV_PHI**2
@@ -111,7 +111,6 @@ def _g_array(gen: Generator, s: float, x: np.ndarray) -> np.ndarray:
     return out.reshape(x.shape)
 
 
-@slot_init
 @dataclass(frozen=True, slots=True)
 class MMBounds:
     """Extrema of g on [r, R], with provenance of how they were obtained."""
@@ -232,14 +231,13 @@ def _polyder(c: np.ndarray) -> np.ndarray:
     return np.polyder(c) if c.size > 1 else np.zeros(1, dtype=c.dtype)
 
 
-@functools.lru_cache(maxsize=64)
 def _stationarity(f_second) -> tuple:
     """(A, B), tuples of equal length, with S_s = A + s*B for the Rational f''.
 
     The powers of x and of x + 1 that A and B share are divided out: every
     catalog denominator is a product of 2, x and x + 1, and both divisors
-    are positive on x > 0, so the sign of S_s (and of g') is kept.  Cached
-    per f'': S_s depends on nothing else.
+    are positive on x > 0, so the sign of S_s (and of g') is kept.  S_s
+    depends on f'' alone; :func:`_stationary_points` caches its roots.
     """
     n, d = np.array(f_second.num), np.array(f_second.den)
     nd = np.convolve(n, d)
@@ -494,7 +492,6 @@ def b_cf_values(gen: Generator, r, R):
     return ((R - 1.0) * float_each(gen.f, r) + (1.0 - r) * float_each(gen.f, R)) / (R - r)
 
 
-@slot_init
 @dataclass(frozen=True, slots=True)
 class BoundReport:
     """A certified sandwich lower <= value <= upper for one measure."""
@@ -521,14 +518,14 @@ def bound_interval(measure, s: float, P: Distribution, Q: Distribution) -> Bound
     bound leaves the float range.
 
     One pass under one np.errstate: s is checked first, by
-    :func:`phi_generator`, the measure is resolved once, and x = p / q is
-    the pair's one ratio vector (:func:`pair_vector`), formed once while
-    the pair is the latest; the range, phi_s and C_f come from x through
-    :func:`ratio_extremes` and :func:`csiszar_sums`, the cores of
-    :func:`ratio_range`, :func:`phi_s` and :func:`eval_csiszar`, so every
-    field holds the bits of those public functions, :func:`mm_exact` and
+    :func:`phi_generator`, the measure is resolved once, and x = p / q and
+    the range are the pair's (:func:`pair_ratios`), each formed once while
+    the pair is the latest; phi_s and C_f come from x through
+    :func:`csiszar_sums`, the core of :func:`phi_s` and
+    :func:`eval_csiszar`, so every field holds the bits of
+    :func:`ratio_range`, those public functions, :func:`mm_exact` and
     :func:`sandwich`, and every error is theirs.  The two sums are made on
-    every call, as is the range: only x comes from the latest-pair slot.
+    every call: x and the range come from the latest-pair slot.
     """
     phi_gen = phi_generator(s)
     with np.errstate(over="ignore", invalid="ignore"):  # NumericOverflow is the only signal

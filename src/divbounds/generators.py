@@ -94,7 +94,6 @@ class Rational:
     a: float = 2
     low: tuple = field(init=False, repr=False, compare=False)  # (k, n, d)
     high: tuple = field(init=False, repr=False, compare=False)
-    _hash: int = field(init=False, repr=False, compare=False)  # memo keys hash it on every (m, M)
 
     def __post_init__(self):
         for name, coeffs in (("num", self.num), ("den", self.den)):
@@ -111,10 +110,6 @@ class Rational:
         object.__setattr__(self, "low", (kn - kd, n, d))
         # c'(x) = x^deg(c') c'_reversed(1/x)
         object.__setattr__(self, "high", (kn + len(n) - kd - len(d), n[::-1], d[::-1]))
-        object.__setattr__(self, "_hash", hash((self.num, self.den, self.a)))
-
-    def __hash__(self) -> int:
-        return self._hash
 
     def __call__(self, x):
         """f''(x); inf where it leaves the float range."""

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 import weakref
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -79,26 +79,6 @@ class Distribution:
         return iter(self.probs)
 
 
-def slot_init(cls):
-    """Give a frozen, slotted dataclass whose fields have no defaults an
-    __init__ that stores each field through its slot's descriptor.
-
-    The generated __init__ calls object.__setattr__ once per field, about
-    twice the cost (0.7 against 1.3 us for a five-field class, timeit,
-    Python 3.11); the signature, the __post_init__ call and the frozen
-    __setattr__ stay as they are.
-    """
-    names = [f.name for f in fields(cls)]
-    scope = {f"_set_{n}": vars(cls)[n].__set__ for n in names}
-    body = "".join(f"    _set_{n}(self, {n})\n" for n in names)
-    if hasattr(cls, "__post_init__"):
-        body += "    self.__post_init__()\n"
-    exec(f"def __init__(self, {', '.join(names)}):\n{body}", scope)
-    cls.__init__ = scope["__init__"]
-    return cls
-
-
-@slot_init
 @dataclass(frozen=True, slots=True)
 class RatioRange:
     """Attained extremes (r, R) of the coordinate ratios p_i / q_i.
@@ -183,9 +163,9 @@ def ratio_range(P: Distribution, Q: Distribution) -> RatioRange:
 
     Raises NumericOverflow where R leaves the float range (a q_i near the
     smallest subnormal); r >= min p_i > 0 cannot underflow, since q_i <= 1.
-    Memoized for the latest pair (:func:`memoized`).
+    Memoized for the latest pair (:func:`pair_ratios`).
     """
-    return memoized(P, Q, ratio_range, lambda: pair_ratios(P, Q)[1])
+    return pair_ratios(P, Q)[1]
 
 
 def pair_probs(P: Distribution, Q: Distribution) -> tuple:
@@ -199,10 +179,17 @@ def pair_probs(P: Distribution, Q: Distribution) -> tuple:
 
 def pair_ratios(P: Distribution, Q: Distribution) -> tuple:
     """(x, :func:`ratio_range`) with x = p / q, the ratio vector of
-    :func:`pair_vector`, for a caller that reuses x."""
+    :func:`pair_vector`, for a caller that reuses x.  Both are the latest
+    pair's: the range is reduced from x once and kept in the slot under
+    ratio_range's key (:func:`memoized`)."""
     x = pair_vector(P, Q, "x")
+    return x, memoized(P, Q, ratio_range, lambda: _range_of(x))
+
+
+def _range_of(x) -> RatioRange:
+    """The RatioRange of a ratio vector x; NumericOverflow where R is inf."""
     r, R = ratio_extremes(x)
-    return x, RatioRange(float(r), require_finite(float(R), "R = max p_i/q_i"))
+    return RatioRange(float(r), require_finite(float(R), "R = max p_i/q_i"))
 
 
 def ratio_extremes(x) -> tuple:

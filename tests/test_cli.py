@@ -142,6 +142,16 @@ class TestCompute:
         code = main(["compute", "--input", golden_json, "--p", "a", "--q", "b", "--measure", "NOPE"])
         assert code == 2
 
+    @pytest.mark.parametrize("extra", [[], ["--s", "0.5"]])
+    def test_phi_s_is_an_unknown_measure(self, golden_json, capsys, extra):
+        # The power family is asked for by --s; PHI_S is no measure id, and
+        # is not dropped silently beside an --s.
+        code = main(["compute", "--input", golden_json, "--p", "a", "--q", "b", "--measure", "PHI_S", *extra])
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert out == ""
+        assert err == "error: unknown measure 'PHI_S'\n"
+
     def test_nothing_requested(self, golden_json, capsys):
         code = main(["compute", "--input", golden_json, "--p", "a", "--q", "b"])
         assert code == 2

@@ -429,6 +429,22 @@ class TestRunAll:
         for sid in ("rem41", "rem51"):
             assert db.run_suite(sid, cfg).to_dict() == reports[sid].to_dict(), sid
 
+    def test_a_narrowed_m_and_M_fail_exactly_the_sandwich_suites(self, monkeypatch):
+        # (m * 1.2, M * 0.8) is no bound on g: every suite that reads (m, M)
+        # reports violations, and every other suite is clean.
+        exact = harness.mm_exact_arrays
+
+        def narrowed(*args):
+            m, M = exact(*args)
+            return m * 1.2, M * 0.8
+
+        monkeypatch.setattr(harness, "mm_exact_arrays", narrowed)
+        reports = db.run_all(db.TrialConfig(seed=42, trials=1000))
+        sandwiches = {"thm32", *(f"{k}{i}" for k in ("thm", "cor") for i in (41, 42, 43, 44, 45, 46, 51, 52, 53))}
+        assert len(sandwiches) == 19
+        assert {r.suite for r in reports if r.violations} == sandwiches
+        assert len(reports) - len(sandwiches) == 15
+
 
 def _reference_rows(sid, cfg, i):
     """The (name, slack) pairs of trial i of a column suite, from the public

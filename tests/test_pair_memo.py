@@ -159,6 +159,27 @@ def test_interleaved_pairs(monkeypatch, fresh_memo):
     assert counts["KL"] == 11
 
 
+def test_bound_interval_reads_the_memoized_range(fresh_memo):
+    P, Q = make_pairs(1, seed=14)[0]
+    for m in db.CATALOG_IDS:
+        assert db.bound_interval(m, 0.5, P, Q).mm.range is db.ratio_range(P, Q)
+
+
+def test_a_grid_of_bound_intervals_reduces_x_once(monkeypatch, fresh_memo):
+    counts = {"extremes": 0}
+    extremes = simplex.ratio_extremes
+
+    def counting_extremes(x):
+        counts["extremes"] += 1
+        return extremes(x)
+
+    monkeypatch.setattr(simplex, "ratio_extremes", counting_extremes)
+    P, Q = make_pairs(1, seed=14)[0]
+    reports = [db.bound_interval(m, s, P, Q) for m in db.CATALOG_IDS for s in DEFAULT_S]
+    assert len(reports) == 81
+    assert counts["extremes"] == 1
+
+
 ONE, TINY = db.normalize([1, 1]), db.normalize([5e-324, 1])
 
 

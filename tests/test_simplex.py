@@ -243,9 +243,9 @@ class TestRatioRange:
             db.RatioRange(r, R)
 
     def test_fast_init_keeps_the_dataclass_contract(self):
-        # RatioRange, MMBounds and BoundReport store their fields through
-        # slot descriptors (simplex.slot_init): keyword construction, arity
-        # errors, __post_init__ and frozenness are the dataclass's.
+        # RatioRange, MMBounds and BoundReport are frozen, slotted
+        # dataclasses: keyword construction, arity errors, __post_init__
+        # and frozenness are the dataclass's.
         from divbounds.csiszar_bounds import BoundReport, MMBounds
 
         rng = db.RatioRange(R=2.0, r=0.5)
