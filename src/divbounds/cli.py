@@ -1,11 +1,14 @@
 """Command-line front end: compute, bounds, verify, catalog.
 
 Input files hold named raw weight vectors, either as JSON
-``{"distributions": {"name": [w1, w2, ...]}}`` or as headerless CSV rows
-``name,w1,w2,...``; a name given twice is an input error.  All printed
-reals use 17 significant digits so every binary64 value round-trips
-exactly.  Exit codes: 0 success, 1 bound or inequality violation, 2
-usage/input error.
+``{"distributions": {"name": [w1, w2, ...]}}`` (the top level must be an
+object) or as headerless CSV rows ``name,w1,w2,...``; a name given twice is
+an input error.  ``compute`` evaluates every measure named by a repeatable
+``--measure``, or all of them under ``--all`` (not both), plus phi_s at each
+``--s``.  Each command returns its report; ``main`` prints it, as JSON under
+``--json`` and as text lines otherwise.  All printed reals use 17
+significant digits so every binary64 value round-trips exactly.  Exit
+codes: 0 success, 1 bound or inequality violation, 2 usage/input error.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ def load_distributions(path: str, fmt: str) -> dict:
     if fmt == "json":
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh, object_pairs_hook=_JsonObject)
-        dists = doc.get("distributions")
+        dists = doc.get("distributions") if isinstance(doc, dict) else None
         if not isinstance(dists, dict):
             raise DivBoundsError(f"{path}: expected a top-level 'distributions' object")
         if dists.duplicate is not None:
@@ -85,14 +88,9 @@ def _json_weights(name: str, value) -> list:
         raise DivBoundsError(f"distribution {name!r}: a weight exceeds the float range") from None
 
 
-def _resolve_format(args) -> str:
-    if args.format:
-        return args.format
-    return "csv" if args.input.endswith(".csv") else "json"
-
-
 def _get_pair(args):
-    dists = load_distributions(args.input, _resolve_format(args))
+    fmt = args.format or ("csv" if args.input.endswith(".csv") else "json")
+    dists = load_distributions(args.input, fmt)
     pair = []
     for name in (args.p, args.q):
         if name not in dists:
@@ -106,41 +104,30 @@ def _get_pair(args):
     return pair[0], pair[1]
 
 
-def cmd_compute(args) -> int:
+def _text(v) -> str:
+    """A report value as a text line prints it."""
+    return _fmt(v) if isinstance(v, float) else "n/a" if v is None else str(v)
+
+
+# Each command returns (exit code, report, text lines) and prints nothing;
+# main prints the report as JSON under --json, and the lines otherwise.
+
+
+def cmd_compute(args):
     P, Q = _get_pair(args)
     rng = ratio_range(P, Q)
     scale = 1.0 / LN2 if args.bits else 1.0
-    values = {}
-    if args.all:
-        for mid in MEASURE_IDS:
-            values[mid] = divergence(mid, P, Q) * scale
-    elif args.measure:
-        values[args.measure] = divergence(args.measure, P, Q) * scale
-    for s in args.s or []:
-        values[phi_generator(s).id] = phi_s(s, P, Q) * scale
+    values = {mid: divergence(mid, P, Q) * scale for mid in (MEASURE_IDS if args.all else args.measure or ())}
+    values.update((phi_generator(s).id, phi_s(s, P, Q) * scale) for s in args.s or ())
     if not values:
         raise DivBoundsError("nothing to compute: pass --measure, --all, or --s")
-
-    report = {
-        "p": args.p,
-        "q": args.q,
-        "n": len(P),
-        "units": "bits" if args.bits else "nats",
-        "r": rng.r,
-        "R": rng.R,
-        "values": values,
-    }
-    if args.json:
-        print(json.dumps(report, indent=2))
-    else:
-        print(f"pair: p={args.p} q={args.q} n={len(P)} units={report['units']}")
-        print(f"ratio_range: r={_fmt(rng.r)} R={_fmt(rng.R)}")
-        for mid, value in values.items():
-            print(f"{mid} {_fmt(value)}")
-    return 0
+    units = "bits" if args.bits else "nats"
+    report = {"p": args.p, "q": args.q, "n": len(P), "units": units, "r": rng.r, "R": rng.R, "values": values}
+    lines = [f"pair: p={args.p} q={args.q} n={len(P)} units={units}", f"ratio_range: r={_fmt(rng.r)} R={_fmt(rng.R)}"]
+    return 0, report, lines + [f"{mid} {_fmt(value)}" for mid, value in values.items()]
 
 
-def cmd_bounds(args) -> int:
+def cmd_bounds(args):
     P, Q = _get_pair(args)
     if args.measure not in CATALOG_IDS:
         raise UnknownMeasure(f"bounds require one of {', '.join(CATALOG_IDS)}")
@@ -165,20 +152,11 @@ def cmd_bounds(args) -> int:
         "a_bound": chain.a_bound,
         "b_bound": chain.b_bound,
     }
-    if args.json:
-        print(json.dumps(report, indent=2))
-    else:
-        for key in ("measure", "s", "r", "R", "m", "M", "method", "lower", "value", "upper", "lower_slack", "upper_slack"):
-            v = report[key]
-            print(f"{key} {_fmt(v) if isinstance(v, float) else v}")
-        print(f"e_bound {_fmt(report['e_bound'])}")
-        print(f"a_bound {_fmt(report['a_bound'])}")
-        print("b_bound n/a" if report["b_bound"] is None else f"b_bound {_fmt(report['b_bound'])}")
-        print("holds" if rep.holds else "VIOLATED")
-    return 0 if rep.holds else 1
+    lines = [f"{key} {_text(v)}" for key, v in report.items() if key != "holds"]
+    return (0 if rep.holds else 1), report, lines + ["holds" if rep.holds else "VIOLATED"]
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args):
     requested = list(suite_ids()) if args.all else args.suite
     if not requested:
         raise DivBoundsError("pass --suite <id> (repeatable) or --all")
@@ -186,20 +164,17 @@ def cmd_verify(args) -> int:
     table = PairTable(config)
     reports = [run_suite(sid, config, table) for sid in requested]
     total_violations = sum(r.violations for r in reports)
-    if args.json:
-        print(json.dumps({"seed": args.seed, "trials": args.trials, "suites": [r.to_dict() for r in reports], "violations": total_violations}, indent=2))
-    else:
-        for r in reports:
-            print(
-                f"suite={r.suite} trials={r.trials} checks={r.checks} "
-                f"violations={r.violations} worst_slack={_fmt(r.worst_slack)} "
-                f"tightest_slack={_fmt(r.tightest_slack)}"
-            )
-        print(f"total_violations={total_violations}")
-    return 0 if total_violations == 0 else 1
+    report = {"seed": args.seed, "trials": args.trials, "suites": [r.to_dict() for r in reports], "violations": total_violations}
+    lines = [
+        f"suite={r.suite} trials={r.trials} checks={r.checks} "
+        f"violations={r.violations} worst_slack={_fmt(r.worst_slack)} "
+        f"tightest_slack={_fmt(r.tightest_slack)}"
+        for r in reports
+    ]
+    return (0 if total_violations == 0 else 1), report, lines + [f"total_violations={total_violations}"]
 
 
-def cmd_catalog(args) -> int:
+def cmd_catalog(args):
     extrema = {}
     for (mid, s), ext in global_extrema_table().items():
         extrema.setdefault(mid, []).append({"s": s, "kind": ext.kind, "value": ext.value, "x": ext.x})
@@ -224,14 +199,11 @@ def cmd_catalog(args) -> int:
             "global_extrema": [],
         }
     )
-    if args.json:
-        print(json.dumps({"measures": entries}, indent=2))
-    else:
-        for e in entries:
-            print(f"{e['id']}: f={e['f']}, f''={e['f_second']}, closed-form {e['closed_form_region']}")
-            for ext in e["global_extrema"]:
-                print(f"  s={ext['s']:g}: {ext['kind']} g = {_fmt(ext['value'])} at x = {_fmt(ext['x'])}")
-    return 0
+    lines = []
+    for e in entries:
+        lines.append(f"{e['id']}: f={e['f']}, f''={e['f_second']}, closed-form {e['closed_form_region']}")
+        lines += [f"  s={ext['s']:g}: {ext['kind']} g = {_fmt(ext['value'])} at x = {_fmt(ext['x'])}" for ext in e["global_extrema"]]
+    return 0, {"measures": entries}, lines
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -239,54 +211,50 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_pair_args(p):
-        p.add_argument("--input", required=True, help="Distribution file path.")
-        p.add_argument("--format", choices=("json", "csv"), help="File format (default: by extension).")
-        p.add_argument("--p", required=True, help="Name of the first distribution.")
-        p.add_argument("--q", required=True, help="Name of the second distribution.")
-        p.add_argument("--smooth", type=float, default=None, metavar="ALPHA", help="Additive smoothing constant for raw counts.")
-        p.add_argument("--json", action="store_true", help="Emit a JSON report.")
+    report = argparse.ArgumentParser(add_help=False)
+    report.add_argument("--json", action="store_true", help="Emit a JSON report.")
+    pair = argparse.ArgumentParser(add_help=False, parents=[report])
+    pair.add_argument("--input", required=True, help="Distribution file path.")
+    pair.add_argument("--format", choices=("json", "csv"), help="File format (default: by extension).")
+    pair.add_argument("--p", required=True, help="Name of the first distribution.")
+    pair.add_argument("--q", required=True, help="Name of the second distribution.")
+    pair.add_argument("--smooth", type=float, default=None, metavar="ALPHA", help="Additive smoothing constant for raw counts.")
 
-    p = sub.add_parser("compute", help="Evaluate divergence measures on a pair.")
-    add_pair_args(p)
-    p.add_argument("--measure", help="Measure id, e.g. J, D1, KL, CHI2.")
-    p.add_argument("--all", action="store_true", help="Evaluate every named measure.")
+    p = sub.add_parser("compute", parents=[pair], help="Evaluate divergence measures on a pair.")
+    which = p.add_mutually_exclusive_group()
+    which.add_argument("--measure", action="append", help="Measure id, e.g. J, D1, KL, CHI2 (repeatable).")
+    which.add_argument("--all", action="store_true", help="Evaluate every named measure.")
     p.add_argument("--s", type=float, action="append", help="Power-family parameter (repeatable).")
     p.add_argument("--bits", action="store_true", help="Report in bits instead of nats.")
     p.set_defaults(fn=cmd_compute)
 
-    p = sub.add_parser("bounds", help="Sandwich-bound report for one measure.")
-    add_pair_args(p)
+    p = sub.add_parser("bounds", parents=[pair], help="Sandwich-bound report for one measure.")
     p.add_argument("--measure", required=True, help=f"One of {', '.join(CATALOG_IDS)}.")
     p.add_argument("--s", dest="s_value", type=float, required=True, help="Power-family parameter.")
     p.set_defaults(fn=cmd_bounds)
 
-    p = sub.add_parser("verify", help="Run randomized verification suites.")
+    p = sub.add_parser("verify", parents=[report], help="Run randomized verification suites.")
     p.add_argument("--suite", action="append", default=[], help="Suite id (repeatable).")
     p.add_argument("--all", action="store_true", help="Run every suite.")
     p.add_argument("--trials", type=int, default=1000)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--json", action="store_true", help="Emit a JSON report.")
     p.set_defaults(fn=cmd_verify)
 
-    p = sub.add_parser("catalog", help="List measures, generators and bound regions.")
-    p.add_argument("--json", action="store_true", help="Emit a JSON report.")
+    p = sub.add_parser("catalog", parents=[report], help="List measures, generators and bound regions.")
     p.set_defaults(fn=cmd_catalog)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    try:
-        return args.fn(args)
-    except DivBoundsError as exc:
+    args = build_parser().parse_args(argv)
+    try:  # json.JSONDecodeError is a ValueError; a closed stdout an OSError
+        code, report, lines = args.fn(args)
+        print(json.dumps(report, indent=2) if args.json else "\n".join(lines))
+    except (DivBoundsError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (OSError, json.JSONDecodeError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    return code
 
 
 if __name__ == "__main__":

@@ -8,6 +8,7 @@ from the symmetric ones).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -87,15 +88,7 @@ def estimate(est: EstimatorId, P: Distribution, Q: Distribution) -> float:
     """
     if len(P) == len(Q) and memoized(P, Q, coincide, lambda: bool(coincide(P.probs, Q.probs))):
         raise DegeneratePair("estimators are 0/0 at P = Q")
-
-    cache = {}
-
-    def d(measure: str) -> float:
-        if measure not in cache:
-            cache[measure] = divergence(measure, P, Q)
-        return cache[measure]
-
-    return estimate_from(est, d)
+    return estimate_from(est, functools.cache(lambda measure: divergence(measure, P, Q)))
 
 
 def coincide(p, q):

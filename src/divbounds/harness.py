@@ -49,7 +49,6 @@ trial whose P and Q coincide, where the estimators are 0/0, on either path.
 
 from __future__ import annotations
 
-import contextlib
 import math
 import numbers
 import threading
@@ -373,14 +372,15 @@ def _checks(suite: _Suite, table: PairTable):
     error, in trial order, or give the same non-finite slack.
     """
     fallback = suite.fallback
+    if fallback is None:
+        return _rows(suite.columns(table))
     try:
-        with np.errstate(all="ignore") if fallback else contextlib.nullcontext():
+        with np.errstate(all="ignore"):
             groups = suite.columns(table)
     except DivBoundsError:
-        if fallback is None:
-            raise
+        pass
     else:
-        if fallback is None or all(np.isfinite(v).all() for _, c in groups for v in c.values()):
+        if all(np.isfinite(v).all() for _, c in groups for v in c.values()):
             return _rows(groups)
     return lambda i, P, Q: fallback(table.config, i, P, Q).items()
 

@@ -68,7 +68,7 @@ class Distribution:
         if np.any(arr == 0.0):
             raise ZeroEntry("the simplex excludes zero probabilities")
         if abs(arr.sum() - 1.0) > SUM_TOL:
-            raise NotNormalized(f"entries sum to {arr.sum()!r}, not 1 within {SUM_TOL}")
+            raise NotNormalized(f"entries sum to {float(arr.sum())!r}, not 1 within {SUM_TOL}")
         arr.setflags(write=False)
         object.__setattr__(self, "probs", arr)
 

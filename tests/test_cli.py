@@ -65,6 +65,31 @@ class TestLoadDistributions:
         assert captured.out == ""
 
 
+    @pytest.mark.parametrize("doc", [[1, 2], "text", 3, {"dists": {}}, {"distributions": []}], ids=repr)
+    def test_json_top_level_must_hold_a_distributions_object(self, tmp_path, capsys, doc):
+        path = tmp_path / "top.json"
+        path.write_text(json.dumps(doc))
+        code = main(["compute", "--input", str(path), "--p", "a", "--q", "b", "--measure", "J"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err == f"error: {path}: expected a top-level 'distributions' object\n"
+        assert captured.out == ""
+
+    def test_unknown_name_is_usage_error(self, golden_json, capsys):
+        code = main(["compute", "--input", golden_json, "--p", "nope", "--q", "b", "--measure", "J"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err == f"error: distribution 'nope' not found in {golden_json}\n"
+        assert captured.out == ""
+
+    def test_explicit_format_overrides_the_extension(self, tmp_path, capsys):
+        path = tmp_path / "rows.json"
+        path.write_text("a,3,1\nb,1,3\n")
+        code = main(["compute", "--input", str(path), "--format", "csv", "--p", "a", "--q", "b", "--measure", "CHI2"])
+        assert code == 0
+        assert "CHI2 1.3333333333333333" in capsys.readouterr().out
+
+
 class TestCompute:
     def test_golden_j(self, golden_json, capsys):
         code = main(["compute", "--input", golden_json, "--p", "a", "--q", "b", "--measure", "J"])
@@ -155,6 +180,24 @@ class TestCompute:
     def test_nothing_requested(self, golden_json, capsys):
         code = main(["compute", "--input", golden_json, "--p", "a", "--q", "b"])
         assert code == 2
+
+    def test_measure_is_repeatable(self, golden_json, capsys):
+        code = main(["compute", "--input", golden_json, "--p", "a", "--q", "b", "--measure", "J", "--measure", "KL"])
+        assert code == 0
+        P, Q = db.normalize([3, 1]), db.normalize([1, 3])
+        lines = capsys.readouterr().out.splitlines()[2:]
+        assert lines == [f"{mid} {db.divergence(mid, P, Q):.17g}" for mid in ("J", "KL")]
+
+    @pytest.mark.parametrize("order", ["all-first", "measure-first"])
+    @pytest.mark.parametrize("measure", ["J", "NOPE"])
+    def test_all_excludes_measure(self, golden_json, capsys, order, measure):
+        # --all evaluates every measure, so a --measure beside it is a usage
+        # error, never one dropped without a word.
+        picks = ["--all", "--measure", measure] if order == "all-first" else ["--measure", measure, "--all"]
+        with pytest.raises(SystemExit) as info:
+            main(["compute", "--input", golden_json, "--p", "a", "--q", "b", *picks])
+        assert info.value.code == 2
+        assert "not allowed with argument" in capsys.readouterr().err
 
 
 class TestBounds:

@@ -636,6 +636,42 @@ class TestColumnSuites:
             db.run_suite("thm31", cfg)
         assert str(info.value) == str(scalar)
 
+    def test_thm32_falls_back_to_the_first_failing_trials_error(self, monkeypatch):
+        # Trial 1's a_cf of PHI_S(-2) overflows (r^-3), which its column
+        # gives as a value that is not finite; trial 5's g leaves the float
+        # range at x = 1e-200 (G2 at s = -2), which its (m, M) column raises.
+        # The fallback, trial by trial, raises trial 1's error.
+        cfg = db.TrialConfig(seed=47, trials=12)
+        _force_ranges(monkeypatch, cfg, {1: (1e-103, 2.0), 5: (1e-200, 2.0)})
+        with np.errstate(all="ignore"), pytest.raises(NumericOverflow) as info:
+            harness._SUITES["thm32"].columns(harness.PairTable(cfg))
+        assert str(info.value) == "g(x) = x^(2-s) f''(x) leaves the float range at x=1e-200, s=-2.0"
+        scalar = _first_error("thm32", cfg)
+        assert str(scalar) == "a_cf of PHI_S(-2.0) leaves the float range"
+        with pytest.raises(NumericOverflow) as info:
+            db.run_suite("thm32", cfg)
+        assert str(info.value) == str(scalar)
+
+    def test_a_suite_without_a_fallback_raises_its_columns_error(self, monkeypatch):
+        # C_f of the power generator is inf at trial 3, so phi_s leaves the
+        # float range at the first special s; phi_cases has no fallback and
+        # raises before the row loop reads any pair.
+        cfg = db.TrialConfig(seed=46, trials=10)
+        cf = harness.PairTable.cf
+
+        def forced(table, measure):
+            out = cf(table, measure).copy()
+            out[3] = np.inf
+            return out
+
+        monkeypatch.setattr(harness.PairTable, "cf", forced)
+        pairs = []
+        random_pair = harness.random_pair
+        monkeypatch.setattr(harness, "random_pair", lambda config, i: pairs.append(i) or random_pair(config, i))
+        with pytest.raises(NumericOverflow, match=r"^phi_s at s=-1\.0 leaves the float range$"):
+            db.run_suite("phi_cases", cfg)
+        assert pairs == []
+
     def test_numpy_warnings_escape_only_the_suites_without_a_fallback(self, monkeypatch, rows_spy):
         # A measure column divided by zero warns and is inf.  eq3 has no
         # fallback, so the warning reaches the caller; rem41 computes its

@@ -89,6 +89,23 @@ class TestDistribution:
         with pytest.raises(NotNormalized):
             db.Distribution(np.array([0.5, 0.6]))
 
+    @pytest.mark.parametrize(
+        "probs, error, message",
+        [
+            (np.array([0.5]), EmptyOrTooShort, "need a 1-d vector of length >= 2, got shape (1,)"),
+            (np.array([[0.5, 0.5]]), EmptyOrTooShort, "need a 1-d vector of length >= 2, got shape (1, 2)"),
+            ([math.nan, 1.0], NonFinite, "distribution entries must be finite"),
+            ([-0.5, 1.5], NegativeEntry, "distribution entries must be nonnegative"),
+            ([0.0, 1.0], ZeroEntry, "the simplex excludes zero probabilities"),
+            ([0.5, 0.6], NotNormalized, "entries sum to 1.1, not 1 within 1e-09"),
+        ],
+        ids=["length-1", "2-d", "nan", "negative", "zero", "sum"],
+    )
+    def test_direct_construction_checks_its_entries(self, probs, error, message):
+        with pytest.raises(error) as info:
+            db.Distribution(probs)
+        assert str(info.value) == message
+
     def test_immutable(self):
         d = db.normalize([1, 3])
         with pytest.raises(ValueError):
