@@ -43,6 +43,8 @@ def load_distributions(path: str, fmt: str) -> dict:
         dists = doc.get("distributions") if isinstance(doc, dict) else None
         if not isinstance(dists, dict):
             raise DivBoundsError(f"{path}: expected a top-level 'distributions' object")
+        if doc.duplicate is not None:
+            raise DivBoundsError(f"{path}: duplicate key {doc.duplicate!r}")
         if dists.duplicate is not None:
             raise DivBoundsError(f"{path}: duplicate distribution name {dists.duplicate!r}")
         return {str(k): _json_weights(str(k), v) for k, v in dists.items()}
@@ -234,8 +236,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_bounds)
 
     p = sub.add_parser("verify", parents=[report], help="Run randomized verification suites.")
-    p.add_argument("--suite", action="append", default=[], help="Suite id (repeatable).")
-    p.add_argument("--all", action="store_true", help="Run every suite.")
+    which = p.add_mutually_exclusive_group()
+    which.add_argument("--suite", action="append", default=[], help="Suite id (repeatable).")
+    which.add_argument("--all", action="store_true", help="Run every suite.")
     p.add_argument("--trials", type=int, default=1000)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(fn=cmd_verify)

@@ -49,7 +49,6 @@ from .generators import (
     csiszar_sums,
     eval_csiszar,
     finite_cf,
-    float_each,
     get_generator,
     horner,
     phi_generator,
@@ -457,14 +456,15 @@ def a_cf(gen: Generator, rng: RatioRange) -> float:
     r, R = rng.r, rng.R
     if r == R:
         return 0.0
-    return require_finite(a_cf_values(gen, r, R), f"a_cf of {gen.id}")
+    return require_finite(float(a_cf_values(gen, np.array(r), np.array(R))), f"a_cf of {gen.id}")
 
 
 def a_cf_values(gen: Generator, r, R):
-    """a_cf on 0 < r <= R (0.0 where r == R): floats, or arrays of ranges,
-    each entry bit for bit its float value (f' is called on one float at a
-    time); inf or nan where it leaves the float range."""
-    return 0.25 * (R - r) * (float_each(gen.f_prime, R) - float_each(gen.f_prime, r))
+    """a_cf on 0 < r <= R (0.0 where r == R), on arrays of ranges; a_cf
+    passes one range as 0-d arrays, so it takes the same numpy loops and
+    holds the bits of its entry in a column.  inf or nan where it leaves
+    the float range."""
+    return 0.25 * (R - r) * (gen.f_prime(R) - gen.f_prime(r))
 
 
 @np.errstate(all="ignore")  # NumericOverflow is the only signal
@@ -476,7 +476,7 @@ def b_cf(gen: Generator, rng: RatioRange) -> float:
     if not b_defined(r, R):
         raise InvalidRange(f"need 0 < r <= 1 <= R with r != R, got {rng}")
     gen = get_generator(gen)
-    return require_finite(b_cf_values(gen, r, R), f"b_cf of {gen.id}")
+    return require_finite(float(b_cf_values(gen, np.array(r), np.array(R))), f"b_cf of {gen.id}")
 
 
 def b_defined(r, R):
@@ -489,7 +489,7 @@ def b_defined(r, R):
 
 def b_cf_values(gen: Generator, r, R):
     """b_cf on 0 < r <= 1 <= R, r != R, as :func:`a_cf_values`."""
-    return ((R - 1.0) * float_each(gen.f, r) + (1.0 - r) * float_each(gen.f, R)) / (R - r)
+    return ((R - 1.0) * gen.f(r) + (1.0 - r) * gen.f(R)) / (R - r)
 
 
 @dataclass(frozen=True, slots=True)

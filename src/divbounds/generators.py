@@ -45,10 +45,13 @@ def horner(coeffs, x):
     return acc
 
 
-# Python's float power, and any function at one float at a time, on a float
-# or entry by entry on an array: numpy's array ``**`` and ``log`` can differ
-# from Python's and numpy's scalar ones in the last bit, and the harness's
-# columns must hold the bits of the scalar functions.
+# Python's float power on a float, and entry by entry on an array.  g's
+# float path (Rational.times_power on a float, about twice a bound_interval
+# call) stays off numpy: Python's ``**`` takes 24 ns there against 0.53 us
+# for a scalar np.power (2-CPU Xeon, numpy 2.4).  numpy's ``**`` can differ
+# from Python's in the last bit, so g's array path, which holds the float
+# path's bits, takes this twin.  f and f' are numpy alone: a_cf and b_cf
+# pass one range as 0-d arrays, which get the bits of a column's entries.
 
 
 def float_pow(x, e: float):
@@ -63,21 +66,6 @@ def float_pow(x, e: float):
         return np.array([v**e for v in xs], dtype=np.float64)
     except OverflowError:
         return np.array([float_pow(v, e) for v in xs], dtype=np.float64)
-
-
-def float_each(fn, x):
-    """float(fn(x)) on a float, at every entry of an array one at a time;
-    nan where fn raises OverflowError (Python's ** does)."""
-    if not isinstance(x, np.ndarray):
-        try:
-            return float(fn(x))
-        except OverflowError:
-            return math.nan
-    xs = x.tolist()
-    try:
-        return np.array([float(fn(v)) for v in xs], dtype=np.float64)
-    except OverflowError:
-        return np.array([float_each(fn, v) for v in xs], dtype=np.float64)
 
 
 @dataclass(frozen=True)

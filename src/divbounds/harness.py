@@ -37,9 +37,10 @@ b_cf, for the power generator and, in thm32, the catalog one; B only on the
 trials where :func:`b_defined`), thm32 its (m, M) once per (measure, s)
 cell, and rem41/rem51 the estimator formulas on the measure columns,
 through the cores that the public scalar functions call, bit for bit:
-numpy's + - * / and sqrt are correctly rounded, and f and f' are called on
-one float at a time.  Where a trial would make a public function raise, or
-a slack is not finite, such a suite checks trial by trial instead, through
+numpy's + - * / and sqrt are correctly rounded, and a_cf and b_cf pass one
+range to the cores as 0-d arrays, which take the columns' numpy loops.
+Where a trial would make a public function raise, or a slack is not
+finite, such a suite checks trial by trial instead, through
 the public per-pair functions (:func:`bound_set`; :func:`bound_interval`
 and :func:`difference_bounds`; :func:`estimate` and :func:`ratio_range`) on
 the pair that :func:`run_suite` reads for the trial, so that it raises the

@@ -75,6 +75,16 @@ class TestLoadDistributions:
         assert captured.err == f"error: {path}: expected a top-level 'distributions' object\n"
         assert captured.out == ""
 
+    def test_repeated_top_level_key_is_usage_error(self, tmp_path, capsys):
+        # json.load would keep the second "distributions" object silently.
+        path = tmp_path / "dup_top.json"
+        path.write_text('{"distributions": {"a": [1, 2], "b": [2, 1]}, "distributions": {"a": [1, 1], "b": [1, 1]}}')
+        code = main(["compute", "--input", str(path), "--p", "a", "--q", "b", "--measure", "J"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err == f"error: {path}: duplicate key 'distributions'\n"
+        assert captured.out == ""
+
     def test_unknown_name_is_usage_error(self, golden_json, capsys):
         code = main(["compute", "--input", golden_json, "--p", "nope", "--q", "b", "--measure", "J"])
         captured = capsys.readouterr()
@@ -283,6 +293,17 @@ class TestVerify:
     def test_no_suite_requested(self, capsys):
         code = main(["verify"])
         assert code == 2
+
+    @pytest.mark.parametrize("order", ["all-first", "suite-first"])
+    @pytest.mark.parametrize("suite", ["eq3", "nosuch"])
+    def test_all_excludes_suite(self, capsys, order, suite):
+        # --all runs every suite, so a --suite beside it is a usage error,
+        # never one dropped without a word.
+        picks = ["--all", "--suite", suite] if order == "all-first" else ["--suite", suite, "--all"]
+        with pytest.raises(SystemExit) as info:
+            main(["verify", *picks, "--trials", "2"])
+        assert info.value.code == 2
+        assert "not allowed with argument" in capsys.readouterr().err
 
     def test_deterministic_output(self, capsys):
         argv = ["verify", "--suite", "eq3", "--suite", "thm31", "--trials", "25", "--seed", "9"]

@@ -1,10 +1,12 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
 import divbounds as db
-from divbounds.errors import InvalidArgument, LengthMismatch, NonFinite, UnknownMeasure
+from divbounds.csiszar_bounds import a_cf_values, b_cf_values, b_defined
+from divbounds.errors import InvalidArgument, LengthMismatch, NonFinite, NumericOverflow, UnknownMeasure
 
 GRID = np.exp(np.linspace(math.log(1e-3), math.log(1e3), 601))
 
@@ -165,6 +167,68 @@ class TestEvalCsiszar:
         gen = db.catalog()[mid]
         for P, Q in pairs_100:
             assert db.eval_csiszar(gen, P, Q) >= -1e-12
+
+
+#: Every catalog generator, and phi_generator(s) at the harness's default s,
+#: near both poles and off the grid.
+PREMISE_GENS = [
+    *db.catalog().values(),
+    *(db.phi_generator(s) for s in (*db.TrialConfig().s_samples, 0.3, -1.7, 1e-11, 1.0000001, 7.25)),
+]
+
+
+def _log_uniform(rng, lo, hi, size):
+    return np.exp(rng.uniform(math.log(lo), math.log(hi), size))
+
+
+def _same_bits(one, column):
+    """one[i] and column[i] hold the same float64, nan in the same places."""
+    one, column = np.asarray(one, dtype=np.float64), np.asarray(column, dtype=np.float64)
+    nan = np.isnan(one)
+    return np.array_equal(nan, np.isnan(column)) and np.array_equal(one[~nan].view(np.int64), column[~nan].view(np.int64))
+
+
+class TestOneValueAsAColumn:
+    """numpy gives a 0-d array the bits of every entry of an array, so a_cf
+    and b_cf on one range hold the bits of the harness's columns."""
+
+    X = np.concatenate(
+        [[5e-324, 1e-310, 1.0 - 2**-52, 1.0, 1.0 + 2**-52, 1e308], _log_uniform(np.random.default_rng(26), 5e-324, 1e308, 400)]
+    )
+
+    @pytest.mark.parametrize("gen", PREMISE_GENS, ids=str)
+    def test_f_and_f_prime_on_a_0d_array_equal_the_array_entry(self, gen):
+        with np.errstate(all="ignore"):
+            for fn in (gen.f, gen.f_prime):
+                column = fn(self.X)
+                one = [fn(np.array(v)) for v in self.X.tolist()]
+                assert _same_bits(one, column), (gen.id, fn)
+
+    @staticmethod
+    def _ranges():
+        rng = np.random.default_rng(260)
+        anywhere = np.sort(_log_uniform(rng, 5e-324, 1e308, (2, 100)), axis=0)
+        r = np.concatenate([_log_uniform(rng, 1e-12, 1.0, 300), anywhere[0], [0.5, 1.0, 1e-300]])
+        R = np.concatenate([_log_uniform(rng, 1.0, 1e12, 300), anywhere[1], [2.0, 1.0, 3.0]])
+        return r, R
+
+    @pytest.mark.parametrize("gen", PREMISE_GENS, ids=str)
+    def test_a_cf_and_b_cf_equal_their_column_entry(self, gen):
+        r, R = self._ranges()
+        has_b = b_defined(r, R)
+        with np.errstate(all="ignore"):
+            columns = {db.a_cf: a_cf_values(gen, r, R), db.b_cf: b_cf_values(gen, r[has_b], R[has_b])}
+        checked = {db.a_cf: range(r.size), db.b_cf: np.flatnonzero(has_b)}
+        for functional, column in columns.items():
+            for entry, i in zip(column.tolist(), checked[functional]):
+                rng = db.RatioRange(float(r[i]), float(R[i]))
+                if math.isfinite(entry):
+                    value = functional(gen, rng)
+                    assert type(value) is float
+                    assert _same_bits(value, entry), (functional.__name__, gen.id, rng)
+                else:
+                    with pytest.raises(NumericOverflow, match=f"^{functional.__name__} of {re.escape(gen.id)} leaves the float range$"):
+                        functional(gen, rng)
 
 
 def test_every_export_resolves():
