@@ -1,13 +1,15 @@
-"""Closed-form evaluation of the concrete divergence measures.
+"""Divergence values of the 15 named measures.
 
 All values are in nats.  The "adjoint" of a measure is the same formula with
 the arguments swapped; adjoints are separate named entries (D1/D2, F1/F2,
 G1/G2) because the bound tables are indexed by these names.
 
-Each formula sums over the last axis, so it takes one pair of probability
-vectors or a (k, n) block of k pairs (one value per row); the public
-functions here and the harness's batched pair table share it.  The power
-family phi_s has no formula of its own: it is the Csiszar sum of
+A catalog measure (D1 ... T) is the sum of its term t(p, q), written once
+in :data:`generators.TERMS`; KL, CHI2, HELLINGER and BHATTACHARYYA are
+written here.  Each sums over the last axis, so it takes one pair of
+probability vectors or a (k, n) block of k pairs (one value per row); the
+public functions here and the harness's batched pair table share it.  The
+power family phi_s has no formula of its own: it is the Csiszar sum of
 :func:`phi_generator` (s).
 
 :func:`divergence` and :func:`phi_s` keep each raw sum, before its finite
@@ -16,8 +18,8 @@ per measure or generator, held while (P, Q), matched by identity through
 weak references, stays the latest pair.  phi_s(s) and
 ``eval_csiszar(phi_generator(s))`` share one entry.  phi_s reads the
 pair's ratio vector x = p / q from the same slot (:func:`simplex.pair_vector`),
-formed once for every s; the closed forms here keep their own (p, q)
-formulas, which take blocks as well.
+formed once for every s; the divergences keep their (p, q) forms, which
+take blocks as well.
 """
 
 from __future__ import annotations
@@ -25,39 +27,12 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import UnknownMeasure, require_finite
-from .generators import csiszar_value, phi_generator
+from .generators import TERMS, csiszar_value, phi_generator
 from .simplex import Distribution, memoized, pair_probs
 
 
 def _kl(p, q):
     return np.add.reduce(p * np.log(p / q), axis=-1)
-
-
-def _j(p, q):
-    return np.add.reduce((p - q) * np.log(p / q), axis=-1)
-
-
-def _d1(p, q):
-    return np.add.reduce((p - q) * np.log((p + q) / (2 * q)), axis=-1)
-
-
-def _f1(p, q):
-    return np.add.reduce(p * np.log(2 * p / (p + q)), axis=-1)
-
-
-def _g1(p, q):
-    m = (p + q) / 2
-    return np.add.reduce(m * np.log(m / p), axis=-1)
-
-
-def _i(p, q):
-    m = (p + q) / 2
-    return np.add.reduce(p * np.log(p / m) + q * np.log(q / m), axis=-1) / 2
-
-
-def _t(p, q):
-    m = (p + q) / 2
-    return np.add.reduce(m * np.log(m / np.sqrt(p * q)), axis=-1)
 
 
 def _b(p, q):
@@ -72,18 +47,14 @@ def _chi2(p, q):
     return np.add.reduce((p - q) ** 2 / q, axis=-1)
 
 
+def _term_sum(term):
+    return lambda p, q: np.add.reduce(term(p, q), axis=-1)
+
+
 _DISPATCH = {
     "KL": _kl,
     "KL_ADJ": lambda p, q: _kl(q, p),
-    "J": _j,
-    "D1": _d1,
-    "D2": lambda p, q: _d1(q, p),
-    "F1": _f1,
-    "F2": lambda p, q: _f1(q, p),
-    "G1": _g1,
-    "G2": lambda p, q: _g1(q, p),
-    "I": _i,
-    "T": _t,
+    **{mid: _term_sum(TERMS[mid]) for mid in ("J", "D1", "D2", "F1", "F2", "G1", "G2", "I", "T")},
     "BHATTACHARYYA": _b,
     "HELLINGER": _h,
     "CHI2": _chi2,
@@ -112,8 +83,7 @@ def _measure_fn(measure: str):
 
 @np.errstate(all="ignore")  # NumericOverflow is the only signal
 def divergence(measure: str, P: Distribution, Q: Distribution) -> float:
-    """Closed-form value of a named measure, in nats, memoized for the
-    latest pair.
+    """Value of a named measure, in nats, memoized for the latest pair.
 
     Raises NumericOverflow where it leaves the float range, as a ratio
     p_i/q_i does when q_i is near the smallest subnormal.

@@ -1,17 +1,19 @@
-"""An independent reference for the power family phi_s off its poles.
+"""An independent reference for the power family phi_s off its poles and
+for the nine catalog measures.
 
 f, f' and the range-only bound functionals A and B of phi_generator(s),
-s != 0, 1, written again from the paper's formulas in decimal at 60
-significant digits, with x^e computed as exp(e * ln x).  Every float
-argument converts exactly, so each value is the formula's exact value at
-those floats, to far more digits than a float64 holds.  Nothing here calls
-the library or numpy.
+s != 0, 1, and the catalog's f and C_f, written again from the paper's
+formulas in decimal at 60 significant digits, with x^e computed as
+exp(e * ln x).  Every float argument converts exactly, so each value is the
+formula's exact value at those floats, to far more digits than a float64
+holds.  Nothing here calls the library or numpy.
 
 A float evaluation of A or B can lose every digit to cancellation as r and
 R close in on 1, so its error is judged against a scale, not against |A|
 or |B|: the same formula with every term taken by its magnitude (a running
 error bound), where f'(x) = x^(s-1) / (s-1) also carries |(s-1) ln x| for
-the rounding of the exponent s - 1 to a float.
+the rounding of the exponent s - 1 to a float.  C_f of a catalog measure is
+judged the same way, on :class:`Running` values.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ U = Decimal(2) ** -53
 
 
 @functools.cache  # each x's logarithm serves f, f' and both scales
-def _ln(x: float) -> Decimal:
+def _ln(x) -> Decimal:
     return CTX.ln(Decimal(x))
 
 
@@ -89,3 +91,74 @@ def _chord(r: float, R: float, f_r: Decimal, f_R: Decimal) -> Decimal:
 def error_in_scale(value: float, exact: Decimal, scale: Decimal) -> float:
     """|value - exact| in units of u * scale."""
     return float(CTX.divide(abs(CTX.subtract(Decimal(value), exact)), CTX.multiply(U, scale)))
+
+
+class Running:
+    """A value with its running-error scale: the same expression with every
+    operand taken by its magnitude, so a sum or difference adds scales and
+    a product or quotient multiplies or divides them.  A float evaluation
+    of the expression is within a few units of u * scale of the value."""
+
+    def __init__(self, value, scale=None):
+        self.value = Decimal(value)
+        self.scale = abs(self.value) if scale is None else scale
+
+    def _op(self, other, op, scale_op):
+        other = other if isinstance(other, Running) else Running(other)
+        return Running(op(self.value, other.value), scale_op(self.scale, other.scale))
+
+    def __add__(self, other):
+        return self._op(other, CTX.add, CTX.add)
+
+    def __sub__(self, other):
+        return self._op(other, CTX.subtract, CTX.add)
+
+    def __rsub__(self, other):
+        return Running(other) - self
+
+    def __mul__(self, other):
+        return self._op(other, CTX.multiply, CTX.multiply)
+
+    def __truediv__(self, other):
+        return self._op(other, CTX.divide, CTX.divide)
+
+    __radd__, __rmul__ = __add__, __mul__
+
+
+def _run_ln(y: Running) -> Running:
+    """ln y, whose scale |ln y| + 1 carries the rounding of y."""
+    v = _ln(y.value)
+    return Running(v, CTX.add(abs(v), 1))
+
+
+def _run_sqrt(y: Running) -> Running:
+    return Running(CTX.sqrt(y.value), CTX.sqrt(y.scale))
+
+
+#: f of each catalog measure, from the paper's definitions (the f_text each
+#: generator prints), on :class:`Running` values.
+CATALOG_F = {
+    "D1": lambda x: (x - 1) * _run_ln((x + 1) / 2),
+    "D2": lambda x: (1 - x) * _run_ln((x + 1) / (2 * x)),
+    "F1": lambda x: (1 - x) / 2 - x * _run_ln((x + 1) / (2 * x)),
+    "F2": lambda x: (x - 1) / 2 - _run_ln((x + 1) / 2),
+    "G1": lambda x: (x - 1) / 2 + (x + 1) / 2 * _run_ln((x + 1) / (2 * x)),
+    "G2": lambda x: (1 - x) / 2 + (x + 1) / 2 * _run_ln((x + 1) / 2),
+    "J": lambda x: (x - 1) * _run_ln(x),
+    "I": lambda x: x / 2 * _run_ln(x) - (x + 1) / 2 * _run_ln((x + 1) / 2),
+    "T": lambda x: (x + 1) / 2 * _run_ln((x + 1) / (2 * _run_sqrt(x))),
+}
+
+
+def catalog_cf(measure: str, p, q) -> tuple:
+    """(C_f, its scale) of a catalog measure on float vectors p, q: the sum
+    of q_i f(x_i) with x_i = p_i / q_i in decimal, and of q_i times f's
+    scale at x_i, which carries the rounding of x_i to a float."""
+    f = CATALOG_F[measure]
+    total = scale = Decimal(0)
+    for p_i, q_i in zip(p, q):
+        q_ = Decimal(q_i)
+        term = f(Running(CTX.divide(Decimal(p_i), q_)))
+        total = CTX.add(total, CTX.multiply(q_, term.value))
+        scale = CTX.add(scale, CTX.multiply(q_, term.scale))
+    return total, scale

@@ -685,7 +685,7 @@ class TestGenericFunctionals:
 
     @pytest.mark.parametrize(
         "rng, overflows",
-        [(db.RatioRange(1e-310, 2.0), {("a_cf", "J"), ("b_cf", "F1")}), (db.RatioRange(0.5, 1e308), {("a_cf", "G1")})],
+        [(db.RatioRange(1e-310, 2.0), {("a_cf", "J"), ("b_cf", "D2")}), (db.RatioRange(0.5, 1e308), {("a_cf", "G1")})],
         ids=str,
     )
     def test_a_cf_and_b_cf_are_finite_or_typed_without_warnings(self, rng, overflows):
@@ -706,6 +706,13 @@ class TestGenericFunctionals:
                     else:
                         assert math.isfinite(value), (functional.__name__, gen.id)
         assert raised >= overflows
+
+    def test_b_cf_of_f1_is_finite_at_a_subnormal_r(self):
+        # F1's f, x*ln(2x/(x+1)) + (1-x)/2, is finite at x = 1e-310, where
+        # (x+1)/(2x) would overflow; B = (f(r) + (1-r) f(2)) / (2-r) is
+        # (1/2 + 2 ln(4/3) - 1/2) / 2 = ln(4/3) to rounding.
+        value = db.b_cf(db.catalog()["F1"], db.RatioRange(1e-310, 2.0))
+        assert value == pytest.approx(math.log(4 / 3), rel=1e-15)
 
 
 class TestBoundInterval:

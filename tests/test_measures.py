@@ -1,6 +1,8 @@
 import math
+import warnings
 
 import numpy as np
+import oracle
 import pytest
 
 import divbounds as db
@@ -160,3 +162,71 @@ def test_divergence_overflowing_ratio_is_typed():
             db.divergence(measure, P, Q)
     assert db.divergence("KL_ADJ", P, Q) == pytest.approx(math.log(2.0), rel=1e-15)
     assert math.isfinite(db.divergence("F1", P, Q))
+
+
+#: P = (1/2, 1/2) and Q = (5e-324, 1): p_1/q_1 overflows, q_1/p_1 is subnormal.
+SUBNORMAL_PAIR = (db.normalize([1, 1]), db.normalize([5e-324, 1]))
+
+#: The values that must stay finite on SUBNORMAL_PAIR in each order, as
+#: (divergence ids, eval_csiszar ids).  Others may raise NumericOverflow.
+FINITE_ON_SUBNORMAL_PAIR = {
+    "P, Q": (
+        {"KL_ADJ", "D2", "F1", "F2", "G1", "I", "BHATTACHARYYA", "HELLINGER", "CHI2_ADJ"},
+        set(),
+    ),
+    "Q, P": (
+        {"KL", "J", "D1", "F1", "F2", "G2", "I", "BHATTACHARYYA", "HELLINGER", "CHI2"},
+        {"D1", "F1", "F2", "G2", "J", "I", "T"},
+    ),
+}
+
+
+@pytest.mark.parametrize("order", FINITE_ON_SUBNORMAL_PAIR)
+def test_overflow_contract_on_a_subnormal_pair(order):
+    # Each divergence and C_f is a finite float or NumericOverflow, never
+    # inf, nan or a numpy warning; a divergence and its C_f agree where both
+    # are finite.  The raises are not pinned: T's divergence on (Q, P)
+    # overflows in sqrt(p*q) although its C_f is finite.
+    P, Q = SUBNORMAL_PAIR if order == "P, Q" else SUBNORMAL_PAIR[::-1]
+    finite_div, finite_cf = FINITE_ON_SUBNORMAL_PAIR[order]
+    values = {}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for fn, ids, finite in ((db.divergence, db.MEASURE_IDS, finite_div), (db.eval_csiszar, db.CATALOG_IDS, finite_cf)):
+            for mid in ids:
+                try:
+                    values[fn.__name__, mid] = value = fn(mid, P, Q)
+                except NumericOverflow:
+                    assert mid not in finite, (fn.__name__, mid)
+                else:
+                    assert math.isfinite(value), (fn.__name__, mid)
+    assert {mid for name, mid in values if name == "divergence"} >= finite_div
+    assert {mid for name, mid in values if name == "eval_csiszar"} >= finite_cf
+    for mid in db.CATALOG_IDS:
+        if ("divergence", mid) in values and ("eval_csiszar", mid) in values:
+            assert values["eval_csiszar", mid] == pytest.approx(values["divergence", mid], rel=1e-14), mid
+
+
+class TestAgainstTheDecimalReference:
+    """divergence and eval_csiszar of the nine catalog measures against
+    oracle.catalog_cf, in u = 2^-53 times the oracle's running-error scale
+    sum_i q_i |terms of f(x_i)|, on 40 default-family pairs and on the
+    finite values of SUBNORMAL_PAIR in both orders.  The worst measured was
+    1.11, for J by both routes; the bound is 2."""
+
+    @pytest.mark.parametrize("mid", db.CATALOG_IDS)
+    def test_within_a_few_units_of_the_scale(self, mid, pairs_100):
+        P, Q = SUBNORMAL_PAIR
+        cases = [(A, B, False) for A, B in pairs_100[:40]] + [(P, Q, True), (Q, P, True)]
+        worst = 0.0
+        for A, B, may_overflow in cases:
+            exact, scale = oracle.catalog_cf(mid, A.probs.tolist(), B.probs.tolist())
+            for fn in (db.divergence, db.eval_csiszar):
+                try:
+                    value = fn(mid, A, B)
+                except NumericOverflow:
+                    if not may_overflow:
+                        raise
+                    continue
+                worst = max(worst, oracle.error_in_scale(value, exact, scale))
+        assert worst <= 2.0
