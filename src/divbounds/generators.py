@@ -8,10 +8,12 @@ for a convex generator f on (0, inf) normalized by f(1) = 0.  Every
 generator carries an analytic f' and f'' as a :class:`Rational`; finite
 differences are relegated to the test oracle.
 
-Each of the nine catalog measures is written once, here, as its term
-t(p, q) (:data:`TERMS`): ``divergence`` sums the term, and the generator's
-f is t(x, 1), plus (1-x)/2 or (x-1)/2 for F1, F2, G1 and G2 to make
-f'(1) = 0.
+Each of the 15 named measures is written once, here, as its term t(p, q)
+(:data:`TERMS`), and ``divergence`` sums the term.  A catalog generator's
+f is its term at q = 1, t(x, 1), plus (1-x)/2 or (x-1)/2 for F1, F2, G1
+and G2 to make f'(1) = 0.  The power family phi_s, whose members at
+s = 1, 0, 2, -1 and 1/2 are KL, KL_ADJ, CHI2 / 2, CHI2_ADJ / 2 and
+4 HELLINGER, keeps its own f (:func:`phi_generator`).
 """
 
 from __future__ import annotations
@@ -151,19 +153,28 @@ class Generator:
         return self.id  # J, PHI_S(0.5), PHI_S(1) at the pole: messages and test ids name it
 
 
-#: The term t(p, q) of each catalog measure, elementwise, in catalog order.
-#: D2, F2 and G2 are D1, F1 and G1 with p and q swapped.  G1, I and T form
-#: m = (p + q) / 2 once; I halves each term, which is exact.
+#: The term t(p, q) of each of the 15 named measures, elementwise, in the
+#: order of ``measures.MEASURE_IDS``: its divergence is the sum of t.
+#: KL_ADJ, D2, F2, G2 and CHI2_ADJ are KL, D1, F1, G1 and CHI2 with p and q
+#: swapped.  G1, I and T form m = (p + q) / 2 once; I and HELLINGER halve
+#: each term.  Each halving is ``* 0.5``: the bits of ``/ 2``, without a
+#: division.
 TERMS = {
+    "KL": lambda p, q: p * np.log(p / q),
+    "KL_ADJ": lambda p, q: TERMS["KL"](q, p),
+    "J": lambda p, q: (p - q) * np.log(p / q),
     "D1": lambda p, q: (p - q) * np.log((p + q) / (2 * q)),
     "D2": lambda p, q: TERMS["D1"](q, p),
     "F1": lambda p, q: p * np.log(2 * p / (p + q)),
     "F2": lambda p, q: TERMS["F1"](q, p),
-    "G1": lambda p, q: (m := (p + q) / 2) * np.log(m / p),
+    "G1": lambda p, q: (m := (p + q) * 0.5) * np.log(m / p),
     "G2": lambda p, q: TERMS["G1"](q, p),
-    "J": lambda p, q: (p - q) * np.log(p / q),
-    "I": lambda p, q: (p * np.log(p / (m := (p + q) / 2)) + q * np.log(q / m)) / 2,
-    "T": lambda p, q: (m := (p + q) / 2) * np.log(m / np.sqrt(p * q)),
+    "I": lambda p, q: (p * np.log(p / (m := (p + q) * 0.5)) + q * np.log(q / m)) * 0.5,
+    "T": lambda p, q: (m := (p + q) * 0.5) * np.log(m / np.sqrt(p * q)),
+    "BHATTACHARYYA": lambda p, q: np.sqrt(p * q),
+    "HELLINGER": lambda p, q: (np.sqrt(p) - np.sqrt(q)) ** 2 * 0.5,
+    "CHI2": lambda p, q: (p - q) ** 2 / q,
+    "CHI2_ADJ": lambda p, q: TERMS["CHI2"](q, p),
 }
 
 

@@ -1,16 +1,14 @@
 """Divergence values of the 15 named measures.
 
 All values are in nats.  The "adjoint" of a measure is the same formula with
-the arguments swapped; adjoints are separate named entries (D1/D2, F1/F2,
-G1/G2) because the bound tables are indexed by these names.
+the arguments swapped; adjoints are separate named entries (KL_ADJ, D2, F2,
+G2, CHI2_ADJ) because the bound tables index D1/D2, F1/F2 and G1/G2 by name.
 
-A catalog measure (D1 ... T) is the sum of its term t(p, q), written once
-in :data:`generators.TERMS`; KL, CHI2, HELLINGER and BHATTACHARYYA are
-written here.  Each sums over the last axis, so it takes one pair of
-probability vectors or a (k, n) block of k pairs (one value per row); the
-public functions here and the harness's batched pair table share it.  The
-power family phi_s has no formula of its own: it is the Csiszar sum of
-:func:`phi_generator` (s).
+This module holds no formula.  Each measure is the sum of its term t(p, q),
+written once in :data:`generators.TERMS`, over the last axis, so it takes
+one pair of probability vectors or a (k, n) block of k pairs (one value per
+row); the public functions here and the harness's batched pair table share
+it.  The power family phi_s is the Csiszar sum of :func:`phi_generator` (s).
 
 :func:`divergence` and :func:`phi_s` keep each raw sum, before its finite
 check, in the latest-pair memo (:func:`simplex.memoized`): a Python float
@@ -18,7 +16,7 @@ per measure or generator, held while (P, Q), matched by identity through
 weak references, stays the latest pair.  phi_s(s) and
 ``eval_csiszar(phi_generator(s))`` share one entry.  phi_s reads the
 pair's ratio vector x = p / q from the same slot (:func:`simplex.pair_vector`),
-formed once for every s; the divergences keep their (p, q) forms, which
+formed once for every s; the divergences sum their (p, q) terms, which
 take blocks as well.
 """
 
@@ -31,38 +29,14 @@ from .generators import TERMS, csiszar_value, phi_generator
 from .simplex import Distribution, memoized, pair_probs
 
 
-def _kl(p, q):
-    return np.add.reduce(p * np.log(p / q), axis=-1)
-
-
-def _b(p, q):
-    return np.add.reduce(np.sqrt(p * q), axis=-1)
-
-
-def _h(p, q):
-    return np.add.reduce((np.sqrt(p) - np.sqrt(q)) ** 2, axis=-1) / 2
-
-
-def _chi2(p, q):
-    return np.add.reduce((p - q) ** 2 / q, axis=-1)
-
-
 def _term_sum(term):
     return lambda p, q: np.add.reduce(term(p, q), axis=-1)
 
 
-_DISPATCH = {
-    "KL": _kl,
-    "KL_ADJ": lambda p, q: _kl(q, p),
-    **{mid: _term_sum(TERMS[mid]) for mid in ("J", "D1", "D2", "F1", "F2", "G1", "G2", "I", "T")},
-    "BHATTACHARYYA": _b,
-    "HELLINGER": _h,
-    "CHI2": _chi2,
-    "CHI2_ADJ": lambda p, q: _chi2(q, p),
-}
+_DISPATCH = {mid: _term_sum(term) for mid, term in TERMS.items()}
 
 #: All named measures accepted by :func:`divergence`.
-MEASURE_IDS = tuple(_DISPATCH)
+MEASURE_IDS = tuple(TERMS)
 
 #: Measures invariant under swapping P and Q.
 SYMMETRIC_IDS = ("J", "I", "T", "HELLINGER", "BHATTACHARYYA")

@@ -1,9 +1,9 @@
 """An independent reference for the power family phi_s off its poles and
-for the nine catalog measures.
+for the 15 named measures.
 
 f, f' and the range-only bound functionals A and B of phi_generator(s),
-s != 0, 1, and the catalog's f and C_f, written again from the paper's
-formulas in decimal at 60 significant digits, with x^e computed as
+s != 0, 1, and each named measure's f and C_f, written again from the
+paper's formulas in decimal at 60 significant digits, with x^e computed as
 exp(e * ln x).  Every float argument converts exactly, so each value is the
 formula's exact value at those floats, to far more digits than a float64
 holds.  Nothing here calls the library or numpy.
@@ -12,7 +12,7 @@ A float evaluation of A or B can lose every digit to cancellation as r and
 R close in on 1, so its error is judged against a scale, not against |A|
 or |B|: the same formula with every term taken by its magnitude (a running
 error bound), where f'(x) = x^(s-1) / (s-1) also carries |(s-1) ln x| for
-the rounding of the exponent s - 1 to a float.  C_f of a catalog measure is
+the rounding of the exponent s - 1 to a float.  C_f of a named measure is
 judged the same way, on :class:`Running` values.
 """
 
@@ -135,9 +135,11 @@ def _run_sqrt(y: Running) -> Running:
     return Running(CTX.sqrt(y.value), CTX.sqrt(y.scale))
 
 
-#: f of each catalog measure, from the paper's definitions (the f_text each
-#: generator prints), on :class:`Running` values.
-CATALOG_F = {
+#: f of each named measure, from the paper's definitions (for the catalog,
+#: the f_text each generator prints), on :class:`Running` values.  C_f of
+#: KL_ADJ and CHI2_ADJ is that of KL and CHI2 with p and q swapped; C_f of
+#: BHATTACHARYYA is the coefficient sum_i sqrt(p_i q_i), so its f(1) = 1.
+MEASURE_F = {
     "D1": lambda x: (x - 1) * _run_ln((x + 1) / 2),
     "D2": lambda x: (1 - x) * _run_ln((x + 1) / (2 * x)),
     "F1": lambda x: (1 - x) / 2 - x * _run_ln((x + 1) / (2 * x)),
@@ -147,14 +149,20 @@ CATALOG_F = {
     "J": lambda x: (x - 1) * _run_ln(x),
     "I": lambda x: x / 2 * _run_ln(x) - (x + 1) / 2 * _run_ln((x + 1) / 2),
     "T": lambda x: (x + 1) / 2 * _run_ln((x + 1) / (2 * _run_sqrt(x))),
+    "KL": lambda x: x * _run_ln(x),
+    "KL_ADJ": lambda x: 0 - _run_ln(x),
+    "CHI2": lambda x: (x - 1) * (x - 1),
+    "CHI2_ADJ": lambda x: (x - 1) * (x - 1) / x,
+    "HELLINGER": lambda x: (d := _run_sqrt(x) - 1) * d / 2,
+    "BHATTACHARYYA": _run_sqrt,
 }
 
 
-def catalog_cf(measure: str, p, q) -> tuple:
-    """(C_f, its scale) of a catalog measure on float vectors p, q: the sum
+def measure_cf(measure: str, p, q) -> tuple:
+    """(C_f, its scale) of a named measure on float vectors p, q: the sum
     of q_i f(x_i) with x_i = p_i / q_i in decimal, and of q_i times f's
     scale at x_i, which carries the rounding of x_i to a float."""
-    f = CATALOG_F[measure]
+    f = MEASURE_F[measure]
     total = scale = Decimal(0)
     for p_i, q_i in zip(p, q):
         q_ = Decimal(q_i)

@@ -13,6 +13,7 @@ import divbounds.measures as measures
 import divbounds.simplex as simplex
 from divbounds.cli import main
 from divbounds.errors import DegeneratePair, DivBoundsError, InvalidArgument, NumericOverflow, UnknownSuite, VanishingDenominator
+from divbounds.generators import VIOLATION_TOL
 
 #: Frozen output of random_pair(TrialConfig(seed=1, n_min=2, n_max=2), 0),
 #: recorded once so any change to the generator construction is caught.
@@ -831,3 +832,34 @@ class TestSpecialCases:
                         assert abs(got[name] - want) <= 1e-15 * db.divergence("T", P, Q) / _C_T, (sid, name, i)
                     else:
                         assert _bits(got[name]) == _bits(want), (sid, name, i)
+
+
+@pytest.mark.parametrize(
+    "slack, passes",
+    [
+        (VIOLATION_TOL, True),
+        (math.nextafter(VIOLATION_TOL, -math.inf), False),
+        (-0.0, True),
+        (0.0, True),
+        (math.nan, False),
+        (math.inf, True),
+        (-math.inf, False),
+    ],
+    ids=["tol", "below_tol", "-0.0", "0.0", "nan", "inf", "-inf"],
+)
+def test_one_violation_rule_at_every_site(slack, passes):
+    # A slack passes from VIOLATION_TOL upward; the next float below it,
+    # nan and -inf fail, at each of the four places that judge a slack.
+    P, Q = db.normalize([1, 2]), db.normalize([2, 1])
+    rng = db.ratio_range(P, Q)
+    mm = db.MMBounds(m=0.0, M=1.0, method="closed_form", s=1.0, range=rng)
+    report = db.SuiteReport("x", "", trials=1)
+    report.record(0, "x", slack, P, Q)
+    verdicts = {
+        "BoundReport lower": db.BoundReport("J", 1.0, 0.0, 0.0, 0.0, mm, lower_slack=slack, upper_slack=0.0).holds,
+        "BoundReport upper": db.BoundReport("J", 1.0, 0.0, 0.0, 0.0, mm, lower_slack=0.0, upper_slack=slack).holds,
+        "DifferenceReport": db.DifferenceReport(1.0, rng, mm, {"x": slack, "y": 0.0}).holds,
+        "TypeSBoundSet": db.TypeSBoundSet(1.0, rng, 0.0, 0.0, 0.0, None, {"x": slack, "y": 0.0}).holds,
+        "SuiteReport.record": report.violations == 0,
+    }
+    assert verdicts == dict.fromkeys(verdicts, passes)
