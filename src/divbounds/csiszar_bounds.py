@@ -43,6 +43,7 @@ from .errors import (
     require_finite_s,
 )
 from .generators import (
+    TERM_SLICE,
     VIOLATION_TOL,
     Generator,
     catalog_id,
@@ -52,6 +53,7 @@ from .generators import (
     get_generator,
     horner,
     phi_generator,
+    term_sum,
 )
 from .measures import finite_phi, phi_s
 from .simplex import Distribution, RatioRange, pair_ratios, pair_vector, ratio_range
@@ -444,7 +446,9 @@ def e_cf(gen: Generator, P: Distribution, Q: Distribution) -> float:
 
 def e_cf_sums(gen: Generator, d, x):
     """e_cf from the difference d = p - q and the ratio vector x = p / q,
-    or row by row on (k, n) blocks."""
+    or row by row on (k, n) blocks; a long pair is summed by :func:`term_sum`."""
+    if len(d) > TERM_SLICE:
+        return term_sum(lambda d, x: d * gen.f_prime(x), d, x)
     return np.add.reduce(d * gen.f_prime(x), axis=-1)
 
 

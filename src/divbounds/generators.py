@@ -14,12 +14,23 @@ f is its term at q = 1, t(x, 1), plus (1-x)/2 or (x-1)/2 for F1, F2, G1
 and G2 to make f'(1) = 0.  The power family phi_s, whose members at
 s = 1, 0, 2, -1 and 1/2 are KL, KL_ADJ, CHI2 / 2, CHI2_ADJ / 2 and
 4 HELLINGER, keeps its own f (:func:`phi_generator`).
+
+Every pair sum (the 15 measures, C_f and e_cf) is an elementwise term
+reduced over the last axis.  A pair longer than :data:`TERM_SLICE` entries
+is summed by :func:`term_sum`: the term is written into one array slice by
+slice, half the slices in one worker thread, which starts with the first
+such pair, and the array is reduced once.  The sum keeps its bits, as an
+elementwise loop gives an entry the same value in any slice that starts at
+a multiple of 64, and the reduce sees the same array.  Short pairs and
+(k, n) blocks take the one-line sum.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import os
+import threading
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -135,7 +146,10 @@ class Generator:
     """A divergence's generating triple on (0, inf), with f(1) = 0.
 
     f'' is a :class:`Rational`; catalog generators also carry the formula
-    text of f and f'' that the catalog command prints.
+    text of f and f'' that the catalog command prints.  f and f' must be
+    elementwise: an entry's value may depend on that entry alone, as the
+    Csiszar sum of a long pair evaluates them slice by slice
+    (:func:`term_sum`).
     """
 
     id: str
@@ -334,8 +348,87 @@ def csiszar_value(gen: Generator, P: Distribution, Q: Distribution) -> float:
 
 def csiszar_sums(gen: Generator, q, x):
     """C_f from a probability vector q and the ratio vector x = p / q, or
-    row by row on (k, n) blocks."""
+    row by row on (k, n) blocks; a long pair is summed by :func:`term_sum`."""
+    if len(q) > TERM_SLICE:
+        return term_sum(lambda q, x: q * gen.f(x), q, x)
     return np.add.reduce(q * gen.f(x), axis=-1)
+
+
+#: Entries in one slice of a long pair's term vector (:func:`term_sum`): a
+#: multiple of 64, so that every slice starts where numpy's SIMD loops
+#: start a block on the whole vector.  A slice and its temporaries
+#: (256 KiB each) stay in a 2 MiB L2.
+TERM_SLICE = 32768
+
+_worker = None  # term_sum's one worker thread (an executor), made on first use
+_worker_ident = None  # that thread's id, once it has run a half
+_worker_lock = threading.Lock()  # callers in two threads make one worker
+
+
+def term_sum(term, a, b):
+    """``np.add.reduce(term(a, b), axis=-1)``, bit for bit, for an
+    elementwise term of two arrays of one shape.
+
+    A 1-D pair longer than :data:`TERM_SLICE` is summed in slices: term
+    is written into one array, slice by slice, the upper half of the
+    slices by the one worker thread (numpy releases the GIL in its loops)
+    and the lower half by the caller, and that array is reduced once.  The bits cannot move: an elementwise loop gives an entry the
+    same value wherever its slice starts, slices that start at multiples
+    of 64 leave the SIMD tail on the same last entries, and the one reduce
+    sees the array that ``term(a, b)`` returns.  The worker runs under the
+    caller's numpy error state, and the call returns or raises only once
+    the worker is done: the caller's error first, else the worker's.
+    Every other input takes the one-line path, as does a call from the
+    worker itself (a term that sums a long pair), which would wait on its
+    own thread; the callers test the length inline, so a short pair makes
+    no extra call.
+    """
+    if a.ndim != 1 or a.shape[0] <= TERM_SLICE or threading.get_ident() == _worker_ident:
+        return np.add.reduce(term(a, b), axis=-1)
+    n = a.shape[0]
+    split = TERM_SLICE * (-(-n // TERM_SLICE) // 2)
+    out = np.empty(n)
+    job = _pool().submit(_fill_under, np.geterr(), term, a, b, out, split, n)
+    try:
+        _fill(term, a, b, out, 0, split)
+    finally:
+        failed = job.exception()  # waits: out is written only while the call runs
+    if failed is not None:
+        raise failed
+    return np.add.reduce(out, axis=-1)
+
+
+def _fill(term, a, b, out, lo, hi):
+    for i in range(lo, hi, TERM_SLICE):
+        j = min(i + TERM_SLICE, hi)
+        out[i:j] = term(a[i:j], b[i:j])
+
+
+def _fill_under(err, *args):
+    global _worker_ident
+    _worker_ident = threading.get_ident()
+    with np.errstate(**err):  # numpy's error state is per context, and a thread starts with the default
+        _fill(*args)
+
+
+def _pool():
+    global _worker
+    with _worker_lock:
+        if _worker is None:
+            from concurrent.futures import ThreadPoolExecutor
+
+            _worker = ThreadPoolExecutor(max_workers=1, thread_name_prefix="divbounds-term")
+        return _worker
+
+
+def _drop_worker():
+    global _worker, _worker_ident, _worker_lock
+    # A forked child has no worker thread and may hold a copy of a taken lock.
+    _worker, _worker_ident, _worker_lock = None, None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_drop_worker)
 
 
 def finite_cf(gen: Generator, value):
