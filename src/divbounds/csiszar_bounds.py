@@ -43,17 +43,15 @@ from .errors import (
     require_finite_s,
 )
 from .generators import (
-    TERM_SLICE,
-    VIOLATION_TOL,
     Generator,
+    all_hold,
     catalog_id,
-    csiszar_sums,
     eval_csiszar,
     finite_cf,
     get_generator,
     horner,
     phi_generator,
-    term_sum,
+    weighted_sum,
 )
 from .measures import finite_phi, phi_s
 from .simplex import Distribution, RatioRange, pair_ratios, pair_vector, ratio_range
@@ -441,15 +439,7 @@ def e_cf(gen: Generator, P: Distribution, Q: Distribution) -> float:
     NumericOverflow where it leaves the float range."""
     d, x = pair_vector(P, Q, "d"), pair_vector(P, Q, "x")
     gen = get_generator(gen)
-    return require_finite(float(e_cf_sums(gen, d, x)), f"e_cf of {gen.id}")
-
-
-def e_cf_sums(gen: Generator, d, x):
-    """e_cf from the difference d = p - q and the ratio vector x = p / q,
-    or row by row on (k, n) blocks; a long pair is summed by :func:`term_sum`."""
-    if len(d) > TERM_SLICE:
-        return term_sum(lambda d, x: d * gen.f_prime(x), d, x)
-    return np.add.reduce(d * gen.f_prime(x), axis=-1)
+    return require_finite(float(weighted_sum(gen.f_prime, d, x)), f"e_cf of {gen.id}")
 
 
 @np.errstate(all="ignore")  # NumericOverflow is the only signal
@@ -511,7 +501,7 @@ class BoundReport:
 
     @property
     def holds(self) -> bool:
-        return self.lower_slack >= VIOLATION_TOL and self.upper_slack >= VIOLATION_TOL
+        return all_hold((self.lower_slack, self.upper_slack))
 
 
 def bound_interval(measure, s: float, P: Distribution, Q: Distribution) -> BoundReport:
@@ -524,9 +514,9 @@ def bound_interval(measure, s: float, P: Distribution, Q: Distribution) -> Bound
     One pass under one np.errstate: s is checked first, by
     :func:`phi_generator`, the measure is resolved once, and x = p / q and
     the range are the pair's (:func:`pair_ratios`), each formed once while
-    the pair is the latest; phi_s and C_f come from x through
-    :func:`csiszar_sums`, the core of :func:`phi_s` and
-    :func:`eval_csiszar`, so every field holds the bits of
+    the pair is the latest; phi_s and C_f are sum q f(x) by
+    :func:`weighted_sum`, the one sum core of :func:`phi_s`,
+    :func:`eval_csiszar` and :func:`e_cf`, so every field holds the bits of
     :func:`ratio_range`, those public functions, :func:`mm_exact` and
     :func:`sandwich`, and every error is theirs.  The two sums are made on
     every call: x and the range come from the latest-pair slot.
@@ -537,8 +527,8 @@ def bound_interval(measure, s: float, P: Distribution, Q: Distribution) -> Bound
         gen = get_generator(measure)
         mm = mm_exact(gen, s, rng)
         q = Q.probs
-        phi = finite_phi(s, float(csiszar_sums(phi_gen, q, x)))
-        value = finite_cf(gen, float(csiszar_sums(gen, q, x)))
+        phi = finite_phi(s, float(weighted_sum(phi_gen.f, q, x)))
+        value = finite_cf(gen, float(weighted_sum(gen.f, q, x)))
         lower, upper, lower_slack, upper_slack = sandwich(mm.m, mm.M, phi, value)
     return BoundReport(measure, s, lower, value, upper, mm, lower_slack, upper_slack)
 
@@ -567,7 +557,7 @@ class DifferenceReport:
 
     @property
     def holds(self) -> bool:
-        return all(slack >= VIOLATION_TOL for slack in self.checks.values())
+        return all_hold(self.checks.values())
 
 
 def difference_bounds(gen: Generator, s: float, P: Distribution, Q: Distribution) -> DifferenceReport:

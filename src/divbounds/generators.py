@@ -15,9 +15,11 @@ and G2 to make f'(1) = 0.  The power family phi_s, whose members at
 s = 1, 0, 2, -1 and 1/2 are KL, KL_ADJ, CHI2 / 2, CHI2_ADJ / 2 and
 4 HELLINGER, keeps its own f (:func:`phi_generator`).
 
-Every pair sum (the 15 measures, C_f and e_cf) is an elementwise term
-reduced over the last axis.  A pair longer than :data:`TERM_SLICE` entries
-is summed by :func:`term_sum`: the term is written into one array slice by
+Every pair sum is an elementwise term reduced over the last axis, summed
+as this module alone decides: a measure's by :data:`TERM_SUMS`, and
+C_f = sum q f(x) and E = sum (p - q) f'(x), x = p / q, by the one core
+:func:`weighted_sum`.  A pair longer than :data:`TERM_SLICE` entries is
+summed by :func:`term_sum`: the term is written into one array slice by
 slice, half the slices in one worker thread, which starts with the first
 such pair, and the array is reduced once.  The sum keeps its bits, as an
 elementwise loop gives an entry the same value in any slice that starts at
@@ -36,7 +38,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import InvalidArgument, UnknownMeasure, require_finite, require_finite_s
+from .errors import EmptyOrTooShort, InvalidArgument, NonFinite, NonPositiveX, UnknownMeasure, require_finite, require_finite_s
 from .simplex import Distribution, memoized, pair_probs, pair_vector
 
 #: Identifiers of the nine fixed generators, in catalog order.
@@ -52,6 +54,11 @@ S_POLE_TOL = 1e-10
 #: it separates genuine violations from accumulated rounding in sums of up
 #: to 64 entries, where every quantity checked is O(1)-O(100).
 VIOLATION_TOL = -1e-9
+
+
+def all_hold(slacks) -> bool:
+    """Whether no slack is below :data:`VIOLATION_TOL`; a nan slack fails."""
+    return all(slack >= VIOLATION_TOL for slack in slacks)
 
 
 def horner(coeffs, x):
@@ -343,15 +350,16 @@ def csiszar_value(gen: Generator, P: Distribution, Q: Distribution) -> float:
     eval_csiszar(phi_generator(s)) share an entry, and two generators with
     one id but their own f never do.  Every generator's sum reads the one
     ratio vector x of the pair (:func:`pair_vector`)."""
-    return memoized(P, Q, gen, lambda: float(csiszar_sums(gen, Q.probs, pair_vector(P, Q, "x"))))
+    return memoized(P, Q, gen, lambda: float(weighted_sum(gen.f, Q.probs, pair_vector(P, Q, "x"))))
 
 
-def csiszar_sums(gen: Generator, q, x):
-    """C_f from a probability vector q and the ratio vector x = p / q, or
-    row by row on (k, n) blocks; a long pair is summed by :func:`term_sum`."""
-    if len(q) > TERM_SLICE:
-        return term_sum(lambda q, x: q * gen.f(x), q, x)
-    return np.add.reduce(q * gen.f(x), axis=-1)
+def weighted_sum(h, w, x):
+    """sum w * h(x) over the last axis, for one pair or row by row on (k, n)
+    blocks: C_f with h = f, w = q and E with h = f', w = p - q, x = p / q;
+    a pair longer than :data:`TERM_SLICE` is summed by :func:`term_sum`."""
+    if len(w) > TERM_SLICE:
+        return term_sum(lambda w, x: w * h(x), w, x)
+    return np.add.reduce(w * h(x), axis=-1)
 
 
 #: Entries in one slice of a long pair's term vector (:func:`term_sum`): a
@@ -380,8 +388,8 @@ def term_sum(term, a, b):
     the worker is done: the caller's error first, else the worker's.
     Every other input takes the one-line path, as does a call from the
     worker itself (a term that sums a long pair), which would wait on its
-    own thread; the callers test the length inline, so a short pair makes
-    no extra call.
+    own thread.  :func:`weighted_sum` tests the length inline, so its short
+    pairs make no extra call.
     """
     if a.ndim != 1 or a.shape[0] <= TERM_SLICE or threading.get_ident() == _worker_ident:
         return np.add.reduce(term(a, b), axis=-1)
@@ -396,6 +404,10 @@ def term_sum(term, a, b):
     if failed is not None:
         raise failed
     return np.add.reduce(out, axis=-1)
+
+
+#: Each named measure's sum over the last axis: :func:`term_sum` of its term.
+TERM_SUMS = {mid: functools.partial(term_sum, term) for mid, term in TERMS.items()}
 
 
 def _fill(term, a, b, out, lo, hi):
@@ -452,8 +464,16 @@ def check_generator(gen: Generator, grid) -> GeneratorCheck:
 
     Derivatives are compared against centered finite differences with
     step 1e-6 * x; deviations are reported relative to 1 + |analytic|.
+    Raises EmptyOrTooShort for an empty grid and, as ``g_eval`` does,
+    NonPositiveX for an entry x <= 0 or nan and NonFinite for an inf.
     """
     x = np.asarray(grid, dtype=np.float64)
+    if x.size == 0:
+        raise EmptyOrTooShort("check_generator needs a nonempty grid")
+    if not np.all(x > 0.0):
+        raise NonPositiveX(f"grid entries must be > 0, got {x[~(x > 0.0)][0]}")
+    if np.isinf(x).any():
+        raise NonFinite("grid entries must be finite, got inf")
     h = 1e-6 * x
     fp = gen.f_prime(x)
     fpp = gen.f_second(x)

@@ -66,14 +66,13 @@ from .csiszar_bounds import (
     bound_interval,
     difference_bounds,
     difference_checks,
-    e_cf_sums,
     global_extrema,
     mm_exact_arrays,
     sandwich,
 )
 from .errors import DivBoundsError, InvalidArgument, UnknownSuite
 from .estimators import all_estimators, coincide, estimate, estimate_from
-from .generators import CATALOG_IDS, VIOLATION_TOL, csiszar_sums, get_generator, phi_generator
+from .generators import CATALOG_IDS, VIOLATION_TOL, get_generator, phi_generator, weighted_sum
 from .measures import divergence_sums, finite_phi
 from .simplex import Distribution, ratio_extremes, ratio_range
 from .type_s_bounds import bound_set, chain_checks
@@ -272,12 +271,12 @@ class PairTable:
     def cf(self, measure) -> np.ndarray:
         """C_f (:func:`eval_csiszar`) of a catalog id or a Generator, every trial."""
         gen = get_generator(measure)
-        return self._batch(("cf", gen), lambda p, q: csiszar_sums(gen, q, p / q))
+        return self._batch(("cf", gen), lambda p, q: weighted_sum(gen.f, q, p / q))
 
     def e_cf(self, measure) -> np.ndarray:
         """e_cf (:func:`e_cf`) of a catalog id or a Generator, every trial."""
         gen = get_generator(measure)
-        return self._batch(("e_cf", gen), lambda p, q: e_cf_sums(gen, p - q, p / q))
+        return self._batch(("e_cf", gen), lambda p, q: weighted_sum(gen.f_prime, p - q, p / q))
 
     def coincide(self) -> np.ndarray:
         """Whether each trial's P and Q coincide (estimators are 0/0)."""
@@ -313,7 +312,7 @@ class SuiteReport:
         self.checks += 1
         if slack < self.worst_slack:  # min(), without the call
             self.worst_slack = slack
-        if not slack >= VIOLATION_TOL:  # a nan slack is a violation
+        if not slack >= VIOLATION_TOL:  # all_hold's rule, inline on this hot path; a nan slack fails
             self.violations += 1
             if len(self.examples) < 3:
                 self.examples.append(

@@ -9,10 +9,8 @@ written once in :data:`generators.TERMS`, over the last axis, so it takes
 one pair of probability vectors or a (k, n) block of k pairs (one value per
 row); the public functions here and the harness's batched pair table share
 it.  The power family phi_s is the Csiszar sum of :func:`phi_generator` (s).
-A pair longer than :data:`generators.TERM_SLICE` entries is summed by
-:func:`generators.term_sum`, in slices shared with one worker thread,
-which starts with the first such pair; the value keeps the bits of the
-one-line sum.
+How a pair is summed, and a long one in slices shared with a worker
+thread, is decided in :mod:`generators` alone (:data:`generators.TERM_SUMS`).
 
 :func:`divergence` and :func:`phi_s` keep each raw sum, before its finite
 check, in the latest-pair memo (:func:`simplex.memoized`): a Python float
@@ -29,20 +27,10 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import UnknownMeasure, require_finite
-from .generators import TERM_SLICE, TERMS, csiszar_value, phi_generator, term_sum
+from .generators import TERM_SUMS, TERMS, csiszar_value, phi_generator
 from .simplex import Distribution, memoized, pair_probs
 
-
-def _term_sum(term):
-    def fn(p, q):
-        if len(p) > TERM_SLICE:
-            return term_sum(term, p, q)
-        return np.add.reduce(term(p, q), axis=-1)
-
-    return fn
-
-
-_DISPATCH = {mid: _term_sum(term) for mid, term in TERMS.items()}
+_DISPATCH = dict(TERM_SUMS)
 
 #: All named measures accepted by :func:`divergence`.
 MEASURE_IDS = tuple(TERMS)

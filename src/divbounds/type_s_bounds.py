@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .csiszar_bounds import a_cf, b_cf, b_defined, e_cf
-from .generators import VIOLATION_TOL, phi_generator
+from .generators import all_hold, phi_generator
 from .measures import phi_s
 from .simplex import Distribution, RatioRange, ratio_range
 
@@ -46,7 +46,7 @@ class TypeSBoundSet:
 
     @property
     def holds(self) -> bool:
-        return all(slack >= VIOLATION_TOL for slack in self.checks.values())
+        return all_hold(self.checks.values())
 
 
 def bound_set(s: float, P: Distribution, Q: Distribution) -> TypeSBoundSet:

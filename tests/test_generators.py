@@ -1,12 +1,21 @@
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
 
 import divbounds as db
 from divbounds.csiszar_bounds import a_cf_values, b_cf_values, b_defined
-from divbounds.errors import InvalidArgument, LengthMismatch, NonFinite, NumericOverflow, UnknownMeasure
+from divbounds.errors import (
+    EmptyOrTooShort,
+    InvalidArgument,
+    LengthMismatch,
+    NonFinite,
+    NonPositiveX,
+    NumericOverflow,
+    UnknownMeasure,
+)
 
 GRID = np.exp(np.linspace(math.log(1e-3), math.log(1e3), 601))
 
@@ -76,6 +85,26 @@ class TestCheckGenerator:
             assert report.min_f_second > 0.0
             assert report.max_f_prime_dev <= 1e-5
             assert report.max_f_second_dev <= 1e-5
+
+    @pytest.mark.parametrize(
+        "grid, error",
+        [
+            ([-1.0, 1.0], NonPositiveX),
+            ([0.0, 1.0], NonPositiveX),
+            ([1.0, math.nan], NonPositiveX),
+            ([1.0, -math.inf], NonPositiveX),
+            ([1.0, math.inf], NonFinite),
+            ([], EmptyOrTooShort),
+        ],
+        ids=["negative", "zero", "nan", "-inf", "inf", "empty"],
+    )
+    def test_a_bad_grid_raises_a_typed_error_with_no_warning(self, grid, error):
+        # g_eval's rules: not a GeneratorCheck of nan values (with [-1, 1],
+        # min_f_second = 0.0), a ZeroDivisionError at 0, or numpy's ValueError.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(error):
+                db.check_generator(db.catalog()["J"], grid)
 
 
 class TestPhiGenerator:

@@ -2,7 +2,7 @@
 between the caller and one worker thread: the bits of the whole-vector
 sum at and around the slice boundaries, the caller's numpy error state in
 the worker, errors raised from either half, and a worker in a forked
-child."""
+child; and blocks with more rows than a slice, summed in one call."""
 
 import multiprocessing
 import os
@@ -18,7 +18,8 @@ import pytest
 
 import divbounds as db
 from divbounds.errors import NumericOverflow
-from divbounds.generators import CATALOG_IDS, TERM_SLICE, TERMS, term_sum
+from divbounds.generators import CATALOG_IDS, TERM_SLICE, TERMS, term_sum, weighted_sum
+from divbounds.measures import divergence_sums
 
 S_GRID = (-2, -1, -0.5, 0, 0.5, 1, 1.5, 2, 3)
 
@@ -94,6 +95,52 @@ def test_short_vectors_and_blocks_stay_in_the_callers_thread(n):
     term_sum(term, block[0], block[1])
     term_sum(term, block, block)
     assert calls == [((n,), threading.get_ident()), ((3, n), threading.get_ident())]
+
+
+def tall_block(seed):
+    """A (TERM_SLICE + 1, 2) block of pairs, as a PairTable chunk of n = 2 holds."""
+    w = np.random.default_rng(seed).gamma(0.5, size=(2, TERM_SLICE + 1, 2)) + 1e-3
+    return w / np.add.reduce(w, axis=-1, keepdims=True)
+
+
+def rows_reduced(t):
+    return np.array([np.add.reduce(row) for row in t])
+
+
+def recorded(fn, calls):
+    def wrapped(*args):
+        calls.append((args[0].shape, threading.get_ident()))
+        return fn(*args)
+
+    return wrapped
+
+
+def test_a_block_taller_than_a_slice_keeps_the_bits_of_each_row():
+    # Every measure takes one path, as does every generator: a few of each
+    # keep the 33k-row reference loops short.
+    p, q = tall_block(7)
+    x, d = p / q, p - q
+    for mid in ("KL", "J", "CHI2"):
+        assert _bits(divergence_sums(mid, p, q)) == _bits(rows_reduced(TERMS[mid](p, q))), mid
+    for gen in (db.catalog()["J"], db.phi_generator(0.5)):
+        assert _bits(weighted_sum(gen.f, q, x)) == _bits(rows_reduced(q * gen.f(x))), gen
+        assert _bits(weighted_sum(gen.f_prime, d, x)) == _bits(rows_reduced(d * gen.f_prime(x))), gen
+
+
+def test_a_block_taller_than_a_slice_is_one_call_in_the_callers_thread(monkeypatch):
+    p, q = tall_block(8)
+    gen = db.catalog()["J"]
+    calls = []
+    with monkeypatch.context() as m:
+        m.setattr(np, "log", recorded(np.log, calls))  # J's term takes one log
+        divergence_sums("J", p, q)
+    weighted_sum(recorded(gen.f, calls), q, p / q)
+    weighted_sum(recorded(gen.f_prime, calls), p - q, p / q)
+    assert calls == [(p.shape, threading.get_ident())] * 3
+
+
+def _bits(values):
+    return np.asarray(values, dtype=np.float64).view(np.uint64).tolist()
 
 
 @pytest.mark.parametrize("state, outcome", [("raise", FloatingPointError), ("ignore", None)])
