@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import DegeneratePair, InvalidArgument, VanishingDenominator
 from .measures import divergence
-from .simplex import Distribution, memoized
+from .simplex import Distribution, memoized, pair_vector
 
 _DENOM_FLOOR = 1e-300
 
@@ -84,17 +84,17 @@ def estimate(est: EstimatorId, P: Distribution, Q: Distribution) -> float:
 
     Raises DegeneratePair on a coordinatewise-equal pair, and on a pair so
     close to it that a divergence under a square root rounds below zero.
-    The coincide test, as each divergence, is memoized for the latest pair.
+    The coincide test on d = p - q, as each divergence, is memoized.
     """
-    if len(P) == len(Q) and memoized(P, Q, coincide, lambda: bool(coincide(P.probs, Q.probs))):
+    if len(P) == len(Q) and memoized(P, Q, coincide, lambda: bool(coincide(pair_vector(P, Q, "d")))):
         raise DegeneratePair("estimators are 0/0 at P = Q")
     return estimate_from(est, functools.cache(lambda measure: divergence(measure, P, Q)))
 
 
-def coincide(p, q):
+def coincide(d):
     """Whether p and q agree coordinatewise to 1e-14 (estimators are 0/0
-    there); on (k, n) blocks, row by row."""
-    return np.all(np.abs(p - q) <= 1e-14, axis=-1)
+    there), from d = p - q; on (k, n) blocks, row by row."""
+    return np.all(np.abs(d) <= 1e-14, axis=-1)
 
 
 def estimate_from(est: EstimatorId, d):

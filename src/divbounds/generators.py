@@ -24,7 +24,7 @@ slice, half the slices in one worker thread, which starts with the first
 such pair, and the array is reduced once.  The sum keeps its bits, as an
 elementwise loop gives an entry the same value in any slice that starts at
 a multiple of 64, and the reduce sees the same array.  Short pairs and
-(k, n) blocks take the one-line sum.
+(k, n) blocks take the one-line sum; a layout, one row sum per block view.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import EmptyOrTooShort, InvalidArgument, NonFinite, NonPositiveX, UnknownMeasure, require_finite, require_finite_s
+from .errors import EmptyOrTooShort, InvalidArgument, NonFinite, NonPositiveX, NumericOverflow, UnknownMeasure, require_finite, require_finite_s
 from .simplex import Distribution, memoized, pair_probs, pair_vector
 
 #: Identifiers of the nine fixed generators, in catalog order.
@@ -353,12 +353,12 @@ def csiszar_value(gen: Generator, P: Distribution, Q: Distribution) -> float:
     return memoized(P, Q, gen, lambda: float(weighted_sum(gen.f, Q.probs, pair_vector(P, Q, "x"))))
 
 
-def weighted_sum(h, w, x):
+def weighted_sum(h, w, x, views=None):
     """sum w * h(x) over the last axis, for one pair or row by row on (k, n)
     blocks: C_f with h = f, w = q and E with h = f', w = p - q, x = p / q;
-    a pair longer than :data:`TERM_SLICE` is summed by :func:`term_sum`."""
-    if len(w) > TERM_SLICE:
-        return term_sum(lambda w, x: w * h(x), w, x)
+    a layout or a pair longer than :data:`TERM_SLICE` goes to :func:`term_sum`."""
+    if views is not None or len(w) > TERM_SLICE:
+        return term_sum(lambda w, x: w * h(x), w, x, views)
     return np.add.reduce(w * h(x), axis=-1)
 
 
@@ -373,9 +373,10 @@ _worker_ident = None  # that thread's id, once it has run a half
 _worker_lock = threading.Lock()  # callers in two threads make one worker
 
 
-def term_sum(term, a, b):
+def term_sum(term, a, b, views=None):
     """``np.add.reduce(term(a, b), axis=-1)``, bit for bit, for an
-    elementwise term of two arrays of one shape.
+    elementwise term of two arrays of one shape; with views, for each
+    (k, n) block view that views(t) gives of the 1-D layout t = term(a, b).
 
     A 1-D pair longer than :data:`TERM_SLICE` is summed in slices: term
     is written into one array, slice by slice, the upper half of the
@@ -391,6 +392,8 @@ def term_sum(term, a, b):
     own thread.  :func:`weighted_sum` tests the length inline, so its short
     pairs make no extra call.
     """
+    if views is not None:
+        return np.concatenate([np.add.reduce(view, axis=-1) for view in views(term(a, b))])
     if a.ndim != 1 or a.shape[0] <= TERM_SLICE or threading.get_ident() == _worker_ident:
         return np.add.reduce(term(a, b), axis=-1)
     n = a.shape[0]
@@ -459,13 +462,15 @@ class GeneratorCheck:
     max_f_second_dev: float  # relative, vs centered difference of f'
 
 
+@np.errstate(over="raise", invalid="raise", divide="raise")  # raised as NumericOverflow
 def check_generator(gen: Generator, grid) -> GeneratorCheck:
     """Certify f(1) = 0, f'' > 0, and derivative consistency on a grid.
 
     Derivatives are compared against centered finite differences with
     step 1e-6 * x; deviations are reported relative to 1 + |analytic|.
     Raises EmptyOrTooShort for an empty grid and, as ``g_eval`` does,
-    NonPositiveX for an entry x <= 0 or nan and NonFinite for an inf.
+    NonPositiveX for an entry x <= 0 or nan and NonFinite for an inf;
+    NumericOverflow where a value or a step leaves the float range.
     """
     x = np.asarray(grid, dtype=np.float64)
     if x.size == 0:
@@ -474,14 +479,17 @@ def check_generator(gen: Generator, grid) -> GeneratorCheck:
         raise NonPositiveX(f"grid entries must be > 0, got {x[~(x > 0.0)][0]}")
     if np.isinf(x).any():
         raise NonFinite("grid entries must be finite, got inf")
-    h = 1e-6 * x
-    fp = gen.f_prime(x)
-    fpp = gen.f_second(x)
-    fp_num = (gen.f(x + h) - gen.f(x - h)) / (2 * h)
-    fpp_num = (gen.f_prime(x + h) - gen.f_prime(x - h)) / (2 * h)
-    return GeneratorCheck(
-        max_abs_f_at_1=abs(float(gen.f(1.0))),
-        min_f_second=float(fpp.min()),
-        max_f_prime_dev=float(np.max(np.abs(fp_num - fp) / (1.0 + np.abs(fp)))),
-        max_f_second_dev=float(np.max(np.abs(fpp_num - fpp) / (1.0 + np.abs(fpp)))),
-    )
+    try:
+        h = 1e-6 * x
+        fp = gen.f_prime(x)
+        fpp = gen.f_second(x)
+        fp_num = (gen.f(x + h) - gen.f(x - h)) / (2 * h)
+        fpp_num = (gen.f_prime(x + h) - gen.f_prime(x - h)) / (2 * h)
+        return GeneratorCheck(
+            max_abs_f_at_1=abs(float(gen.f(1.0))),
+            min_f_second=float(fpp.min()),
+            max_f_prime_dev=float(np.max(np.abs(fp_num - fp) / (1.0 + np.abs(fp)))),
+            max_f_second_dev=float(np.max(np.abs(fpp_num - fpp) / (1.0 + np.abs(fpp)))),
+        )
+    except FloatingPointError as exc:
+        raise NumericOverflow(f"check_generator of {gen.id} on this grid leaves the float range ({exc})") from None

@@ -14,14 +14,15 @@ memo holds at most :data:`PAIR_MEMO_BUDGET` probability entries; pairs past
 the budget are built afresh on every call.
 
 The suites of one run also share a :class:`PairTable`, which computes every
-pair-dependent sum they check once per trial, batched: the run's trials are
-grouped by support size n into C-contiguous (k, n) blocks, which the table
-builds itself by the row code of a single pair, bit for bit, and a quantity
-(r and R, a measure, C_f or e_cf of one catalog generator or of
-phi_generator(s), whose C_f is phi_s) is one numpy row sum per block, kept
-as a float64 array indexed by trial.  A row of a block is summed in the
-same order as the pair alone, so the table holds the bits the public
-functions return.  The sandwich suites' exact (m, M) are arrays over the
+pair-dependent quantity they check (r and R, a measure, C_f or e_cf of one
+catalog generator or of phi_generator(s), whose C_f is phi_s) once, as a
+float64 array indexed by trial.  It builds the pairs itself, by the row
+code of a single pair, bit for bit, as (k, n) blocks of one support size n
+laid back to back in one flat p and one flat q.  A quantity is one
+elementwise pass over that layout (x = p / q and d = p - q formed once)
+and one row reduction per block view, which sums a row as the pair alone
+is summed, so the table holds the bits the public functions return.  The
+sandwich suites' exact (m, M) are arrays over the
 run's trials, one per distinct (measure, s), from :func:`mm_exact_arrays`:
 g on one array of every trial's r, R and the stationary points of f''
 inside its range, the rule of the scalar :func:`mm_exact_values` and
@@ -74,7 +75,7 @@ from .errors import DivBoundsError, InvalidArgument, UnknownSuite
 from .estimators import all_estimators, coincide, estimate, estimate_from
 from .generators import CATALOG_IDS, VIOLATION_TOL, get_generator, phi_generator, weighted_sum
 from .measures import divergence_sums, finite_phi
-from .simplex import Distribution, ratio_extremes, ratio_range
+from .simplex import Distribution, pair_vector, ratio_extremes, ratio_range
 from .type_s_bounds import bound_set, chain_checks
 
 _MASK = (1 << 64) - 1
@@ -132,8 +133,8 @@ class TrialConfig:
             raise InvalidArgument("s_samples must be finite")
 
 
-#: Most probability entries (8 bytes each) the pair memo holds, about 8 MB;
-#: also the most a :class:`PairTable` builds at once.
+#: Most probability entries (8 bytes each) the pair memo holds, about 8 MB,
+#: and the most entries of p and q a :class:`PairTable` lays out at once.
 PAIR_MEMO_BUDGET = 1 << 20
 
 
@@ -219,15 +220,30 @@ def _stack(config: TrialConfig, trials) -> tuple:
     return _pair_rows(config, _uniforms(_pair_keys(config, trials), 1 + 2 * config.n_max))
 
 
+class _Span:
+    """Chunks laid back to back: p, q, x and d of their :func:`_stack` blocks."""
+
+    def __init__(self, config: TrialConfig, chunks):
+        stacks = [_stack(config, trials) for trials in chunks]
+        ends = np.cumsum([p.size for p, _ in stacks]).tolist()
+        self.blocks = [(slice(end - p.size, end), p.shape) for (p, _), end in zip(stacks, ends)]
+        self.p, self.q = (np.concatenate([stack[j].reshape(-1) for stack in stacks]) for j in (0, 1))
+        self.x, self.d = self.p / self.q, self.p - self.q
+
+    def views(self, t) -> list:
+        """The (k, n) block views of an array t laid out as p."""
+        return [t[at].reshape(shape) for at, shape in self.blocks]
+
+
 class PairTable:
     """The pair-dependent quantities of one run's trials, each computed
     once, when a suite first asks for it.
 
     Trials are grouped by support size into chunks of at most
-    PAIR_MEMO_BUDGET probability entries, and each chunk's (k, n) blocks
-    are built by :func:`_stack`.  The blocks are held for the run when all
-    of them fit in that budget; otherwise each quantity builds the chunks
-    again, one at a time.
+    PAIR_MEMO_BUDGET probability entries, and consecutive chunks into
+    spans (:class:`_Span`) that fit that budget together.  A run that fits
+    it is one span, held with its x and d; otherwise each quantity builds
+    the spans again, one at a time.
     """
 
     def __init__(self, config: TrialConfig):
@@ -236,33 +252,34 @@ class PairTable:
         first = _uniforms(_pair_keys(config, np.arange(config.trials, dtype=np.uint64)), 1)[:, 0]
         for i, u0 in enumerate(first.tolist()):
             by_size.setdefault(_support_size(config, u0), []).append(i)
-        self._chunks = []
+        spans, entries = [], PAIR_MEMO_BUDGET
         for n, trials in sorted(by_size.items()):
             k = max(1, PAIR_MEMO_BUDGET // (2 * n))
-            self._chunks += [trials[j : j + k] for j in range(0, len(trials), k)]
-        entries = sum(2 * n * len(trials) for n, trials in by_size.items())
-        self._held = [_stack(config, t) for t in self._chunks] if entries <= PAIR_MEMO_BUDGET else None
+            for chunk in (trials[j : j + k] for j in range(0, len(trials), k)):
+                if entries + 2 * n * len(chunk) > PAIR_MEMO_BUDGET:
+                    spans.append([])
+                    entries = 0
+                spans[-1].append(chunk)
+                entries += 2 * n * len(chunk)
+        self._spans = [(chunks, np.concatenate(chunks)) for chunks in spans]
+        self._held = _Span(config, spans[0]) if len(spans) == 1 and entries <= PAIR_MEMO_BUDGET else None
         self._values = {}
 
-    def _block(self, j: int) -> tuple:
-        # Built anew only as the statement that uses it runs, so one
-        # chunk at a time is alive when the blocks are not held.
-        return self._held[j] if self._held is not None else _stack(self.config, self._chunks[j])
-
     def _batch(self, key, sums, dtype=np.float64, rows=()) -> np.ndarray:
-        """sums(p, q) of every trial, row sums of each block; with rows=(k,),
-        sums gives k values a trial and the result has k rows."""
+        """sums(span) of every trial, in the span's layout order; with
+        rows=(k,), sums gives k values a trial and the result has k rows."""
         values = self._values.get(key)
         if values is None:
             values = np.empty((*rows, self.config.trials), dtype=dtype)
-            for j, trials in enumerate(self._chunks):
-                values[..., trials] = sums(*self._block(j))
+            for chunks, trials in self._spans:
+                # Built as the statement runs: one span alive, if not held.
+                values[..., trials] = sums(self._held or _Span(self.config, chunks))
             self._values[key] = values
         return values
 
     def d(self, measure: str) -> np.ndarray:
         """The named measure (:func:`divergence`) of every trial."""
-        return self._batch(("d", measure), lambda p, q: divergence_sums(measure, p, q))
+        return self._batch(("d", measure), lambda span: divergence_sums(measure, span.p, span.q, span.views))
 
     def phi(self, s: float) -> np.ndarray:
         """phi_s (:func:`phi_s`), C_f of phi_generator(s), every trial."""
@@ -271,20 +288,20 @@ class PairTable:
     def cf(self, measure) -> np.ndarray:
         """C_f (:func:`eval_csiszar`) of a catalog id or a Generator, every trial."""
         gen = get_generator(measure)
-        return self._batch(("cf", gen), lambda p, q: weighted_sum(gen.f, q, p / q))
+        return self._batch(("cf", gen), lambda span: weighted_sum(gen.f, span.q, span.x, span.views))
 
     def e_cf(self, measure) -> np.ndarray:
         """e_cf (:func:`e_cf`) of a catalog id or a Generator, every trial."""
         gen = get_generator(measure)
-        return self._batch(("e_cf", gen), lambda p, q: weighted_sum(gen.f_prime, p - q, p / q))
+        return self._batch(("e_cf", gen), lambda span: weighted_sum(gen.f_prime, span.d, span.x, span.views))
 
     def coincide(self) -> np.ndarray:
         """Whether each trial's P and Q coincide (estimators are 0/0)."""
-        return self._batch(("coincide",), coincide, dtype=bool)
+        return self._batch(("coincide",), lambda span: np.concatenate([coincide(d) for d in span.views(span.d)]), dtype=bool)
 
     def extremes(self) -> tuple:
         """(r, R), the ratio range of every trial as two arrays."""
-        return tuple(self._batch(("extremes",), lambda p, q: ratio_extremes(p / q), rows=(2,)))
+        return tuple(self._batch(("extremes",), lambda span: np.concatenate([ratio_extremes(x) for x in span.views(span.x)], axis=-1), rows=(2,)))
 
     def sandwich(self, measure: str, s: float) -> tuple:
         """(lower, upper) slacks of m * phi_s <= C_f <= M * phi_s, every
@@ -526,7 +543,7 @@ def _containment_suite(description: str, family: str) -> _Suite:
         return [(apart.tolist(), checks(r, R, lambda est: estimate_from(est, table.d)[apart]))]
 
     def trial(config, i, P, Q):
-        if coincide(P.probs, Q.probs):
+        if coincide(pair_vector(P, Q, "d")):
             return {}
         rng = ratio_range(P, Q)
         return checks(rng.r, rng.R, lambda est: estimate(est, P, Q))

@@ -6,9 +6,9 @@ G2, CHI2_ADJ) because the bound tables index D1/D2, F1/F2 and G1/G2 by name.
 
 This module holds no formula.  Each measure is the sum of its term t(p, q),
 written once in :data:`generators.TERMS`, over the last axis, so it takes
-one pair of probability vectors or a (k, n) block of k pairs (one value per
-row); the public functions here and the harness's batched pair table share
-it.  The power family phi_s is the Csiszar sum of :func:`phi_generator` (s).
+one pair of probability vectors, a (k, n) block of k pairs (one value per
+row) or the harness pair table's layout of blocks, which shares it with
+the public functions here.  The power family phi_s is the Csiszar sum of :func:`phi_generator` (s).
 How a pair is summed, and a long one in slices shared with a worker
 thread, is decided in :mod:`generators` alone (:data:`generators.TERM_SUMS`).
 
@@ -39,10 +39,10 @@ MEASURE_IDS = tuple(TERMS)
 SYMMETRIC_IDS = ("J", "I", "T", "HELLINGER", "BHATTACHARYYA")
 
 
-def divergence_sums(measure: str, p, q):
+def divergence_sums(measure: str, p, q, views=None):
     """A named measure on probability vectors p, q, or row by row on
-    (k, n) blocks (an array of k values)."""
-    return _measure_fn(measure)(p, q)
+    (k, n) blocks or a layout of blocks (:func:`generators.term_sum`)."""
+    return _measure_fn(measure)(p, q, views)
 
 
 def _measure_fn(measure: str):

@@ -106,6 +106,17 @@ class TestCheckGenerator:
             with pytest.raises(error):
                 db.check_generator(db.catalog()["J"], grid)
 
+    @pytest.mark.parametrize("mid", db.CATALOG_IDS)
+    @pytest.mark.parametrize("grid", [[1.79e308, 1.0], [1e-320, 1.0]], ids=["huge", "subnormal"])
+    def test_the_edge_of_the_float_range_raises_a_typed_error_with_no_warning(self, grid, mid):
+        # x + 1e-6 x overflows past 1.79e308; at 1e-320 the step is 0, so a
+        # difference quotient is 0/0, and a 1/x in f' overflows.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericOverflow, match=f"check_generator of {mid} on this grid leaves the float range"):
+                db.check_generator(db.catalog()[mid], grid)
+            assert db.check_generator(db.catalog()[mid], GRID).min_f_second > 0.0  # the error state is restored
+
 
 class TestPhiGenerator:
     def test_power_branch(self):

@@ -13,7 +13,7 @@ import divbounds.measures as measures
 import divbounds.simplex as simplex
 from divbounds.cli import main
 from divbounds.errors import DegeneratePair, DivBoundsError, InvalidArgument, NumericOverflow, UnknownSuite, VanishingDenominator
-from divbounds.generators import VIOLATION_TOL
+from divbounds.generators import TERM_SLICE, VIOLATION_TOL
 
 #: Frozen output of random_pair(TrialConfig(seed=1, n_min=2, n_max=2), 0),
 #: recorded once so any change to the generator construction is caught.
@@ -222,10 +222,26 @@ def _one_trials_pair(cfg, i) -> tuple:
     return build(u[1 : 1 + n]), build(u[1 + cfg.n_max : 1 + cfg.n_max + n])
 
 
+def _chunks(table) -> list:
+    """The trials of each chunk of a pair table, in layout order."""
+    return [trials for chunks, _ in table._spans for trials in chunks]
+
+
 class TestPairTable:
-    def test_quantities_equal_the_public_functions_bit_for_bit(self):
+    # spans: a budget of 512 entries lays the 300 trials out as dozens of
+    # spans, rebuilt for each quantity, most of several blocks (n = 2..64).
+    @pytest.mark.parametrize("budget", [None, 512], ids=["held", "spans"])
+    def test_quantities_equal_the_public_functions_bit_for_bit(self, monkeypatch, budget):
         cfg = db.TrialConfig(seed=31, trials=300)
+        held = harness.PairTable(cfg)
+        if budget is not None:
+            monkeypatch.setattr(harness, "PAIR_MEMO_BUDGET", budget)
+        stacks, stack = [], harness._stack
+        monkeypatch.setattr(harness, "_stack", lambda config, trials: stacks.append(trials) or stack(config, trials))
         table = harness.PairTable(cfg)
+        assert (table._held is None) == (budget is not None)
+        if budget is not None:
+            assert len(table._spans) > 10 and max(len(chunks) for chunks, _ in table._spans) > 2
         s_values = sorted({*cfg.s_samples, 0.25, 0.75})  # every s a suite uses
         sizes = set()
         for i in range(cfg.trials):
@@ -248,12 +264,18 @@ class TestPairTable:
                     lower, upper = table.sandwich(m, s)
                     assert (_bits(lower[i]), _bits(upper[i])) == (_bits(rep.lower_slack), _bits(rep.upper_slack)), (i, m, s)
         assert min(sizes) <= 4 and max(sizes) >= 62
+        for (name, *args), values in table._values.items():
+            assert np.asarray(values).tobytes() == np.asarray(getattr(held, name)(*args)).tobytes(), (name, *args)
+        # Each chunk is built once a run when held, else once for each
+        # computed quantity (a sandwich only reads other quantities).
+        quantities = sum(name != "sandwich" for name, *_ in table._values)
+        assert len(stacks) == len(_chunks(table)) * (1 if budget is None else quantities)
 
     def test_each_run_recomputes(self, monkeypatch, capsys):
         stacks, sums = [], []
         stack, divergence_sums = harness._stack, harness.divergence_sums
         monkeypatch.setattr(harness, "_stack", lambda config, trials: stacks.append(trials) or stack(config, trials))
-        monkeypatch.setattr(harness, "divergence_sums", lambda m, p, q: sums.append(m) or divergence_sums(m, p, q))
+        monkeypatch.setattr(harness, "divergence_sums", lambda m, *layout: sums.append(m) or divergence_sums(m, *layout))
         argv = ["verify", "--all", "--trials", "20", "--seed", "34"]
         assert main(argv) == 0
         first = (len(stacks), len(sums))
@@ -270,6 +292,21 @@ class TestPairTable:
         monkeypatch.setattr(harness, "ratio_extremes", lambda x: calls.append(x.shape) or extremes(x))
         db.run_all(db.TrialConfig(seed=42, trials=1000))
         assert len(calls) == 63 and len({shape[-1] for shape in calls}) == 63
+
+    def test_a_quantity_is_one_call_of_f_over_the_run(self):
+        # A held run of 1000 trials, n = 2..64, lays out 63 blocks, longer
+        # together than a term_sum slice: f runs on the whole layout once
+        # per cf request, not once per block nor once per slice.
+        calls, j = [], db.catalog()["J"]
+        counted = db.Generator("COUNTED", f=lambda x: calls.append(x.shape) or j.f(x), f_prime=j.f_prime, f_second=j.f_second)
+        table = harness.PairTable(db.TrialConfig(seed=42, trials=1000))
+        assert table._held is not None and len(table._held.views(table._held.p)) == 63
+        cf = table.cf(counted)
+        assert calls == [table._held.p.shape] and table._held.p.size > TERM_SLICE
+        assert table.cf(counted) is cf and len(calls) == 1
+        assert cf.tobytes() == table.cf("J").tobytes()
+        harness.PairTable(table.config).cf(counted)
+        assert len(calls) == 2
 
     def test_large_pairs_stack_within_the_budget(self, monkeypatch):
         n = 200_000  # 2n entries a pair: two pairs fit in one stack, three do not
@@ -308,7 +345,7 @@ class TestPairTable:
     )
     def test_blocks_are_the_per_trial_pairs_bit_for_bit(self, cfg):
         sizes = set()
-        for trials in harness.PairTable(cfg)._chunks:
+        for trials in _chunks(harness.PairTable(cfg)):
             p, q = harness._stack(cfg, trials)
             assert p.shape == q.shape == (len(trials), p.shape[1])
             sizes.add(p.shape[1])
@@ -485,8 +522,11 @@ def _first_error(sid, cfg):
     raise AssertionError(f"no trial of {sid} fails")
 
 
-def _is_pair(cfg, i, p, q):
-    """Which rows of (p, q), one pair or a (k, n) block, are trial i's pair."""
+def _is_pair(cfg, i, p, q, views=None):
+    """Which rows of (p, q), one pair, a (k, n) block or a layout whose
+    block views views gives (in layout order), are trial i's pair."""
+    if views is not None:
+        return np.concatenate([_is_pair(cfg, i, *rows) for rows in zip(views(p), views(q))])
     P, Q = db.random_pair(cfg, i)
     if p.shape[-1] != len(P):
         return np.zeros(p.shape[:-1], dtype=bool)
@@ -525,10 +565,10 @@ def _force_divergence(monkeypatch, cfg, measure: str, values: dict):
     alike, with the value values[i] wherever p, q is trial i's pair."""
     fn = measures._DISPATCH[measure]
 
-    def forced(p, q):
-        out = np.array(fn(p, q))
+    def forced(p, q, views=None):
+        out = np.array(fn(p, q, views))
         for i, v in values.items():
-            out[_is_pair(cfg, i, p, q)] = v
+            out[_is_pair(cfg, i, p, q, views)] = v
         return out[()]
 
     monkeypatch.setitem(measures._DISPATCH, measure, forced)
@@ -730,7 +770,7 @@ class TestColumnSuites:
             assert row.tobytes() == harness._uniforms(key, 3).tobytes(), key
         for seed in seeds:
             cfg = db.TrialConfig(seed=seed, trials=60, n_min=2, n_max=4)
-            sizes = [{len(db.random_pair(cfg, i)[0]) for i in trials} for trials in harness.PairTable(cfg)._chunks]
+            sizes = [{len(db.random_pair(cfg, i)[0]) for i in trials} for trials in _chunks(harness.PairTable(cfg))]
             assert all(len(n) == 1 for n in sizes), seed  # a chunk holds one support size
             assert [n.pop() for n in sizes] == [2, 3, 4], seed
 

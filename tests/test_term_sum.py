@@ -139,6 +139,36 @@ def test_a_block_taller_than_a_slice_is_one_call_in_the_callers_thread(monkeypat
     assert calls == [(p.shape, threading.get_ident())] * 3
 
 
+def test_a_layout_longer_than_a_slice_is_summed_block_by_block(monkeypatch):
+    # (k, n) blocks back to back in 1-D arrays, as a PairTable span lays
+    # them out: one term call on the whole layout, then each block's rows
+    # reduced as the block alone is, never the layout as one long pair.
+    rng = np.random.default_rng(9)
+    shapes = [(300, 2), (7, 64), (2300, 13), (1, 5), (40, 64)]
+    rows = [rng.gamma(0.5, size=(2, k, n)) + 1e-3 for k, n in shapes]
+    rows = [w / np.add.reduce(w, axis=-1, keepdims=True) for w in rows]
+    p, q = (np.concatenate([w[j].reshape(-1) for w in rows]) for j in (0, 1))
+    assert p.size > TERM_SLICE
+    ends = np.cumsum([k * n for k, n in shapes]).tolist()
+
+    def views(t):
+        return [t[end - k * n : end].reshape(k, n) for (k, n), end in zip(shapes, ends)]
+
+    gen = db.catalog()["J"]
+    calls = []
+    with monkeypatch.context() as m:
+        m.setattr(np, "log", recorded(np.log, calls))  # J's term takes one log
+        got = divergence_sums("J", p, q, views)
+    assert calls == [(p.shape, threading.get_ident())]
+    assert _bits(got) == _bits(np.concatenate([divergence_sums("J", *w) for w in rows]))
+    # C_f (h = f, w = q) and E (h = f', w = p - q), x = p / q.
+    for h, weight in ((gen.f, lambda p, q: q), (gen.f_prime, lambda p, q: p - q)):
+        calls.clear()
+        got = weighted_sum(recorded(h, calls), weight(p, q), p / q, views)
+        assert calls == [(p.shape, threading.get_ident())]
+        assert _bits(got) == _bits(np.concatenate([weighted_sum(h, weight(*w), w[0] / w[1]) for w in rows]))
+
+
 def _bits(values):
     return np.asarray(values, dtype=np.float64).view(np.uint64).tolist()
 
