@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import functools
 import math
+import weakref
 from dataclasses import dataclass
 from typing import Optional
 
@@ -44,6 +45,7 @@ from .errors import (
 )
 from .generators import (
     Generator,
+    SplitPowers,
     all_hold,
     catalog_id,
     eval_csiszar,
@@ -104,9 +106,8 @@ def _g_array(gen: Generator, s: float, x: np.ndarray) -> np.ndarray:
     flat = x.ravel()
     with np.errstate(over="ignore"):  # x^((a-s)+k) near the float max, times n/d
         out = gen.f_second.times_power(flat, s)
-    xs = flat.tolist()
     for i in np.flatnonzero(~np.isfinite(out) | (out == 0.0)).tolist():
-        out[i] = g_eval(gen, s, xs[i])
+        out[i] = g_eval(gen, s, flat[i].item())
     return out.reshape(x.shape)
 
 
@@ -371,19 +372,66 @@ def mm_exact_values(measure, s: float, r: float, R: float) -> tuple:
 
 def mm_exact_arrays(measure, s: float, r: np.ndarray, R: np.ndarray) -> tuple:
     """(m, M) arrays of :func:`mm_exact_values` at every (r[i], R[i]), bit
-    for bit, by the same rule: g takes one array of each trial's
-    candidates, r, R and each stationary point, in the order of the scalar
-    calls, so that the first trial that raises raises; a stationary point
-    outside (r[i], R[i]) stands in as r[i] again.  Raises NonFinite for a
-    nan or infinite s."""
+    for bit, by the same rule: the min and max of g at r, at R and, where
+    it lies inside (r, R), at each stationary point.
+
+    g at r and R is :meth:`Rational.times_power` on the entries of r then
+    R, from the parts of :class:`SplitPowers`, which shares them across
+    cells: one power per distinct exponent, one n(y) / d(y) per f''.  The
+    parts of the latest (r, R) are kept while both live, matched by
+    identity through weak references, and only for read-only arrays,
+    whose values a caller must not change; any other pair of arrays gets
+    fresh parts, which it does not keep.  A stationary point's g is one
+    scalar :func:`_g_float`.  Where an entry of g is not finite or is 0,
+    g takes one array of each trial's candidates in the order of the
+    scalar calls instead, a stationary point outside (r[i], R[i]) standing
+    in as r[i] again, so that the first trial that raises raises (as
+    :func:`g_eval` on an array).  Raises NonFinite for a nan or infinite s.
+    """
     gen = get_generator(measure)
     require_finite_s(s)
     r, R = np.asarray(r, dtype=np.float64), np.asarray(R, dtype=np.float64)
-    xs = [r, R, *(np.where((r < x) & (x < R), x, r) for x in _stationary_points(gen.f_second, s))]
-    g = _g_array(gen, s, np.column_stack(xs)).T
+    points = _stationary_points(gen.f_second, s)
+    with np.errstate(over="ignore"):  # x^((a-s)+k) near the float max, times n/d
+        g = _split_powers(r, R).times_power(gen.f_second, s)
+    try:
+        if not (np.isfinite(g).all() and g.all()):
+            raise NumericOverflow("g leaves the float range")  # the path below names the first entry
+        g = [g[: r.size], g[r.size :]]
+        for x in points:
+            inside = (r < x) & (x < R)
+            if inside.any():
+                g.append(np.where(inside, _g_float(gen, s, x), g[0]))
+    except NumericOverflow:
+        xs = [r, R, *(np.where((r < x) & (x < R), x, r) for x in points)]
+        g = _g_array(gen, s, np.column_stack(xs)).T
     # Elementwise over the few candidate rows: numpy's reduction along a
     # short contiguous axis costs about 40 times as much.
     return functools.reduce(np.minimum, g), functools.reduce(np.maximum, g)
+
+
+_latest_ranges = None  # (weak r, weak R, SplitPowers) of the latest read-only (r, R)
+
+
+def _drop_ranges(ref):
+    """Weak-reference callback: the parts go when their r or their R dies."""
+    global _latest_ranges
+    latest = _latest_ranges
+    if latest is not None and (latest[0] is ref or latest[1] is ref):
+        _latest_ranges = None
+
+
+def _split_powers(r: np.ndarray, R: np.ndarray) -> SplitPowers:
+    """The :class:`SplitPowers` of r's entries then R's, those of the
+    latest read-only (r, R) kept (:func:`mm_exact_arrays`)."""
+    global _latest_ranges
+    latest = _latest_ranges
+    if latest is not None and latest[0]() is r and latest[1]() is R:
+        return latest[2]
+    split = SplitPowers(np.concatenate([r.ravel(), R.ravel()]))
+    if not (r.flags.writeable or R.flags.writeable):
+        _latest_ranges = (weakref.ref(r, _drop_ranges), weakref.ref(R, _drop_ranges), split)
+    return split
 
 
 @dataclass(frozen=True)

@@ -141,10 +141,35 @@ class Rational:
             k, n, d = self.low if x <= 1.0 else self.high
             y = x if x <= 1.0 else 1.0 / x
             return x ** ((self.a - s) + k) * (horner(n, y) / horner(d, y))
-        out = np.empty(x.shape)
+        return SplitPowers(x).times_power(self, s)
+
+
+class SplitPowers:
+    """An array x > 0 split at 1 as :meth:`Rational.times_power` splits it,
+    which keeps every part of g it computes: the power x^e of each exponent
+    e and the n(y) / d(y) of each (n, d), a column over one side's entries.
+    Rationals and s that share an exponent or an (n, d) share its column."""
+
+    __slots__ = ("shape", "sides", "powers", "ratios")
+
+    def __init__(self, x: np.ndarray):
+        self.shape = x.shape
         high = x > 1.0
-        for (k, n, d), at, y in ((self.low, ~high, x[~high]), (self.high, high, 1.0 / x[high])):
-            out[at] = float_pow(x[at], (self.a - s) + k) * (horner(n, y) / horner(d, y))
+        self.sides = ((~high, x[~high], x[~high]), (high, x[high], 1.0 / x[high]))  # (at, x, y)
+        self.powers, self.ratios = {}, {}
+
+    def times_power(self, rational: Rational, s: float) -> np.ndarray:
+        """:meth:`Rational.times_power` at every entry of x, bit for bit."""
+        out = np.empty(self.shape)
+        for side, (at, x, y), (k, n, d) in zip((0, 1), self.sides, (rational.low, rational.high)):
+            e = (rational.a - s) + k
+            power = self.powers.get((side, e))
+            if power is None:
+                power = self.powers[side, e] = float_pow(x, e)
+            ratio = self.ratios.get((side, n, d))
+            if ratio is None:
+                ratio = self.ratios[side, n, d] = horner(n, y) / horner(d, y)
+            out[at] = power * ratio
         return out
 
 

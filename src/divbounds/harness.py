@@ -21,22 +21,24 @@ code of a single pair, bit for bit, as (k, n) blocks of one support size n
 laid back to back in one flat p and one flat q.  A quantity is one
 elementwise pass over that layout (x = p / q and d = p - q formed once)
 and one row reduction per block view, which sums a row as the pair alone
-is summed, so the table holds the bits the public functions return.  The
-sandwich suites' exact (m, M) are arrays over the
-run's trials, one per distinct (measure, s), from :func:`mm_exact_arrays`:
-g on one array of every trial's r, R and the stationary points of f''
-inside its range, the rule of the scalar :func:`mm_exact_values` and
-bit-identical to it.  A table is made for one run and dropped with it.
+is summed, so the table holds the bits the public functions return.  It
+also holds columns of the ratio ranges alone, over every trial: the exact
+(m, M) of each (measure, s) cell, bit-identical to the scalar
+:func:`mm_exact_values`, and A and B of each generator (the cores of a_cf
+and b_cf; B only on the trials where :func:`b_defined`).  Every cell's
+(m, M) is :func:`mm_exact_arrays` on the table's one read-only pair of r
+and R arrays, so the run's cells share one power of r and R per distinct
+exponent and one n(y) / d(y) column per f''.  The sandwich suites, thm31
+and thm32 read these columns by index, thm32 at the trials of each of its
+cells.  A table is made for one run and dropped with it.
 
 The paper's special cases phi_s = k * (named measure) are one table,
 :data:`_SPECIAL_S`, read by phi_cases, by the cor and thm sandwich suites
 (at the s outside :data:`CLOSED_FORM_REGIONS`) and by the propositions.
 
 Every suite checks the run's trials as float64 columns.  thm31 and thm32
-take the A/B functionals on the arrays of r and R (the cores of a_cf and
-b_cf, for the power generator and, in thm32, the catalog one; B only on the
-trials where :func:`b_defined`), thm32 its (m, M) once per (measure, s)
-cell, and rem41/rem51 the estimator formulas on the measure columns,
+read A and B of the power generator and, in thm32, of the catalog one, and
+rem41/rem51 take the estimator formulas on the measure columns, all
 through the cores that the public scalar functions call, bit for bit:
 numpy's + - * / and sqrt are correctly rounded, and a_cf and b_cf pass one
 range to the cores as 0-d arrays, which take the columns' numpy loops.
@@ -45,8 +47,10 @@ finite, such a suite checks trial by trial instead, through
 the public per-pair functions (:func:`bound_set`; :func:`bound_interval`
 and :func:`difference_bounds`; :func:`estimate` and :func:`ratio_range`) on
 the pair that :func:`run_suite` reads for the trial, so that it raises the
-first failing trial's error, in trial order.  rem41 and rem51 check no
-trial whose P and Q coincide, where the estimators are 0/0, on either path.
+first failing trial's error, in trial order.  thm32 also checks trial by
+trial where a cell's (m, M) column raises at a trial of another cell; the
+rows are the same.  rem41 and rem51 check no trial whose P and Q coincide,
+where the estimators are 0/0, on either path.
 """
 
 from __future__ import annotations
@@ -243,7 +247,8 @@ class PairTable:
     PAIR_MEMO_BUDGET probability entries, and consecutive chunks into
     spans (:class:`_Span`) that fit that budget together.  A run that fits
     it is one span, held with its x and d; otherwise each quantity builds
-    the spans again, one at a time.
+    the spans again, one at a time.  The columns of r and R alone, (m, M),
+    A and B, build no span.
     """
 
     def __init__(self, config: TrialConfig):
@@ -264,6 +269,8 @@ class PairTable:
         self._spans = [(chunks, np.concatenate(chunks)) for chunks in spans]
         self._held = _Span(config, spans[0]) if len(spans) == 1 and entries <= PAIR_MEMO_BUDGET else None
         self._values = {}
+        self._ranges = None  # extremes(), once read
+        self._columns = {}  # columns of (r, R) alone, which build no span
 
     def _batch(self, key, sums, dtype=np.float64, rows=()) -> np.ndarray:
         """sums(span) of every trial, in the span's layout order; with
@@ -300,8 +307,45 @@ class PairTable:
         return self._batch(("coincide",), lambda span: np.concatenate([coincide(d) for d in span.views(span.d)]), dtype=bool)
 
     def extremes(self) -> tuple:
-        """(r, R), the ratio range of every trial as two arrays."""
-        return tuple(self._batch(("extremes",), lambda span: np.concatenate([ratio_extremes(x) for x in span.views(span.x)], axis=-1), rows=(2,)))
+        """(r, R), the ratio range of every trial as two read-only arrays,
+        the same two on every call: :func:`mm_exact_arrays` keeps the
+        parts of g that the run's cells share for them."""
+        if self._ranges is None:
+            rows = self._batch(("extremes",), lambda span: np.concatenate([ratio_extremes(x) for x in span.views(span.x)], axis=-1), rows=(2,))
+            rows.setflags(write=False)
+            self._ranges = tuple(rows)
+        return self._ranges
+
+    def _ranged(self, key, column):
+        """column(r, R) on the run's ratio ranges, computed once, with
+        numpy's warnings off: inf or nan where a value leaves the float
+        range."""
+        values = self._columns.get(key)
+        if values is None:
+            with np.errstate(all="ignore"):
+                values = self._columns[key] = column(*self.extremes())
+        return values
+
+    def mm(self, measure: str, s: float) -> tuple:
+        """(m, M), the exact extremes of g on every trial's ratio range
+        (:func:`mm_exact_arrays`)."""
+        return self._ranged(("mm", measure, s), lambda r, R: mm_exact_arrays(measure, s, r, R))
+
+    def a(self, gen) -> np.ndarray:
+        """A (:func:`a_cf`) of a Generator, every trial."""
+        return self._ranged(("a", gen), lambda r, R: a_cf_values(gen, r, R))
+
+    def b(self, gen) -> np.ndarray:
+        """B (:func:`b_cf`) of a Generator on the trials where it is
+        defined (:func:`b_defined`), nan on the others."""
+
+        def column(r, R):
+            has_b = b_defined(r, R)
+            values = np.full(r.shape, np.nan)
+            values[has_b] = b_cf_values(gen, r[has_b], R[has_b])
+            return values
+
+        return self._ranged(("b", gen), column)
 
     def sandwich(self, measure: str, s: float) -> tuple:
         """(lower, upper) slacks of m * phi_s <= C_f <= M * phi_s, every
@@ -309,8 +353,7 @@ class PairTable:
         key = ("sandwich", measure, s)
         slacks = self._values.get(key)
         if slacks is None:
-            m, M = mm_exact_arrays(measure, s, *self.extremes())
-            slacks = self._values[key] = sandwich(m, M, self.phi(s), self.cf(measure))[2:]
+            slacks = self._values[key] = sandwich(*self.mm(measure, s), self.phi(s), self.cf(measure))[2:]
         return slacks
 
 
@@ -403,14 +446,13 @@ def _checks(suite: _Suite, table: PairTable):
 
 
 def _split_ranges(table):
-    """(r, R, [(trials, has_b)]): the run's trials split by whether B is
-    defined (:func:`b_defined`).  Every range has 0 < r <= R, since p, q > 0
-    and q <= 1 give r >= min p.  A needs no split: :func:`a_cf_values` is
-    0.0 where r == R."""
-    r, R = table.extremes()
-    has_b = b_defined(r, R)
+    """[(trials, has_b)]: the run's trials split by whether B is defined
+    (:func:`b_defined`).  Every range has 0 < r <= R, since p, q > 0 and
+    q <= 1 give r >= min p.  A needs no split: :func:`a_cf_values` is 0.0
+    where r == R."""
+    has_b = b_defined(*table.extremes())
     parts = [(np.flatnonzero(has_b == b), b) for b in (True, False)]
-    return r, R, [part for part in parts if part[0].size]
+    return [part for part in parts if part[0].size]
 
 
 def _thm31_checks(config: TrialConfig, chain) -> dict:
@@ -423,15 +465,13 @@ def _thm31_checks(config: TrialConfig, chain) -> dict:
 
 
 def _thm31_columns(table):
-    r, R, parts = _split_ranges(table)
     groups = []
-    for trials, has_b in parts:
-        rt, Rt = r[trials], R[trials]
+    for trials, has_b in _split_ranges(table):
 
         def chain(s):
             gen = phi_generator(s)
-            b = b_cf_values(gen, rt, Rt) if has_b else None
-            return chain_checks(table.phi(s)[trials], table.e_cf(gen)[trials], a_cf_values(gen, rt, Rt), b)
+            b = table.b(gen)[trials] if has_b else None
+            return chain_checks(table.phi(s)[trials], table.e_cf(gen)[trials], table.a(gen)[trials], b)
 
         groups.append((trials.tolist(), _thm31_checks(table.config, chain)))
     return groups
@@ -456,9 +496,8 @@ def _thm32_checks(measure, s: float, lower, upper, differences: dict) -> dict:
 
 
 def _thm32_columns(table):
-    r, R, parts = _split_ranges(table)
     groups = []
-    for trials, has_b in parts:
+    for trials, has_b in _split_ranges(table):
         cells = {}
         for i in trials.tolist():
             measure, s = _thm32_cell(table.config, i)
@@ -466,14 +505,12 @@ def _thm32_columns(table):
             cells.setdefault((measure, s, math.copysign(1.0, s)), []).append(i)
         for (measure, s, _), at in cells.items():
             at = np.array(at)
-            gen, rt, Rt = get_generator(measure), r[at], R[at]
-            m, M = mm_exact_arrays(measure, s, rt, Rt)
+            m, M = (v[at] for v in table.mm(measure, s))
             phi, cf = table.phi(s)[at], table.cf(measure)[at]
             lower, upper = sandwich(m, M, phi, cf)[2:]
-            pair = (phi_generator(s), gen)
-            forms = [("e", *(table.e_cf(g)[at] for g in pair)), ("a", *(a_cf_values(g, rt, Rt) for g in pair))]
-            if has_b:
-                forms.append(("b", *(b_cf_values(g, rt, Rt) for g in pair)))
+            pair = (phi_generator(s), get_generator(measure))
+            columns = (("e", table.e_cf), ("a", table.a), ("b", table.b))[: 3 if has_b else 2]
+            forms = [(tag, *(column(g)[at] for g in pair)) for tag, column in columns]
             groups.append((at.tolist(), _thm32_checks(measure, s, lower, upper, difference_checks(m, M, phi, cf, forms))))
     return groups
 

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import divbounds as db
+import divbounds.csiszar_bounds as cb
 import divbounds.harness as harness
 import divbounds.measures as measures
 import divbounds.simplex as simplex
@@ -270,6 +271,29 @@ class TestPairTable:
         # computed quantity (a sandwich only reads other quantities).
         quantities = sum(name != "sandwich" for name, *_ in table._values)
         assert len(stacks) == len(_chunks(table)) * (1 if budget is None else quantities)
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [db.TrialConfig(seed=42), db.TrialConfig(seed=3, trials=300, concentration=30.0)],
+        ids=["seed42", "concentration30"],
+    )
+    def test_mm_columns_are_mm_exact_values_trial_by_trial(self, cfg):
+        # Every cell of the default s grid, on the run's one read-only (r, R),
+        # which all 81 cells share; concentration 30 makes trial 248's P = Q,
+        # so r = R = 1 there.
+        table = harness.PairTable(cfg)
+        r, R = table.extremes()
+        assert all(a is b for a, b in zip(table.extremes(), (r, R)))  # the same two objects
+        assert not (r.flags.writeable or R.flags.writeable)
+        if cfg.trials == 300:
+            assert r[248] == R[248] == 1.0
+        ranges = list(zip(r.tolist(), R.tolist()))
+        for mid in db.CATALOG_IDS:
+            for s in cfg.s_samples:
+                m, M = table.mm(mid, s)
+                ref = np.array([cb.mm_exact_values(mid, s, a, b) for a, b in ranges])
+                assert (m.tobytes(), M.tobytes()) == (ref[:, 0].tobytes(), ref[:, 1].tobytes()), (mid, s)
+        assert cb._latest_ranges[0]() is r and cb._latest_ranges[1]() is R
 
     def test_each_run_recomputes(self, monkeypatch, capsys):
         stacks, sums = [], []
@@ -679,19 +703,49 @@ class TestColumnSuites:
 
     def test_thm32_falls_back_to_the_first_failing_trials_error(self, monkeypatch):
         # Trial 1's a_cf of PHI_S(-2) overflows (r^-3), which its column
-        # gives as a value that is not finite; trial 5's g leaves the float
-        # range at x = 1e-200 (G2 at s = -2), which its (m, M) column raises.
-        # The fallback, trial by trial, raises trial 1's error.
+        # gives as a value that is not finite.  The (m, M) of a cell is a
+        # column over the whole run, and the first cell's, D1 at s = -2,
+        # raises where g = 3 r^4 underflows, at trial 1's r (trial 5's
+        # x = 1e-200 would leave the float range too).  The fallback, trial
+        # by trial, raises trial 1's own error, from a_cf.
         cfg = db.TrialConfig(seed=47, trials=12)
         _force_ranges(monkeypatch, cfg, {1: (1e-103, 2.0), 5: (1e-200, 2.0)})
         with np.errstate(all="ignore"), pytest.raises(NumericOverflow) as info:
             harness._SUITES["thm32"].columns(harness.PairTable(cfg))
-        assert str(info.value) == "g(x) = x^(2-s) f''(x) leaves the float range at x=1e-200, s=-2.0"
+        assert str(info.value) == "g(x) = x^(2-s) f''(x) leaves the float range at x=1e-103, s=-2.0"
         scalar = _first_error("thm32", cfg)
         assert str(scalar) == "a_cf of PHI_S(-2.0) leaves the float range"
         with pytest.raises(NumericOverflow) as info:
             db.run_suite("thm32", cfg)
         assert str(info.value) == str(scalar)
+
+    def test_g_overflow_is_the_first_failing_trials_on_the_shared_columns(self, monkeypatch):
+        # At s = -2, D1's g is about R^3 at R and 3 r^4 at r, G2's r^4 / 2:
+        # trial 2's R = 1e105 and trial 5's r = 1e-110 leave the float range.
+        # thm41 checks D1 on every trial and raises at trial 2's R, though
+        # trial 5 fails at an r, the earlier of a trial's candidates.  thm32
+        # checks G2 at s = -2 on trial 5 alone, whose g raises before its
+        # A, and its (m, M) columns raise at other cells' trials first.  At
+        # s = 120, M * phi_s leaves the float range on most trials, after
+        # (m, M).
+        cfg = db.TrialConfig(seed=61, trials=12, s_samples=(-2.0, 120.0))
+        _force_ranges(monkeypatch, cfg, {2: (0.5, 1e105), 5: (1e-110, 2.0)})
+        r, R = harness.PairTable(cfg).extremes()
+
+        def scalar_error(measure, s, trials):
+            for i in trials:
+                try:
+                    cb.mm_exact_values(measure, s, r[i].item(), R[i].item())
+                except NumericOverflow as exc:
+                    return str(exc)
+
+        expected = {"thm41": scalar_error("D1", -2.0, range(cfg.trials)), "thm32": str(_first_error("thm32", cfg))}
+        assert expected["thm41"] == "g(x) = x^(2-s) f''(x) leaves the float range at x=1e+105, s=-2.0"
+        assert expected["thm32"] == scalar_error("G2", -2.0, [5]) == "g(x) = x^(2-s) f''(x) leaves the float range at x=1e-110, s=-2.0"
+        for sid, error in expected.items():
+            with pytest.raises(NumericOverflow) as info:
+                db.run_suite(sid, cfg)
+            assert str(info.value) == error, sid
 
     def test_a_suite_without_a_fallback_raises_its_columns_error(self, monkeypatch):
         # C_f of the power generator is inf at trial 3, so phi_s leaves the
