@@ -86,8 +86,12 @@ def require_finite(value, what: str, *args):
 
 
 def require_finite_s(s):
-    """The power-family parameter s unchanged, or NonFinite when it is nan
-    or infinite."""
-    if not math.isfinite(s):
+    """The power-family parameter s unchanged, NonFinite when it is nan or
+    infinite, or InvalidArgument when it is not a real number."""
+    try:
+        finite = math.isfinite(s)
+    except TypeError:
+        raise InvalidArgument(f"s must be a real number, got {s!r}") from None
+    if not finite:
         raise NonFinite(f"s must be finite, got {s}")
     return s

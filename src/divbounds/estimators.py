@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,7 +30,11 @@ class EstimatorId:
     def __post_init__(self):
         if self.family not in _FORMULAS:
             raise InvalidArgument(f"unknown family {self.family!r}")
-        if not 1 <= self.t <= len(_FORMULAS[self.family]):
+        try:
+            in_range = 1 <= operator.index(self.t) <= len(_FORMULAS[self.family])
+        except TypeError:  # an index that is not an integer
+            in_range = False
+        if not in_range:
             raise InvalidArgument(f"{self.family} index must be in 1..{len(_FORMULAS[self.family])}")
 
     def __str__(self) -> str:
@@ -82,10 +87,13 @@ _FORMULAS = {
 def estimate(est: EstimatorId, P: Distribution, Q: Distribution) -> float:
     """Evaluate one estimator.
 
-    Raises DegeneratePair on a coordinatewise-equal pair, and on a pair so
-    close to it that a divergence under a square root rounds below zero.
-    The coincide test on d = p - q, as each divergence, is memoized.
+    Raises InvalidArgument where est is not an EstimatorId, and
+    DegeneratePair on a coordinatewise-equal pair, and on a pair so close
+    to it that a divergence under a square root rounds below zero.  The
+    coincide test on d = p - q, as each divergence, is memoized.
     """
+    if not isinstance(est, EstimatorId):
+        raise InvalidArgument(f"not an EstimatorId: {est!r}")
     if len(P) == len(Q) and memoized(P, Q, coincide, lambda: bool(coincide(pair_vector(P, Q, "d")))):
         raise DegeneratePair("estimators are 0/0 at P = Q")
     return estimate_from(est, functools.cache(lambda measure: divergence(measure, P, Q)))

@@ -20,19 +20,17 @@ as this module alone decides: a measure's by :data:`TERM_SUMS`, and
 C_f = sum q f(x) and E = sum (p - q) f'(x), x = p / q, by the one core
 :func:`weighted_sum`.  A pair longer than :data:`TERM_SLICE` entries is
 summed by :func:`term_sum`: the term is written into one array slice by
-slice, half the slices in one worker thread, which starts with the first
-such pair, and the array is reduced once.  The sum keeps its bits, as an
-elementwise loop gives an entry the same value in any slice that starts at
-a multiple of 64, and the reduce sees the same array.  Short pairs and
-(k, n) blocks take the one-line sum; a layout, one row sum per block view.
+slice, in the caller's thread, and the array is reduced once.  The sum
+keeps its bits, as an elementwise loop gives an entry the same value in
+any slice that starts at a multiple of 64, and the reduce sees the same
+array.  Short pairs and (k, n) blocks take the one-line sum; a layout, one
+row sum per block view.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-import os
-import threading
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -393,10 +391,6 @@ def weighted_sum(h, w, x, views=None):
 #: (256 KiB each) stay in a 2 MiB L2.
 TERM_SLICE = 32768
 
-_worker = None  # term_sum's one worker thread (an executor), made on first use
-_worker_ident = None  # that thread's id, once it has run a half
-_worker_lock = threading.Lock()  # callers in two threads make one worker
-
 
 def term_sum(term, a, b, views=None):
     """``np.add.reduce(term(a, b), axis=-1)``, bit for bit, for an
@@ -404,71 +398,28 @@ def term_sum(term, a, b, views=None):
     (k, n) block view that views(t) gives of the 1-D layout t = term(a, b).
 
     A 1-D pair longer than :data:`TERM_SLICE` is summed in slices: term
-    is written into one array, slice by slice, the upper half of the
-    slices by the one worker thread (numpy releases the GIL in its loops)
-    and the lower half by the caller, and that array is reduced once.  The bits cannot move: an elementwise loop gives an entry the
-    same value wherever its slice starts, slices that start at multiples
-    of 64 leave the SIMD tail on the same last entries, and the one reduce
-    sees the array that ``term(a, b)`` returns.  The worker runs under the
-    caller's numpy error state, and the call returns or raises only once
-    the worker is done: the caller's error first, else the worker's.
-    Every other input takes the one-line path, as does a call from the
-    worker itself (a term that sums a long pair), which would wait on its
-    own thread.  :func:`weighted_sum` tests the length inline, so its short
-    pairs make no extra call.
+    is written into one array, slice by slice in the caller's thread, and
+    that array is reduced once.  The bits cannot move: an elementwise loop
+    gives an entry the same value wherever its slice starts, slices that
+    start at multiples of 64 leave the SIMD tail on the same last entries,
+    and the one reduce sees the array that ``term(a, b)`` returns.  Every
+    other input takes the one-line path.  :func:`weighted_sum` tests the
+    length inline, so its short pairs make no extra call.
     """
     if views is not None:
         return np.concatenate([np.add.reduce(view, axis=-1) for view in views(term(a, b))])
-    if a.ndim != 1 or a.shape[0] <= TERM_SLICE or threading.get_ident() == _worker_ident:
+    if a.ndim != 1 or a.shape[0] <= TERM_SLICE:
         return np.add.reduce(term(a, b), axis=-1)
     n = a.shape[0]
-    split = TERM_SLICE * (-(-n // TERM_SLICE) // 2)
     out = np.empty(n)
-    job = _pool().submit(_fill_under, np.geterr(), term, a, b, out, split, n)
-    try:
-        _fill(term, a, b, out, 0, split)
-    finally:
-        failed = job.exception()  # waits: out is written only while the call runs
-    if failed is not None:
-        raise failed
+    for i in range(0, n, TERM_SLICE):
+        j = min(i + TERM_SLICE, n)
+        out[i:j] = term(a[i:j], b[i:j])
     return np.add.reduce(out, axis=-1)
 
 
 #: Each named measure's sum over the last axis: :func:`term_sum` of its term.
 TERM_SUMS = {mid: functools.partial(term_sum, term) for mid, term in TERMS.items()}
-
-
-def _fill(term, a, b, out, lo, hi):
-    for i in range(lo, hi, TERM_SLICE):
-        j = min(i + TERM_SLICE, hi)
-        out[i:j] = term(a[i:j], b[i:j])
-
-
-def _fill_under(err, *args):
-    global _worker_ident
-    _worker_ident = threading.get_ident()
-    with np.errstate(**err):  # numpy's error state is per context, and a thread starts with the default
-        _fill(*args)
-
-
-def _pool():
-    global _worker
-    with _worker_lock:
-        if _worker is None:
-            from concurrent.futures import ThreadPoolExecutor
-
-            _worker = ThreadPoolExecutor(max_workers=1, thread_name_prefix="divbounds-term")
-        return _worker
-
-
-def _drop_worker():
-    global _worker, _worker_ident, _worker_lock
-    # A forked child has no worker thread and may hold a copy of a taken lock.
-    _worker, _worker_ident, _worker_lock = None, None, threading.Lock()
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_drop_worker)
 
 
 def finite_cf(gen: Generator, value):

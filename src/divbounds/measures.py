@@ -9,8 +9,8 @@ written once in :data:`generators.TERMS`, over the last axis, so it takes
 one pair of probability vectors, a (k, n) block of k pairs (one value per
 row) or the harness pair table's layout of blocks, which shares it with
 the public functions here.  The power family phi_s is the Csiszar sum of :func:`phi_generator` (s).
-How a pair is summed, and a long one in slices shared with a worker
-thread, is decided in :mod:`generators` alone (:data:`generators.TERM_SUMS`).
+How a pair is summed, and a long one in slices, is decided in
+:mod:`generators` alone (:data:`generators.TERM_SUMS`).
 
 :func:`divergence` and :func:`phi_s` keep each raw sum, before its finite
 check, in the latest-pair memo (:func:`simplex.memoized`): a Python float

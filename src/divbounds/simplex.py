@@ -29,6 +29,7 @@ import numpy as np
 
 from .errors import (
     EmptyOrTooShort,
+    InvalidArgument,
     InvalidRange,
     LengthMismatch,
     NegativeEntry,
@@ -148,8 +149,13 @@ def smooth(raw, alpha: float) -> Distribution:
     """Additive smoothing: normalize(raw_i + alpha).  Admits zeros in raw.
 
     raw is checked before alpha is added, since alpha can lift a negative
-    weight; normalize checks the sum again, which can overflow to inf."""
-    if not np.isfinite(alpha):
+    weight; normalize checks the sum again, which can overflow to inf.
+    Raises InvalidArgument where alpha is not a real number."""
+    try:
+        finite = math.isfinite(alpha)
+    except TypeError:
+        raise InvalidArgument(f"alpha must be a real number, got {alpha!r}") from None
+    if not finite:
         raise NonFinite("alpha must be finite")
     if alpha <= 0.0:
         raise NonPositiveAlpha(f"alpha must be > 0, got {alpha}")

@@ -13,6 +13,7 @@ import divbounds.csiszar_bounds as cb
 from divbounds.csiszar_bounds import CLOSED_FORM_REGIONS, global_extrema_table
 from divbounds.errors import (
     DivBoundsError,
+    InvalidArgument,
     InvalidRange,
     LengthMismatch,
     NonFinite,
@@ -867,6 +868,11 @@ class TestBoundInterval:
         with pytest.raises(NonFinite, match=f"^s must be finite, got {s}$"):
             db.mm_numeric(measure, s, db.ratio_range(P, Q))
 
+    def test_non_real_s_is_invalid_argument(self):
+        P, Q = db.normalize([1, 2, 3]), db.normalize([3, 2, 1])
+        with pytest.raises(InvalidArgument, match="^s must be a real number, got 'x'$"):
+            db.bound_interval("J", "x", P, Q)
+
     def test_one_errstate_and_no_public_wrapper(self, monkeypatch, golden_pair):
         entered = []
 
@@ -963,6 +969,11 @@ class TestBoundIntervalParity:
 
 
 class TestDifferenceBounds:
+    def test_non_real_s_is_invalid_argument(self):
+        P, Q = db.normalize([1, 2, 3]), db.normalize([3, 2, 1])
+        with pytest.raises(InvalidArgument, match="^s must be a real number, got 'a'$"):
+            db.difference_bounds("J", "a", P, Q)
+
     def test_mm_comes_from_the_pair_alone(self):
         # (m, M) are mm_exact's on the pair's own s and range; no caller can
         # put another s's or range's (m, M) into a report.

@@ -37,6 +37,11 @@ class TestEstimatorId:
             db.EstimatorId(family, t)
         assert str(info.value) == message
 
+    @pytest.mark.parametrize("t", ["1", 1.0])
+    def test_an_index_that_is_not_an_integer_is_invalid_argument(self, t):
+        with pytest.raises(InvalidArgument, match=r"^XI index must be in 1\.\.8$"):
+            db.EstimatorId("XI", t)
+
     def test_all_estimators(self):
         ests = db.all_estimators()
         assert len(ests) == 12
@@ -57,6 +62,10 @@ class TestEstimate:
         d = db.normalize([2, 5])
         with pytest.raises(DegeneratePair):
             db.estimate(db.EstimatorId("XI", 1), d, d)
+
+    def test_an_id_that_is_not_an_estimator_id_is_invalid_argument(self, golden_pair):
+        with pytest.raises(InvalidArgument, match="^not an EstimatorId: 'xi1'$"):
+            db.estimate("xi1", *golden_pair)
 
     def test_containment(self, pairs_100):
         for P, Q in pairs_100:

@@ -152,6 +152,10 @@ class TestPhiGenerator:
         with pytest.raises(NonFinite):
             db.phi_generator(float("nan"))
 
+    def test_non_real_s_is_invalid_argument(self):
+        with pytest.raises(InvalidArgument, match="^s must be a real number, got 'a'$"):
+            db.phi_generator("a")
+
     def test_f_second_is_one_power(self):
         # f'' = x^(t-2) at every t, the poles of f included.
         for t in (-2.0, 0.0, 1e-11, 0.5, 1.0, 3.0):

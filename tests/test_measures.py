@@ -6,7 +6,7 @@ import oracle
 import pytest
 
 import divbounds as db
-from divbounds.errors import LengthMismatch, NonFinite, NumericOverflow, UnknownMeasure
+from divbounds.errors import InvalidArgument, LengthMismatch, NonFinite, NumericOverflow, UnknownMeasure
 
 from conftest import make_pairs
 
@@ -133,6 +133,11 @@ class TestPhiS:
         d = db.normalize([1, 1])
         with pytest.raises(NonFinite):
             db.phi_s(float("inf"), d, d)
+
+    def test_non_real_s_is_invalid_argument(self):
+        d = db.normalize([1, 2])
+        with pytest.raises(InvalidArgument, match="^s must be a real number, got 'a'$"):
+            db.phi_s("a", d, d)
 
     def test_nonnegative(self, pairs_100):
         for P, Q in pairs_100:

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 import divbounds as db
 from divbounds.errors import (
     EmptyOrTooShort,
+    InvalidArgument,
     InvalidRange,
     LengthMismatch,
     NegativeEntry,
@@ -82,6 +84,11 @@ class TestSmooth:
             db.smooth([1, 2], -1.0)
         with pytest.raises(NonFinite):
             db.smooth([1, 2], float("nan"))
+
+    @pytest.mark.parametrize("alpha", ["a", [1, 2]], ids=["str", "list"])
+    def test_non_real_alpha_is_invalid_argument(self, alpha):
+        with pytest.raises(InvalidArgument, match=f"^alpha must be a real number, got {re.escape(repr(alpha))}$"):
+            db.smooth([1, 2], alpha)
 
 
 class TestDistribution:

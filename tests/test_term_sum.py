@@ -1,8 +1,8 @@
-"""Long pairs, whose term vectors generators.term_sum sums in slices split
-between the caller and one worker thread: the bits of the whole-vector
-sum at and around the slice boundaries, the caller's numpy error state in
-the worker, errors raised from either half, and a worker in a forked
-child; and blocks with more rows than a slice, summed in one call."""
+"""Long pairs, whose term vectors generators.term_sum sums in slices in
+the caller's thread: the bits of the whole-vector sum at and around the
+slice boundaries, the caller's numpy error state in every slice, errors
+raised from any slice, no thread started, and sums in a forked child; and
+blocks with more rows than a slice, summed in one call."""
 
 import multiprocessing
 import os
@@ -10,7 +10,6 @@ import queue
 import subprocess
 import sys
 import threading
-import time
 import warnings
 
 import numpy as np
@@ -66,7 +65,7 @@ def test_slices_start_where_simd_blocks_start():
     assert TERM_SLICE % 64 == 0
 
 
-def test_a_long_vector_is_split_on_slice_boundaries_between_two_threads():
+def test_a_long_vector_is_summed_on_slice_boundaries_in_the_callers_thread():
     n = 2 * TERM_SLICE + 7
     a, b = np.arange(n, dtype=np.float64), np.full(n, 0.5)
     seen = []
@@ -76,11 +75,26 @@ def test_a_long_vector_is_split_on_slice_boundaries_between_two_threads():
         return a * b
 
     assert term_sum(term, a, b) == np.add.reduce(a * b)
-    seen.sort()
-    assert [(start, size) for start, size, _ in seen] == [(0, TERM_SLICE), (TERM_SLICE, TERM_SLICE), (2 * TERM_SLICE, 7)]
     caller = threading.get_ident()
-    assert seen[0][2] == caller
-    assert seen[1][2] == seen[2][2] != caller
+    assert seen == [(0, TERM_SLICE, caller), (TERM_SLICE, TERM_SLICE, caller), (2 * TERM_SLICE, 7, caller)]
+
+
+def test_summing_a_long_pair_starts_no_thread():
+    # In a child process, so that no thread another test left running hides one.
+    code = """if True:
+        import threading
+        import divbounds as db
+        import numpy as np
+        w = np.random.default_rng(1).gamma(0.5, size=(2, 100_000)) + 1e-3
+        P, Q = db.normalize(w[0]), db.normalize(w[1])
+        before = threading.active_count()
+        db.divergence("J", P, Q)
+        db.bound_interval("J", 0.5, P, Q)
+        assert threading.active_count() == before, (before, threading.active_count())
+    """
+    src = os.path.dirname(os.path.dirname(db.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
 
 
 @pytest.mark.parametrize("n", [TERM_SLICE, 2])
@@ -262,22 +276,6 @@ def test_a_generator_error_in_the_workers_half_is_raised():
         db.eval_csiszar(gen, P, Q)
     with pytest.raises(Refused):
         db.bound_interval(gen, 0.5, P, Q)
-
-
-def test_an_error_in_the_callers_half_waits_for_the_worker():
-    n = 4 * TERM_SLICE
-    done = []
-
-    def term(a, b):
-        if a[0] == 0.0:
-            raise Refused("the caller's first slice")
-        time.sleep(0.05)
-        done.append(int(a[0]))
-        return a * b
-
-    with pytest.raises(Refused):
-        term_sum(term, np.arange(n, dtype=np.float64), np.ones(n))
-    assert done == [2 * TERM_SLICE, 3 * TERM_SLICE]
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")

@@ -5,7 +5,7 @@ import oracle
 import pytest
 
 import divbounds as db
-from divbounds.errors import InvalidRange, LengthMismatch, NonFinite, NumericOverflow
+from divbounds.errors import InvalidArgument, InvalidRange, LengthMismatch, NonFinite, NumericOverflow
 
 LN3 = math.log(3.0)
 S_GRID = (-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 1.5, 2.0, 3.0)
@@ -151,6 +151,11 @@ class TestGenericConsistency:
         for call in (lambda: db.phi_generator(s), lambda: db.bound_set(s, d, d)):
             with pytest.raises(NonFinite, match=f"^s must be finite, got {s}$"):
                 call()
+
+    def test_non_real_s_is_invalid_argument(self):
+        d = db.normalize([1, 2])
+        with pytest.raises(InvalidArgument, match="^s must be a real number, got None$"):
+            db.bound_set(None, d, d)
 
 
 class TestOverflow:
