@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import functools
 import math
-import weakref
 from dataclasses import dataclass
 from typing import Optional
 
@@ -370,30 +369,30 @@ def mm_exact_values(measure, s: float, r: float, R: float) -> tuple:
     return m, M
 
 
-def mm_exact_arrays(measure, s: float, r: np.ndarray, R: np.ndarray) -> tuple:
+def mm_exact_arrays(measure, s: float, r: np.ndarray, R: np.ndarray, powers: Optional[SplitPowers] = None) -> tuple:
     """(m, M) arrays of :func:`mm_exact_values` at every (r[i], R[i]), bit
     for bit, by the same rule: the min and max of g at r, at R and, where
     it lies inside (r, R), at each stationary point.
 
     g at r and R is :meth:`Rational.times_power` on the entries of r then
-    R, from the parts of :class:`SplitPowers`, which shares them across
-    cells: one power per distinct exponent, one n(y) / d(y) per f''.  The
-    parts of the latest (r, R) are kept while both live, matched by
-    identity through weak references, and only for read-only arrays,
-    whose values a caller must not change; any other pair of arrays gets
-    fresh parts, which it does not keep.  A stationary point's g is one
-    scalar :func:`_g_float`.  Where an entry of g is not finite or is 0,
-    g takes one array of each trial's candidates in the order of the
-    scalar calls instead, a stationary point outside (r[i], R[i]) standing
-    in as r[i] again, so that the first trial that raises raises (as
-    :func:`g_eval` on an array).  Raises NonFinite for a nan or infinite s.
+    R, from the parts of powers, their :class:`SplitPowers`, made afresh
+    when not given: a caller that gives one to every cell of an (r, R)
+    shares one power per distinct exponent and one n(y) / d(y) per f''
+    across the cells, bit for bit.  A stationary point's g is one scalar
+    :func:`_g_float`.  Where an entry of g is not finite or is 0, g takes
+    one array of each trial's candidates in the order of the scalar calls
+    instead, a stationary point outside (r[i], R[i]) standing in as r[i]
+    again, so that the first trial that raises raises (as :func:`g_eval`
+    on an array).  Raises NonFinite for a nan or infinite s.
     """
     gen = get_generator(measure)
     require_finite_s(s)
     r, R = np.asarray(r, dtype=np.float64), np.asarray(R, dtype=np.float64)
     points = _stationary_points(gen.f_second, s)
+    if powers is None:
+        powers = SplitPowers(np.concatenate([r.ravel(), R.ravel()]))
     with np.errstate(over="ignore"):  # x^((a-s)+k) near the float max, times n/d
-        g = _split_powers(r, R).times_power(gen.f_second, s)
+        g = powers.times_power(gen.f_second, s)
     try:
         if not (np.isfinite(g).all() and g.all()):
             raise NumericOverflow("g leaves the float range")  # the path below names the first entry
@@ -408,30 +407,6 @@ def mm_exact_arrays(measure, s: float, r: np.ndarray, R: np.ndarray) -> tuple:
     # Elementwise over the few candidate rows: numpy's reduction along a
     # short contiguous axis costs about 40 times as much.
     return functools.reduce(np.minimum, g), functools.reduce(np.maximum, g)
-
-
-_latest_ranges = None  # (weak r, weak R, SplitPowers) of the latest read-only (r, R)
-
-
-def _drop_ranges(ref):
-    """Weak-reference callback: the parts go when their r or their R dies."""
-    global _latest_ranges
-    latest = _latest_ranges
-    if latest is not None and (latest[0] is ref or latest[1] is ref):
-        _latest_ranges = None
-
-
-def _split_powers(r: np.ndarray, R: np.ndarray) -> SplitPowers:
-    """The :class:`SplitPowers` of r's entries then R's, those of the
-    latest read-only (r, R) kept (:func:`mm_exact_arrays`)."""
-    global _latest_ranges
-    latest = _latest_ranges
-    if latest is not None and latest[0]() is r and latest[1]() is R:
-        return latest[2]
-    split = SplitPowers(np.concatenate([r.ravel(), R.ravel()]))
-    if not (r.flags.writeable or R.flags.writeable):
-        _latest_ranges = (weakref.ref(r, _drop_ranges), weakref.ref(R, _drop_ranges), split)
-    return split
 
 
 @dataclass(frozen=True)

@@ -28,10 +28,10 @@ class EstimatorId:
     t: int
 
     def __post_init__(self):
-        if self.family not in _FORMULAS:
+        if not isinstance(self.family, str) or self.family not in _FORMULAS:
             raise InvalidArgument(f"unknown family {self.family!r}")
         try:
-            in_range = 1 <= operator.index(self.t) <= len(_FORMULAS[self.family])
+            in_range = not isinstance(self.t, bool) and 1 <= operator.index(self.t) <= len(_FORMULAS[self.family])
         except TypeError:  # an index that is not an integer
             in_range = False
         if not in_range:

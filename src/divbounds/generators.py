@@ -20,7 +20,8 @@ as this module alone decides: a measure's by :data:`TERM_SUMS`, and
 C_f = sum q f(x) and E = sum (p - q) f'(x), x = p / q, by the one core
 :func:`weighted_sum`.  A pair longer than :data:`TERM_SLICE` entries is
 summed by :func:`term_sum`: the term is written into one array slice by
-slice, in the caller's thread, and the array is reduced once.  The sum
+slice, in the caller's thread, and the array is reduced once, so the
+term's temporaries take one slice's memory, not the pair's.  The sum
 keeps its bits, as an elementwise loop gives an entry the same value in
 any slice that starts at a multiple of 64, and the reduce sees the same
 array.  Short pairs and (k, n) blocks take the one-line sum; a layout, one
@@ -387,8 +388,10 @@ def weighted_sum(h, w, x, views=None):
 
 #: Entries in one slice of a long pair's term vector (:func:`term_sum`): a
 #: multiple of 64, so that every slice starts where numpy's SIMD loops
-#: start a block on the whole vector.  A slice and its temporaries
-#: (256 KiB each) stay in a 2 MiB L2.
+#: start a block on the whole vector.  Slicing saves memory, not time: a
+#: term's temporaries (256 KiB each) exist for one slice at a time, so a
+#: sum of n entries of I or T (divergence, C_f or E) peaks at 1.25 to 1.33
+#: x 8n bytes, where the term on the whole pair peaks at 3 to 4 x 8n.
 TERM_SLICE = 32768
 
 

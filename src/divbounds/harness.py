@@ -27,7 +27,8 @@ also holds columns of the ratio ranges alone, over every trial: the exact
 :func:`mm_exact_values`, and A and B of each generator (the cores of a_cf
 and b_cf; B only on the trials where :func:`b_defined`).  Every cell's
 (m, M) is :func:`mm_exact_arrays` on the table's one read-only pair of r
-and R arrays, so the run's cells share one power of r and R per distinct
+and R arrays, from the one :class:`SplitPowers` of them that the table
+holds, so the run's cells share one power of r and R per distinct
 exponent and one n(y) / d(y) column per f''.  The sandwich suites, thm31
 and thm32 read these columns by index, thm32 at the trials of each of its
 cells.  A table is made for one run and dropped with it.
@@ -77,7 +78,7 @@ from .csiszar_bounds import (
 )
 from .errors import DivBoundsError, InvalidArgument, UnknownSuite
 from .estimators import all_estimators, coincide, estimate, estimate_from
-from .generators import CATALOG_IDS, VIOLATION_TOL, get_generator, phi_generator, weighted_sum
+from .generators import CATALOG_IDS, VIOLATION_TOL, SplitPowers, get_generator, phi_generator, weighted_sum
 from .measures import divergence_sums, finite_phi
 from .simplex import Distribution, pair_vector, ratio_extremes, ratio_range
 from .type_s_bounds import bound_set, chain_checks
@@ -308,8 +309,7 @@ class PairTable:
 
     def extremes(self) -> tuple:
         """(r, R), the ratio range of every trial as two read-only arrays,
-        the same two on every call: :func:`mm_exact_arrays` keeps the
-        parts of g that the run's cells share for them."""
+        the same two on every call."""
         if self._ranges is None:
             rows = self._batch(("extremes",), lambda span: np.concatenate([ratio_extremes(x) for x in span.views(span.x)], axis=-1), rows=(2,))
             rows.setflags(write=False)
@@ -328,8 +328,10 @@ class PairTable:
 
     def mm(self, measure: str, s: float) -> tuple:
         """(m, M), the exact extremes of g on every trial's ratio range
-        (:func:`mm_exact_arrays`)."""
-        return self._ranged(("mm", measure, s), lambda r, R: mm_exact_arrays(measure, s, r, R))
+        (:func:`mm_exact_arrays`), every cell from the table's one
+        :class:`SplitPowers` of r's entries then R's."""
+        powers = self._ranged(("powers",), lambda r, R: SplitPowers(np.concatenate([r, R])))
+        return self._ranged(("mm", measure, s), lambda r, R: mm_exact_arrays(measure, s, r, R, powers))
 
     def a(self, gen) -> np.ndarray:
         """A (:func:`a_cf`) of a Generator, every trial."""

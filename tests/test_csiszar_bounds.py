@@ -22,6 +22,7 @@ from divbounds.errors import (
     NumericOverflow,
     UnknownMeasure,
 )
+from divbounds.generators import SplitPowers
 
 from conftest import make_pairs
 
@@ -499,73 +500,45 @@ class TestMMExactArrays:
     MIXED_R = np.array([0.25, 1.0, 1.0000000000000002, 0.5, 3.0, 0.9, 1e-3])
     MIXED_RR = np.array([4.0, 1.0, 1.0000000000000007, 0.75, 7.5, 1.1, 1e3])
 
-    @staticmethod
-    def _read_only(*arrays):
-        out = [a.copy() for a in arrays]
-        for a in out:
-            a.setflags(write=False)
-        return out
-
-    def test_mixed_sides_bit_identical_one_power_per_exponent(self, monkeypatch):
-        monkeypatch.setattr(cb, "_latest_ranges", None)
-        r, R = self._read_only(self.MIXED_R, self.MIXED_RR)
+    def test_mixed_sides_bit_identical_one_power_per_exponent(self):
+        r, R = self.MIXED_R, self.MIXED_RR
+        split = SplitPowers(np.concatenate([r, R]))
         exponents, ratios = set(), set()
         for mid in db.CATALOG_IDS:
             f_second = db.catalog()[mid].f_second
             sides = list(enumerate((f_second.low, f_second.high)))
             ratios |= {(side, n, d) for side, (_, n, d) in sides}
             for s in self.S_VALUES:
-                m, M = cb.mm_exact_arrays(mid, s, r, R)
-                ref_m, ref_M = _mm_per_trial(mid, s, r, R)
-                assert (m.tobytes(), M.tobytes()) == (ref_m.tobytes(), ref_M.tobytes()), (mid, s)
+                ref = [a.tobytes() for a in _mm_per_trial(mid, s, r, R)]
+                assert [a.tobytes() for a in cb.mm_exact_arrays(mid, s, r, R, split)] == ref, (mid, s)
+                assert [a.tobytes() for a in cb.mm_exact_arrays(mid, s, r, R)] == ref, (mid, s)  # a fresh split
                 exponents |= {(side, (f_second.a - s) + k) for side, (k, _, _) in sides}
-        ref_r, ref_R, split = cb._latest_ranges
-        assert ref_r() is r and ref_R() is R
         # One column per distinct exponent and per f'' side, kept for every cell.
         assert set(split.powers) == exponents and len(exponents) < 2 * len(db.CATALOG_IDS) * len(self.S_VALUES)
         assert set(split.ratios) == ratios
 
-    def test_writable_arrays_bypass_the_memo(self, monkeypatch):
-        monkeypatch.setattr(cb, "_latest_ranges", None)
+    def test_each_call_without_powers_reads_its_arrays_values(self):
         r, R = self.MIXED_R.copy(), self.MIXED_RR.copy()
         for mid, s in (("J", 0.5), ("T", 0.5), ("D1", -1.0)):
             for step in range(2):
                 m, M = cb.mm_exact_arrays(mid, s, r, R)
                 ref_m, ref_M = _mm_per_trial(mid, s, r, R)
                 assert (m.tobytes(), M.tobytes()) == (ref_m.tobytes(), ref_M.tobytes()), (mid, s, step)
-                assert cb._latest_ranges is None
-                r *= 1.5  # a writable array's new values are read on the next call
+                r *= 1.5  # an array's new values are read on the next call
                 R *= 1.5
-        read_only, writable = self._read_only(self.MIXED_R)[0], self.MIXED_RR.copy()
-        cb.mm_exact_arrays("J", 0.5, read_only, writable)
-        cb.mm_exact_arrays("J", 0.5, writable, read_only)
-        assert cb._latest_ranges is None
 
-    def test_a_new_array_never_hits_a_stale_entry(self, monkeypatch):
-        monkeypatch.setattr(cb, "_latest_ranges", None)
-        r, R = self._read_only(self.MIXED_R, self.MIXED_RR)
-        cb.mm_exact_arrays("J", 2.0, r, R)
-        split = cb._latest_ranges[2]
-        cb.mm_exact_arrays("J", 0.5, r, R)
-        assert cb._latest_ranges[2] is split  # the same two objects hit
+    def test_new_arrays_of_one_shape_give_their_own_values(self):
         for scale in (2.0, 3.0, 5.0):
-            # New objects of the same shape, the old ones dropped first, so
-            # that an address may be reused: each call sees its own values.
-            del r, R
-            assert cb._latest_ranges is None  # dropped with its arrays
-            r, R = self._read_only(self.MIXED_R * scale, self.MIXED_RR * scale)
+            r, R = self.MIXED_R * scale, self.MIXED_RR * scale
             for mid, s in (("J", 0.5), ("J", 2.0)):
                 m, M = cb.mm_exact_arrays(mid, s, r, R)
                 ref_m, ref_M = _mm_per_trial(mid, s, r, R)
                 assert (m.tobytes(), M.tobytes()) == (ref_m.tobytes(), ref_M.tobytes()), (scale, mid, s)
-            assert cb._latest_ranges[2] is not split
-            split = cb._latest_ranges[2]
-        # One array of the pair new is a miss too, and replaces the entry.
-        (other,) = self._read_only(self.MIXED_RR * 7.0)
+        # One array of the pair new.
+        other = self.MIXED_RR * 7.0
         m, M = cb.mm_exact_arrays("J", 0.5, r, other)
         ref_m, ref_M = _mm_per_trial("J", 0.5, r, other)
         assert (m.tobytes(), M.tobytes()) == (ref_m.tobytes(), ref_M.tobytes())
-        assert cb._latest_ranges[1]() is other and cb._latest_ranges[2] is not split
 
 
 class TestGlobalExtrema:

@@ -13,6 +13,7 @@ class TestEstimatorId:
     def test_str(self):
         assert str(db.EstimatorId("XI", 3)) == "xi3"
         assert str(db.EstimatorId("ZETA", 1)) == "zeta1"
+        assert str(db.EstimatorId("ZETA", np.int64(4))) == "zeta4"
 
     def test_index_validation(self):
         with pytest.raises(ValueError):
@@ -30,14 +31,14 @@ class TestEstimatorId:
 
     @pytest.mark.parametrize(
         "family, t, message",
-        [("XI", 9, "XI index must be in 1..8"), ("ZETA", 0, "ZETA index must be in 1..4"), ("ZETA", 5, "ZETA index must be in 1..4"), ("NU", 1, "unknown family 'NU'")],
+        [("XI", 9, "XI index must be in 1..8"), ("ZETA", 0, "ZETA index must be in 1..4"), ("ZETA", 5, "ZETA index must be in 1..4"), ("NU", 1, "unknown family 'NU'"), (["XI"], 1, "unknown family ['XI']")],
     )
     def test_validation_messages(self, family, t, message):
         with pytest.raises(InvalidArgument) as info:
             db.EstimatorId(family, t)
         assert str(info.value) == message
 
-    @pytest.mark.parametrize("t", ["1", 1.0])
+    @pytest.mark.parametrize("t", ["1", 1.0, True])  # operator.index(True) is 1
     def test_an_index_that_is_not_an_integer_is_invalid_argument(self, t):
         with pytest.raises(InvalidArgument, match=r"^XI index must be in 1\.\.8$"):
             db.EstimatorId("XI", t)

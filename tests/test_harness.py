@@ -14,7 +14,7 @@ import divbounds.measures as measures
 import divbounds.simplex as simplex
 from divbounds.cli import main
 from divbounds.errors import DegeneratePair, DivBoundsError, InvalidArgument, NumericOverflow, UnknownSuite, VanishingDenominator
-from divbounds.generators import TERM_SLICE, VIOLATION_TOL
+from divbounds.generators import TERM_SLICE, VIOLATION_TOL, SplitPowers
 
 #: Frozen output of random_pair(TrialConfig(seed=1, n_min=2, n_max=2), 0),
 #: recorded once so any change to the generator construction is caught.
@@ -277,10 +277,12 @@ class TestPairTable:
         [db.TrialConfig(seed=42), db.TrialConfig(seed=3, trials=300, concentration=30.0)],
         ids=["seed42", "concentration30"],
     )
-    def test_mm_columns_are_mm_exact_values_trial_by_trial(self, cfg):
+    def test_mm_columns_are_mm_exact_values_trial_by_trial(self, cfg, monkeypatch):
         # Every cell of the default s grid, on the run's one read-only (r, R),
         # which all 81 cells share; concentration 30 makes trial 248's P = Q,
         # so r = R = 1 there.
+        made = []
+        monkeypatch.setattr(cb, "SplitPowers", lambda x: made.append(x.shape) or SplitPowers(x))
         table = harness.PairTable(cfg)
         r, R = table.extremes()
         assert all(a is b for a, b in zip(table.extremes(), (r, R)))  # the same two objects
@@ -288,12 +290,22 @@ class TestPairTable:
         if cfg.trials == 300:
             assert r[248] == R[248] == 1.0
         ranges = list(zip(r.tolist(), R.tolist()))
+        exponents = set()
         for mid in db.CATALOG_IDS:
+            f_second = db.catalog()[mid].f_second
             for s in cfg.s_samples:
                 m, M = table.mm(mid, s)
                 ref = np.array([cb.mm_exact_values(mid, s, a, b) for a, b in ranges])
                 assert (m.tobytes(), M.tobytes()) == (ref[:, 0].tobytes(), ref[:, 1].tobytes()), (mid, s)
-        assert cb._latest_ranges[0]() is r and cb._latest_ranges[1]() is R
+                exponents |= {(side, (f_second.a - s) + k) for side, (k, _, _) in enumerate((f_second.low, f_second.high))}
+        # The 81 cells share the table's one split of r's entries then R's:
+        # no cell splits them itself, and a default run makes 26 powers.
+        assert made == []
+        split = table._columns["powers",]
+        assert split.shape == (2 * cfg.trials,)
+        assert set(split.powers) == exponents
+        if cfg == db.TrialConfig(seed=42):
+            assert len(split.powers) == 26
 
     def test_each_run_recomputes(self, monkeypatch, capsys):
         stacks, sums = [], []

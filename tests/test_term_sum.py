@@ -1,8 +1,9 @@
 """Long pairs, whose term vectors generators.term_sum sums in slices in
 the caller's thread: the bits of the whole-vector sum at and around the
 slice boundaries, the caller's numpy error state in every slice, errors
-raised from any slice, no thread started, and sums in a forked child; and
-blocks with more rows than a slice, summed in one call."""
+raised from any slice, no thread started, a sum's peak memory, and sums
+in a forked child; and blocks with more rows than a slice, summed in one
+call."""
 
 import multiprocessing
 import os
@@ -10,6 +11,7 @@ import queue
 import subprocess
 import sys
 import threading
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -19,6 +21,7 @@ import divbounds as db
 from divbounds.errors import NumericOverflow
 from divbounds.generators import CATALOG_IDS, TERM_SLICE, TERMS, term_sum, weighted_sum
 from divbounds.measures import divergence_sums
+from divbounds.simplex import pair_vector
 
 S_GRID = (-2, -1, -0.5, 0, 0.5, 1, 1.5, 2, 3)
 
@@ -63,6 +66,31 @@ def test_every_sum_keeps_the_bits_of_the_whole_vector(name):
 
 def test_slices_start_where_simd_blocks_start():
     assert TERM_SLICE % 64 == 0
+
+
+#: Sums whose term, evaluated on a whole pair, holds three (T) or four (I)
+#: arrays of the pair's length at once.
+PEAK_SUMS = {
+    "divergence I": lambda P, Q: db.divergence("I", P, Q),
+    "divergence T": lambda P, Q: db.divergence("T", P, Q),
+    "eval_csiszar I": lambda P, Q: db.eval_csiszar("I", P, Q),
+    "e_cf T": lambda P, Q: db.e_cf("T", P, Q),
+}
+
+
+@pytest.mark.parametrize("name", PEAK_SUMS)
+def test_a_long_sum_holds_one_term_vector_and_one_slice_of_temporaries(name):
+    # With x and d formed, a sliced sum allocates the term vector it
+    # reduces (8n bytes) and one slice's temporaries.
+    P, Q = near_pair(400_000, 5)
+    pair_vector(P, Q, "x"), pair_vector(P, Q, "d")
+    tracemalloc.start()
+    try:
+        PEAK_SUMS[name](P, Q)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 8 * len(P), peak / (8 * len(P))
 
 
 def test_a_long_vector_is_summed_on_slice_boundaries_in_the_callers_thread():
@@ -188,10 +216,10 @@ def _bits(values):
 
 
 @pytest.mark.parametrize("state, outcome", [("raise", FloatingPointError), ("ignore", None)])
-def test_the_worker_runs_under_the_callers_error_state(state, outcome):
+def test_every_slice_runs_under_the_callers_error_state(state, outcome):
     n = 3 * TERM_SLICE
     a = np.ones(n)
-    a[-1] = 1e300  # in the worker's half
+    a[-1] = 1e300  # in the last slice
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with np.errstate(over=state):
@@ -202,7 +230,7 @@ def test_the_worker_runs_under_the_callers_error_state(state, outcome):
                     term_sum(lambda a, b: a * b, a, a)
 
 
-def test_callers_in_many_threads_share_the_worker():
+def test_callers_in_many_threads_each_get_their_own_sum():
     n = 3 * TERM_SLICE + 5
     vectors = [np.random.default_rng(seed).random(n) for seed in range(6)]
     want = [np.add.reduce(v * v) for v in vectors]
@@ -228,7 +256,7 @@ def test_callers_in_many_threads_share_the_worker():
 
 def tiny_pair(tiny):
     """100k entries of 1e-5, P uniform and Q's last entry tiny (in the
-    worker's half): x = p / q overflows at 5e-324, and x ** 2 at 1e-300."""
+    last slice): x = p / q overflows at 5e-324, and x ** 2 at 1e-300."""
     w = np.full(100_000, 1e-5)
     P = db.normalize(w)
     w[-1] = tiny
@@ -249,7 +277,7 @@ OVERFLOWS = {
 
 
 @pytest.mark.parametrize("name", OVERFLOWS)
-def test_an_overflow_in_the_workers_half_raises_only_numeric_overflow(name):
+def test_an_overflow_in_the_last_slice_raises_only_numeric_overflow(name):
     tiny, call = OVERFLOWS[name]
     P, Q = tiny_pair(tiny)
     with warnings.catch_warnings():
@@ -262,7 +290,7 @@ class Refused(Exception):
     pass
 
 
-def test_a_generator_error_in_the_workers_half_is_raised():
+def test_a_generator_error_in_the_last_slice_is_raised():
     def f(x):
         if np.any(x > 10.0):
             raise Refused("x > 10")
@@ -281,7 +309,7 @@ def test_a_generator_error_in_the_workers_half_is_raised():
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
 def test_a_forked_child_sums_a_long_pair():
     P, Q = random_pair(2 * TERM_SLICE + 7, 6)
-    db.divergence("J", P, Q)  # the parent's worker thread now exists
+    db.divergence("J", P, Q)  # the parent has summed a long pair
     ctx = multiprocessing.get_context("fork")
     results = ctx.Queue()
     child = ctx.Process(target=lambda: results.put(db.divergence("KL", P, Q)))
@@ -300,14 +328,14 @@ def test_a_forked_child_sums_a_long_pair():
     assert value == db.divergence("KL", P, Q)
 
 
-def test_a_term_that_sums_a_long_vector_in_the_worker_does_not_wait_on_itself():
-    # In a child process: a worker that waited on itself would stay blocked.
+def test_a_term_that_sums_a_long_vector_itself_is_summed():
+    # In a child process, so that a sum that blocked could be timed out.
     code = """if True:
         import numpy as np
         from divbounds.generators import TERM_SLICE, term_sum
         n = 2 * TERM_SLICE + 7
         a, inner = np.arange(n, dtype=np.float64), np.full(n, 0.5)
-        # the inner sum runs in each half, the worker's included
+        # the inner sum runs in every slice of the outer one
         got = term_sum(lambda a, b: a * b * term_sum(lambda c, d: c * d, inner, inner), a, a)
         assert got == np.add.reduce(a * a * np.add.reduce(inner * inner))
     """
