@@ -39,6 +39,7 @@ from .errors import (
     NonPositiveX,
     NotTabulated,
     NumericOverflow,
+    real_array,
     require_finite,
     require_finite_s,
 )
@@ -78,7 +79,7 @@ def g_eval(gen: Generator, s: float, x):
     gen = get_generator(gen)
     if isinstance(x, float):
         return _g_float(gen, s, x)
-    arr = np.asarray(x, dtype=np.float64)
+    arr = real_array(x, "x")
     if not np.all(arr > 0.0):
         raise NonPositiveX(f"x must be > 0, got {x}")
     out = _g_array(gen, s, arr)
@@ -444,7 +445,7 @@ def global_extrema(measure, s: float) -> GlobalExtremum:
     """Global extremum of g over (0, inf) at a (catalog generator, s) the
     paper names (:func:`catalog_id`)."""
     try:
-        return _GLOBAL[(catalog_id(measure), float(s))]
+        return _GLOBAL[(catalog_id(measure), float(require_finite_s(s)))]
     except KeyError:
         raise NotTabulated(f"no tabulated global extremum for ({measure}, s={s})") from None
 

@@ -85,6 +85,15 @@ def require_finite(value, what: str, *args):
     return value
 
 
+def real_array(values, what: str, convert=np.asarray) -> np.ndarray:
+    """convert(values, dtype=np.float64), or InvalidArgument (a ValueError)
+    where an entry is not a real number; convert=np.array always copies."""
+    try:
+        return convert(values, dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise InvalidArgument(f"{what} must be real numbers ({exc})") from None
+
+
 def require_finite_s(s):
     """The power-family parameter s unchanged, NonFinite when it is nan or
     infinite, or InvalidArgument when it is not a real number."""

@@ -37,7 +37,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import EmptyOrTooShort, InvalidArgument, NonFinite, NonPositiveX, NumericOverflow, UnknownMeasure, require_finite, require_finite_s
+from .errors import EmptyOrTooShort, InvalidArgument, NonFinite, NonPositiveX, NumericOverflow, UnknownMeasure, real_array, require_finite, require_finite_s
 from .simplex import Distribution, memoized, pair_probs, pair_vector
 
 #: Identifiers of the nine fixed generators, in catalog order.
@@ -451,7 +451,7 @@ def check_generator(gen: Generator, grid) -> GeneratorCheck:
     NonPositiveX for an entry x <= 0 or nan and NonFinite for an inf;
     NumericOverflow where a value or a step leaves the float range.
     """
-    x = np.asarray(grid, dtype=np.float64)
+    x = real_array(grid, "grid entries")
     if x.size == 0:
         raise EmptyOrTooShort("check_generator needs a nonempty grid")
     if not np.all(x > 0.0):

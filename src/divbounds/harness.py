@@ -26,12 +26,14 @@ also holds columns of the ratio ranges alone, over every trial: the exact
 (m, M) of each (measure, s) cell, bit-identical to the scalar
 :func:`mm_exact_values`, and A and B of each generator (the cores of a_cf
 and b_cf; B only on the trials where :func:`b_defined`).  Every cell's
-(m, M) is :func:`mm_exact_arrays` on the table's one read-only pair of r
-and R arrays, from the one :class:`SplitPowers` of them that the table
-holds, so the run's cells share one power of r and R per distinct
-exponent and one n(y) / d(y) column per f''.  The sandwich suites, thm31
-and thm32 read these columns by index, thm32 at the trials of each of its
-cells.  A table is made for one run and dropped with it.
+(m, M) is :func:`mm_exact_arrays` on r and R, from the one
+:class:`SplitPowers` of them that the table holds, so the run's cells
+share one power of r and R per distinct exponent and one n(y) / d(y)
+column per f''.  Every column is computed once a run, on first request,
+and is read-only, as every suite of the run reads the same array.  The
+sandwich suites, thm31 and thm32 read these columns by index, thm32 at the
+trials of each of its cells.  A table is made for one run and dropped
+with it.
 
 The paper's special cases phi_s = k * (named measure) are one table,
 :data:`_SPECIAL_S`, read by phi_cases, by the cor and thm sandwich suites
@@ -136,6 +138,7 @@ class TrialConfig:
             raise InvalidArgument("s_samples must not be empty")
         if not all(math.isfinite(s) for s in self.s_samples):
             raise InvalidArgument("s_samples must be finite")
+        object.__setattr__(self, "s_samples", tuple(self.s_samples))  # frozen: hashable, and no later append
 
 
 #: Most probability entries (8 bytes each) the pair memo holds, about 8 MB,
@@ -249,10 +252,13 @@ class PairTable:
     spans (:class:`_Span`) that fit that budget together.  A run that fits
     it is one span, held with its x and d; otherwise each quantity builds
     the spans again, one at a time.  The columns of r and R alone, (m, M),
-    A and B, build no span.
+    A and B, build no span.  Every column is computed once, kept in one
+    cache, and read-only.
     """
 
     def __init__(self, config: TrialConfig):
+        if not isinstance(config, TrialConfig):
+            raise InvalidArgument(f"config must be a TrialConfig, got {config!r}")
         self.config = config
         by_size = {}
         first = _uniforms(_pair_keys(config, np.arange(config.trials, dtype=np.uint64)), 1)[:, 0]
@@ -270,24 +276,37 @@ class PairTable:
         self._spans = [(chunks, np.concatenate(chunks)) for chunks in spans]
         self._held = _Span(config, spans[0]) if len(spans) == 1 and entries <= PAIR_MEMO_BUDGET else None
         self._values = {}
-        self._ranges = None  # extremes(), once read
-        self._columns = {}  # columns of (r, R) alone, which build no span
 
-    def _batch(self, key, sums, dtype=np.float64, rows=()) -> np.ndarray:
-        """sums(span) of every trial, in the span's layout order; with
-        rows=(k,), sums gives k values a trial and the result has k rows."""
+    def _cached(self, key, compute, *args):
+        """compute(*args) the first time key is asked for, then that value
+        on every call; an array is made read-only, as every suite of the
+        run reads it (the SplitPowers is a cache its cells fill)."""
         values = self._values.get(key)
         if values is None:
-            values = np.empty((*rows, self.config.trials), dtype=dtype)
-            for chunks, trials in self._spans:
-                # Built as the statement runs: one span alive, if not held.
-                values[..., trials] = sums(self._held or _Span(self.config, chunks))
-            self._values[key] = values
+            values = self._values[key] = compute(*args)
+            if isinstance(values, np.ndarray):
+                values.setflags(write=False)
         return values
+
+    def _batch(self, sums, dtype=np.float64, rows=()) -> np.ndarray:
+        """sums(span) of every trial, in the span's layout order; with
+        rows=(k,), sums gives k values a trial and the result has k rows."""
+        values = np.empty((*rows, self.config.trials), dtype=dtype)
+        for chunks, trials in self._spans:
+            # Built as the statement runs: one span alive, if not held.
+            values[..., trials] = sums(self._held or _Span(self.config, chunks))
+        return values
+
+    def _ranged(self, column):
+        """column(r, R) on the run's ratio ranges, with numpy's warnings
+        off: inf or nan where a value leaves the float range."""
+        r, R = self.extremes()
+        with np.errstate(all="ignore"):
+            return column(r, R)
 
     def d(self, measure: str) -> np.ndarray:
         """The named measure (:func:`divergence`) of every trial."""
-        return self._batch(("d", measure), lambda span: divergence_sums(measure, span.p, span.q, span.views))
+        return self._cached(("d", measure), self._batch, lambda span: divergence_sums(measure, span.p, span.q, span.views))
 
     def phi(self, s: float) -> np.ndarray:
         """phi_s (:func:`phi_s`), C_f of phi_generator(s), every trial."""
@@ -296,67 +315,41 @@ class PairTable:
     def cf(self, measure) -> np.ndarray:
         """C_f (:func:`eval_csiszar`) of a catalog id or a Generator, every trial."""
         gen = get_generator(measure)
-        return self._batch(("cf", gen), lambda span: weighted_sum(gen.f, span.q, span.x, span.views))
+        return self._cached(("cf", gen), self._batch, lambda span: weighted_sum(gen.f, span.q, span.x, span.views))
 
     def e_cf(self, measure) -> np.ndarray:
         """e_cf (:func:`e_cf`) of a catalog id or a Generator, every trial."""
         gen = get_generator(measure)
-        return self._batch(("e_cf", gen), lambda span: weighted_sum(gen.f_prime, span.d, span.x, span.views))
+        return self._cached(("e_cf", gen), self._batch, lambda span: weighted_sum(gen.f_prime, span.d, span.x, span.views))
 
     def coincide(self) -> np.ndarray:
         """Whether each trial's P and Q coincide (estimators are 0/0)."""
-        return self._batch(("coincide",), lambda span: np.concatenate([coincide(d) for d in span.views(span.d)]), dtype=bool)
+        return self._cached(("coincide",), self._batch, lambda span: np.concatenate([coincide(d) for d in span.views(span.d)]), bool)
 
-    def extremes(self) -> tuple:
-        """(r, R), the ratio range of every trial as two read-only arrays,
-        the same two on every call."""
-        if self._ranges is None:
-            rows = self._batch(("extremes",), lambda span: np.concatenate([ratio_extremes(x) for x in span.views(span.x)], axis=-1), rows=(2,))
-            rows.setflags(write=False)
-            self._ranges = tuple(rows)
-        return self._ranges
+    def extremes(self) -> np.ndarray:
+        """The ratio range of every trial, r in row 0 and R in row 1."""
+        return self._cached(("extremes",), self._batch, lambda span: np.concatenate([ratio_extremes(x) for x in span.views(span.x)], axis=-1), np.float64, (2,))
 
-    def _ranged(self, key, column):
-        """column(r, R) on the run's ratio ranges, computed once, with
-        numpy's warnings off: inf or nan where a value leaves the float
-        range."""
-        values = self._columns.get(key)
-        if values is None:
-            with np.errstate(all="ignore"):
-                values = self._columns[key] = column(*self.extremes())
-        return values
-
-    def mm(self, measure: str, s: float) -> tuple:
+    def mm(self, measure: str, s: float) -> np.ndarray:
         """(m, M), the exact extremes of g on every trial's ratio range
-        (:func:`mm_exact_arrays`), every cell from the table's one
-        :class:`SplitPowers` of r's entries then R's."""
-        powers = self._ranged(("powers",), lambda r, R: SplitPowers(np.concatenate([r, R])))
-        return self._ranged(("mm", measure, s), lambda r, R: mm_exact_arrays(measure, s, r, R, powers))
+        (:func:`mm_exact_arrays`) as two rows, every cell from the table's
+        one :class:`SplitPowers` of r's entries then R's."""
+        powers = self._cached(("powers",), lambda: SplitPowers(self.extremes().ravel()))
+        return self._cached(("mm", measure, s), self._ranged, lambda r, R: np.array(mm_exact_arrays(measure, s, r, R, powers)))
 
     def a(self, gen) -> np.ndarray:
         """A (:func:`a_cf`) of a Generator, every trial."""
-        return self._ranged(("a", gen), lambda r, R: a_cf_values(gen, r, R))
+        return self._cached(("a", gen), self._ranged, lambda r, R: a_cf_values(gen, r, R))
 
     def b(self, gen) -> np.ndarray:
         """B (:func:`b_cf`) of a Generator on the trials where it is
         defined (:func:`b_defined`), nan on the others."""
+        return self._cached(("b", gen), self._ranged, lambda r, R: np.where(b_defined(r, R), b_cf_values(gen, r, R), np.nan))
 
-        def column(r, R):
-            has_b = b_defined(r, R)
-            values = np.full(r.shape, np.nan)
-            values[has_b] = b_cf_values(gen, r[has_b], R[has_b])
-            return values
-
-        return self._ranged(("b", gen), column)
-
-    def sandwich(self, measure: str, s: float) -> tuple:
-        """(lower, upper) slacks of m * phi_s <= C_f <= M * phi_s, every
-        trial, with the exact (m, M) of each trial's ratio range."""
-        key = ("sandwich", measure, s)
-        slacks = self._values.get(key)
-        if slacks is None:
-            slacks = self._values[key] = sandwich(*self.mm(measure, s), self.phi(s), self.cf(measure))[2:]
-        return slacks
+    def sandwich(self, measure: str, s: float) -> np.ndarray:
+        """(lower, upper) slacks of m * phi_s <= C_f <= M * phi_s as two
+        rows, every trial, with the exact (m, M) of each trial's ratio range."""
+        return self._cached(("sandwich", measure, s), lambda: np.array(sandwich(*self.mm(measure, s), self.phi(s), self.cf(measure))[2:]))
 
 
 @dataclass
@@ -671,7 +664,7 @@ def run_suite(suite_id: str, config: TrialConfig, table: "PairTable | None" = No
     """
     try:
         suite = _SUITES[suite_id]
-    except KeyError:
+    except (KeyError, TypeError):  # TypeError: an unhashable id
         raise UnknownSuite(f"unknown suite {suite_id!r}") from None
     if table is None:
         table = PairTable(config)

@@ -37,6 +37,7 @@ from .errors import (
     NonPositiveAlpha,
     NotNormalized,
     ZeroEntry,
+    real_array,
     require_finite,
 )
 
@@ -59,7 +60,7 @@ class Distribution:
     def __post_init__(self):
         arr = self.probs
         if not (type(arr) is np.ndarray and arr.dtype == np.float64 and arr.flags.owndata and not arr.flags.writeable):
-            arr = np.array(arr, dtype=np.float64)
+            arr = real_array(arr, "distribution entries", np.array)
         if arr.ndim != 1 or arr.size < 2:
             raise EmptyOrTooShort(f"need a 1-d vector of length >= 2, got shape {arr.shape}")
         if not np.all(np.isfinite(arr)):
@@ -95,7 +96,11 @@ class RatioRange:
     R: float
 
     def __post_init__(self):
-        if not 0.0 < self.r <= self.R:
+        try:
+            ordered = 0.0 < self.r <= self.R
+        except TypeError:  # r or R is not a number
+            ordered = False
+        if not ordered:
             raise InvalidRange(f"need 0 < r <= R, got {self}")
         if self.R == math.inf:
             raise NonFinite(f"need finite r and R, got {self}")
@@ -112,7 +117,7 @@ class RatioRange:
 def _weights(raw) -> np.ndarray:
     """raw as a float64 array, checked as a weight vector: 1-d with at
     least 2 entries, finite and nonnegative."""
-    arr = np.asarray(raw, dtype=np.float64)
+    arr = real_array(raw, "weights")
     if arr.ndim != 1 or arr.size < 2:
         raise EmptyOrTooShort(f"need at least 2 entries, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):

@@ -63,6 +63,18 @@ class TestTrialConfig:
             db.TrialConfig(**kwargs)
         assert isinstance(info.value, DivBoundsError)
 
+    def test_s_samples_are_kept_as_a_tuple(self):
+        # A list would stay writable inside the frozen config: unhashable,
+        # unequal to its tuple, and an append would change a table's run.
+        samples = [0.5, 2.0]
+        cfg = db.TrialConfig(trials=5, s_samples=samples)
+        assert cfg.s_samples == (0.5, 2.0)
+        assert cfg == db.TrialConfig(trials=5, s_samples=(0.5, 2.0))
+        assert hash(cfg) == hash(db.TrialConfig(trials=5, s_samples=(0.5, 2.0)))
+        table = harness.PairTable(cfg)
+        samples.append(3.0)
+        assert db.run_suite("thm41", cfg, table).checks == 5 * 2 * 2
+
 
 class TestRandomPair:
     def test_deterministic(self):
@@ -266,10 +278,12 @@ class TestPairTable:
                     assert (_bits(lower[i]), _bits(upper[i])) == (_bits(rep.lower_slack), _bits(rep.upper_slack)), (i, m, s)
         assert min(sizes) <= 4 and max(sizes) >= 62
         for (name, *args), values in table._values.items():
-            assert np.asarray(values).tobytes() == np.asarray(getattr(held, name)(*args)).tobytes(), (name, *args)
+            if name != "powers":  # the split the (m, M) cells share; no column
+                assert np.asarray(values).tobytes() == np.asarray(getattr(held, name)(*args)).tobytes(), (name, *args)
         # Each chunk is built once a run when held, else once for each
-        # computed quantity (a sandwich only reads other quantities).
-        quantities = sum(name != "sandwich" for name, *_ in table._values)
+        # quantity built from the spans (the others read only r and R, or
+        # other quantities).
+        quantities = sum(name in ("d", "cf", "e_cf", "coincide", "extremes") for name, *_ in table._values)
         assert len(stacks) == len(_chunks(table)) * (1 if budget is None else quantities)
 
     @pytest.mark.parametrize(
@@ -285,7 +299,7 @@ class TestPairTable:
         monkeypatch.setattr(cb, "SplitPowers", lambda x: made.append(x.shape) or SplitPowers(x))
         table = harness.PairTable(cfg)
         r, R = table.extremes()
-        assert all(a is b for a, b in zip(table.extremes(), (r, R)))  # the same two objects
+        assert table.extremes() is table.extremes()
         assert not (r.flags.writeable or R.flags.writeable)
         if cfg.trials == 300:
             assert r[248] == R[248] == 1.0
@@ -301,11 +315,36 @@ class TestPairTable:
         # The 81 cells share the table's one split of r's entries then R's:
         # no cell splits them itself, and a default run makes 26 powers.
         assert made == []
-        split = table._columns["powers",]
+        split = table._values["powers",]
         assert split.shape == (2 * cfg.trials,)
         assert set(split.powers) == exponents
         if cfg == db.TrialConfig(seed=42):
             assert len(split.powers) == 26
+
+    @pytest.mark.parametrize(
+        "read",
+        [
+            lambda t: t.d("J"),
+            lambda t: t.cf("J"),
+            lambda t: t.e_cf(db.phi_generator(0.5)),
+            lambda t: t.phi(0.5),
+            lambda t: t.coincide(),
+            lambda t: t.extremes(),
+            lambda t: t.mm("J", 0.5),
+            lambda t: t.a(db.phi_generator(0.5)),
+            lambda t: t.b(db.phi_generator(0.5)),
+            lambda t: t.sandwich("J", 0.5),
+        ],
+        ids=["d", "cf", "e_cf", "phi", "coincide", "extremes", "mm", "a", "b", "sandwich"],
+    )
+    def test_every_column_is_read_only_and_computed_once(self, read):
+        # Every suite of a run reads the same column: one that wrote into
+        # it would change the checks of every later suite.
+        table = harness.PairTable(db.TrialConfig(seed=42, trials=50))
+        values = read(table)
+        assert read(table) is values
+        with pytest.raises(ValueError, match="read-only"):
+            values[..., 0] = 0
 
     def test_each_run_recomputes(self, monkeypatch, capsys):
         stacks, sums = [], []
