@@ -35,6 +35,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import (
+    InvalidArgument,
     InvalidRange,
     NonPositiveX,
     NotTabulated,
@@ -71,9 +72,10 @@ def g_eval(gen: Generator, s: float, x):
     of the Rational f'' (:meth:`Rational.times_power`), and NumericOverflow
     where it is not finite or is 0 (an infinite g turns m * phi_s into nan,
     a zero g certifies m = 0 or M = 0).  An array of any shape follows it
-    entry by entry (:func:`_g_array`).  Raises NonFinite for a nan or
-    infinite s, and UnknownMeasure for anything but a Generator or catalog
-    id.
+    entry by entry: the same scaled form on the whole array, and an entry
+    where that is not finite or is 0 takes the float path, which raises
+    there, in array order.  Raises NonFinite for a nan or infinite s, and
+    UnknownMeasure for anything but a Generator or catalog id.
     """
     require_finite_s(s)
     gen = get_generator(gen)
@@ -82,8 +84,12 @@ def g_eval(gen: Generator, s: float, x):
     arr = real_array(x, "x")
     if not np.all(arr > 0.0):
         raise NonPositiveX(f"x must be > 0, got {x}")
-    out = _g_array(gen, s, arr)
-    return float(out) if np.isscalar(x) or arr.ndim == 0 else out
+    flat = arr.ravel()
+    with np.errstate(over="ignore"):  # x^((a-s)+k) near the float max, times n/d
+        out = gen.f_second.times_power(flat, s)
+    for i in np.flatnonzero(~np.isfinite(out) | (out == 0.0)).tolist():
+        out[i] = _g_float(gen, s, flat[i].item())
+    return float(out[0]) if np.isscalar(x) or arr.ndim == 0 else out.reshape(arr.shape)
 
 
 def _g_float(gen: Generator, s: float, x: float) -> float:
@@ -97,18 +103,6 @@ def _g_float(gen: Generator, s: float, x: float) -> float:
     if not math.isfinite(v) or v == 0.0:
         raise NumericOverflow(f"g(x) = x^(2-s) f''(x) leaves the float range at x={x!r}, s={s!r}")
     return v
-
-
-def _g_array(gen: Generator, s: float, x: np.ndarray) -> np.ndarray:
-    """:func:`g_eval`'s float path at every entry of x > 0, bit for bit: the
-    same scaled form on the whole array; an entry where that is not finite
-    or is 0 takes the float path, which raises there, in array order."""
-    flat = x.ravel()
-    with np.errstate(over="ignore"):  # x^((a-s)+k) near the float max, times n/d
-        out = gen.f_second.times_power(flat, s)
-    for i in np.flatnonzero(~np.isfinite(out) | (out == 0.0)).tolist():
-        out[i] = g_eval(gen, s, flat[i].item())
-    return out.reshape(x.shape)
 
 
 @dataclass(frozen=True, slots=True)
@@ -159,7 +153,7 @@ def mm_numeric(gen: Generator, s: float, rng: RatioRange) -> MMBounds:
     """
     require_finite_s(s)
     gen = get_generator(gen)
-    r, R = rng.r, rng.R
+    r, R = _ends(rng)
     if r == R:
         v = g_eval(gen, s, r)
         return MMBounds(v, v, "numeric", s, rng)
@@ -349,7 +343,14 @@ def mm_exact(measure, s: float, rng: RatioRange) -> MMBounds:
     and the stationary points of f'' inside (r, R), found once per (f'', s),
     not per range (:func:`mm_exact_values`).  Raises NonFinite for a nan or
     infinite s."""
-    return MMBounds(*mm_exact_values(measure, s, rng.r, rng.R), "closed_form", s, rng)
+    return MMBounds(*mm_exact_values(measure, s, *_ends(rng)), "closed_form", s, rng)
+
+
+def _ends(rng: RatioRange) -> tuple:
+    """(r, R) of a RatioRange, or InvalidArgument for anything else."""
+    if not isinstance(rng, RatioRange):
+        raise InvalidArgument(f"need a RatioRange, got {type(rng).__name__}")
+    return rng.r, rng.R
 
 
 def mm_exact_values(measure, s: float, r: float, R: float) -> tuple:
@@ -380,11 +381,9 @@ def mm_exact_arrays(measure, s: float, r: np.ndarray, R: np.ndarray, powers: Opt
     when not given: a caller that gives one to every cell of an (r, R)
     shares one power per distinct exponent and one n(y) / d(y) per f''
     across the cells, bit for bit.  A stationary point's g is one scalar
-    :func:`_g_float`.  Where an entry of g is not finite or is 0, g takes
-    one array of each trial's candidates in the order of the scalar calls
-    instead, a stationary point outside (r[i], R[i]) standing in as r[i]
-    again, so that the first trial that raises raises (as :func:`g_eval`
-    on an array).  Raises NonFinite for a nan or infinite s.
+    :func:`_g_float`.  m and M are nan at an entry where g at one of its
+    candidates is not finite or is 0, which is where the scalar form
+    raises.  Raises NonFinite for a nan or infinite s.
     """
     gen = get_generator(measure)
     require_finite_s(s)
@@ -394,17 +393,17 @@ def mm_exact_arrays(measure, s: float, r: np.ndarray, R: np.ndarray, powers: Opt
         powers = SplitPowers(np.concatenate([r.ravel(), R.ravel()]))
     with np.errstate(over="ignore"):  # x^((a-s)+k) near the float max, times n/d
         g = powers.times_power(gen.f_second, s)
-    try:
-        if not (np.isfinite(g).all() and g.all()):
-            raise NumericOverflow("g leaves the float range")  # the path below names the first entry
-        g = [g[: r.size], g[r.size :]]
-        for x in points:
-            inside = (r < x) & (x < R)
-            if inside.any():
-                g.append(np.where(inside, _g_float(gen, s, x), g[0]))
-    except NumericOverflow:
-        xs = [r, R, *(np.where((r < x) & (x < R), x, r) for x in points)]
-        g = _g_array(gen, s, np.column_stack(xs)).T
+    if not (np.isfinite(g).all() and g.all()):
+        g[~np.isfinite(g) | (g == 0.0)] = np.nan  # a nan propagates through min and max
+    g = [g[: r.size], g[r.size :]]
+    for x in points:
+        inside = (r < x) & (x < R)
+        if inside.any():
+            try:
+                v = _g_float(gen, s, x)
+            except NumericOverflow:
+                v = math.nan
+            g.append(np.where(inside, v, g[0]))
     # Elementwise over the few candidate rows: numpy's reduction along a
     # short contiguous axis costs about 40 times as much.
     return functools.reduce(np.minimum, g), functools.reduce(np.maximum, g)
@@ -471,7 +470,7 @@ def a_cf(gen: Generator, rng: RatioRange) -> float:
     """Range-only bound functional (R-r)/4 * (f'(R) - f'(r)) of a Generator
     or catalog id; raises NumericOverflow where it leaves the float range."""
     gen = get_generator(gen)
-    r, R = rng.r, rng.R
+    r, R = _ends(rng)
     if r == R:
         return 0.0
     return require_finite(float(a_cf_values(gen, np.array(r), np.array(R))), f"a_cf of {gen.id}")
@@ -490,7 +489,7 @@ def b_cf(gen: Generator, rng: RatioRange) -> float:
     """Chord bound functional [(R-1)f(r) + (1-r)f(R)] / (R-r) of a
     Generator or catalog id; raises NumericOverflow where it leaves the
     float range."""
-    r, R = rng.r, rng.R
+    r, R = _ends(rng)
     if not b_defined(r, R):
         raise InvalidRange(f"need 0 < r <= 1 <= R with r != R, got {rng}")
     gen = get_generator(gen)
@@ -542,8 +541,9 @@ def bound_interval(measure, s: float, P: Distribution, Q: Distribution) -> Bound
     :func:`weighted_sum`, the one sum core of :func:`phi_s`,
     :func:`eval_csiszar` and :func:`e_cf`, so every field holds the bits of
     :func:`ratio_range`, those public functions, :func:`mm_exact` and
-    :func:`sandwich`, and every error is theirs.  The two sums are made on
-    every call: x and the range come from the latest-pair slot.
+    :func:`sandwich`, and every error but a bound's is theirs.  The two
+    sums are made on every call: x and the range come from the latest-pair
+    slot.
     """
     phi_gen = phi_generator(s)
     with np.errstate(over="ignore", invalid="ignore"):  # NumericOverflow is the only signal
@@ -554,14 +554,16 @@ def bound_interval(measure, s: float, P: Distribution, Q: Distribution) -> Bound
         phi = finite_phi(s, float(weighted_sum(phi_gen.f, q, x)))
         value = finite_cf(gen, float(weighted_sum(gen.f, q, x)))
         lower, upper, lower_slack, upper_slack = sandwich(mm.m, mm.M, phi, value)
+    require_finite(lower, "m * phi_s")
+    require_finite(upper, "M * phi_s")
     return BoundReport(measure, s, lower, value, upper, mm, lower_slack, upper_slack)
 
 
 def sandwich(m, M, phi, value) -> tuple:
     """(lower, upper, lower slack, upper slack) of m * phi_s <= C_f <= M * phi_s,
-    on floats or elementwise on arrays of trials."""
-    lower = require_finite(m * phi, "m * phi_s")
-    upper = require_finite(M * phi, "M * phi_s")
+    on floats or elementwise on arrays of trials; inf or nan where a value
+    leaves the float range."""
+    lower, upper = m * phi, M * phi
     return lower, upper, value - lower, upper - value
 
 

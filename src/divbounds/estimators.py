@@ -87,14 +87,15 @@ _FORMULAS = {
 def estimate(est: EstimatorId, P: Distribution, Q: Distribution) -> float:
     """Evaluate one estimator.
 
-    Raises InvalidArgument where est is not an EstimatorId, and
-    DegeneratePair on a coordinatewise-equal pair, and on a pair so close
-    to it that a divergence under a square root rounds below zero.  The
-    coincide test on d = p - q, as each divergence, is memoized.
+    Raises InvalidArgument where est is not an EstimatorId or P or Q is
+    not a Distribution, and DegeneratePair on a coordinatewise-equal
+    pair, and on a pair so close to it that a divergence under a square
+    root rounds below zero.  The coincide test on d = p - q, as each
+    divergence, is memoized.
     """
     if not isinstance(est, EstimatorId):
         raise InvalidArgument(f"not an EstimatorId: {est!r}")
-    if len(P) == len(Q) and memoized(P, Q, coincide, lambda: bool(coincide(pair_vector(P, Q, "d")))):
+    if memoized(P, Q, coincide, lambda: len(P) == len(Q) and bool(coincide(pair_vector(P, Q, "d")))):
         raise DegeneratePair("estimators are 0/0 at P = Q")
     return estimate_from(est, functools.cache(lambda measure: divergence(measure, P, Q)))
 

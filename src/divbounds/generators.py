@@ -45,13 +45,19 @@ CATALOG_IDS = ("D1", "D2", "F1", "F2", "G1", "G2", "J", "I", "T")
 
 #: Dispatch threshold for the s = 0 and s = 1 poles of the power family.
 #: Direct evaluation of (x^s - 1)/(s(s-1)) is catastrophically cancellative
-#: near the poles; the family is continuous in s, so switching to the limit
-#: forms below this distance keeps the error under 1e-9 at moderate ratios.
+#: near the poles, and the limit forms take over only inside this distance,
+#: so just outside it phi_s loses 5-6 digits: against tests/oracle.py, on
+#: the first 60 pairs of TrialConfig(seed=42), the relative error reaches
+#: 6.3e-6 at s = 2e-10 and 3.3e-6 at s = 1 - 2e-10.  ROADMAP.md item 20
+#: (phi_s as one alpha-divergence term) removes the dispatch.
 S_POLE_TOL = 1e-10
 
-#: A check fails when its slack (bound minus bounded quantity) is below this:
-#: it separates genuine violations from accumulated rounding in sums of up
-#: to 64 entries, where every quantity checked is O(1)-O(100).
+#: A check fails when its slack (bound minus bounded quantity) is below this,
+#: an absolute threshold meant for the rounding of sums of up to 64 entries
+#: of O(1)-O(100) quantities.  Larger ones occur: at concentration 30 (seed
+#: 3, 300 trials) phi_s reaches 5e11 at s = 2 and 1.7e23 at s = 3, where
+#: rounding alone exceeds it.  ROADMAP.md item 15 (slack judged against a
+#: rounding bound) replaces it with a relative rule.
 VIOLATION_TOL = -1e-9
 
 

@@ -45,15 +45,16 @@ rem41/rem51 take the estimator formulas on the measure columns, all
 through the cores that the public scalar functions call, bit for bit:
 numpy's + - * / and sqrt are correctly rounded, and a_cf and b_cf pass one
 range to the cores as 0-d arrays, which take the columns' numpy loops.
-Where a trial would make a public function raise, or a slack is not
-finite, such a suite checks trial by trial instead, through
-the public per-pair functions (:func:`bound_set`; :func:`bound_interval`
-and :func:`difference_bounds`; :func:`estimate` and :func:`ratio_range`) on
-the pair that :func:`run_suite` reads for the trial, so that it raises the
-first failing trial's error, in trial order.  thm32 also checks trial by
-trial where a cell's (m, M) column raises at a trial of another cell; the
-rows are the same.  rem41 and rem51 check no trial whose P and Q coincide,
-where the estimators are 0/0, on either path.
+rem41 and rem51 check no trial whose P and Q coincide, where the
+estimators are 0/0.
+
+Every suite follows one failure rule.  Its columns are computed with
+numpy's warnings off, and a value that leaves the float range is inf or
+nan in its column, where a public per-pair function would raise.  A check
+whose slack is not finite is a violation of its trial, with a nan slack,
+and the run goes on to finish every suite.  Its example names the trial
+and the check; :func:`random_pair` (config, trial) and the public function
+replay the error.
 """
 
 from __future__ import annotations
@@ -71,19 +72,17 @@ from .csiszar_bounds import (
     a_cf_values,
     b_cf_values,
     b_defined,
-    bound_interval,
-    difference_bounds,
     difference_checks,
     global_extrema,
     mm_exact_arrays,
     sandwich,
 )
-from .errors import DivBoundsError, InvalidArgument, UnknownSuite
-from .estimators import all_estimators, coincide, estimate, estimate_from
+from .errors import InvalidArgument, UnknownSuite
+from .estimators import all_estimators, coincide, estimate_from
 from .generators import CATALOG_IDS, VIOLATION_TOL, SplitPowers, get_generator, phi_generator, weighted_sum
-from .measures import divergence_sums, finite_phi
-from .simplex import Distribution, pair_vector, ratio_extremes, ratio_range
-from .type_s_bounds import bound_set, chain_checks
+from .measures import divergence_sums
+from .simplex import Distribution, ratio_extremes
+from .type_s_bounds import chain_checks
 
 _MASK = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -252,8 +251,8 @@ class PairTable:
     spans (:class:`_Span`) that fit that budget together.  A run that fits
     it is one span, held with its x and d; otherwise each quantity builds
     the spans again, one at a time.  The columns of r and R alone, (m, M),
-    A and B, build no span.  Every column is computed once, kept in one
-    cache, and read-only.
+    A and B, build no span.  Every column is computed once, with numpy's
+    warnings off, kept in one cache, and read-only.
     """
 
     def __init__(self, config: TrialConfig):
@@ -278,12 +277,14 @@ class PairTable:
         self._values = {}
 
     def _cached(self, key, compute, *args):
-        """compute(*args) the first time key is asked for, then that value
-        on every call; an array is made read-only, as every suite of the
-        run reads it (the SplitPowers is a cache its cells fill)."""
+        """compute(*args) the first time key is asked for, with numpy's
+        warnings off (inf or nan where a value leaves the float range),
+        then that value on every call; an array is made read-only, as every
+        suite of the run reads it (the SplitPowers is a cache its cells fill)."""
         values = self._values.get(key)
         if values is None:
-            values = self._values[key] = compute(*args)
+            with np.errstate(all="ignore"):
+                values = self._values[key] = compute(*args)
             if isinstance(values, np.ndarray):
                 values.setflags(write=False)
         return values
@@ -297,20 +298,13 @@ class PairTable:
             values[..., trials] = sums(self._held or _Span(self.config, chunks))
         return values
 
-    def _ranged(self, column):
-        """column(r, R) on the run's ratio ranges, with numpy's warnings
-        off: inf or nan where a value leaves the float range."""
-        r, R = self.extremes()
-        with np.errstate(all="ignore"):
-            return column(r, R)
-
     def d(self, measure: str) -> np.ndarray:
         """The named measure (:func:`divergence`) of every trial."""
         return self._cached(("d", measure), self._batch, lambda span: divergence_sums(measure, span.p, span.q, span.views))
 
     def phi(self, s: float) -> np.ndarray:
         """phi_s (:func:`phi_s`), C_f of phi_generator(s), every trial."""
-        return finite_phi(s, self.cf(phi_generator(s)))
+        return self.cf(phi_generator(s))
 
     def cf(self, measure) -> np.ndarray:
         """C_f (:func:`eval_csiszar`) of a catalog id or a Generator, every trial."""
@@ -335,16 +329,16 @@ class PairTable:
         (:func:`mm_exact_arrays`) as two rows, every cell from the table's
         one :class:`SplitPowers` of r's entries then R's."""
         powers = self._cached(("powers",), lambda: SplitPowers(self.extremes().ravel()))
-        return self._cached(("mm", measure, s), self._ranged, lambda r, R: np.array(mm_exact_arrays(measure, s, r, R, powers)))
+        return self._cached(("mm", measure, s), lambda r, R: np.array(mm_exact_arrays(measure, s, r, R, powers)), *self.extremes())
 
     def a(self, gen) -> np.ndarray:
         """A (:func:`a_cf`) of a Generator, every trial."""
-        return self._cached(("a", gen), self._ranged, lambda r, R: a_cf_values(gen, r, R))
+        return self._cached(("a", gen), a_cf_values, gen, *self.extremes())
 
     def b(self, gen) -> np.ndarray:
         """B (:func:`b_cf`) of a Generator on the trials where it is
         defined (:func:`b_defined`), nan on the others."""
-        return self._cached(("b", gen), self._ranged, lambda r, R: np.where(b_defined(r, R), b_cf_values(gen, r, R), np.nan))
+        return self._cached(("b", gen), lambda r, R: np.where(b_defined(r, R), b_cf_values(gen, r, R), np.nan), *self.extremes())
 
     def sandwich(self, measure: str, s: float) -> np.ndarray:
         """(lower, upper) slacks of m * phi_s <= C_f <= M * phi_s as two
@@ -387,17 +381,15 @@ class SuiteReport:
 
 
 # ---------------------------------------------------------------------------
-# Suites.  A suite is one record: its description; columns(table), its checks
-# of the run's trials as float64 columns, in groups [(trials, {check name:
-# slack of each of those trials})], a trial's names being those of its group;
-# and, for the suites whose columns can fail where a public function would
-# raise, fallback(config, i, P, Q), the {check name: slack} of trial i from
-# the public per-pair functions on its pair (P, Q).  Identities report
-# slack = -|lhs - rhs| so the shared violation threshold applies uniformly.
-# Checks are collected in a dict by name, so a repeated name (a repeated s,
-# say) is checked once.
+# Suites.  A suite is one record: its description, and columns(table), its
+# checks of the run's trials as float64 columns, in groups [(trials, {check
+# name: slack of each of those trials})], a trial's names being those of its
+# group.  Identities report slack = -|lhs - rhs| so the shared violation
+# threshold applies uniformly, and a slack that is not finite (a value that
+# left the float range) is a violation.  Checks are collected in a dict by
+# name, so a repeated name (a repeated s, say) is checked once.
 
-_Suite = namedtuple("_Suite", "description columns fallback", defaults=(None,))
+_Suite = namedtuple("_Suite", "description columns")
 
 
 def _every(table, columns: dict) -> list:
@@ -406,38 +398,25 @@ def _every(table, columns: dict) -> list:
 
 
 def _rows(groups):
-    """rows(i, P, Q), the (check name, slack) pairs of trial i, of checks
-    given in groups; none for a trial in no group."""
+    """rows(i), the (check name, slack) pairs of trial i, of checks given
+    in groups, a slack that is not finite given as nan; none for a trial
+    in no group."""
     by_trial = {}
     for trials, columns in groups:
         names = tuple(columns)
-        for i, values in zip(trials, zip(*(np.asarray(v).tolist() for v in columns.values()))):
+        slacks = np.array(list(columns.values()), dtype=np.float64)
+        slacks[~np.isfinite(slacks)] = np.nan  # +inf would pass the >= test
+        for i, values in zip(trials, slacks.T.tolist()):
             by_trial[i] = (names, values)
-    return lambda i, P, Q: zip(*by_trial.get(i, ((), ())))
+    return lambda i: zip(*by_trial.get(i, ((), ())))
 
 
 def _checks(suite: _Suite, table: PairTable):
-    """rows(i, P, Q) of a suite on a run's table: the (check name, slack)
-    pairs of trial i, whose pair is (P, Q).
-
-    A suite with a fallback has its columns computed with numpy's warnings
-    off.  Where they raise a DivBoundsError or give a slack that is not
-    finite, rows takes the fallback on each trial's own pair instead, one
-    trial at a time: the public functions raise the first failing trial's
-    error, in trial order, or give the same non-finite slack.
-    """
-    fallback = suite.fallback
-    if fallback is None:
+    """rows(i) of a suite on a run's table, its columns computed with
+    numpy's warnings off: a value that leaves the float range is inf or
+    nan there."""
+    with np.errstate(all="ignore"):
         return _rows(suite.columns(table))
-    try:
-        with np.errstate(all="ignore"):
-            groups = suite.columns(table)
-    except DivBoundsError:
-        pass
-    else:
-        if all(np.isfinite(v).all() for _, c in groups for v in c.values()):
-            return _rows(groups)
-    return lambda i, P, Q: fallback(table.config, i, P, Q).items()
 
 
 def _split_ranges(table):
@@ -450,44 +429,23 @@ def _split_ranges(table):
     return [part for part in parts if part[0].size]
 
 
-def _thm31_checks(config: TrialConfig, chain) -> dict:
-    """thm31's checks, chain(s) giving the chain's {name: slack} at s."""
-    checks = {}
-    for s in config.s_samples:
-        for name, slack in chain(s).items():
-            checks[f"s={s:g}:{name}"] = slack
-    return checks
-
-
 def _thm31_columns(table):
     groups = []
     for trials, has_b in _split_ranges(table):
-
-        def chain(s):
+        checks = {}
+        for s in table.config.s_samples:
             gen = phi_generator(s)
             b = table.b(gen)[trials] if has_b else None
-            return chain_checks(table.phi(s)[trials], table.e_cf(gen)[trials], table.a(gen)[trials], b)
-
-        groups.append((trials.tolist(), _thm31_checks(table.config, chain)))
+            for name, slack in chain_checks(table.phi(s)[trials], table.e_cf(gen)[trials], table.a(gen)[trials], b).items():
+                checks[f"s={s:g}:{name}"] = slack
+        groups.append((trials.tolist(), checks))
     return groups
-
-
-def _thm31_trial(config: TrialConfig, i, P, Q):
-    return _thm31_checks(config, lambda s: bound_set(s, P, Q).checks)
 
 
 def _thm32_cell(config: TrialConfig, i) -> tuple:
     """(measure, s) of trial i: thm32 cycles both by trial index."""
     n = len(CATALOG_IDS)
     return CATALOG_IDS[i % n], config.s_samples[(i // n) % len(config.s_samples)]
-
-
-def _thm32_checks(measure, s: float, lower, upper, differences: dict) -> dict:
-    prefix = f"{measure},s={s:g}:"
-    checks = {prefix + "lower": lower, prefix + "upper": upper}
-    for name, slack in differences.items():
-        checks[prefix + name] = slack
-    return checks
 
 
 def _thm32_columns(table):
@@ -506,15 +464,9 @@ def _thm32_columns(table):
             pair = (phi_generator(s), get_generator(measure))
             columns = (("e", table.e_cf), ("a", table.a), ("b", table.b))[: 3 if has_b else 2]
             forms = [(tag, *(column(g)[at] for g in pair)) for tag, column in columns]
-            groups.append((at.tolist(), _thm32_checks(measure, s, lower, upper, difference_checks(m, M, phi, cf, forms))))
+            checks = {"lower": lower, "upper": upper, **difference_checks(m, M, phi, cf, forms)}
+            groups.append((at.tolist(), {f"{measure},s={s:g}:{name}": slack for name, slack in checks.items()}))
     return groups
-
-
-def _thm32_trial(config: TrialConfig, i, P, Q):
-    measure, s = _thm32_cell(config, i)
-    rep = bound_interval(measure, s, P, Q)
-    diff = difference_bounds(measure, s, P, Q)
-    return _thm32_checks(measure, s, rep.lower_slack, rep.upper_slack, diff.checks)
 
 
 def _sandwich(measure: str, configured: bool = False):
@@ -560,27 +512,16 @@ def _containment_suite(description: str, family: str) -> _Suite:
     there, and such a trial has no checks)."""
     names = [(est, f"{est}>=r", f"{est}<=R") for est in all_estimators() if est.family == family]
 
-    def checks(r, R, value) -> dict:
-        """{name: slack} of every estimator, value(est) giving its estimate."""
-        out = {}
-        for est, lower, upper in names:
-            v = value(est)
-            out[lower] = v - r
-            out[upper] = R - v
-        return out
-
     def columns(table):
         apart = np.flatnonzero(~table.coincide())
         r, R = (v[apart] for v in table.extremes())
-        return [(apart.tolist(), checks(r, R, lambda est: estimate_from(est, table.d)[apart]))]
+        out = {}
+        for est, lower, upper in names:
+            v = estimate_from(est, table.d)[apart]
+            out[lower], out[upper] = v - r, R - v
+        return [(apart.tolist(), out)]
 
-    def trial(config, i, P, Q):
-        if coincide(pair_vector(P, Q, "d")):
-            return {}
-        rng = ratio_range(P, Q)
-        return checks(rng.r, rng.R, lambda est: estimate(est, P, Q))
-
-    return _Suite(description, columns, trial)
+    return _Suite(description, columns)
 
 
 #: The power family's special cases phi_s = k * named measure, by s:
@@ -616,8 +557,8 @@ _SUITES = {
         "power-family special cases hit chi-square, KL and Hellinger",
         lambda t: _every(t, {name: -np.abs(t.phi(s) - k * t.d(named)) for s, (k, named, name) in _SPECIAL_S.items()}),
     ),
-    "thm31": _Suite("phi_s bound chain: 0 <= phi <= E <= A, phi <= B <= A, B-phi <= A", _thm31_columns, _thm31_trial),
-    "thm32": _Suite("generic sandwich m*phi_s <= C_f <= M*phi_s plus difference forms", _thm32_columns, _thm32_trial),
+    "thm31": _Suite("phi_s bound chain: 0 <= phi <= E <= A, phi <= B <= A, B-phi <= A", _thm31_columns),
+    "thm32": _Suite("generic sandwich m*phi_s <= C_f <= M*phi_s plus difference forms", _thm32_columns),
     "thm41": _Suite("closed-form sandwich for relative J-divergence", _sandwich("D1", configured=True)),
     "cor41": _Suite("relative J vs chi-square/KL/Hellinger special cases", _sandwich("D1")),
     "prop41": _Suite("relative J bounded by 9/8 of KL", _proposition(("D1", 1.0, "D1<=9/8*KL"))),
@@ -674,7 +615,7 @@ def run_suite(suite_id: str, config: TrialConfig, table: "PairTable | None" = No
     rows = _checks(suite, table)
     for i in range(config.trials):
         P, Q = random_pair(config, i)
-        for name, slack in rows(i, P, Q):
+        for name, slack in rows(i):
             report.record(i, name, slack, P, Q)
     return report
 

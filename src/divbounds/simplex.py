@@ -179,9 +179,17 @@ def ratio_range(P: Distribution, Q: Distribution) -> RatioRange:
     return pair_ratios(P, Q)[1]
 
 
+def _require_pair(P, Q):
+    """InvalidArgument unless P and Q are both Distributions."""
+    if not (isinstance(P, Distribution) and isinstance(Q, Distribution)):
+        raise InvalidArgument(f"P and Q must be Distributions, got {type(P).__name__} and {type(Q).__name__}")
+
+
 def pair_probs(P: Distribution, Q: Distribution) -> tuple:
-    """(p, q), the probability vectors of a pair; raises LengthMismatch
-    where their lengths differ."""
+    """(p, q), the probability vectors of a pair; raises InvalidArgument
+    where P or Q is not a Distribution, and LengthMismatch where their
+    lengths differ."""
+    _require_pair(P, Q)
     p, q = P.probs, Q.probs
     if p.size != q.size:
         raise LengthMismatch(f"lengths differ: {p.size} vs {q.size}")
@@ -233,10 +241,12 @@ def _drop(ref):
 
 
 def _slot(P: Distribution, Q: Distribution) -> _LatestPair:
-    """The slot of the pair (P, Q), a new one if it is not the latest."""
+    """The slot of the pair (P, Q), a new one if it is not the latest;
+    InvalidArgument where P or Q is not a Distribution."""
     global _latest
     memo = _latest
     if memo is None or memo.p() is not P or memo.q() is not Q:
+        _require_pair(P, Q)
         memo = _latest = _LatestPair(P, Q)
     return memo
 

@@ -529,18 +529,37 @@ class TestRunAll:
 
     def test_a_coinciding_trial_has_no_estimator_checks(self, monkeypatch):
         # The 1e-12 floor makes trial 248's P = Q = [1, 1e-12] (n = 2): the
-        # estimators are 0/0 there, so rem41 and rem51 check the other 299
-        # trials, on the column path and on the fallback alike.
+        # estimators are 0/0 there, so rem41 and rem51 check the other 299.
         cfg = db.TrialConfig(seed=3, trials=300, concentration=30.0)
         assert np.flatnonzero(harness.PairTable(cfg).coincide()).tolist() == [248]
         reports = {r.suite: r for r in db.run_all(cfg)}
         assert list(reports) == list(db.suite_ids())
         assert (reports["rem41"].checks, reports["rem51"].checks) == (299 * 16, 299 * 8)
         assert reports["rem41"].violations == reports["rem51"].violations == 0
+        # With every measure inf or nan, each check of the 299 is a nan-slack
+        # violation, and trial 248 still has none.
         d = harness.PairTable.d
         monkeypatch.setattr(harness.PairTable, "d", lambda table, measure: d(table, measure) / np.zeros(1))
         for sid in ("rem41", "rem51"):
-            assert db.run_suite(sid, cfg).to_dict() == reports[sid].to_dict(), sid
+            report = db.run_suite(sid, cfg)
+            assert report.checks == report.violations == reports[sid].checks, sid
+            assert [e["trial"] for e in report.examples] == [0, 0, 0], sid
+            assert all(math.isnan(e["slack"]) for e in report.examples), sid
+
+    def test_a_run_that_leaves_the_float_range_finishes_every_suite(self):
+        # At s = 120, M * phi_s leaves the float range on about half the
+        # trials: thm32 and the nine closed-form theorems count each such
+        # trial as a nan-slack violation, no numpy warning escapes, and
+        # every suite reports.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            reports = db.run_all(db.TrialConfig(seed=42, trials=200, s_samples=(120.0,)))
+        assert [r.suite for r in reports] == list(db.suite_ids())
+        nan_suites = {r.suite for r in reports if any(math.isnan(e["slack"]) for e in r.examples)}
+        assert nan_suites == {"thm32", *(f"thm{i}" for i in (41, 42, 43, 44, 45, 46, 51, 52, 53))}
+        for r in reports:
+            if r.suite in nan_suites:
+                assert len(r.examples) == 3 and all(math.isnan(e["slack"]) for e in r.examples), r.suite
 
     def test_a_narrowed_m_and_M_fail_exactly_the_sandwich_suites(self, monkeypatch):
         # (m * 1.2, M * 0.8) is no bound on g: every suite that reads (m, M)
@@ -586,15 +605,26 @@ def _reference_rows(sid, cfg, i):
     return [(name, _bits(slack)) for name, slack in out.items()]
 
 
-def _first_error(sid, cfg):
-    """The error the public per-pair functions raise on the first failing
-    trial of a column suite, in trial order."""
+def _counts_failing_trials(sid, cfg) -> dict:
+    """Assert the failure rule on a column suite: each trial on which the
+    public per-pair functions raise has a nan-slack check, every other
+    trial's rows are theirs bit for bit, and run_suite counts each check
+    that fails.  Returns {trial: the public functions' error}."""
+    checks, errors = _checks(sid, harness.PairTable(cfg)), {}
+    rows = [list(checks(i)) for i in range(cfg.trials)]
     for i in range(cfg.trials):
         try:
-            _reference_rows(sid, cfg, i)
+            ref = _reference_rows(sid, cfg, i)
         except DivBoundsError as exc:
-            return exc
-    raise AssertionError(f"no trial of {sid} fails")
+            errors[i] = exc
+            assert any(math.isnan(slack) for _, slack in rows[i]), (sid, i)
+        else:
+            assert [(name, _bits(slack)) for name, slack in rows[i]] == ref, (sid, i)
+    failed = [(i, name, slack) for i in range(cfg.trials) for name, slack in rows[i] if not slack >= VIOLATION_TOL]
+    report = db.run_suite(sid, cfg)
+    assert (report.checks, report.violations) == (sum(map(len, rows)), len(failed)), sid
+    assert [(e["trial"], e["check"], _bits(e["slack"])) for e in report.examples] == [(i, name, _bits(v)) for i, name, v in failed[:3]]
+    return errors
 
 
 def _is_pair(cfg, i, p, q, views=None):
@@ -676,9 +706,8 @@ def rows_spy(monkeypatch):
 
 def _checks(sid, table):
     """rows(i), trial i's (check name, slack) pairs of a suite, from the
-    runner's helper on the table and on trial i's pair."""
-    rows = harness._checks(harness._SUITES[sid], table)
-    return lambda i: rows(i, *db.random_pair(table.config, i))
+    runner's helper on the table."""
+    return harness._checks(harness._SUITES[sid], table)
 
 
 def _suite_rows(sid, table) -> list:
@@ -703,105 +732,107 @@ class TestColumnSuites:
         for sid in COLUMN_SUITES:
             before = len(rows_spy)
             got = _suite_rows(sid, table)
-            assert len(rows_spy) == before + 1, sid  # built from columns, no fallback
+            assert len(rows_spy) == before + 1, sid  # built from its columns, once
             for i in range(cfg.trials):
                 assert got[i] == _reference_rows(sid, cfg, i), (sid, i)
 
     @pytest.mark.parametrize("vanishing, negative", [(3, 7), (7, 3), (3, None)])
-    def test_estimator_error_is_the_first_failing_trials(self, monkeypatch, vanishing, negative):
+    def test_estimator_errors_are_counted_violations(self, monkeypatch, vanishing, negative):
         # G1 = 1e-305 at one trial makes xi6's denominator 2 G1 vanish (a
         # finite quotient without the floor), and F1 = -1 at another puts a
-        # negative value under xi1's square root.
+        # negative value under xi1's square root: estimate raises at each,
+        # and the estimator columns are nan there, whichever comes first.
         cfg = db.TrialConfig(seed=46, trials=20)
         _force_divergence(monkeypatch, cfg, "G1", {vanishing: 1e-305})
+        expected = {vanishing: VanishingDenominator}
         if negative is not None:
             _force_divergence(monkeypatch, cfg, "F1", {negative: -1.0})
-        scalar = _first_error("rem41", cfg)
-        expected = VanishingDenominator if negative is None or vanishing < negative else DegeneratePair
-        assert type(scalar) is expected
-        with pytest.raises(expected) as info:
-            db.run_suite("rem41", cfg)
-        assert str(info.value) == str(scalar)
+            expected[negative] = DegeneratePair
+        errors = _counts_failing_trials("rem41", cfg)
+        assert {i: type(exc) for i, exc in errors.items()} == expected
 
-    def test_thm31_overflow_is_the_first_failing_trials(self, monkeypatch):
+    def test_thm31_overflow_is_a_counted_violation(self, monkeypatch):
         # Trial 2: A is finite at s = 3 (1.25e308) but B's R^3 overflows;
         # trial 5: A's f'(r) = r^-3 / -3 overflows at the first s.
         cfg = db.TrialConfig(seed=47, trials=10)
         _force_ranges(monkeypatch, cfg, {2: (0.5, 1e103), 5: (1e-103, 2.0)})
+        errors = _counts_failing_trials("thm31", cfg)
+        assert {i: str(exc) for i, exc in errors.items()} == {
+            2: "b_cf of PHI_S(3.0) leaves the float range",
+            5: "a_cf of PHI_S(-2.0) leaves the float range",
+        }
 
-        def scalar_error(i):
-            with pytest.raises(NumericOverflow) as info:
-                _reference_rows("thm31", cfg, i)
-            return str(info.value)
+    def test_an_infinite_slack_is_a_violation(self, monkeypatch):
+        # Trial 5's A is +inf at s = -2 (r^-3), so its slack A - phi_s is
+        # +inf, which passes slack >= VIOLATION_TOL: it is given as nan.
+        cfg = db.TrialConfig(seed=47, trials=10)
+        _force_ranges(monkeypatch, cfg, {5: (1e-103, 2.0)})
+        table = harness.PairTable(cfg)
+        assert table.a(db.phi_generator(-2.0))[5] == math.inf
+        assert list(_counts_failing_trials("thm31", cfg)) == [5]
+        [first, *_] = db.run_suite("thm31", cfg).examples
+        assert (first["trial"], first["check"]) == (5, "s=-2:phi_le_a") and math.isnan(first["slack"])
 
-        assert scalar_error(2) == "b_cf of PHI_S(3.0) leaves the float range"
-        assert scalar_error(5) == "a_cf of PHI_S(-2.0) leaves the float range"
-        assert str(_first_error("thm31", cfg)) == scalar_error(2)
-        with pytest.raises(NumericOverflow) as info:
-            db.run_suite("thm31", cfg)
-        assert str(info.value) == scalar_error(2)
-
-    def test_a_later_trials_phi_overflow_does_not_preempt_the_first_error(self, monkeypatch):
-        # Trial 1's A overflows at s = -2 (r^-3); phi_s of a later trial
-        # (2) overflows at s = 120, and the column path stops there first.
+    def test_a_later_trials_overflow_is_counted_as_well(self, monkeypatch):
+        # Trial 1's A overflows at s = -2 (r^-3), trial 7's at s = 120
+        # (R^119): each trial is counted, the later one too.
         cfg = db.TrialConfig(seed=61, trials=12, s_samples=(-2.0, 120.0))
-        _force_ranges(monkeypatch, cfg, {1: (1e-103, 2.0)})
-        scalar = _first_error("thm31", cfg)
-        assert str(scalar) == "a_cf of PHI_S(-2.0) leaves the float range"
-        with pytest.raises(NumericOverflow) as info:
-            db.run_suite("thm31", cfg)
-        assert str(info.value) == str(scalar)
+        _force_ranges(monkeypatch, cfg, {1: (1e-103, 2.0), 7: (0.5, 1e3)})
+        errors = _counts_failing_trials("thm31", cfg)
+        assert {i: str(exc) for i, exc in errors.items()} == {
+            1: "a_cf of PHI_S(-2.0) leaves the float range",
+            7: "a_cf of PHI_S(120.0) leaves the float range",
+        }
 
-    def test_thm32_falls_back_to_the_first_failing_trials_error(self, monkeypatch):
-        # Trial 1's a_cf of PHI_S(-2) overflows (r^-3), which its column
-        # gives as a value that is not finite.  The (m, M) of a cell is a
-        # column over the whole run, and the first cell's, D1 at s = -2,
-        # raises where g = 3 r^4 underflows, at trial 1's r (trial 5's
-        # x = 1e-200 would leave the float range too).  The fallback, trial
-        # by trial, raises trial 1's own error, from a_cf.
+    def test_thm32_counts_each_failing_trial_in_its_own_cell(self, monkeypatch):
+        # Trial 1's a_cf of PHI_S(-2) overflows (r^-3), and trial 5's
+        # x = 1e-200 leaves the float range in g.  The (m, M) of a cell is a
+        # column over the whole run: the first cell's, D1 at s = -2, is nan
+        # at trials 1 and 5, where g = 3 r^4 underflows, and its own trial
+        # 0 keeps its checks.
         cfg = db.TrialConfig(seed=47, trials=12)
         _force_ranges(monkeypatch, cfg, {1: (1e-103, 2.0), 5: (1e-200, 2.0)})
-        with np.errstate(all="ignore"), pytest.raises(NumericOverflow) as info:
-            harness._SUITES["thm32"].columns(harness.PairTable(cfg))
-        assert str(info.value) == "g(x) = x^(2-s) f''(x) leaves the float range at x=1e-103, s=-2.0"
-        scalar = _first_error("thm32", cfg)
-        assert str(scalar) == "a_cf of PHI_S(-2.0) leaves the float range"
-        with pytest.raises(NumericOverflow) as info:
-            db.run_suite("thm32", cfg)
-        assert str(info.value) == str(scalar)
+        with np.errstate(all="ignore"):
+            mm = harness.PairTable(cfg).mm("D1", -2.0)
+        assert np.flatnonzero(np.isnan(mm).any(axis=0)).tolist() == [1, 5]
+        errors = _counts_failing_trials("thm32", cfg)
+        assert {i: str(exc) for i, exc in errors.items()} == {
+            1: "a_cf of PHI_S(-2.0) leaves the float range",
+            5: "g(x) = x^(2-s) f''(x) leaves the float range at x=1e-200, s=-2.0",
+        }
 
-    def test_g_overflow_is_the_first_failing_trials_on_the_shared_columns(self, monkeypatch):
+    def test_g_overflow_is_counted_on_the_shared_columns(self, monkeypatch):
         # At s = -2, D1's g is about R^3 at R and 3 r^4 at r, G2's r^4 / 2:
         # trial 2's R = 1e105 and trial 5's r = 1e-110 leave the float range.
-        # thm41 checks D1 on every trial and raises at trial 2's R, though
-        # trial 5 fails at an r, the earlier of a trial's candidates.  thm32
-        # checks G2 at s = -2 on trial 5 alone, whose g raises before its
-        # A, and its (m, M) columns raise at other cells' trials first.  At
-        # s = 120, M * phi_s leaves the float range on most trials, after
-        # (m, M).
+        # thm41 checks D1 on every trial, and thm32 checks G2 at s = -2 on
+        # trial 5 alone.  At s = 120, M * phi_s leaves the float range on
+        # most trials.  Each such trial has a nan slack; no other moves.
         cfg = db.TrialConfig(seed=61, trials=12, s_samples=(-2.0, 120.0))
         _force_ranges(monkeypatch, cfg, {2: (0.5, 1e105), 5: (1e-110, 2.0)})
-        r, R = harness.PairTable(cfg).extremes()
-
-        def scalar_error(measure, s, trials):
-            for i in trials:
+        rows = _checks("thm41", harness.PairTable(cfg))
+        errors = {}
+        for i in range(cfg.trials):
+            got = dict(rows(i))
+            for s in cfg.s_samples:
+                slacks = (got[f"s={s:g}:lower"], got[f"s={s:g}:upper"])
                 try:
-                    cb.mm_exact_values(measure, s, r[i].item(), R[i].item())
+                    rep = db.bound_interval("D1", s, *db.random_pair(cfg, i))
                 except NumericOverflow as exc:
-                    return str(exc)
+                    errors[i, s] = str(exc)
+                    assert any(map(math.isnan, slacks)), (i, s)
+                else:
+                    assert [_bits(v) for v in slacks] == [_bits(rep.lower_slack), _bits(rep.upper_slack)], (i, s)
+        g_error = "g(x) = x^(2-s) f''(x) leaves the float range at x={}, s=-2.0"
+        assert {key: e for key, e in errors.items() if key[1] == -2.0} == {(2, -2.0): g_error.format("1e+105"), (5, -2.0): g_error.format("1e-110")}
+        assert len(errors) > 2
+        report = db.run_suite("thm41", cfg)
+        assert report.violations == sum(math.isnan(slack) for i in range(cfg.trials) for _, slack in rows(i))
+        assert str(_counts_failing_trials("thm32", cfg)[5]) == g_error.format("1e-110")
 
-        expected = {"thm41": scalar_error("D1", -2.0, range(cfg.trials)), "thm32": str(_first_error("thm32", cfg))}
-        assert expected["thm41"] == "g(x) = x^(2-s) f''(x) leaves the float range at x=1e+105, s=-2.0"
-        assert expected["thm32"] == scalar_error("G2", -2.0, [5]) == "g(x) = x^(2-s) f''(x) leaves the float range at x=1e-110, s=-2.0"
-        for sid, error in expected.items():
-            with pytest.raises(NumericOverflow) as info:
-                db.run_suite(sid, cfg)
-            assert str(info.value) == error, sid
-
-    def test_a_suite_without_a_fallback_raises_its_columns_error(self, monkeypatch):
+    def test_a_column_that_leaves_the_float_range_counts_its_trial(self, monkeypatch):
         # C_f of the power generator is inf at trial 3, so phi_s leaves the
-        # float range at the first special s; phi_cases has no fallback and
-        # raises before the row loop reads any pair.
+        # float range at every special s: phi_cases counts trial 3's five
+        # checks, checks every other trial, and reads one pair a trial.
         cfg = db.TrialConfig(seed=46, trials=10)
         cf = harness.PairTable.cf
 
@@ -814,30 +845,33 @@ class TestColumnSuites:
         pairs = []
         random_pair = harness.random_pair
         monkeypatch.setattr(harness, "random_pair", lambda config, i: pairs.append(i) or random_pair(config, i))
-        with pytest.raises(NumericOverflow, match=r"^phi_s at s=-1\.0 leaves the float range$"):
-            db.run_suite("phi_cases", cfg)
-        assert pairs == []
+        report = db.run_suite("phi_cases", cfg)
+        assert (report.checks, report.violations) == (50, 5)
+        names = [name for _, _, name in harness._SPECIAL_S.values()]
+        assert [(e["trial"], e["check"]) for e in report.examples] == [(3, name) for name in names[:3]]
+        assert all(math.isnan(e["slack"]) for e in report.examples)
+        assert pairs == list(range(cfg.trials))
 
-    def test_numpy_warnings_escape_only_the_suites_without_a_fallback(self, monkeypatch, rows_spy):
-        # A measure column divided by zero warns and is inf.  eq3 has no
-        # fallback, so the warning reaches the caller; rem41 computes its
-        # columns with numpy's warnings off and takes its fallback, the
-        # public functions on the row loop's pairs, which read no column.
+    def test_no_numpy_warning_escapes_a_suite(self, monkeypatch, rows_spy):
+        # A measure column divided by zero is inf or nan, with numpy's
+        # warnings off in every suite: the run finishes under warnings as
+        # errors, each suite builds its rows from columns and reads one pair
+        # a trial, and every eq3 and rem41 check is a nan-slack violation.
         cfg = db.TrialConfig(seed=46, trials=20)
-        expected = db.run_suite("rem41", cfg).to_dict()
         d = harness.PairTable.d
         monkeypatch.setattr(harness.PairTable, "d", lambda table, measure: d(table, measure) / np.zeros(1))
         pairs = []
         random_pair = harness.random_pair
         monkeypatch.setattr(harness, "random_pair", lambda config, i: pairs.append(i) or random_pair(config, i))
-        built = len(rows_spy)
         with warnings.catch_warnings():
-            warnings.simplefilter("error", RuntimeWarning)
-            with pytest.raises(RuntimeWarning, match="divide by zero"):
-                db.run_suite("eq3", cfg)
-            assert db.run_suite("rem41", cfg).to_dict() == expected
-        assert len(rows_spy) == built  # no suite built its rows from columns
-        assert pairs == list(range(cfg.trials))  # one pair a trial, fallback included
+            warnings.simplefilter("error")
+            reports = {r.suite: r for r in db.run_all(cfg)}
+        for sid in ("eq3", "rem41"):
+            report = reports[sid]
+            assert report.checks == report.violations > 0, sid
+            assert all(math.isnan(e["slack"]) for e in report.examples), sid
+        assert len(rows_spy) == len(reports) == 34
+        assert pairs == list(range(cfg.trials)) * 34
 
     @staticmethod
     def _drops_only_its_own_b_checks(monkeypatch, rows_spy, trial, rng):
@@ -849,7 +883,7 @@ class TestColumnSuites:
         for sid in ("thm31", "thm32"):
             before = len(rows_spy)
             rows = _suite_rows(sid, table)
-            assert len(rows_spy) == before + 1, sid  # built from columns, no fallback
+            assert len(rows_spy) == before + 1, sid  # built from its columns, once
             for i in range(cfg.trials):
                 names = [name for name, _ in rows[i]]
                 has_b = [name for name in names if ":phi_le_b" in name or ":b_" in name]
