@@ -106,6 +106,19 @@ def _get_pair(args):
     return pair[0], pair[1]
 
 
+def _json_value(v):
+    """A report value as JSON holds it: a float that is not finite (a nan
+    slack, an untouched inf) as null, which RFC 8259 allows and NaN or
+    Infinity it does not."""
+    if isinstance(v, float):
+        return v if math.isfinite(v) else None
+    if isinstance(v, dict):
+        return {k: _json_value(x) for k, x in v.items()}
+    if isinstance(v, (list, tuple)):
+        return [_json_value(x) for x in v]
+    return v
+
+
 def _text(v) -> str:
     """A report value as a text line prints it."""
     return _fmt(v) if isinstance(v, float) else "n/a" if v is None else str(v)
@@ -253,7 +266,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:  # json.JSONDecodeError is a ValueError; a closed stdout an OSError
         code, report, lines = args.fn(args)
-        print(json.dumps(report, indent=2) if args.json else "\n".join(lines))
+        print(json.dumps(_json_value(report), indent=2, allow_nan=False) if args.json else "\n".join(lines))
     except (DivBoundsError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -19,13 +19,15 @@ Every pair sum is an elementwise term reduced over the last axis, summed
 as this module alone decides: a measure's by :data:`TERM_SUMS`, and
 C_f = sum q f(x) and E = sum (p - q) f'(x), x = p / q, by the one core
 :func:`weighted_sum`.  A pair longer than :data:`TERM_SLICE` entries is
-summed by :func:`term_sum`: the term is written into one array slice by
-slice, in the caller's thread, and the array is reduced once, so the
-term's temporaries take one slice's memory, not the pair's.  The sum
-keeps its bits, as an elementwise loop gives an entry the same value in
-any slice that starts at a multiple of 64, and the reduce sees the same
-array.  Short pairs and (k, n) blocks take the one-line sum; a layout, one
-row sum per block view.
+summed by :func:`term_sum`, in the caller's thread, leaf by leaf along
+the tree that numpy's pairwise sum follows: the term is evaluated on one
+window per leaf, the leaf is reduced at once, and the leaf sums are added
+pairwise up the tree, so a sum holds O(TERM_SLICE) memory whatever the
+pair's length.  The sum keeps the bits of numpy's reduce of the whole
+term vector, as windows that start at multiples of 64 give every entry
+its bits and numpy reduces a contiguous vector in one pairwise pass.
+Short pairs and (k, n) blocks take the one-line sum; a layout, one row
+sum per block view.
 """
 
 from __future__ import annotations
@@ -185,7 +187,7 @@ class Generator:
     f'' is a :class:`Rational`; catalog generators also carry the formula
     text of f and f'' that the catalog command prints.  f and f' must be
     elementwise: an entry's value may depend on that entry alone, as the
-    Csiszar sum of a long pair evaluates them slice by slice
+    Csiszar sum of a long pair evaluates them window by window
     (:func:`term_sum`).
     """
 
@@ -392,13 +394,30 @@ def weighted_sum(h, w, x, views=None):
     return np.add.reduce(w * h(x), axis=-1)
 
 
-#: Entries in one slice of a long pair's term vector (:func:`term_sum`): a
-#: multiple of 64, so that every slice starts where numpy's SIMD loops
-#: start a block on the whole vector.  Slicing saves memory, not time: a
-#: term's temporaries (256 KiB each) exist for one slice at a time, so a
-#: sum of n entries of I or T (divergence, C_f or E) peaks at 1.25 to 1.33
-#: x 8n bytes, where the term on the whole pair peaks at 3 to 4 x 8n.
+#: Most entries in one leaf of a long pair's sum (:func:`term_sum`), so
+#: that a term's temporaries (at most about 256 KiB each) exist for one
+#: leaf's window at a time: with x and d formed, a sum of n entries of I
+#: or T (divergence, C_f or E) peaks at 2.3 to 3.85 x 8 x TERM_SLICE bytes
+#: under tracemalloc at n = 400k and 1M, where the term on the whole pair
+#: peaks at 3 to 4 x 8n.  No n-entry vector is written and read back: a
+#: window is reduced while it is still in cache.
 TERM_SLICE = 32768
+
+
+def _pairwise_leaves(n: int) -> list:
+    """The nodes [i, j) of numpy's pairwise sum of n entries, at the first
+    depth where no node holds more than :data:`TERM_SLICE` entries.  numpy
+    splits a node of more than 128 entries at half its length, rounded down
+    to a multiple of 8, and adds the two halves' sums; every node this
+    splits is longer than 128."""
+    nodes = [(0, n)]
+    while max(j - i for i, j in nodes) > TERM_SLICE:
+        halves = []
+        for i, j in nodes:
+            h = i + (j - i) // 2 // 8 * 8
+            halves += [(i, h), (h, j)]
+        nodes = halves
+    return nodes
 
 
 def term_sum(term, a, b, views=None):
@@ -406,25 +425,39 @@ def term_sum(term, a, b, views=None):
     elementwise term of two arrays of one shape; with views, for each
     (k, n) block view that views(t) gives of the 1-D layout t = term(a, b).
 
-    A 1-D pair longer than :data:`TERM_SLICE` is summed in slices: term
-    is written into one array, slice by slice in the caller's thread, and
-    that array is reduced once.  The bits cannot move: an elementwise loop
-    gives an entry the same value wherever its slice starts, slices that
-    start at multiples of 64 leave the SIMD tail on the same last entries,
-    and the one reduce sees the array that ``term(a, b)`` returns.  Every
-    other input takes the one-line path.  :func:`weighted_sum` tests the
-    length inline, so its short pairs make no extra call.
+    A 1-D pair longer than :data:`TERM_SLICE` is summed leaf by leaf along
+    the tree of numpy's pairwise sum (:func:`_pairwise_leaves`), in the
+    caller's thread: term is evaluated on one window per leaf, the leaf is
+    reduced from its window, and the leaf sums are added pairwise up the
+    tree, so no array of n entries is made.  The bits cannot move:
+
+    - every window starts at a multiple of 64 and ends one width later,
+      the same multiple of 64 for every leaf, or at n; an elementwise loop
+      then gives an entry the bits it has in ``term(a, b)``, as SIMD
+      blocks start and the tail falls where they do on the whole vector;
+    - numpy reduces a contiguous 1-D float64 array in one pairwise pass
+      added to the identity 0.0, so each leaf's reduce is its node's sum
+      and each pairwise add a parent node's, up to the sign of a zero,
+      which the last reduce, the root's sum added to 0.0, clears.
+
+    Every other input takes the one-line path.  :func:`weighted_sum` tests
+    the length inline, so its short pairs make no extra call.
     """
     if views is not None:
         return np.concatenate([np.add.reduce(view, axis=-1) for view in views(term(a, b))])
     if a.ndim != 1 or a.shape[0] <= TERM_SLICE:
         return np.add.reduce(term(a, b), axis=-1)
     n = a.shape[0]
-    out = np.empty(n)
-    for i in range(0, n, TERM_SLICE):
-        j = min(i + TERM_SLICE, n)
-        out[i:j] = term(a[i:j], b[i:j])
-    return np.add.reduce(out, axis=-1)
+    leaves = _pairwise_leaves(n)
+    starts = [i - i % 64 for i, _ in leaves]
+    width = (max(j - start for start, (_, j) in zip(starts, leaves)) + 63) // 64 * 64
+    sums = np.empty(len(leaves))
+    for k, (start, (i, j)) in enumerate(zip(starts, leaves)):
+        end = min(start + width, n)
+        sums[k] = np.add.reduce(term(a[start:end], b[start:end])[i - start : j - start])
+    while sums.shape[0] > 1:
+        sums = sums[0::2] + sums[1::2]
+    return np.add.reduce(sums)
 
 
 #: Each named measure's sum over the last axis: :func:`term_sum` of its term.

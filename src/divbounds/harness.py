@@ -363,6 +363,8 @@ class SuiteReport:
             self.worst_slack = slack
         if not slack >= VIOLATION_TOL:  # all_hold's rule, inline on this hot path; a nan slack fails
             self.violations += 1
+            if slack != slack:  # a nan is worse than any slack, and < never picks it
+                self.worst_slack = math.nan
             if len(self.examples) < 3:
                 self.examples.append(
                     {

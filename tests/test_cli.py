@@ -1,9 +1,11 @@
+import functools
 import json
 import math
 
 import pytest
 
 import divbounds as db
+import divbounds.cli as cli
 from divbounds.cli import load_distributions, main
 
 
@@ -318,6 +320,21 @@ class TestVerify:
         assert code == 0
         assert report["violations"] == 0
         assert report["suites"][0]["suite"] == "eq12"
+
+    def test_json_report_with_nan_slacks_is_rfc_json(self, capsys, monkeypatch):
+        # At s = 120 thm41 counts 14 nan slacks, so worst_slack and three
+        # example slacks are nan: each is written as null, not as NaN.
+        def refuse(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        monkeypatch.setattr(cli, "TrialConfig", functools.partial(db.TrialConfig, s_samples=(120.0,)))
+        code = main(["verify", "--suite", "thm41", "--trials", "20", "--seed", "42", "--json"])
+        report = json.loads(capsys.readouterr().out, parse_constant=refuse)
+        assert code == 1 and report["violations"] == 14
+        suite = report["suites"][0]
+        assert suite["worst_slack"] is None
+        assert [e["slack"] for e in suite["examples"]] == [None] * 3
+        assert math.isfinite(suite["tightest_slack"])
 
 
 class TestCatalog:

@@ -370,8 +370,8 @@ class TestPairTable:
 
     def test_a_quantity_is_one_call_of_f_over_the_run(self):
         # A held run of 1000 trials, n = 2..64, lays out 63 blocks, longer
-        # together than a term_sum slice: f runs on the whole layout once
-        # per cf request, not once per block nor once per slice.
+        # together than TERM_SLICE entries: f runs on the whole layout once
+        # per cf request, not once per block nor once per leaf.
         calls, j = [], db.catalog()["J"]
         counted = db.Generator("COUNTED", f=lambda x: calls.append(x.shape) or j.f(x), f_prime=j.f_prime, f_second=j.f_second)
         table = harness.PairTable(db.TrialConfig(seed=42, trials=1000))
@@ -560,6 +560,14 @@ class TestRunAll:
         for r in reports:
             if r.suite in nan_suites:
                 assert len(r.examples) == 3 and all(math.isnan(e["slack"]) for e in r.examples), r.suite
+
+    def test_a_nan_slack_is_the_worst_slack(self):
+        # At s = 120, M * phi_s leaves the float range on 14 of thm41's 40
+        # checks; a finite worst_slack would hide them.
+        report = db.run_suite("thm41", db.TrialConfig(seed=42, trials=20, s_samples=(120.0,)))
+        assert report.violations == 14
+        assert math.isnan(report.worst_slack)
+        assert math.isfinite(report.tightest_slack)
 
     def test_a_narrowed_m_and_M_fail_exactly_the_sandwich_suites(self, monkeypatch):
         # (m * 1.2, M * 0.8) is no bound on g: every suite that reads (m, M)

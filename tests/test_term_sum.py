@@ -1,9 +1,10 @@
-"""Long pairs, whose term vectors generators.term_sum sums in slices in
-the caller's thread: the bits of the whole-vector sum at and around the
-slice boundaries, the caller's numpy error state in every slice, errors
-raised from any slice, no thread started, a sum's peak memory, and sums
-in a forked child; and blocks with more rows than a slice, summed in one
-call."""
+"""Long pairs, which generators.term_sum sums leaf by leaf along numpy's
+pairwise tree in the caller's thread: the bits of numpy's reduce of the
+whole term vector at and around the leaf boundaries, the windows each
+leaf's term is evaluated on, the caller's numpy error state in every
+window, errors raised from any window, no thread started, a sum's peak
+memory, and sums in a forked child; and blocks with more rows than a
+slice, summed in one call."""
 
 import multiprocessing
 import os
@@ -44,11 +45,16 @@ PAIRS = {
     "slice+1": lambda: random_pair(TERM_SLICE + 1, 3),
     "2slice+7": lambda: random_pair(2 * TERM_SLICE + 7, 4),
     "near-400k": lambda: near_pair(400_000, 5),
+    "100003": lambda: random_pair(100_003, 10),
+    "400k": lambda: random_pair(400_000, 11),
+    "1000001": lambda: random_pair(1_000_001, 12),
 }
 
 
 @pytest.mark.parametrize("name", PAIRS)
 def test_every_sum_keeps_the_bits_of_the_whole_vector(name):
+    # Past TERM_SLICE this also guards what the tree sum relies on: numpy
+    # reduces a contiguous 1-D float64 array in one pairwise pass from 0.0.
     P, Q = PAIRS[name]()
     p, q = P.probs, Q.probs
     x, d = p / q, p - q
@@ -61,11 +67,34 @@ def test_every_sum_keeps_the_bits_of_the_whole_vector(name):
         gen = db.phi_generator(s)
         got += [db.phi_s(s, P, Q), db.e_cf(gen, P, Q)]
         want += [float(np.add.reduce(q * gen.f(x))), float(np.add.reduce(d * gen.f_prime(x)))]
-    assert got == want
+    assert _bits(got) == _bits(want)
 
 
 def test_slices_start_where_simd_blocks_start():
     assert TERM_SLICE % 64 == 0
+
+
+#: Lengths around the depths of numpy's pairwise tree: one split, leaves
+#: at depth 2, and pairs as long as histograms' and longer.
+TREE_LENGTHS = (TERM_SLICE + 1, 2 * TERM_SLICE + 7, 100_003, 400_000, 1_000_001)
+
+
+@pytest.mark.parametrize("n", TREE_LENGTHS)
+def test_a_tree_sum_evaluates_aligned_windows_of_one_width(n):
+    windows = []
+
+    def term(a, b):
+        windows.append((int(a[0]), len(a)))
+        return a * b
+
+    term_sum(term, np.arange(n, dtype=np.float64), np.ones(n))
+    starts = [start for start, _ in windows]
+    assert all(start % 64 == 0 for start in starts)
+    assert len({length for _, length in windows[:-1]}) == 1
+    assert starts[0] == 0 and starts == sorted(starts)
+    ends = [start + length for start, length in windows]
+    assert all(start <= end for start, end in zip(starts[1:], ends)) and ends[-1] == n
+    assert sum(length for _, length in windows) - n < 0.01 * n
 
 
 #: Sums whose term, evaluated on a whole pair, holds three (T) or four (I)
@@ -80,20 +109,24 @@ PEAK_SUMS = {
 
 @pytest.mark.parametrize("name", PEAK_SUMS)
 def test_a_long_sum_holds_one_term_vector_and_one_slice_of_temporaries(name):
-    # With x and d formed, a sliced sum allocates the term vector it
-    # reduces (8n bytes) and one slice's temporaries.
-    P, Q = near_pair(400_000, 5)
-    pair_vector(P, Q, "x"), pair_vector(P, Q, "d")
-    tracemalloc.start()
-    try:
-        PEAK_SUMS[name](P, Q)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 2 * 8 * len(P), peak / (8 * len(P))
+    # With x and d formed, a tree sum allocates one window's temporaries
+    # and one float per leaf, whatever the pair's length.
+    for n in (400_000, 1_000_000):
+        P, Q = near_pair(n, 5)
+        pair_vector(P, Q, "x"), pair_vector(P, Q, "d")
+        tracemalloc.start()
+        try:
+            PEAK_SUMS[name](P, Q)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 * 8 * TERM_SLICE, (n, peak / (8 * TERM_SLICE))
 
 
 def test_a_long_vector_is_summed_on_slice_boundaries_in_the_callers_thread():
+    # numpy's tree splits 2 * TERM_SLICE + 7 entries into four leaves at
+    # 16384, 32768 and 49152; the last holds 16391 entries, so every window
+    # is 16448 entries wide, the last cut at n.
     n = 2 * TERM_SLICE + 7
     a, b = np.arange(n, dtype=np.float64), np.full(n, 0.5)
     seen = []
@@ -104,7 +137,7 @@ def test_a_long_vector_is_summed_on_slice_boundaries_in_the_callers_thread():
 
     assert term_sum(term, a, b) == np.add.reduce(a * b)
     caller = threading.get_ident()
-    assert seen == [(0, TERM_SLICE, caller), (TERM_SLICE, TERM_SLICE, caller), (2 * TERM_SLICE, 7, caller)]
+    assert seen == [(0, 16448, caller), (16384, 16448, caller), (32768, 16448, caller), (49152, 16391, caller)]
 
 
 def test_summing_a_long_pair_starts_no_thread():
@@ -219,7 +252,7 @@ def _bits(values):
 def test_every_slice_runs_under_the_callers_error_state(state, outcome):
     n = 3 * TERM_SLICE
     a = np.ones(n)
-    a[-1] = 1e300  # in the last slice
+    a[-1] = 1e300  # in the last window
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with np.errstate(over=state):
@@ -256,7 +289,7 @@ def test_callers_in_many_threads_each_get_their_own_sum():
 
 def tiny_pair(tiny):
     """100k entries of 1e-5, P uniform and Q's last entry tiny (in the
-    last slice): x = p / q overflows at 5e-324, and x ** 2 at 1e-300."""
+    last window): x = p / q overflows at 5e-324, and x ** 2 at 1e-300."""
     w = np.full(100_000, 1e-5)
     P = db.normalize(w)
     w[-1] = tiny
@@ -335,7 +368,7 @@ def test_a_term_that_sums_a_long_vector_itself_is_summed():
         from divbounds.generators import TERM_SLICE, term_sum
         n = 2 * TERM_SLICE + 7
         a, inner = np.arange(n, dtype=np.float64), np.full(n, 0.5)
-        # the inner sum runs in every slice of the outer one
+        # the inner sum runs in every window of the outer one
         got = term_sum(lambda a, b: a * b * term_sum(lambda c, d: c * d, inner, inner), a, a)
         assert got == np.add.reduce(a * a * np.add.reduce(inner * inner))
     """
