@@ -49,6 +49,7 @@ from .generators import (
     SplitPowers,
     all_hold,
     catalog_id,
+    csiszar_value,
     eval_csiszar,
     finite_cf,
     get_generator,
@@ -537,22 +538,24 @@ def bound_interval(measure, s: float, P: Distribution, Q: Distribution) -> Bound
     One pass under one np.errstate: s is checked first, by
     :func:`phi_generator`, the measure is resolved once, and x = p / q and
     the range are the pair's (:func:`pair_ratios`), each formed once while
-    the pair is the latest; phi_s and C_f are sum q f(x) by
-    :func:`weighted_sum`, the one sum core of :func:`phi_s`,
-    :func:`eval_csiszar` and :func:`e_cf`, so every field holds the bits of
-    :func:`ratio_range`, those public functions, :func:`mm_exact` and
-    :func:`sandwich`, and every error but a bound's is theirs.  The two
-    sums are made on every call: x and the range come from the latest-pair
-    slot.
+    the pair is the latest.  phi_s is the latest-pair memo's entry of
+    phi_generator(s) (:func:`csiszar_value`), which :func:`phi_s` and
+    eval_csiszar(phi_generator(s)) share, so a sweep of the measures at
+    one s sums it once.  C_f is sum q f(x) by :func:`weighted_sum`, the one
+    sum core of those functions and :func:`e_cf`, made on every call: a
+    memoized C_f runs more calls in the benchmark's fixed time, and the
+    latency samples it keeps then exceed its RSS bound (ROADMAP item 1b).
+    Every field holds the bits of :func:`ratio_range`, those public
+    functions, :func:`mm_exact` and :func:`sandwich`, and every error but
+    a bound's is theirs.
     """
     phi_gen = phi_generator(s)
     with np.errstate(over="ignore", invalid="ignore"):  # NumericOverflow is the only signal
         x, rng = pair_ratios(P, Q)
         gen = get_generator(measure)
         mm = mm_exact(gen, s, rng)
-        q = Q.probs
-        phi = finite_phi(s, float(weighted_sum(phi_gen.f, q, x)))
-        value = finite_cf(gen, float(weighted_sum(gen.f, q, x)))
+        phi = finite_phi(s, csiszar_value(phi_gen, P, Q))
+        value = finite_cf(gen, float(weighted_sum(gen.f, Q.probs, x)))
         lower, upper, lower_slack, upper_slack = sandwich(mm.m, mm.M, phi, value)
     require_finite(lower, "m * phi_s")
     require_finite(upper, "M * phi_s")

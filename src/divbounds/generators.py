@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Callable
 
 import numpy as np
@@ -100,6 +100,25 @@ def float_pow(x, e: float):
         return np.array([float_pow(v, e) for v in xs], dtype=np.float64)
 
 
+def _kept_hash(obj) -> int:
+    """The dataclass hash of a frozen obj, of its compare fields' tuple,
+    made on first use and kept in obj: the latest-pair memo keys on a
+    Generator at every sum, and the stationary points' cache on f'' at
+    every (m, M).  An unhashable field fails on every call, as before."""
+    try:
+        return obj._hash
+    except AttributeError:
+        value = hash(tuple(getattr(obj, f.name) for f in fields(obj) if f.compare))
+        object.__setattr__(obj, "_hash", value)
+        return value
+
+
+def _state_without_hash(obj) -> dict:
+    """obj's state for pickle and copy, less the kept hash: a str's hash,
+    as a Generator id's, differs from process to process."""
+    return {k: v for k, v in vars(obj).items() if k != "_hash"}
+
+
 @dataclass(frozen=True)
 class Rational:
     """f''(x) = x^(a-2) num(x) / den(x), integer coefficient tuples highest
@@ -130,6 +149,9 @@ class Rational:
         object.__setattr__(self, "low", (kn - kd, n, d))
         # c'(x) = x^deg(c') c'_reversed(1/x)
         object.__setattr__(self, "high", (kn + len(n) - kd - len(d), n[::-1], d[::-1]))
+
+    __hash__ = _kept_hash
+    __getstate__ = _state_without_hash
 
     def __call__(self, x):
         """f''(x); inf where it leaves the float range."""
@@ -201,6 +223,9 @@ class Generator:
     def __post_init__(self):
         if not isinstance(self.f_second, Rational):
             raise InvalidArgument(f"f_second of {self.id} must be a Rational, got {type(self.f_second).__name__}")
+
+    __hash__ = _kept_hash
+    __getstate__ = _state_without_hash
 
     def __str__(self) -> str:
         return self.id  # J, PHI_S(0.5), PHI_S(1) at the pole: messages and test ids name it

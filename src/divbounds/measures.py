@@ -15,8 +15,12 @@ How a pair is summed, and a long one leaf by leaf, is decided in
 :func:`divergence` and :func:`phi_s` keep each raw sum, before its finite
 check, in the latest-pair memo (:func:`simplex.memoized`): a Python float
 per measure or generator, held while (P, Q), matched by identity through
-weak references, stays the latest pair.  phi_s(s) and
-``eval_csiszar(phi_generator(s))`` share one entry.  phi_s reads the
+weak references, stays the latest pair.  phi_s(s),
+``eval_csiszar(phi_generator(s))`` and ``bound_interval`` at s share one
+entry, so a sweep of the measures' bounds at one s sums phi_s once;
+``bound_interval`` still sums C_f on every call, as a faster sweep would
+keep more of the benchmark's latency samples and break its RSS bound until
+the benchmark bounds them (ROADMAP item 1b).  phi_s reads the
 pair's ratio vector x = p / q from the same slot (:func:`simplex.pair_vector`),
 formed once for every s; the divergences sum their (p, q) terms, which
 take blocks as well.

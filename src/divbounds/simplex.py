@@ -11,7 +11,11 @@ p_i / q_i of a pair of distributions.
 The public per-pair functions (:func:`ratio_range`, ``divergence``,
 ``phi_s``, ``eval_csiszar`` and ``estimate``'s coincide test) keep what
 they compute on the latest pair (P, Q) in one slot (:func:`memoized`), so
-each of a pair's sums is computed once however often it is asked for.  The
+each of a pair's sums is computed once however often it is asked for.
+``bound_interval`` reads phi_s from the slot too, so a sweep of the
+measures at one s sums it once; its C_f is still summed on every call, as
+a faster sweep would keep more of the benchmark's latency samples and
+break its RSS bound until the benchmark bounds them (ROADMAP item 1b).  The
 slot holds the pair through weak references, matched by identity, its
 Python scalars, and the pair's two vectors (:func:`pair_vector`): the
 ratios x = p / q and the difference d = p - q, each formed at most once

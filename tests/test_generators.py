@@ -1,4 +1,7 @@
+import copy
+import dataclasses
 import math
+import pickle
 import re
 import warnings
 
@@ -176,6 +179,28 @@ class TestRational:
         assert db.Rational(f2.num, f2.den, a=3) != f2
         assert db.Rational((1,), (1,), a=0.5) != db.Rational((1,), (1,), a=1.5)
         assert {f2: 1}[same] == 1
+        # The hash is made on first use and kept: before and after, it is
+        # the dataclass hash, of the tuple of compare fields.
+        j = db.catalog()["J"]
+        fresh = dataclasses.replace(j, f_second=db.Rational((1, 1), (1, 0, 0)))
+        assert hash(db.Rational((1, 1), (1, 0, 0))) == hash(((1, 1), (1, 0, 0), 2))
+        for obj in (db.Rational((1,), (1,), a=0.25), fresh, db.phi_generator(0.25), f2, j):
+            compared = tuple(getattr(obj, f.name) for f in dataclasses.fields(obj) if f.compare)
+            for _ in range(2):
+                assert hash(obj) == hash(compared)
+        assert fresh == j and hash(fresh) == hash(j) and {j: 1}[fresh] == 1
+        assert dataclasses.replace(j, f_text="") != j
+        # A pickle or copy carries no kept hash: a str hashes per process.
+        thawed = pickle.loads(pickle.dumps(f2))
+        assert "_hash" in vars(f2) and "_hash" not in vars(thawed) and "_hash" not in vars(copy.copy(j))
+        assert thawed == f2 and hash(thawed) == hash(f2)
+        # A Rational of lists builds as a dataclass does, and fails to hash
+        # on every call.
+        listed = db.Rational([1, 1], [1, 0, 0])
+        assert (listed.low, listed.high) == (same.low, same.high)
+        for _ in range(2):
+            with pytest.raises(TypeError):
+                hash(listed)
 
     @pytest.mark.parametrize("num, den", [((), (1,)), ((1,), ()), ((0,), (1,)), ((1,), (0, 0))])
     def test_empty_or_zero_polynomial(self, num, den):

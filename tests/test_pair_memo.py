@@ -7,12 +7,15 @@ import gc
 import math
 import sys
 import threading
+import warnings
 import weakref
 
 import numpy as np
 import pytest
 
 import divbounds as db
+import divbounds.csiszar_bounds as csiszar_bounds
+import divbounds.generators as generators
 import divbounds.measures as measures
 import divbounds.simplex as simplex
 from divbounds.errors import DivBoundsError, LengthMismatch, NonFinite, NumericOverflow, UnknownMeasure
@@ -178,6 +181,55 @@ def test_a_grid_of_bound_intervals_reduces_x_once(monkeypatch, fresh_memo):
     reports = [db.bound_interval(m, s, P, Q) for m in db.CATALOG_IDS for s in DEFAULT_S]
     assert len(reports) == 81
     assert counts["extremes"] == 1
+
+
+@pytest.fixture
+def sum_counts(monkeypatch, fresh_memo):
+    """How many phi_s sums (of phi_generator(s) at a default s) and C_f
+    sums (of any other f) the sum core weighted_sum has made."""
+    phi_fs = {db.phi_generator(s).f for s in DEFAULT_S}
+    counts = {"phi_s": 0, "C_f": 0}
+    core = generators.weighted_sum
+
+    def counting(h, w, x, views=None):
+        counts["phi_s" if h in phi_fs else "C_f"] += 1
+        return core(h, w, x, views)
+
+    monkeypatch.setattr(generators, "weighted_sum", counting)
+    monkeypatch.setattr(csiszar_bounds, "weighted_sum", counting)
+    return counts
+
+
+def test_a_bound_grid_sums_phi_s_once_per_s_and_c_f_every_call(sum_counts):
+    (A, B), (C, D) = make_pairs(2, seed=15)
+    grid = [(m, s) for m in db.CATALOG_IDS for s in DEFAULT_S]
+    assert len(grid) == 81
+    for m, s in grid:
+        db.bound_interval(m, s, A, B)
+    assert sum_counts == {"phi_s": 9, "C_f": 81}
+    for s in DEFAULT_S:
+        db.phi_s(s, A, B)
+    assert sum_counts == {"phi_s": 9, "C_f": 81}
+    for m, s in grid:
+        db.bound_interval(m, s, A, B)
+    assert sum_counts == {"phi_s": 9, "C_f": 162}
+    for m, s in grid:
+        db.bound_interval(m, s, C, D)
+    assert sum_counts == {"phi_s": 18, "C_f": 243}
+
+
+def test_an_overflowing_phi_s_is_raised_again_from_the_memo(sum_counts):
+    P, Q = db.normalize([1, 1]), db.normalize([1e-160, 1])
+    assert db.ratio_range(P, Q) == db.RatioRange(0.5, 5e159)
+    calls = [lambda: db.bound_interval("J", 3.0, P, Q)] * 2 + [lambda: db.phi_s(3.0, P, Q)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no numpy RuntimeWarning escapes
+        for call in calls:
+            with pytest.raises(NumericOverflow) as info:
+                call()
+            assert str(info.value) == "phi_s at s=3.0 leaves the float range"
+    # One sum, on the cold call; phi_s is checked before C_f is summed.
+    assert sum_counts == {"phi_s": 1, "C_f": 0}
 
 
 ONE, TINY = db.normalize([1, 1]), db.normalize([5e-324, 1])
