@@ -58,7 +58,7 @@ from .generators import (
     weighted_sum,
 )
 from .measures import finite_phi, phi_s
-from .simplex import Distribution, RatioRange, pair_ratios, pair_vector, ratio_range
+from .simplex import Distribution, RatioRange, pair_vector, ratio_range
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 _INV_PHI2 = _INV_PHI**2
@@ -535,13 +535,13 @@ def bound_interval(measure, s: float, P: Distribution, Q: Distribution) -> Bound
     nan or infinite s, and NumericOverflow where R, g, phi_s, C_f or a
     bound leaves the float range.
 
-    One pass under one np.errstate: s is checked first, by
-    :func:`phi_generator`, the measure is resolved once, and x = p / q and
-    the range are the pair's (:func:`pair_ratios`), each formed once while
-    the pair is the latest.  phi_s is the latest-pair memo's entry of
-    phi_generator(s) (:func:`csiszar_value`), which :func:`phi_s` and
-    eval_csiszar(phi_generator(s)) share, so a sweep of the measures at
-    one s sums it once.  C_f is sum q f(x) by :func:`weighted_sum`, the one
+    One pass under one np.errstate checks, in order, s
+    (:func:`phi_generator`), the pair (:func:`pair_vector`, whose x = p / q
+    C_f reads), R (:func:`ratio_range`), the measure, (m, M), phi_s and
+    C_f; x and the range are the latest pair's.  phi_s is the latest-pair
+    memo's entry of phi_generator(s) (:func:`csiszar_value`), which
+    :func:`phi_s` and eval_csiszar(phi_generator(s)) share, so a sweep of
+    the measures at one s sums it once.  C_f is sum q f(x) by :func:`weighted_sum`, the one
     sum core of those functions and :func:`e_cf`, made on every call: a
     memoized C_f runs more calls in the benchmark's fixed time, and the
     latency samples it keeps then exceed its RSS bound (ROADMAP item 1b).
@@ -551,7 +551,8 @@ def bound_interval(measure, s: float, P: Distribution, Q: Distribution) -> Bound
     """
     phi_gen = phi_generator(s)
     with np.errstate(over="ignore", invalid="ignore"):  # NumericOverflow is the only signal
-        x, rng = pair_ratios(P, Q)
+        x = pair_vector(P, Q, "x")
+        rng = ratio_range(P, Q)
         gen = get_generator(measure)
         mm = mm_exact(gen, s, rng)
         phi = finite_phi(s, csiszar_value(phi_gen, P, Q))

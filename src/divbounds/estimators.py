@@ -95,7 +95,7 @@ def estimate(est: EstimatorId, P: Distribution, Q: Distribution) -> float:
     """
     if not isinstance(est, EstimatorId):
         raise InvalidArgument(f"not an EstimatorId: {est!r}")
-    if memoized(P, Q, coincide, lambda: len(P) == len(Q) and bool(coincide(pair_vector(P, Q, "d")))):
+    if memoized(P, Q, coincide, lambda: bool(coincide(pair_vector(P, Q, "d")))):
         raise DegeneratePair("estimators are 0/0 at P = Q")
     return estimate_from(est, functools.cache(lambda measure: divergence(measure, P, Q)))
 

@@ -511,10 +511,12 @@ def check_generator(gen: Generator, grid) -> GeneratorCheck:
 
     Derivatives are compared against centered finite differences with
     step 1e-6 * x; deviations are reported relative to 1 + |analytic|.
-    Raises EmptyOrTooShort for an empty grid and, as ``g_eval`` does,
-    NonPositiveX for an entry x <= 0 or nan and NonFinite for an inf;
-    NumericOverflow where a value or a step leaves the float range.
+    Raises UnknownMeasure for anything but a Generator or catalog id,
+    EmptyOrTooShort for an empty grid and, as ``g_eval`` does, NonPositiveX
+    for an entry x <= 0 or nan and NonFinite for an inf; NumericOverflow
+    where a value or a step leaves the float range.
     """
+    gen = get_generator(gen)
     x = real_array(grid, "grid entries")
     if x.size == 0:
         raise EmptyOrTooShort("check_generator needs a nonempty grid")

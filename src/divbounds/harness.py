@@ -131,8 +131,12 @@ class TrialConfig:
             raise InvalidArgument("trials must be >= 1")
         if not 2 <= self.n_min <= self.n_max <= 10**6:
             raise InvalidArgument("need 2 <= n_min <= n_max <= 1e6")
-        if not self.concentration > 0:
-            raise InvalidArgument("concentration must be positive")
+        try:  # then a row's weights exp(concentration * (2u - 1)) and their sum are finite
+            bounded = math.isfinite(self.n_max * math.exp(self.concentration))
+        except OverflowError:
+            bounded = False
+        if not (self.concentration > 0 and bounded):
+            raise InvalidArgument(f"concentration must be positive, with n_max * exp(concentration) finite, got {self.concentration!r}")
         if len(self.s_samples) == 0:
             raise InvalidArgument("s_samples must not be empty")
         if not all(math.isfinite(s) for s in self.s_samples):
@@ -166,9 +170,14 @@ def random_pair(config: TrialConfig, trial_index: int):
     Support size is drawn uniformly from [n_min, n_max]; coordinates are
     exponentiated uniforms scaled by the concentration, floored at 1e-12.
     Repeated calls with the same pair-generating key return the same
-    objects while the memo's budget lasts.
+    objects while the memo's budget lasts.  trial_index is an integer,
+    numpy's too; InvalidArgument for a bool, a non-integer or a non-config.
     """
     global _memo
+    if type(trial_index) is not int or type(config) is not TrialConfig:  # the common call skips the checks
+        if not (isinstance(config, TrialConfig) and _is_number(trial_index, numbers.Integral)):
+            raise InvalidArgument(f"need a TrialConfig and an integer trial index, got {config!r} and {trial_index!r}")
+        trial_index = int(trial_index)
     key = (config.seed, config.n_min, config.n_max, config.concentration)
     memo = _memo
     if memo.key != key:

@@ -17,13 +17,11 @@ check, in the latest-pair memo (:func:`simplex.memoized`): a Python float
 per measure or generator, held while (P, Q), matched by identity through
 weak references, stays the latest pair.  phi_s(s),
 ``eval_csiszar(phi_generator(s))`` and ``bound_interval`` at s share one
-entry, so a sweep of the measures' bounds at one s sums phi_s once;
-``bound_interval`` still sums C_f on every call, as a faster sweep would
-keep more of the benchmark's latency samples and break its RSS bound until
-the benchmark bounds them (ROADMAP item 1b).  phi_s reads the
-pair's ratio vector x = p / q from the same slot (:func:`simplex.pair_vector`),
-formed once for every s; the divergences sum their (p, q) terms, which
-take blocks as well.
+entry, so a sweep of the measures' bounds at one s sums phi_s once
+(``bound_interval``'s docstring says why its C_f is not memoized).  phi_s
+reads the pair's ratio vector x = p / q from the same slot
+(:func:`simplex.pair_vector`), formed once for every s; the divergences
+sum their (p, q) terms, which take blocks as well.
 """
 
 from __future__ import annotations

@@ -12,15 +12,13 @@ The public per-pair functions (:func:`ratio_range`, ``divergence``,
 ``phi_s``, ``eval_csiszar`` and ``estimate``'s coincide test) keep what
 they compute on the latest pair (P, Q) in one slot (:func:`memoized`), so
 each of a pair's sums is computed once however often it is asked for.
-``bound_interval`` reads phi_s from the slot too, so a sweep of the
-measures at one s sums it once; its C_f is still summed on every call, as
-a faster sweep would keep more of the benchmark's latency samples and
-break its RSS bound until the benchmark bounds them (ROADMAP item 1b).  The
-slot holds the pair through weak references, matched by identity, its
-Python scalars, and the pair's two vectors (:func:`pair_vector`): the
-ratios x = p / q and the difference d = p - q, each formed at most once
-and read-only, from which every per-pair sum is built.  It keeps no pair
-alive, and is dropped with its pair, so no vector outlives the pair.
+``bound_interval`` reads the range and phi_s from the slot too, but sums
+its C_f on every call, for the reason its docstring gives.  The slot
+holds the pair through weak references, matched by identity, its Python
+scalars, and the pair's two vectors (:func:`pair_vector`): the ratios
+x = p / q and the difference d = p - q, each formed at most once and
+read-only, from which every per-pair sum is built.  It keeps no pair alive,
+and is dropped with its pair, so no vector outlives the pair.
 """
 
 from __future__ import annotations
@@ -178,9 +176,15 @@ def ratio_range(P: Distribution, Q: Distribution) -> RatioRange:
 
     Raises NumericOverflow where R leaves the float range (a q_i near the
     smallest subnormal); r >= min p_i > 0 cannot underflow, since q_i <= 1.
-    Memoized for the latest pair (:func:`pair_ratios`).
+    Reduced once from x = p / q (:func:`pair_vector`) for the latest pair.
     """
-    return pair_ratios(P, Q)[1]
+    x = pair_vector(P, Q, "x")
+
+    def reduce():
+        r, R = ratio_extremes(x)
+        return RatioRange(float(r), require_finite(float(R), "R = max p_i/q_i"))
+
+    return memoized(P, Q, ratio_range, reduce)
 
 
 def _require_pair(P, Q):
@@ -198,21 +202,6 @@ def pair_probs(P: Distribution, Q: Distribution) -> tuple:
     if p.size != q.size:
         raise LengthMismatch(f"lengths differ: {p.size} vs {q.size}")
     return p, q
-
-
-def pair_ratios(P: Distribution, Q: Distribution) -> tuple:
-    """(x, :func:`ratio_range`) with x = p / q, the ratio vector of
-    :func:`pair_vector`, for a caller that reuses x.  Both are the latest
-    pair's: the range is reduced from x once and kept in the slot under
-    ratio_range's key (:func:`memoized`)."""
-    x = pair_vector(P, Q, "x")
-    return x, memoized(P, Q, ratio_range, lambda: _range_of(x))
-
-
-def _range_of(x) -> RatioRange:
-    """The RatioRange of a ratio vector x; NumericOverflow where R is inf."""
-    r, R = ratio_extremes(x)
-    return RatioRange(float(r), require_finite(float(R), "R = max p_i/q_i"))
 
 
 def ratio_extremes(x) -> tuple:

@@ -841,13 +841,24 @@ class TestBoundInterval:
         def forbidden(*args, **kwargs):
             raise AssertionError("a public wrapper was called")
 
+        ranges = []
+
+        def counted_range(P, Q):
+            ranges.append(db.ratio_range(P, Q))
+            return ranges[-1]
+
         monkeypatch.setattr(cb, "np", CountingNumpy())
-        for name in ("ratio_range", "phi_s", "eval_csiszar"):
+        for name in ("phi_s", "eval_csiszar"):
             monkeypatch.setattr(cb, name, forbidden)
+        # The range is the one public accessor it asks, once a call.
+        monkeypatch.setattr(cb, "ratio_range", counted_range)
         for measure in ("J", db.phi_generator(0.5)):
             entered.clear()
-            assert db.bound_interval(measure, 0.5, *golden_pair).holds
+            ranges.clear()
+            report = db.bound_interval(measure, 0.5, *golden_pair)
+            assert report.holds
             assert entered == [{"over": "ignore", "invalid": "ignore"}]
+            assert ranges == [report.mm.range]
 
 
 def _public_parts(measure, s, P, Q):

@@ -5,7 +5,7 @@ import pytest
 
 import divbounds as db
 import divbounds.harness as harness
-from divbounds.errors import DivBoundsError, InvalidArgument, InvalidRange, UnknownSuite
+from divbounds.errors import DivBoundsError, InvalidArgument, InvalidRange, UnknownMeasure, UnknownSuite
 
 CFG = db.TrialConfig(trials=3)
 
@@ -24,6 +24,8 @@ CFG = db.TrialConfig(trials=3)
         (lambda: db.check_generator(db.catalog()["J"], "abc"), InvalidArgument),
         (lambda: db.g_eval("J", 0.5, "abc"), InvalidArgument),
         (lambda: db.RatioRange("a", 2.0), InvalidRange),
+        (lambda: db.check_generator("nope", [1.0]), UnknownMeasure),
+        (lambda: db.check_generator(3, [1.0]), UnknownMeasure),
     ],
     ids=[
         "run_suite-list-id",
@@ -37,6 +39,8 @@ CFG = db.TrialConfig(trials=3)
         "check_generator-str-grid",
         "g_eval-str-x",
         "RatioRange-str-r",
+        "check_generator-str-generator",
+        "check_generator-int-generator",
     ],
 )
 def test_non_numeric_input_raises_a_typed_error(call, error):
@@ -45,6 +49,11 @@ def test_non_numeric_input_raises_a_typed_error(call, error):
     assert isinstance(info.value, DivBoundsError)
     if error is InvalidArgument:
         assert isinstance(info.value, ValueError)  # callers that catch ValueError still do
+
+
+def test_check_generator_takes_a_catalog_id_as_its_generator():
+    grid = [0.5, 1.0, 2.0]
+    assert db.check_generator("J", grid) == db.check_generator(db.catalog()["J"], grid)
 
 
 _P = db.Distribution([0.25, 0.75])

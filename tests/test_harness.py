@@ -56,6 +56,8 @@ class TestTrialConfig:
             {"concentration": "2"},
             {"s_samples": ("a",)},
             {"s_samples": 0.5},
+            {"concentration": math.inf},
+            {"concentration": 800.0},
         ],
     )
     def test_validation_error_is_typed(self, kwargs):
@@ -114,6 +116,52 @@ class TestRandomPair:
         cfg = db.TrialConfig(seed=11, concentration=1e-4, n_min=8, n_max=8)
         P, _ = db.random_pair(cfg, 0)
         assert float(np.max(np.abs(P.probs - 0.125))) <= 1e-4
+
+    def test_largest_accepted_concentration_builds_pairs_without_a_warning(self):
+        # The largest c with 64 * exp(c) finite: its next float is refused.
+        c = math.log(sys.float_info.max / 64)
+        while math.isfinite(64 * math.exp(math.nextafter(c, math.inf))):
+            c = math.nextafter(c, math.inf)
+        with pytest.raises(InvalidArgument, match="exp\\(concentration\\) finite"):
+            db.TrialConfig(n_max=64, concentration=math.nextafter(c, math.inf))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for n_min in (2, 64):
+                cfg = db.TrialConfig(seed=13, n_min=n_min, n_max=64, concentration=c)
+                for i in range(50):
+                    P, Q = db.random_pair(cfg, i)
+                    assert float(P.probs.min()) >= 1e-12 and float(Q.probs.min()) >= 1e-12
+
+    @pytest.mark.parametrize("index", [np.int64(3), np.int8(3), np.uint64(3), np.uint64(2**64 - 1)], ids=["int64", "int8", "uint64", "uint64-max"])
+    def test_a_numpy_index_is_the_int_it_equals(self, monkeypatch, index):
+        cfg = db.TrialConfig(seed=23)
+        monkeypatch.setattr(harness, "_memo", harness._PairMemo(None))
+        miss = db.random_pair(cfg, index)
+        assert [type(i) for i in harness._memo.pairs] == [int]
+        assert db.random_pair(cfg, int(index)) == miss == db.random_pair(cfg, index)
+        fresh = harness._build_pair(cfg, int(index))
+        assert all(a.probs.tobytes() == b.probs.tobytes() for a, b in zip(miss, fresh))
+
+    @pytest.mark.parametrize(
+        "config, index",
+        [
+            (db.TrialConfig(), 1.5),
+            (db.TrialConfig(), 3.0),
+            (db.TrialConfig(), np.float64(3.0)),
+            (db.TrialConfig(), True),
+            (db.TrialConfig(), np.bool_(False)),
+            (db.TrialConfig(), "3"),
+            (db.TrialConfig(), None),
+            ("x", 0),
+            (None, 0),
+            ({"seed": 0}, np.int64(0)),
+        ],
+        ids=["float", "integral-float", "numpy-float", "bool", "numpy-bool", "str", "None", "str-config", "None-config", "dict-config"],
+    )
+    def test_a_bad_index_or_config_raises_invalid_argument(self, config, index):
+        db.random_pair(db.TrialConfig(), 3)  # a memo hit must not pass a bad input either
+        with pytest.raises(InvalidArgument, match="need a TrialConfig and an integer trial index"):
+            db.random_pair(config, index)
 
 
 def _memo_key(cfg):

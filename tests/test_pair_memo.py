@@ -166,6 +166,26 @@ def test_bound_interval_reads_the_memoized_range(fresh_memo):
     P, Q = make_pairs(1, seed=14)[0]
     for m in db.CATALOG_IDS:
         assert db.bound_interval(m, 0.5, P, Q).mm.range is db.ratio_range(P, Q)
+    assert simplex._latest.values[db.ratio_range] is db.ratio_range(P, Q)  # one entry, under ratio_range's key
+
+
+@pytest.mark.parametrize("call", [db.ratio_range, lambda P, Q: db.bound_interval("J", 0.5, P, Q)], ids=["ratio_range", "bound_interval"])
+def test_a_length_mismatch_leaves_the_slot_unchanged(call, fresh_memo):
+    P, Q = make_pairs(1, seed=16)[0]
+    db.ratio_range(P, Q)
+    latest, values = simplex._latest, dict(simplex._latest.values)
+    for _ in range(2):
+        with pytest.raises(LengthMismatch, match="lengths differ: 2 vs 3"):
+            call(ONE, db.normalize([1, 1, 1]))
+        assert simplex._latest is latest and latest.values == values
+
+
+def test_estimate_raises_a_length_mismatch_and_stores_no_verdict(fresh_memo):
+    Q = db.normalize([1, 1, 1])
+    for _ in range(2):
+        with pytest.raises(LengthMismatch, match="lengths differ: 2 vs 3"):
+            db.estimate(db.EstimatorId("XI", 1), ONE, Q)
+        assert simplex._latest.values == {}
 
 
 def test_a_grid_of_bound_intervals_reduces_x_once(monkeypatch, fresh_memo):
